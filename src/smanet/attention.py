@@ -81,12 +81,6 @@ def refine(fused: Tensor, feature: Tensor) -> Tensor:
     return T.mul(fused, feature)
 
 
-def attended_feature(stack: AttentionStack, feature: Tensor, channel: int) -> Tensor:
-    """Per-channel attended feature: the input gated by mask `channel`."""
-    mask_n = T.narrow(stack.masks, axis=1, start=channel, length=1)
-    return T.mul(mask_n, feature)
-
-
 def param_count(cfg: SmaConfig) -> int:
     """Trainable scalars in one full attention block (closed form)."""
     c, n = cfg.in_channels, cfg.n_channels

@@ -88,6 +88,12 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.alpha < 0 or self.lam < 0:
             raise ConfigError("alpha and lambda must be >= 0")
+        if not self.lr > 0.0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0,1), got {self.momentum}")
+        if not self.weight_decay >= 0.0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 <= self.resample_p <= 1.0:
             raise ConfigError(f"resample_p must be in [0,1], got {self.resample_p}")
         if not 0.0 <= self.delta < 1.0:

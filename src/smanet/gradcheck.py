@@ -148,12 +148,6 @@ def build_suite(seed: int = 0) -> list[tuple[str, object]]:
         lambda x: _weighted(T.reshape(x, (6, 4))), _rand(rng_for(16), 4, 6)))
     primitive("narrow", lambda: grad_check(
         lambda x: _weighted(T.narrow(x, 1, 1, 2)), _rand(rng_for(17), 3, 5, 2)))
-    primitive("concat", lambda: grad_check(
-        lambda x: _weighted(T.concat([x, _rand(rng_for(18), 3, 2)], axis=1)),
-        _rand(rng_for(19), 3, 4)))
-    primitive("stack", lambda: grad_check(
-        lambda x: _weighted(T.stack([x, _rand(rng_for(20), 3, 4)], axis=0)),
-        _rand(rng_for(21), 3, 4)))
 
     def linear_check():
         rng = rng_for(22)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionStack, attended_feature
+from .attention import AttentionStack
 from .errors import DataError, ShapeError
 from .tensor import Tensor, apply_op, sigmoid_values
 

@@ -18,10 +18,6 @@ class LabelCounts:
     fn: np.ndarray
     tn: np.ndarray
 
-    def merge(self, other: "LabelCounts") -> "LabelCounts":
-        return LabelCounts(self.tp + other.tp, self.fp + other.fp,
-                           self.fn + other.fn, self.tn + other.tn)
-
 
 def binarize(logits: np.ndarray, threshold: float = 0.0) -> np.ndarray:
     """Occurrence decision: strictly above threshold counts as positive."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DataError
 from .tensor import DEFAULT_DTYPE, Tensor, batch_norm2d, conv2d, depthwise_conv2d, linear
 
 
@@ -55,16 +55,20 @@ class Module:
             yield "buffer." + name, b
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy checkpoint records into parameters and buffers; a missing
+        record or a shape mismatch is a DataError naming the record."""
+
+        def record(name, shape):
+            if name not in arrays:
+                raise DataError(f"checkpoint record {name} is missing")
+            if arrays[name].shape != shape:
+                raise DataError(f"checkpoint record {name}: shape {arrays[name].shape} != {shape}")
+            return arrays[name]
+
         for name, p in self.named_parameters():
-            src = arrays[name]
-            if src.shape != p.data.shape:
-                raise ShapeError(f"checkpoint record {name}: shape {src.shape} != {p.data.shape}")
-            p.data = src.astype(p.data.dtype)
+            p.data = record(name, p.data.shape).astype(p.data.dtype)
         for name, b in self.named_buffers():
-            src = arrays["buffer." + name]
-            if src.shape != b.shape:
-                raise ShapeError(f"checkpoint record buffer.{name}: shape mismatch")
-            b[...] = src.astype(b.dtype)
+            b[...] = record("buffer." + name, b.shape).astype(b.dtype)
 
     def param_total(self) -> int:
         return sum(p.size for p in self.parameters())

@@ -6,7 +6,9 @@ replays the recorded graph in reverse topological order, accumulating
 gradients additively across fan-out.  The graph is consumed by the
 backward pass: reusing an already-backpropagated intermediate raises.
 
-All forward math is plain numpy with a fixed reduction order, so
+Every kernel lives in this module, once, on numpy alone: the im2col /
+col2im gathers behind ``conv2d`` and the shifted-window correlation
+behind ``depthwise_conv2d``.  All math uses a fixed reduction order, so
 identical inputs give bit-identical outputs run to run.
 """
 
@@ -18,7 +20,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _kernels
 from .errors import AutogradError, NumericError, ShapeError
 
 DEFAULT_DTYPE = np.float64
@@ -39,8 +40,6 @@ PRIMITIVES = (
     "softmax",
     "reshape",
     "narrow",
-    "concat",
-    "stack",
     "linear",
     "conv2d",
     "depthwise_conv2d",
@@ -152,9 +151,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
-
-    def flatten2d(self):
-        return reshape(self, (self.shape[0], -1))
 
     # -- backward ------------------------------------------------------------
 
@@ -443,34 +439,6 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return apply_op(data, (a,), vjp)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat of an empty sequence")
-    axis = int(axis) % tensors[0].ndim
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(
-            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
-        )
-
-    return apply_op(data, tuple(tensors), vjp)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ShapeError("stack of an empty sequence")
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def vjp(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    return apply_op(data, tuple(tensors), vjp)
-
-
 # -- dense / convolutional ---------------------------------------------------
 
 
@@ -494,6 +462,44 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return apply_op(data, parents, vjp)
 
 
+def _pad_hw(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the two spatial axes of an [B,C,H,W] array."""
+    if not padding:
+        return x
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+
+def _check_padding(op: str, k: int, padding: int) -> None:
+    # The stride-1 input gradient correlates with the flipped kernel on
+    # a gradient padded by k-1-padding, which must not be negative.
+    if not 0 <= padding <= k - 1:
+        raise ShapeError(f"{op}: padding {padding} outside [0, {k - 1}] for kernel {k}")
+
+
+def _im2col(xp: np.ndarray, k: int, stride: int):
+    b, c = xp.shape[:2]
+    view = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = view.shape[2:4]
+    cols = np.ascontiguousarray(view.transpose(0, 1, 4, 5, 2, 3))
+    return cols.reshape(b, c * k * k, ho * wo), ho, wo
+
+
+def _col2im(gcols: np.ndarray, c: int, hp: int, wp: int, k: int, stride: int, ho: int, wo: int):
+    b = gcols.shape[0]
+    ch = np.repeat(np.arange(c), k * k)
+    ki = np.tile(np.repeat(np.arange(k), k), c)
+    kj = np.tile(np.arange(k), c * k)
+    oi = stride * np.repeat(np.arange(ho), wo)
+    oj = stride * np.tile(np.arange(wo), ho)
+    rows = ki[:, None] + oi[None, :]
+    cols_j = kj[:, None] + oj[None, :]
+    idx = (ch[:, None] * hp + rows) * wp + cols_j
+    size = c * hp * wp
+    big = idx[None, :, :] + (np.arange(b) * size)[:, None, None]
+    flat = np.bincount(big.ravel(), weights=gcols.ravel(), minlength=b * size)
+    return flat.reshape(b, c, hp, wp).astype(gcols.dtype, copy=False)
+
+
 def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
     b, cin, h, wd = x.shape
     cout, _, k, _ = w.shape
@@ -505,8 +511,8 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
         cols = xs.reshape(b, cin, ho * wo)
         out = np.matmul(w.reshape(cout, cin), cols)
         return out.reshape(b, cout, ho, wo), cols, x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-    cols, ho, wo = _kernels.im2col(xp, k, stride)
+    xp = _pad_hw(x, padding)
+    cols, ho, wo = _im2col(xp, k, stride)
     out = np.matmul(w.reshape(cout, -1), cols)
     return out.reshape(b, cout, ho, wo), cols, xp.shape
 
@@ -518,7 +524,10 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """Cross-correlation of x[B,Cin,H,W] with weight[Cout,Cin,k,k]."""
+    """Cross-correlation of x[B,Cin,H,W] with weight[Cout,Cin,k,k].
+
+    Requires 0 <= padding <= k-1.
+    """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d input/weight, got {x.shape} / {weight.shape}")
     b, cin, h, wd = x.shape
@@ -527,6 +536,7 @@ def conv2d(
         raise ShapeError(f"conv2d: weight{weight.shape} incompatible with input{x.shape}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias{bias.shape} must be ({cout},)")
+    _check_padding("conv2d", k, padding)
     if h + 2 * padding < k or wd + 2 * padding < k:
         raise ShapeError(f"conv2d: kernel {k} larger than padded input {x.shape}")
 
@@ -552,7 +562,7 @@ def conv2d(
             else:
                 gcols = np.matmul(weight.data.reshape(cout, -1).T, gflat)
                 hp, wp = padded_shape[2:]
-                gxp = _kernels.col2im(gcols, cin, hp, wp, k, stride, ho, wo)
+                gxp = _col2im(gcols, cin, hp, wp, k, stride, ho, wo)
                 gx = gxp[:, :, padding : padding + h, padding : padding + wd] if padding else gxp
         ret = (gx, gw)
         return ret + (gb,) if bias is not None else ret
@@ -561,11 +571,27 @@ def conv2d(
     return apply_op(data, parents, vjp)
 
 
+def _depthwise_correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Valid per-channel correlation of xp[B,N,Hp,Wp] with w[N,k,k]:
+    k*k shifted multiply-adds, so no window buffer is built."""
+    n, k, _ = w.shape
+    ho, wo = xp.shape[2] - k + 1, xp.shape[3] - k + 1
+    out = np.zeros((xp.shape[0], n, ho, wo), dtype=xp.dtype)
+    for i in range(k):
+        for j in range(k):
+            out += w[:, i, j][:, None, None] * xp[:, :, i : i + ho, j : j + wo]
+    return out
+
+
 def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int = 0) -> Tensor:
     """Per-channel k-by-k correlation: channel n of x convolved with weight[n].
 
     Stride is fixed at 1; with padding k//2 the spatial size is preserved.
-    Implemented as k*k shifted accumulations, so no im2col buffer is built.
+    Requires 0 <= padding <= k-1.  The forward pass and the input gradient
+    share one helper, ``_depthwise_correlate``: dx is the correlation of
+    the output gradient, padded by k-1-padding, with the flipped kernel.
+    The weight gradient is a k*k loop of per-channel dot products over the
+    same shifted windows.
     """
     if x.ndim != 4 or weight.ndim != 3 or x.shape[1] != weight.shape[0]:
         raise ShapeError(f"depthwise_conv2d: x{x.shape} incompatible with weight{weight.shape}")
@@ -574,26 +600,27 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padd
         raise ShapeError("depthwise_conv2d: kernel must be square")
     if bias is not None and bias.shape != (n,):
         raise ShapeError(f"depthwise_conv2d: bias{bias.shape} must be ({n},)")
-    b, _, h, wd = x.shape
-    ho, wo = h + 2 * padding - k + 1, wd + 2 * padding - k + 1
+    _check_padding("depthwise_conv2d", k, padding)
+    ho, wo = x.shape[2] + 2 * padding - k + 1, x.shape[3] + 2 * padding - k + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError("depthwise_conv2d: kernel larger than padded input")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    data = _kernels.depthwise_forward(xp, weight.data, ho, wo)
+    xp = _pad_hw(x.data, padding)
+    data = _depthwise_correlate(xp, weight.data)
     if bias is not None:
         data = data + bias.data[:, None, None]
 
     def vjp(g):
-        g = np.ascontiguousarray(g)
         gw = None
         if weight.requires_grad:
-            gw = _kernels.depthwise_dw(xp, g, k).astype(weight.dtype, copy=False)
+            gw = np.empty(weight.shape, dtype=weight.dtype)
+            for i in range(k):
+                for j in range(k):
+                    gw[:, i, j] = np.einsum("bnhw,bnhw->n", xp[:, :, i : i + ho, j : j + wo], g)
         gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
         gx = None
         if x.requires_grad:
-            gxp = _kernels.depthwise_dx(g, weight.data, xp.shape[2], xp.shape[3])
-            gx = gxp[:, :, padding : padding + h, padding : padding + wd] if padding else gxp
+            gx = _depthwise_correlate(_pad_hw(g, k - 1 - padding), weight.data[:, ::-1, ::-1])
         ret = (gx, gw)
         return ret + (gb,) if bias is not None else ret
 

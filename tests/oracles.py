@@ -50,6 +50,25 @@ def depthwise_loop(x, w, b=None, padding=0):
     return out
 
 
+def depthwise_vjp_loop(x, w, g, padding=0):
+    """Input and weight gradients of depthwise_loop for output gradient g."""
+    bsz, n, h, wd = x.shape
+    k = w.shape[1]
+    xp = np.zeros((bsz, n, h + 2 * padding, wd + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros((n, k, k))
+    for bi in range(bsz):
+        for ni in range(n):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    for ki in range(k):
+                        for kj in range(k):
+                            gxp[bi, ni, i + ki, j + kj] += g[bi, ni, i, j] * w[ni, ki, kj]
+                            gw[ni, ki, kj] += g[bi, ni, i, j] * xp[bi, ni, i + ki, j + kj]
+    return gxp[:, :, padding : padding + h, padding : padding + wd], gw
+
+
 def avg_pool_loop(x, axes):
     axes = tuple(sorted(axes))
     out_shape = tuple(1 if i in axes else s for i, s in enumerate(x.shape))

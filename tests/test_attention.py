@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from smanet import tensor as T
 from smanet.attention import (ChannelGate, MultiChannelAttention, SmaConfig,
-                              attended_feature, combine, param_count, refine)
+                              combine, param_count, refine)
 from smanet.errors import ConfigError, ShapeError
 from smanet.tensor import Tensor
 
@@ -47,8 +47,6 @@ class TestF2a:
         stack = block.f2a(x)
         assert np.array_equal(stack.logits.data, np.zeros((2, 3, 5, 5)))
         assert np.array_equal(stack.masks.data, np.full((2, 3, 5, 5), 0.5))
-        gated = attended_feature(stack, x, 1)
-        assert np.allclose(gated.data, 0.5 * x.data, atol=0)
 
     def test_saturated_bias_gives_unit_masks(self):
         block = make_block()
@@ -58,8 +56,6 @@ class TestF2a:
         stack = block.f2a(x)
         assert np.all(stack.masks.data < 1.0)
         assert np.allclose(stack.masks.data, 1.0, atol=1e-12)
-        gated = attended_feature(stack, x, 0)
-        assert np.allclose(gated.data, x.data, atol=1e-12)
 
     def test_matches_primitive_composition(self):
         block = make_block(n=3, c=5, seed=3)

@@ -52,8 +52,10 @@ class TestConfigFile:
         assert rc == EXIT_CONFIG
 
     def test_bad_enum_value(self, tmp_path):
-        rc = main(["train", "--task", "speech", "--output-dir", str(tmp_path)])
-        assert rc == EXIT_CONFIG
+        for flags in (["--task", "speech"], ["--lr", "-1"], ["--lr", "0"], ["--momentum", "5"],
+                      ["--momentum", "1"], ["--momentum", "-0.1"], ["--weight-decay", "-1"]):
+            rc = main(["train", *flags, "--output-dir", str(tmp_path)])
+            assert rc == EXIT_CONFIG, flags
 
     def test_env_var_overrides_output_dir_only(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
@@ -151,6 +153,22 @@ class TestEval:
                    "--checkpoint", str(train_dir / "checkpoint.bin"),
                    "--output-dir", str(tmp_path / "e")])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("damage", ["drop", "reshape"])
+    def test_damaged_checkpoint_record_refused(self, tmp_path, capsys, damage):
+        cfg = tiny_cfg()
+        arrays = dict(TrainState(cfg).state_arrays())
+        name = next(k for k in arrays if "attention" in k)
+        if damage == "drop":
+            del arrays[name]
+        else:
+            arrays[name] = arrays[name].reshape(-1)[:-1]
+        ckpt = tmp_path / "damaged.bin"
+        save_checkpoint(ckpt, config_digest(cfg), arrays.items())
+        rc = main(["eval", *TINY, "--checkpoint", str(ckpt), "--output-dir", str(tmp_path / "e")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err
 
     def test_fold_mode_emits_per_fold_and_mean(self, tmp_path):
         train_dir = tmp_path / "run"

@@ -103,12 +103,6 @@ class TestCountsAndConfusion:
         with pytest.raises(DataError):
             confusion_matrix(np.array([4]), np.array([0]), 4)
 
-    def test_merge_is_commutative(self):
-        a = counts(1, 2, 3, 4)
-        b = counts(5, 6, 7, 8)
-        ab, ba = a.merge(b), b.merge(a)
-        assert np.array_equal(ab.tp, ba.tp) and np.array_equal(ab.tn, ba.tn)
-
 
 class TestReports:
     def test_metrics_report_golden(self):

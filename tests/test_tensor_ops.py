@@ -45,6 +45,9 @@ class TestConv2d:
             T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))))
+        for padding in (-1, 3):
+            with pytest.raises(ShapeError):
+                T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), padding=padding)
 
 
 class TestDepthwise:
@@ -67,6 +70,28 @@ class TestDepthwise:
         b = rng.normal(size=2)
         got = T.depthwise_conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1)
         assert np.allclose(got.data, oracles.depthwise_loop(x, w, b, 1), atol=1e-12)
+
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-4)])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_vjp_matches_loop_oracle(self, dtype, atol, padding):
+        rng = rnd(16)
+        x = rng.normal(size=(2, 3, 5, 7))
+        w = rng.normal(size=(3, 3, 3))
+        xt, wt = Tensor(x, requires_grad=True, dtype=dtype), Tensor(w, requires_grad=True, dtype=dtype)
+        out = T.depthwise_conv2d(xt, wt, padding=padding)
+        g = rng.normal(size=out.shape)
+        T.mul(out, Tensor(g, dtype=dtype)).sum().backward()
+        gx, gw = oracles.depthwise_vjp_loop(x, w, g, padding)
+        assert xt.grad.dtype == dtype and wt.grad.dtype == dtype
+        assert np.allclose(xt.grad, gx, atol=atol)
+        assert np.allclose(wt.grad, gw, atol=atol)
+
+    def test_padding_bound(self):
+        x, w = Tensor(np.ones((1, 2, 6, 6))), Tensor(np.ones((2, 3, 3)))
+        assert T.depthwise_conv2d(x, w, padding=2).shape == (1, 2, 8, 8)
+        for padding in (-1, 3):
+            with pytest.raises(ShapeError):
+                T.depthwise_conv2d(x, w, padding=padding)
 
 
 class TestSigmoid:
@@ -187,12 +212,11 @@ class TestReductionsAndShapes:
             composed = T.avg_pool(T.mul(T.narrow(m, 1, n, 1), f), axes=(2, 3))
             assert np.allclose(fused.data[:, n], composed.data[:, :, 0, 0], atol=1e-12)
 
-    def test_narrow_concat_stack_roundtrip(self):
+    def test_narrow_matches_numpy_slice(self):
         x = rnd(11).normal(size=(2, 5))
         t = Tensor(x)
-        parts = [T.narrow(t, 1, i, 1) for i in range(5)]
-        assert np.array_equal(T.concat(parts, axis=1).data, x)
-        assert T.stack([t, t], axis=0).shape == (2, 2, 5)
+        for i in range(5):
+            assert np.array_equal(T.narrow(t, 1, i, 1).data, x[:, i : i + 1])
 
     def test_max_pool_matches_naive(self):
         x = rnd(12).normal(size=(1, 2, 6, 6))
@@ -235,18 +259,3 @@ class TestDeterminismAndChecks:
                 T.log(Tensor([0.0]))
         finally:
             T.set_checked(False)
-
-    def test_numpy_fallback_matches_jit_kernels(self, monkeypatch):
-        from smanet import _kernels
-
-        rng = rnd(16)
-        x = rng.normal(size=(2, 3, 7, 7)).astype(np.float64)
-        w = rng.normal(size=(4, 3, 3, 3))
-        wd = rng.normal(size=(3, 5, 5))
-        jit_conv = T.conv2d(Tensor(x), Tensor(w), stride=2, padding=1)
-        jit_dw = T.depthwise_conv2d(Tensor(x), Tensor(wd), padding=2)
-        monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
-        np_conv = T.conv2d(Tensor(x), Tensor(w), stride=2, padding=1)
-        np_dw = T.depthwise_conv2d(Tensor(x), Tensor(wd), padding=2)
-        assert np.allclose(jit_conv.data, np_conv.data, atol=1e-12)
-        assert np.allclose(jit_dw.data, np_dw.data, atol=1e-12)
