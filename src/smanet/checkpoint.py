@@ -10,6 +10,7 @@ model compute dtype, so save -> load -> save round-trips byte-identically.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -22,23 +23,29 @@ VERSION = 1
 
 
 def save_checkpoint(path, digest: str, arrays) -> None:
+    """Write the checkpoint through a sibling temp file that replaces
+    `path` only once complete and synced, so a crash or an error
+    mid-write leaves any previous checkpoint at `path` intact."""
+    path = Path(path)
     records = list(arrays)
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<I", VERSION)
-    dig = digest.encode("ascii")
-    out += struct.pack("<H", len(dig))
-    out += dig
-    out += struct.pack("<I", len(records))
-    for name, arr in records:
-        nb = name.encode("utf-8")
-        out += struct.pack("<H", len(nb))
-        out += nb
-        arr64 = np.ascontiguousarray(arr, dtype="<f8")
-        out += struct.pack("<B", arr64.ndim)
-        out += struct.pack(f"<{arr64.ndim}I", *arr64.shape)
-        out += arr64.tobytes()
-    Path(path).write_bytes(bytes(out))
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            dig = digest.encode("ascii")
+            f.write(MAGIC + struct.pack("<IH", VERSION, len(dig)) + dig)
+            f.write(struct.pack("<I", len(records)))
+            for name, arr in records:
+                nb = name.encode("utf-8")
+                arr64 = np.ascontiguousarray(arr, dtype="<f8")
+                f.write(struct.pack("<H", len(nb)) + nb)
+                f.write(struct.pack(f"<B{arr64.ndim}I", arr64.ndim, *arr64.shape))
+                f.write(arr64.tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

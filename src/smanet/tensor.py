@@ -6,10 +6,14 @@ replays the recorded graph in reverse topological order, accumulating
 gradients additively across fan-out.  The graph is consumed by the
 backward pass: reusing an already-backpropagated intermediate raises.
 
-Every kernel lives in this module, once, on numpy alone: the im2col /
-col2im gathers behind ``conv2d`` and the shifted-window correlation
-behind ``depthwise_conv2d``.  All math uses a fixed reduction order, so
-identical inputs give bit-identical outputs run to run.
+Every kernel lives in this module, once, on numpy alone, and puts its
+arithmetic on BLAS or on strided slices: ``conv2d`` is an im2col GEMM
+whose strided input gradient scatters back with k*k slice-adds
+(``_col2im``); ``depthwise_conv2d`` runs its forward and input gradient
+as k banded GEMMs over row-shifted views (``_depthwise_correlate``) and
+its weight gradient as one einsum over the window view.  All math uses a
+fixed reduction order, so identical inputs give bit-identical outputs
+run to run.
 """
 
 from __future__ import annotations
@@ -462,11 +466,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return apply_op(data, parents, vjp)
 
 
-def _pad_hw(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the two spatial axes of an [B,C,H,W] array."""
+def _pad_hw(x: np.ndarray, padding: int, fill: float = 0.0) -> np.ndarray:
+    """Pad the two spatial axes of an [B,C,H,W] array with `fill`."""
     if not padding:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    b, c, h, w = x.shape
+    out = np.full((b, c, h + 2 * padding, w + 2 * padding), fill, dtype=x.dtype)
+    out[:, :, padding : padding + h, padding : padding + w] = x
+    return out
 
 
 def _check_padding(op: str, k: int, padding: int) -> None:
@@ -485,19 +492,17 @@ def _im2col(xp: np.ndarray, k: int, stride: int):
 
 
 def _col2im(gcols: np.ndarray, c: int, hp: int, wp: int, k: int, stride: int, ho: int, wo: int):
+    """Scatter-add gcols[B, C*k*k, Ho*Wo] back onto the padded input grid
+    [B,C,Hp,Wp]: one strided slice-add per kernel tap, in the input dtype.
+    The positions one slice touches are distinct, so no index arrays are
+    needed."""
     b = gcols.shape[0]
-    ch = np.repeat(np.arange(c), k * k)
-    ki = np.tile(np.repeat(np.arange(k), k), c)
-    kj = np.tile(np.arange(k), c * k)
-    oi = stride * np.repeat(np.arange(ho), wo)
-    oj = stride * np.tile(np.arange(wo), ho)
-    rows = ki[:, None] + oi[None, :]
-    cols_j = kj[:, None] + oj[None, :]
-    idx = (ch[:, None] * hp + rows) * wp + cols_j
-    size = c * hp * wp
-    big = idx[None, :, :] + (np.arange(b) * size)[:, None, None]
-    flat = np.bincount(big.ravel(), weights=gcols.ravel(), minlength=b * size)
-    return flat.reshape(b, c, hp, wp).astype(gcols.dtype, copy=False)
+    g6 = gcols.reshape(b, c, k, k, ho, wo)
+    out = np.zeros((b, c, hp, wp), dtype=gcols.dtype)
+    for i in range(k):
+        for j in range(k):
+            out[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += g6[:, :, i, j]
+    return out
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
@@ -572,14 +577,22 @@ def conv2d(
 
 
 def _depthwise_correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Valid per-channel correlation of xp[B,N,Hp,Wp] with w[N,k,k]:
-    k*k shifted multiply-adds, so no window buffer is built."""
+    """Valid per-channel correlation of xp[B,N,Hp,Wp] with w[N,k,k].
+
+    Kernel row i becomes a banded [Wp, Wo] matrix per channel,
+    band[i, n, q + j, q] = w[n, i, j], so the output is the sum over i of
+    the row-shifted views xp[:, :, i:i+Ho, :] times band[i]: k batched
+    GEMMs on views BLAS reads in place.
+    """
     n, k, _ = w.shape
     ho, wo = xp.shape[2] - k + 1, xp.shape[3] - k + 1
-    out = np.zeros((xp.shape[0], n, ho, wo), dtype=xp.dtype)
-    for i in range(k):
-        for j in range(k):
-            out += w[:, i, j][:, None, None] * xp[:, :, i : i + ho, j : j + wo]
+    band = np.zeros((k, n, xp.shape[3], wo), dtype=np.result_type(xp, w))
+    q = np.arange(wo)
+    for j in range(k):
+        band[:, :, q + j, q] = w[:, :, j].T[:, :, None]
+    out = np.matmul(xp[:, :, :ho], band[0])
+    for i in range(1, k):
+        out += np.matmul(xp[:, :, i : i + ho], band[i])
     return out
 
 
@@ -588,10 +601,11 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padd
 
     Stride is fixed at 1; with padding k//2 the spatial size is preserved.
     Requires 0 <= padding <= k-1.  The forward pass and the input gradient
-    share one helper, ``_depthwise_correlate``: dx is the correlation of
-    the output gradient, padded by k-1-padding, with the flipped kernel.
-    The weight gradient is a k*k loop of per-channel dot products over the
-    same shifted windows.
+    share one banded-GEMM helper, ``_depthwise_correlate``: dx is the
+    correlation of the output gradient, padded by k-1-padding, with the
+    flipped kernel.  The weight gradient is one einsum contracting the
+    [B,N,Ho,Wo,k,k] window view of the padded input with the output
+    gradient.
     """
     if x.ndim != 4 or weight.ndim != 3 or x.shape[1] != weight.shape[0]:
         raise ShapeError(f"depthwise_conv2d: x{x.shape} incompatible with weight{weight.shape}")
@@ -613,10 +627,8 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padd
     def vjp(g):
         gw = None
         if weight.requires_grad:
-            gw = np.empty(weight.shape, dtype=weight.dtype)
-            for i in range(k):
-                for j in range(k):
-                    gw[:, i, j] = np.einsum("bnhw,bnhw->n", xp[:, :, i : i + ho, j : j + wo], g)
+            windows = sliding_window_view(xp, (k, k), axis=(2, 3))
+            gw = np.einsum("bnhwij,bnhw->nij", windows, g)
         gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
         gx = None
         if x.requires_grad:
@@ -632,36 +644,23 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d: need 4-d input, got {x.shape}")
     b, c, h, wd = x.shape
-    if padding:
-        xp = np.pad(
-            x.data,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            constant_values=-np.inf,
-        )
-    else:
-        xp = x.data
+    xp = _pad_hw(x.data, padding, -np.inf)
     view = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
     ho, wo = view.shape[2:4]
     windows = view.reshape(b, c, ho, wo, kernel * kernel)
     data = windows.max(axis=-1)
+    # argmax picks the lowest index on ties, which fixes the subgradient.
     arg = windows.argmax(axis=-1)
 
     def vjp(g):
-        hp, wp = xp.shape[2:]
-        oi = stride * np.repeat(np.arange(ho), wo)
-        oj = stride * np.tile(np.arange(wo), ho)
-        ai = (arg // kernel).reshape(b, c, -1)
-        aj = (arg % kernel).reshape(b, c, -1)
-        rows = oi[None, None, :] + ai
-        cols = oj[None, None, :] + aj
-        flat_idx = (
-            (np.arange(b)[:, None, None] * c + np.arange(c)[None, :, None]) * hp + rows
-        ) * wp + cols
-        acc = np.bincount(
-            flat_idx.ravel(), weights=g.reshape(b, c, -1).ravel(), minlength=b * c * hp * wp
-        ).reshape(b, c, hp, wp)
-        acc = acc[:, :, padding : padding + h, padding : padding + wd] if padding else acc
-        return (acc.astype(x.dtype, copy=False),)
+        # One strided slice-add per window offset, each carrying the
+        # gradient of the windows whose max sits at that offset.
+        acc = np.zeros(xp.shape, dtype=x.dtype)
+        for i in range(kernel):
+            for j in range(kernel):
+                hit = arg == i * kernel + j
+                acc[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += g * hit
+        return (acc[:, :, padding : padding + h, padding : padding + wd] if padding else acc,)
 
     return apply_op(data, (x,), vjp)
 

@@ -27,6 +27,27 @@ def conv2d_loop(x, w, b=None, stride=1, padding=0):
     return out
 
 
+def conv2d_vjp_loop(x, w, g, stride=1, padding=0):
+    """Input and weight gradients of conv2d_loop for output gradient g."""
+    bsz, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    xp = np.zeros((bsz, cin, h + 2 * padding, wd + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros(w.shape)
+    for bi in range(bsz):
+        for o in range(cout):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    for c in range(cin):
+                        for ki in range(k):
+                            for kj in range(k):
+                                r, q = i * stride + ki, j * stride + kj
+                                gxp[bi, c, r, q] += g[bi, o, i, j] * w[o, c, ki, kj]
+                                gw[o, c, ki, kj] += g[bi, o, i, j] * xp[bi, c, r, q]
+    return gxp[:, :, padding : padding + h, padding : padding + wd], gw
+
+
 def x_val(xp, bi, c, i, j):
     return xp[bi, c, i, j]
 

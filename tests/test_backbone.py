@@ -260,6 +260,22 @@ class TestCheckpoint:
         for (_, a), (_, b) in zip(model.named_parameters(), twin.named_parameters()):
             assert np.array_equal(a.data, b.data)
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        class Exploding:
+            def __array__(self, dtype=None, copy=None):
+                raise RuntimeError("disk full")
+
+        cfg = toy_config(n_channels=2)
+        model = Backbone(cfg, np.random.default_rng(22))
+        path = tmp_path / "best.bin"
+        save_checkpoint(path, "a" * 64, model.state_arrays())
+        blob = path.read_bytes()
+        records = list(model.state_arrays())
+        with pytest.raises(RuntimeError, match="disk full"):
+            save_checkpoint(path, "b" * 64, records[:3] + [("boom", Exploding())] + records[3:])
+        assert path.read_bytes() == blob
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["best.bin"]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -40,6 +40,21 @@ class TestConv2d:
         got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
         assert np.allclose(got.data, oracles.conv2d_loop(x, w, b, stride, padding), atol=1e-12)
 
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-4)])
+    @pytest.mark.parametrize("stride,padding,k", [(1, 0, 1), (2, 0, 1), (1, 1, 3), (2, 1, 3), (1, 3, 7), (2, 3, 7)])
+    def test_vjp_matches_loop_oracle(self, stride, padding, k, dtype, atol):
+        rng = rnd(20 * stride + k)
+        x = rng.normal(size=(2, 3, 9, 8))
+        w = rng.normal(size=(4, 3, k, k))
+        xt, wt = Tensor(x, requires_grad=True, dtype=dtype), Tensor(w, requires_grad=True, dtype=dtype)
+        out = T.conv2d(xt, wt, stride=stride, padding=padding)
+        g = rng.normal(size=out.shape)
+        T.mul(out, Tensor(g, dtype=dtype)).sum().backward()
+        gx, gw = oracles.conv2d_vjp_loop(x, w, g, stride, padding)
+        assert xt.grad.dtype == dtype and wt.grad.dtype == dtype
+        assert np.allclose(xt.grad, gx, atol=atol)
+        assert np.allclose(wt.grad, gw, atol=atol)
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
@@ -65,26 +80,31 @@ class TestDepthwise:
 
     def test_matches_loop_oracle(self):
         rng = rnd(3)
-        x = rng.normal(size=(1, 2, 5, 5))
-        w = rng.normal(size=(2, 3, 3))
-        b = rng.normal(size=2)
-        got = T.depthwise_conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1)
-        assert np.allclose(got.data, oracles.depthwise_loop(x, w, b, 1), atol=1e-12)
+        for k in (3, 7):
+            x = rng.normal(size=(1, 2, k + 2, k + 2))
+            w = rng.normal(size=(2, k, k))
+            b = rng.normal(size=2)
+            for padding in (0, k // 2, k - 1):
+                got = T.depthwise_conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding)
+                assert np.allclose(got.data, oracles.depthwise_loop(x, w, b, padding), atol=1e-12)
 
     @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-4)])
-    @pytest.mark.parametrize("padding", [0, 1])
-    def test_vjp_matches_loop_oracle(self, dtype, atol, padding):
+    @pytest.mark.parametrize("pad_case", [0, 1, 2])
+    def test_vjp_matches_loop_oracle(self, dtype, atol, pad_case):
+        # pad_case picks padding 0, k//2 or k-1 (for k=3: 0, 1, 2).
         rng = rnd(16)
-        x = rng.normal(size=(2, 3, 5, 7))
-        w = rng.normal(size=(3, 3, 3))
-        xt, wt = Tensor(x, requires_grad=True, dtype=dtype), Tensor(w, requires_grad=True, dtype=dtype)
-        out = T.depthwise_conv2d(xt, wt, padding=padding)
-        g = rng.normal(size=out.shape)
-        T.mul(out, Tensor(g, dtype=dtype)).sum().backward()
-        gx, gw = oracles.depthwise_vjp_loop(x, w, g, padding)
-        assert xt.grad.dtype == dtype and wt.grad.dtype == dtype
-        assert np.allclose(xt.grad, gx, atol=atol)
-        assert np.allclose(wt.grad, gw, atol=atol)
+        for k in (3, 7):
+            padding = (0, k // 2, k - 1)[pad_case]
+            x = rng.normal(size=(2, 3, k + 2, k + 4))
+            w = rng.normal(size=(3, k, k))
+            xt, wt = Tensor(x, requires_grad=True, dtype=dtype), Tensor(w, requires_grad=True, dtype=dtype)
+            out = T.depthwise_conv2d(xt, wt, padding=padding)
+            g = rng.normal(size=out.shape)
+            T.mul(out, Tensor(g, dtype=dtype)).sum().backward()
+            gx, gw = oracles.depthwise_vjp_loop(x, w, g, padding)
+            assert xt.grad.dtype == dtype and wt.grad.dtype == dtype
+            assert np.allclose(xt.grad, gx, atol=atol)
+            assert np.allclose(wt.grad, gw, atol=atol)
 
     def test_padding_bound(self):
         x, w = Tensor(np.ones((1, 2, 6, 6))), Tensor(np.ones((2, 3, 3)))
@@ -217,6 +237,24 @@ class TestReductionsAndShapes:
         t = Tensor(x)
         for i in range(5):
             assert np.array_equal(T.narrow(t, 1, i, 1).data, x[:, i : i + 1])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_max_pool_vjp_routes_ties_to_lowest_index(self, dtype):
+        # Every window of a constant input is one tie; the padded -inf
+        # border never wins, and the 3x3 stride-2 windows overlap.
+        x = Tensor(np.zeros((1, 1, 4, 4)), requires_grad=True, dtype=dtype)
+        out = T.max_pool2d(x, 3, 2, 1)
+        g = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+        T.mul(out, Tensor(g, dtype=dtype)).sum().backward()
+        want = np.zeros((1, 1, 4, 4))
+        want[0, 0, :2, :2] = g[0, 0]
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, want)
+        x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True, dtype=dtype)
+        T.max_pool2d(x, 2, 2).sum().backward()
+        want = np.zeros((1, 1, 4, 4))
+        want[0, 0, ::2, ::2] = 1.0
+        assert np.array_equal(x.grad, want)
 
     def test_max_pool_matches_naive(self):
         x = rnd(12).normal(size=(1, 2, 6, 6))
