@@ -27,7 +27,6 @@ class SmaConfig:
     in_channels: int
     mapping_kernel: int = 1
     attn_kernel: int = 7
-    delta: float = 0.5
     combine_on: str = "logits"
 
     def __post_init__(self):
@@ -37,8 +36,6 @@ class SmaConfig:
             raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
         if self.attn_kernel % 2 == 0 or self.mapping_kernel % 2 == 0:
             raise ConfigError("attention kernels must be odd to preserve spatial dims")
-        if not 0.0 <= self.delta < 1.0:
-            raise ConfigError(f"delta must be in [0,1), got {self.delta}")
         if self.combine_on not in ("logits", "masks"):
             raise ConfigError(f"combine_on must be 'logits' or 'masks', got {self.combine_on!r}")
 

@@ -38,7 +38,6 @@ class BackboneConfig:
     use_aaa: bool = True
     mapping_kernel: int = 1
     attn_kernel: int = 7
-    delta: float = 0.5
     combine_on: str = "logits"
 
     def __post_init__(self):
@@ -91,7 +90,7 @@ class BasicBlock(Module):
                 sma_cfg = SmaConfig(
                     n_channels=cfg.n_channels, in_channels=cout,
                     mapping_kernel=cfg.mapping_kernel, attn_kernel=cfg.attn_kernel,
-                    delta=cfg.delta, combine_on=cfg.combine_on,
+                    combine_on=cfg.combine_on,
                 )
                 self.attention = MultiChannelAttention(
                     sma_cfg, rng, mapping_mode=cfg.mapping_mode,
@@ -153,7 +152,7 @@ def attention_param_count(cfg: BackboneConfig, width: int) -> int:
         return width * n + n + n * width + width
     full = param_count(SmaConfig(
         n_channels=n, in_channels=width, mapping_kernel=cfg.mapping_kernel,
-        attn_kernel=cfg.attn_kernel, delta=cfg.delta, combine_on=cfg.combine_on,
+        attn_kernel=cfg.attn_kernel, combine_on=cfg.combine_on,
     ))
     if cfg.mapping_mode == "channel_mean":
         full -= width * n * cfg.mapping_kernel ** 2 + n

@@ -251,7 +251,6 @@ def backbone_config(cfg: RunConfig) -> BackboneConfig:
         use_aaa=use_aaa,
         mapping_kernel=cfg.mapping_kernel,
         attn_kernel=cfg.attn_kernel,
-        delta=cfg.delta,
         combine_on=cfg.combine_on,
     )
 

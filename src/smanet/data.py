@@ -335,29 +335,48 @@ def write_dataset(out_dir, samples: list[Sample], mode: str, digest: str = "") -
     return manifest
 
 
-def load_dataset(dataset_dir) -> tuple[list[Sample], str]:
-    """Read a manifest directory back; returns (samples, mode)."""
+def load_dataset(dataset_dir, mode: str, count: int) -> list[Sample]:
+    """Read a manifest directory back as `mode` data.
+
+    A multi_label record holds `count` comma-joined 0/1 values (a lone
+    value is a 1-label vector); a multi_class record holds one class id in
+    [0, count).  A bad field, a record of the wrong length or kind, or a
+    missing image raises a DataError naming the manifest line.
+    """
     dataset_dir = Path(dataset_dir)
     manifest = dataset_dir / "manifest.tsv"
     if not manifest.exists():
         raise DataError(f"no manifest.tsv under {dataset_dir}")
     samples = []
-    mode = None
-    for line in manifest.read_text().splitlines():
+    for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
         if not line or line.startswith("#"):
             continue
+        where = f"{manifest}:{lineno}"
         parts = line.split("\t")
         if len(parts) != 3:
-            raise DataError(f"malformed manifest record: {line!r}")
+            raise DataError(f"{where}: malformed manifest record: {line!r}")
         rel, lab, subj = parts
-        img = decode_image((dataset_dir / rel).read_bytes())
-        if "," in lab:
-            labels = np.array([int(v) for v in lab.split(",")], dtype=np.int8)
-            mode = mode or "multi_label"
+        try:
+            values = [int(v) for v in lab.split(",")]
+            subject_id = int(subj)
+        except ValueError:
+            raise DataError(f"{where}: non-integer field in {line!r}") from None
+        if mode == "multi_label":
+            if len(values) != count or any(v not in (0, 1) for v in values):
+                raise DataError(f"{where}: want {count} comma-joined 0/1 labels, got {lab!r}")
+            labels = np.array(values, dtype=np.int8)
         else:
-            labels = int(lab)
-            mode = mode or "multi_class"
-        samples.append(Sample(image=img, labels=labels, subject_id=int(subj)))
+            if len(values) != 1 or not 0 <= values[0] < count:
+                raise DataError(f"{where}: want one class id in [0,{count}), got {lab!r}")
+            labels = values[0]
+        path = dataset_dir / rel
+        if not path.is_file():
+            raise DataError(f"{where}: image {rel} not found")
+        try:
+            img = decode_image(path.read_bytes())
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from None
+        samples.append(Sample(image=img, labels=labels, subject_id=subject_id))
     if not samples:
         raise DataError(f"empty manifest {manifest}")
-    return samples, mode
+    return samples

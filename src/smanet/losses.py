@@ -4,7 +4,10 @@ combined objective."""
 
 from __future__ import annotations
 
+import contextlib
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -130,6 +133,30 @@ def multi_attention_loss(
 def total_loss(l_cla: Tensor, l_div: Tensor, l_ma: Tensor, cfg: LossConfig) -> Tensor:
     """Classification plus the two balance-weighted regularizers."""
     return l_cla + cfg.alpha * l_div + cfg.lam * l_ma
+
+
+def objective(logits: Tensor, inters, labels: np.ndarray, heads_by_block,
+              cfg: LossConfig) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """The training objective L_cla + alpha * L_div + lambda * L_ma.
+
+    Returns (l_cla, l_div, l_ma, l_all).  L_div and L_ma are means over the
+    attention blocks in `inters` (L_ma only when bypass heads exist) and
+    read 0 without them.  A term whose weight is 0 is still computed for
+    the log, but under no_grad, so it adds nothing to the graph.
+    """
+    l_cla = task_loss(logits, labels, cfg)
+    l_div = l_ma = Tensor(np.zeros((), dtype=logits.dtype))
+    if inters:
+        scale = 1.0 / len(inters)
+        with contextlib.nullcontext() if cfg.alpha > 0 else T.no_grad():
+            terms = (diversity_loss(it.stack.masks, cfg.delta) for it in inters)
+            l_div = reduce(operator.add, terms) * scale
+        if heads_by_block:
+            with contextlib.nullcontext() if cfg.lam > 0 else T.no_grad():
+                terms = (multi_attention_loss(it.stack, it.feature, labels, heads, cfg)
+                         for it, heads in zip(inters, heads_by_block))
+                l_ma = reduce(operator.add, terms) * scale
+    return l_cla, l_div, l_ma, total_loss(l_cla, l_div, l_ma, cfg)
 
 
 def compute_pos_weights(labels: np.ndarray, clamp_lo: float = 1.0, clamp_hi: float = 10.0) -> np.ndarray:

@@ -82,10 +82,6 @@ class Module:
     def eval(self):
         return self.train(False)
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 

@@ -35,12 +35,9 @@ PRIMITIVES = (
     "hinge_sub",
     "relu",
     "sigmoid",
-    "exp",
-    "log",
     "sum",
     "mean",
     "avg_pool",
-    "reduce_max",
     "softmax",
     "reshape",
     "narrow",
@@ -116,9 +113,6 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
@@ -135,23 +129,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(_lift(other, self.dtype)))
-
-    def __rsub__(self, other):
-        return add(_lift(other, self.dtype), neg(self))
-
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
         return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def max(self, axis, keepdims=False):
-        return reduce_max(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
@@ -186,7 +168,8 @@ class Tensor:
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._vjp is None:
                 continue
             grads = node._vjp(node.grad)
@@ -197,13 +180,13 @@ class Tensor:
                     parent.grad = g
                 else:
                     parent.grad = parent.grad + g
-        # Consume the tape: free closures, keep grads only on leaves.
-        for node in order:
-            if node._vjp is not None:
-                node._vjp = None
-                node._parents = ()
-                node._consumed = True
-                node.grad = None
+            # Every consumer of `node` ran before it, so its gradient is
+            # final: consume it now, freeing its closure, inputs and
+            # gradient; grads stay only on leaves.
+            node._vjp = None
+            node._parents = ()
+            node._consumed = True
+            node.grad = None
         if self._vjp is None and not self._consumed:
             self._consumed = True
 
@@ -278,10 +261,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return apply_op(data, (a, b), vjp)
 
 
-def neg(a: Tensor) -> Tensor:
-    return apply_op(-a.data, (a,), lambda g: (-g,))
-
-
 def hinge_sub(a: Tensor, delta: float) -> Tensor:
     """max(0, a - delta); subgradient at the kink is 0."""
     shifted = a.data - delta
@@ -314,25 +293,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def vjp(g):
         return (g * data * (1.0 - data),)
-
-    return apply_op(data, (a,), vjp)
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def vjp(g):
-        return (g * data,)
-
-    return apply_op(data, (a,), vjp)
-
-
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-
-    def vjp(g):
-        return (g / a.data,)
 
     return apply_op(data, (a,), vjp)
 
@@ -383,21 +343,6 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def avg_pool(a: Tensor, axes: Iterable[int]) -> Tensor:
     """Mean over the named axes, keeping them as size-1 dims."""
     return tensor_mean(a, axis=tuple(axes), keepdims=True)
-
-
-def reduce_max(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    axis = int(axis) % a.ndim
-    data = a.data.max(axis=axis, keepdims=keepdims)
-    # argmax picks the lowest index on ties, which fixes the subgradient.
-    arg = a.data.argmax(axis=axis)
-
-    def vjp(g):
-        out = np.zeros_like(a.data)
-        gk = g if keepdims else np.expand_dims(g, axis)
-        np.put_along_axis(out, np.expand_dims(arg, axis), gk, axis=axis)
-        return (out,)
-
-    return apply_op(np.asarray(data), (a,), vjp)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:

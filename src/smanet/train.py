@@ -15,14 +15,12 @@ import numpy as np
 from . import tensor as T
 from .backbone import SGD, Backbone, lr_schedule
 from .checkpoint import save_checkpoint
-from .config import (RunConfig, backbone_config, config_digest, effective_balance,
-                     input_size, loss_config, np_dtype)
+from .config import RunConfig, backbone_config, config_digest, input_size, loss_config, np_dtype
 from .data import (DEFAULT_LABEL_PAIRS, DEFAULT_LABEL_RATES, ResampleConfig, Sample,
                    SyntheticSpec, augment, generate_synthetic, load_dataset,
                    selective_oversample)
 from .errors import ConfigError, NumericError
-from .losses import (compute_pos_weights, diversity_loss, multi_attention_loss,
-                     task_loss, total_loss)
+from .losses import compute_pos_weights, objective
 from .metrics import accuracy, binarize, count_binary, f1_scores
 from .nn import Linear, Module, ModuleList
 from .tensor import Tensor
@@ -64,9 +62,10 @@ def subject_pools(cfg: RunConfig) -> tuple[tuple, tuple]:
 
 def build_splits(cfg: RunConfig) -> tuple[list[Sample], list[Sample]]:
     if cfg.data_dir:
-        train, _ = load_dataset(Path(cfg.data_dir) / "train")
-        val, _ = load_dataset(Path(cfg.data_dir) / "val")
-        return train, val
+        root = Path(cfg.data_dir)
+        mode, count = (("multi_label", cfg.num_labels) if cfg.task == "au"
+                       else ("multi_class", cfg.num_classes))
+        return load_dataset(root / "train", mode, count), load_dataset(root / "val", mode, count)
     train_pool, val_pool = subject_pools(cfg)
     train = generate_synthetic(cfg.seed, cfg.n_train, synthetic_spec(cfg, train_pool))
     # distinct stream so val never replays train draws
@@ -175,11 +174,10 @@ def run_training(cfg: RunConfig, out_dir: Path | None = None, log=None) -> Train
             )
         pos_weights = compute_pos_weights(np.stack([s.labels for s in train_samples]))
     lcfg = loss_config(cfg, pos_weights)
-    alpha_on, lam_on = lcfg.alpha > 0, lcfg.lam > 0
 
     state = TrainState(cfg)
     trainable = [p for _, p in state.model.named_parameters()]
-    if lam_on:
+    if lcfg.lam > 0:
         trainable += [p for _, p in state.heads.named_parameters()]
     opt = SGD(trainable, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
@@ -212,36 +210,7 @@ def run_training(cfg: RunConfig, out_dir: Path | None = None, log=None) -> Train
             labels = _labels_array(batch, cfg.task)
             x = _batch_tensor([s.image for s in batch], dtype)
             logits, inters = state.model(x)
-            l_cla = task_loss(logits, labels, lcfg)
-
-            l_div = l_ma = Tensor(np.zeros((), dtype=dtype))
-            if inters:
-                def div_term():
-                    acc = None
-                    for it in inters:
-                        term = diversity_loss(it.stack.masks, cfg.delta)
-                        acc = term if acc is None else acc + term
-                    return acc * (1.0 / len(inters))
-
-                def ma_term():
-                    acc = None
-                    for it, heads in zip(inters, heads_by_block):
-                        term = multi_attention_loss(it.stack, it.feature, labels, heads, lcfg)
-                        acc = term if acc is None else acc + term
-                    return acc * (1.0 / len(inters))
-
-                if alpha_on:
-                    l_div = div_term()
-                else:
-                    with T.no_grad():
-                        l_div = div_term()
-                if heads_by_block:
-                    if lam_on:
-                        l_ma = ma_term()
-                    else:
-                        with T.no_grad():
-                            l_ma = ma_term()
-            l_all = total_loss(l_cla, l_div, l_ma, lcfg)
+            l_cla, l_div, l_ma, l_all = objective(logits, inters, labels, heads_by_block, lcfg)
             if not np.isfinite(l_all.item()):
                 raise NumericError(
                     f"non-finite loss {l_all.item()} at epoch {epoch} step {start // cfg.batch_size}"

@@ -26,10 +26,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SmaConfig(n_channels=2, in_channels=4, attn_kernel=6)
 
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ConfigError):
-            SmaConfig(n_channels=2, in_channels=4, delta=1.0)
-
     def test_rejects_zero_channels(self):
         with pytest.raises(ConfigError):
             SmaConfig(n_channels=0, in_channels=4)

@@ -5,7 +5,7 @@ import oracles
 from smanet import tensor as T
 from smanet.attention import MultiChannelAttention, SmaConfig
 from smanet.errors import AutogradError, NumericError
-from smanet.gradcheck import grad_check, grad_check_many
+from smanet.gradcheck import SUITE_TOLERANCE, build_suite, grad_check, grad_check_many
 from smanet.tensor import Tensor
 
 
@@ -112,6 +112,40 @@ def test_grad_check_many_covers_multiple_leaves():
     b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     err = grad_check_many(lambda: T.mul(a, T.sigmoid(b)).sum(), {"a": a, "b": b})
     assert err < 1e-6
+
+
+def _scaled_vjp(out: Tensor) -> Tensor:
+    """`out` with its recorded vjp scaled by 1.01: a slightly wrong rule."""
+    if out._vjp is not None:
+        vjp = out._vjp
+        out._vjp = lambda g: tuple(None if r is None else r * 1.01 for r in vjp(g))
+    return out
+
+
+def test_grad_check_many_directional_probe_flags_scaled_gradient():
+    rng = np.random.default_rng(6)
+    a = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    leaves = {"a": a, "b": b}
+    err = grad_check_many(lambda: T.mul(a, T.sigmoid(b)).sum(), leaves,
+                          rng=np.random.default_rng(7))
+    assert err < 1e-6
+    err = grad_check_many(lambda: T.mul(a, _scaled_vjp(T.sigmoid(b))).sum(), leaves,
+                          rng=np.random.default_rng(7))
+    assert err >= SUITE_TOLERANCE
+
+
+# Primitives whose function in `tensor` has another name.
+_PRIMITIVE_FUNCTIONS = {"sum": "tensor_sum", "mean": "tensor_mean"}
+
+
+@pytest.mark.parametrize("name", T.PRIMITIVES)
+def test_suite_check_flags_scaled_vjp(name, monkeypatch):
+    attr = _PRIMITIVE_FUNCTIONS.get(name, name)
+    orig = getattr(T, attr)
+    monkeypatch.setattr(T, attr, lambda *args, **kwargs: _scaled_vjp(orig(*args, **kwargs)))
+    check = dict(build_suite(0))[name]
+    assert check() >= SUITE_TOLERANCE
 
 
 def test_no_grad_blocks_recording():

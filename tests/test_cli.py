@@ -57,6 +57,11 @@ class TestConfigFile:
             rc = main(["train", *flags, "--output-dir", str(tmp_path)])
             assert rc == EXIT_CONFIG, flags
 
+    def test_rejects_bad_delta(self, tmp_path):
+        for delta in ("1.0", "-0.1"):
+            rc = main(["train", *TINY, "--delta", delta, "--output-dir", str(tmp_path)])
+            assert rc == EXIT_CONFIG, delta
+
     def test_env_var_overrides_output_dir_only(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
         monkeypatch.setenv("SMANET_OUTPUT_DIR", str(env_dir))
@@ -88,6 +93,24 @@ class TestSynth:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("case", ["label_count", "subject"])
+    def test_bad_dataset_ends_in_config_error(self, tmp_path, capsys, case):
+        main(["synth", *TINY, "--num-labels", "3", "--output-dir", str(tmp_path / "data")])
+        flags = ["--num-labels", "12"]
+        if case == "subject":
+            manifest = tmp_path / "data" / "train" / "manifest.tsv"
+            lines = manifest.read_text().splitlines()
+            rel, lab, _ = lines[3].split("\t")
+            lines[3] = "\t".join((rel, lab, "x7"))
+            manifest.write_text("\n".join(lines) + "\n")
+            flags = ["--num-labels", "3"]
+        capsys.readouterr()
+        rc = main(["train", *TINY, *flags, "--data-dir", str(tmp_path / "data"),
+                   "--output-dir", str(tmp_path / "run")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "manifest.tsv:" in err
+
     def test_writes_log_and_checkpoint(self, tmp_path):
         rc = main(["train", *TINY, "--output-dir", str(tmp_path)])
         assert rc == EXIT_OK

@@ -260,8 +260,7 @@ class TestManifest:
     def test_roundtrip(self, tmp_path):
         samples = generate_synthetic(12, 6)
         write_dataset(tmp_path / "ds", samples, "multi_label", digest="abc123")
-        loaded, mode = load_dataset(tmp_path / "ds")
-        assert mode == "multi_label"
+        loaded = load_dataset(tmp_path / "ds", "multi_label", 12)
         assert len(loaded) == 6
         for a, b in zip(samples, loaded):
             assert np.array_equal(a.labels, b.labels)
@@ -271,17 +270,50 @@ class TestManifest:
     def test_multiclass_roundtrip(self, tmp_path):
         samples = generate_synthetic(13, 4, SyntheticSpec(mode="multi_class"))
         write_dataset(tmp_path / "ds", samples, "multi_class")
-        loaded, mode = load_dataset(tmp_path / "ds")
-        assert mode == "multi_class"
+        loaded = load_dataset(tmp_path / "ds", "multi_class", 6)
         assert [s.labels for s in loaded] == [s.labels for s in samples]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
-            load_dataset(tmp_path)
+            load_dataset(tmp_path, "multi_label", 12)
 
     def test_malformed_record(self, tmp_path):
         d = tmp_path / "ds"
         d.mkdir()
         (d / "manifest.tsv").write_text("only-one-field\n")
         with pytest.raises(DataError):
-            load_dataset(d)
+            load_dataset(d, "multi_label", 12)
+
+    def test_one_label_roundtrip(self, tmp_path):
+        spec = SyntheticSpec(num_labels=1, rates=(0.5,), pairs=())
+        samples = generate_synthetic(14, 6, spec)
+        write_dataset(tmp_path / "ds", samples, "multi_label")
+        loaded = load_dataset(tmp_path / "ds", "multi_label", 1)
+        for a, b in zip(samples, loaded):
+            assert b.labels.shape == (1,)
+            assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("mode,count,record", [
+        ("multi_label", 3, "1,0,1\tx7"),        # non-integer subject
+        ("multi_label", 3, "1,a,1\t7"),         # non-integer label
+        ("multi_label", 3, "1,0\t7"),           # too few labels
+        ("multi_label", 3, "1,0,2\t7"),         # not a 0/1 label
+        ("multi_label", 3, "1\t7"),             # a lone class id
+        ("multi_class", 3, "1,0,1\t7"),         # a label vector
+        ("multi_class", 3, "3\t7"),             # class id out of range
+        ("multi_class", 3, "-1\t7"),
+    ])
+    def test_bad_record_names_its_line(self, tmp_path, mode, count, record):
+        write_dataset(tmp_path, generate_synthetic(15, 1), "multi_label")
+        good = (tmp_path / "manifest.tsv").read_text().splitlines()[0]
+        rel = good.split("\t")[0]
+        (tmp_path / "manifest.tsv").write_text(f"# header\n{rel}\t{record}\n")
+        with pytest.raises(DataError, match=r"manifest\.tsv:2: "):
+            load_dataset(tmp_path, mode, count)
+
+    def test_missing_image_names_its_line(self, tmp_path):
+        write_dataset(tmp_path, generate_synthetic(16, 2, SyntheticSpec(mode="multi_class")),
+                      "multi_class")
+        (tmp_path / "images" / "sample_00001.ppm").unlink()
+        with pytest.raises(DataError, match=r"manifest\.tsv:2: image .* not found"):
+            load_dataset(tmp_path, "multi_class", 6)

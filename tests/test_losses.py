@@ -195,7 +195,7 @@ class TestTotalLoss:
         base = rng.normal(size=(3, 3))
 
         def parts(x):
-            return T.sigmoid(x).sum(), T.mul(x, x).mean(), T.exp(0.1 * x).sum()
+            return T.sigmoid(x).sum(), T.mul(x, x).mean(), T.mul(T.sigmoid(x), x).sum()
 
         x = Tensor(base.copy(), requires_grad=True)
         la, ld, lm = parts(x)

@@ -213,11 +213,6 @@ class TestElementwise:
 
 
 class TestReductionsAndShapes:
-    def test_reduce_max_routes_ties_to_lowest_index(self):
-        x = Tensor(np.array([[1.0, 3.0, 3.0]]), requires_grad=True)
-        T.reduce_max(x, axis=1).sum().backward()
-        assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
-
     def test_exclusive_channel_max_matches_loop(self):
         x = rnd(9).random((2, 4, 3, 3))
         got = T.exclusive_channel_max(Tensor(x))
@@ -294,6 +289,7 @@ class TestDeterminismAndChecks:
         T.set_checked(True)
         try:
             with pytest.raises(NumericError):
-                T.log(Tensor([0.0]))
+                with np.errstate(invalid="ignore"):
+                    T.mul(Tensor([np.inf]), Tensor([0.0]))
         finally:
             T.set_checked(False)
