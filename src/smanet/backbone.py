@@ -10,7 +10,7 @@ with max-pooling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .nn import BatchNorm2d, Conv2d, Linear, Module, ModuleList
 from .tensor import Tensor
 
 PLACEMENTS = ("all_blocks", "first_two_blocks", "none")
-ATTENTION_KINDS = ("sma", "channel_gate", "none")
+ATTENTION_KINDS = ("sma", "channel_gate")
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class BackboneConfig:
         return out
 
     def attention_at(self, stage: int, block: int) -> bool:
-        if self.sma_placement == "none" or self.attention_kind == "none":
+        if self.sma_placement == "none":
             return False
         if self.sma_placement == "all_blocks":
             return True

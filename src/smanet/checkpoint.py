@@ -50,7 +50,10 @@ def save_checkpoint(path, digest: str, arrays) -> None:
 
 def load_checkpoint(path):
     """Return (digest, {name: float64 array}) preserving record order."""
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {type(exc).__name__}") from None
     view = memoryview(blob)
     pos = 0
 

@@ -2,8 +2,10 @@
 
 Verbs: synth, train, eval, sweep-n, gradcheck, params, export-attention.
 Every verb consumes one flat config (file via --config, overridden by
-flags); the SMANET_OUTPUT_DIR environment variable overrides output_dir
-and nothing else.  Exit codes: 0 ok, 2 config/input error, 3 numeric
+flags).  Each config key has one string flag, and `--key value` is
+parsed exactly like the file line `key = value`, by `config.load_config`.
+The SMANET_OUTPUT_DIR environment variable overrides output_dir and
+nothing else.  Exit codes: 0 ok, 2 config/input error, 3 numeric
 failure, 4 threshold violation.
 """
 
@@ -20,8 +22,8 @@ import numpy as np
 from . import tensor as T
 from .backbone import backbone_param_count
 from .checkpoint import load_checkpoint
-from .config import (RunConfig, backbone_config, config_digest, input_size,
-                     load_config)
+from .config import (RunConfig, backbone_config, config_digest, config_keys,
+                     input_size, load_config)
 from .data import make_folds, write_dataset
 from .errors import ConfigError, DataError, NumericError
 from .gradcheck import SUITE_TOLERANCE, run_suite
@@ -35,33 +37,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_THRESHOLD = 4
 
-_BOOL_FIELDS = {"augment"}
-
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for f in dataclasses.fields(RunConfig):
-        key = "lambda" if f.name == "lam" else f.name
-        flag = "--" + key.replace("_", "-")
-        if f.name in _BOOL_FIELDS:
-            parser.add_argument(flag, dest=f.name, default=None,
-                                choices=("true", "false"), help=f"override {key}")
-        elif f.type in ("int", int):
-            parser.add_argument(flag, dest=f.name, default=None, type=int)
-        elif f.type in ("float", float):
-            parser.add_argument(flag, dest=f.name, default=None, type=float)
-        else:
-            parser.add_argument(flag, dest=f.name, default=None)
-
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {}
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        if f.name in _BOOL_FIELDS:
-            value = value == "true"
-        overrides[f.name] = value
+    overrides = {key: raw for key in config_keys() if (raw := getattr(args, key)) is not None}
     env_out = os.environ.get("SMANET_OUTPUT_DIR")
     if env_out:
         overrides["output_dir"] = env_out
@@ -86,7 +64,7 @@ def _load_state(cfg: RunConfig, checkpoint: str) -> TrainState:
     return state
 
 
-def cmd_synth(cfg: RunConfig) -> int:
+def cmd_synth(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     digest = config_digest(cfg)
     saved_dir = cfg.data_dir
@@ -100,7 +78,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     result = run_training(cfg, out_dir=out, log=print)
     print(f"best val metric {result.best_val:.6f} at epoch {result.best_epoch}")
@@ -108,14 +86,14 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig, checkpoint: str, folds: int) -> int:
+def cmd_eval(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     digest = config_digest(cfg)
-    state = _load_state(cfg, checkpoint)
+    state = _load_state(cfg, args.checkpoint)
     _, val = build_splits(cfg)
     lines = [f"# config_digest={digest}"]
-    if folds:
-        fold_sets = make_folds(val, folds, by_subject=True, seed=cfg.seed)
+    if args.folds:
+        fold_sets = make_folds(val, args.folds, by_subject=True, seed=cfg.seed)
         lines.append("fold,metric")
         metrics = []
         for i, idxs in enumerate(fold_sets):
@@ -141,14 +119,18 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, folds: int) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_n(cfg: RunConfig, n_values: list[int]) -> int:
+def cmd_sweep_n(cfg: RunConfig, args) -> int:
+    try:
+        n_values = [int(v) for v in args.n_values.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"n-values must be integers, got {args.n_values!r}") from None
     if not n_values:
         raise ConfigError("sweep-n needs at least one channel count")
     out = _out_dir(cfg)
     rows = ["n_channels,best_val_metric"]
     for n in n_values:
         sub = dataclasses.replace(cfg, n_channels=n,
-                                  output_dir=str(Path(cfg.output_dir) / f"n{n}"))
+                                  output_dir=str(Path(cfg.output_dir) / f"n{n}")).validate()
         result = run_training(sub, out_dir=_out_dir(sub))
         rows.append(f"{n},{result.best_val:.6f}")
         print(rows[-1])
@@ -156,7 +138,7 @@ def cmd_sweep_n(cfg: RunConfig, n_values: list[int]) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(cfg: RunConfig) -> int:
+def cmd_gradcheck(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     results, failures = run_suite(seed=cfg.seed)
     lines = [f"# config_digest={config_digest(cfg)}", "check,max_rel_error,status"]
@@ -171,7 +153,7 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_params(cfg: RunConfig) -> int:
+def cmd_params(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     state = TrainState(cfg)
     twin = dataclasses.replace(cfg, ablation="baseline")
@@ -200,14 +182,17 @@ def cmd_params(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_export_attention(cfg: RunConfig, checkpoint: str, images: list[str]) -> int:
+def cmd_export_attention(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     digest = config_digest(cfg)
-    state = _load_state(cfg, checkpoint)
+    state = _load_state(cfg, args.checkpoint)
     state.model.eval()
     size = input_size(cfg)
-    for path in images:
-        img = decode_image(Path(path).read_bytes())
+    for path in args.images:
+        try:
+            img = decode_image(Path(path).read_bytes())
+        except OSError as exc:
+            raise DataError(f"cannot read image {path}: {type(exc).__name__}") from None
         if img.ndim != 3 or img.shape != (size, size, 3):
             raise DataError(f"{path}: expected {size}x{size} color image, got {img.shape}")
         x = T.Tensor(img.transpose(2, 0, 1)[None].astype(np.float64))
@@ -240,18 +225,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluation, and verification harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("synth", "generate a synthetic dataset to disk"),
-        ("train", "train a model, writing log + best checkpoint"),
-        ("eval", "evaluate a checkpoint"),
-        ("sweep-n", "train once per channel count and tabulate"),
-        ("gradcheck", "verify every gradient rule by central differences"),
-        ("params", "parameter audit against the attention-free twin"),
-        ("export-attention", "dump fused maps, channel masks, and weights"),
+    for name, run, help_text in (
+        ("synth", cmd_synth, "generate a synthetic dataset to disk"),
+        ("train", cmd_train, "train a model, writing log + best checkpoint"),
+        ("eval", cmd_eval, "evaluate a checkpoint"),
+        ("sweep-n", cmd_sweep_n, "train once per channel count and tabulate"),
+        ("gradcheck", cmd_gradcheck, "verify every gradient rule by central differences"),
+        ("params", cmd_params, "parameter audit against the attention-free twin"),
+        ("export-attention", cmd_export_attention, "dump fused maps, channel masks, and weights"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", default=None, help="flat key=value config file")
-        _add_config_flags(p)
+        for key in config_keys():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=f"override {key}")
         if name == "eval":
             p.add_argument("--checkpoint", required=True)
             p.add_argument("--folds", type=int, default=0)
@@ -267,23 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint, args.folds)
-        if args.command == "sweep-n":
-            values = [int(v) for v in args.n_values.split(",") if v.strip()]
-            return cmd_sweep_n(cfg, values)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg)
-        if args.command == "params":
-            return cmd_params(cfg)
-        if args.command == "export-attention":
-            return cmd_export_attention(cfg, args.checkpoint, args.images)
-        raise ConfigError(f"unknown command {args.command}")
+        return args.run(_config_from_args(args), args)
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,6 +1,8 @@
 """Run configuration: a flat, schema-versioned key-value document.
 
-Every command consumes one RunConfig (from file and/or CLI flags); its
+Every command consumes one RunConfig.  Its values come from a config
+file and from CLI flags, and both go through the same parser: a flag
+`--key value` is read exactly like a file line `key = value`.  The
 canonical serialization is hashed into a digest that is stamped into
 every artifact, so evaluation can refuse checkpoints built under a
 different configuration.  Unknown keys are errors, not warnings.
@@ -12,6 +14,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,17 +24,26 @@ from .losses import LossConfig
 
 SCHEMA_VERSION = 1
 
-ABLATIONS = (
-    "baseline",
-    "multi_channel",
-    "f2a",
-    "aaa",
-    "multi_channel_aaa",
-    "f2a_aaa",
-    "f2a_aaa_lma",
-    "f2a_aaa_ldiv",
-    "full",
-)
+
+class Ablation(NamedTuple):
+    attention: str | None   # attention kind; None: no attention at all
+    mapping_mode: str       # conv: learned F2A mapping; channel_mean: fixed
+    use_aaa: bool           # AAA channel weighting
+    l_div: bool             # alpha (L_div) applied
+    l_ma: bool              # lambda (L_ma) applied
+
+
+ABLATIONS = {
+    "baseline": Ablation(None, "conv", True, False, False),
+    "multi_channel": Ablation("sma", "channel_mean", False, False, False),
+    "f2a": Ablation("sma", "conv", False, False, False),
+    "aaa": Ablation("channel_gate", "conv", True, False, False),
+    "multi_channel_aaa": Ablation("sma", "channel_mean", True, False, False),
+    "f2a_aaa": Ablation("sma", "conv", True, False, False),
+    "f2a_aaa_lma": Ablation("sma", "conv", True, False, True),
+    "f2a_aaa_ldiv": Ablation("sma", "conv", True, True, False),
+    "full": Ablation("sma", "conv", True, True, True),
+}
 
 TOY_WIDTHS = (8, 16, 32, 64)
 PAPER_WIDTHS = (64, 128, 256, 512)
@@ -74,7 +86,7 @@ class RunConfig:
         if self.profile not in ("toy", "paper"):
             raise ConfigError(f"profile must be toy or paper, got {self.profile!r}")
         if self.ablation not in ABLATIONS:
-            raise ConfigError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
+            raise ConfigError(f"ablation must be one of {list(ABLATIONS)}, got {self.ablation!r}")
         if self.sma_placement not in ("auto", "all_blocks", "first_two_blocks", "none"):
             raise ConfigError(f"bad sma_placement {self.sma_placement!r}")
         if self.dtype not in ("float32", "float64"):
@@ -86,6 +98,10 @@ class RunConfig:
                      "resample_max_duplication"):
             if getattr(self, name) < 0 or (name not in ("seed",) and getattr(self, name) == 0):
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("mapping_kernel", "attn_kernel"):
+            k = getattr(self, name)
+            if k < 1 or k % 2 == 0:
+                raise ConfigError(f"{name} must be a positive odd number, got {k}")
         if self.alpha < 0 or self.lam < 0:
             raise ConfigError("alpha and lambda must be >= 0")
         if not self.lr > 0.0:
@@ -140,21 +156,22 @@ def config_digest(cfg: RunConfig) -> str:
 
 
 def _cast(key: str, raw: str):
+    """(field, value) of one `key = value` setting, from a file or a flag."""
     field = _FIELD_OF_KEY.get(key, key)
     kind = _fields().get(field)
     if kind is None:
         raise ConfigError(f"unknown config key {key!r}")
     raw = raw.strip()
     try:
-        if kind in ("bool", bool):
+        if kind == "bool":
             if raw.lower() in ("true", "1", "yes"):
                 return field, True
             if raw.lower() in ("false", "0", "no"):
                 return field, False
             raise ValueError(raw)
-        if kind in ("int", int):
+        if kind == "int":
             return field, int(raw)
-        if kind in ("float", float):
+        if kind == "float":
             return field, float(raw)
         return field, raw
     except ValueError as exc:
@@ -173,7 +190,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key == "schema_version":
-            if int(raw) != SCHEMA_VERSION:
+            if raw != str(SCHEMA_VERSION):
                 raise ConfigError(f"unsupported schema_version {raw} (want {SCHEMA_VERSION})")
             saw_schema = True
             continue
@@ -185,60 +202,34 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional file plus override fields."""
+    """Build a RunConfig from an optional file, then `{key: raw text}`
+    overrides parsed like the file's lines."""
     values: dict = {}
     if path:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {path}")
-        values.update(parse_config_text(p.read_text()))
-    if overrides:
-        for field, value in overrides.items():
-            if field not in _fields():
-                raise ConfigError(f"unknown config field {field!r}")
-            values[field] = value
-    cfg = RunConfig(**values)
-    return cfg.validate()
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {type(exc).__name__}") from None
+        values.update(parse_config_text(text))
+    for key, raw in (overrides or {}).items():
+        field, value = _cast(key, raw)
+        values[field] = value
+    return RunConfig(**values).validate()
 
 
 # -- derived build plans -------------------------------------------------
 
 
 def resolved_placement(cfg: RunConfig) -> str:
-    if cfg.ablation == "baseline":
+    if ABLATIONS[cfg.ablation].attention is None:
         return "none"
     if cfg.sma_placement != "auto":
         return cfg.sma_placement
     return "all_blocks" if cfg.task == "au" else "first_two_blocks"
 
 
-def effective_balance(cfg: RunConfig) -> tuple[float, float]:
-    """(alpha, lambda) actually applied under the chosen ablation."""
-    if cfg.ablation == "full":
-        return cfg.alpha, cfg.lam
-    if cfg.ablation == "f2a_aaa_ldiv":
-        return cfg.alpha, 0.0
-    if cfg.ablation == "f2a_aaa_lma":
-        return 0.0, cfg.lam
-    return 0.0, 0.0
-
-
 def backbone_config(cfg: RunConfig) -> BackboneConfig:
-    ab = cfg.ablation
-    attention_kind = "sma"
-    mapping_mode = "conv"
-    use_aaa = True
-    if ab == "baseline":
-        attention_kind = "none"
-    elif ab == "aaa":
-        attention_kind = "channel_gate"
-    elif ab == "multi_channel":
-        mapping_mode, use_aaa = "channel_mean", False
-    elif ab == "f2a":
-        use_aaa = False
-    elif ab == "multi_channel_aaa":
-        mapping_mode = "channel_mean"
-    # f2a_aaa, f2a_aaa_lma, f2a_aaa_ldiv, full: learned mapping + weighting
+    row = ABLATIONS[cfg.ablation]
     widths = TOY_WIDTHS if cfg.profile == "toy" else PAPER_WIDTHS
     return BackboneConfig(
         num_outputs=cfg.num_labels if cfg.task == "au" else cfg.num_classes,
@@ -246,9 +237,9 @@ def backbone_config(cfg: RunConfig) -> BackboneConfig:
         sma_placement=resolved_placement(cfg),
         n_channels=cfg.n_channels,
         stem="compact" if cfg.profile == "toy" else "imagenet",
-        attention_kind=attention_kind,
-        mapping_mode=mapping_mode,
-        use_aaa=use_aaa,
+        attention_kind=row.attention or "sma",   # unread when placement is none
+        mapping_mode=row.mapping_mode,
+        use_aaa=row.use_aaa,
         mapping_kernel=cfg.mapping_kernel,
         attn_kernel=cfg.attn_kernel,
         combine_on=cfg.combine_on,
@@ -256,10 +247,10 @@ def backbone_config(cfg: RunConfig) -> BackboneConfig:
 
 
 def loss_config(cfg: RunConfig, pos_weights=None) -> LossConfig:
-    alpha, lam = effective_balance(cfg)
+    row = ABLATIONS[cfg.ablation]
     return LossConfig(
-        alpha=alpha,
-        lam=lam,
+        alpha=cfg.alpha if row.l_div else 0.0,
+        lam=cfg.lam if row.l_ma else 0.0,
         delta=cfg.delta,
         task="multi_label" if cfg.task == "au" else "multi_class",
         pos_weights=pos_weights,

@@ -54,6 +54,9 @@ def synthetic_spec(cfg: RunConfig, subject_pool: tuple) -> SyntheticSpec:
 
 def subject_pools(cfg: RunConfig) -> tuple[tuple, tuple]:
     """Subject-disjoint train/val pools: every fifth subject validates."""
+    if cfg.n_subjects < 5:
+        raise ConfigError(f"n_subjects must be >= 5 so that every fifth subject validates, "
+                          f"got {cfg.n_subjects}")
     all_subjects = range(cfg.n_subjects)
     val = tuple(s for s in all_subjects if s % 5 == 4)
     train = tuple(s for s in all_subjects if s % 5 != 4)
@@ -83,7 +86,7 @@ class TrainState(Module):
         dtype = np_dtype(cfg)
         self.model = Backbone(bcfg, rng, dtype=dtype)
         self.heads = ModuleList()
-        if bcfg.attention_kind == "sma" and bcfg.sma_placement != "none":
+        if bcfg.attention_kind == "sma":
             num_out = bcfg.num_outputs
             for stage, block, cin, cout, stride in bcfg.block_positions():
                 if bcfg.attention_at(stage, block):

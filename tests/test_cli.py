@@ -7,7 +7,7 @@ import pytest
 from smanet import tensor as T
 from smanet.checkpoint import load_checkpoint, save_checkpoint
 from smanet.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_THRESHOLD, main
-from smanet.config import RunConfig, config_digest, load_config, to_text
+from smanet.config import ABLATIONS, RunConfig, config_digest, load_config, loss_config, to_text
 from smanet.tensor import PRIMITIVES
 from smanet.train import TrainState
 
@@ -24,6 +24,12 @@ def tiny_cfg(**over):
                 n_train=24, n_val=8, n_subjects=10, n_channels=2, num_labels=4)
     base.update(over)
     return RunConfig(**base).validate()
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    return err
 
 
 def read_tree(root: Path) -> dict:
@@ -51,16 +57,43 @@ class TestConfigFile:
         rc = main(["train", "--config", str(path)])
         assert rc == EXIT_CONFIG
 
-    def test_bad_enum_value(self, tmp_path):
+    def test_bad_enum_value(self, tmp_path, capsys):
+        kernels = [[flag, k] for flag in ("--attn-kernel", "--mapping-kernel")
+                   for k in ("-1", "4", "0")]
         for flags in (["--task", "speech"], ["--lr", "-1"], ["--lr", "0"], ["--momentum", "5"],
-                      ["--momentum", "1"], ["--momentum", "-0.1"], ["--weight-decay", "-1"]):
+                      ["--momentum", "1"], ["--momentum", "-0.1"], ["--weight-decay", "-1"],
+                      ["--seed", "x"], ["--augment", "maybe"], ["--lambda", "big"], *kernels):
             rc = main(["train", *flags, "--output-dir", str(tmp_path)])
             assert rc == EXIT_CONFIG, flags
+            one_line_error(capsys)
 
     def test_rejects_bad_delta(self, tmp_path):
         for delta in ("1.0", "-0.1"):
             rc = main(["train", *TINY, "--delta", delta, "--output-dir", str(tmp_path)])
             assert rc == EXIT_CONFIG, delta
+
+    def test_flags_parse_like_file_lines(self, tmp_path):
+        def digest(*flags, config=None):
+            out = tmp_path / "o"
+            extra = ["--config", str(config)] if config else []
+            assert main(["params", *TINY, *flags, *extra, "--output-dir", str(out)]) == EXIT_OK
+            return (out / "params.txt").read_text().splitlines()[0]
+
+        path = tmp_path / "yes.cfg"
+        path.write_text("schema_version = 1\naugment = yes\n")
+        assert digest("--augment", "yes") == digest("--augment", "true") == digest(config=path)
+        assert digest("--augment", "no") != digest("--augment", "true")
+
+    @pytest.mark.parametrize("case", ["directory", "missing", "schema"])
+    def test_unreadable_config_file(self, tmp_path, capsys, case):
+        path = tmp_path / "run.cfg"
+        if case == "directory":
+            path.mkdir()
+        elif case == "schema":
+            path.write_text("schema_version = x\n")
+        rc = main(["train", "--config", str(path), "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        one_line_error(capsys)
 
     def test_env_var_overrides_output_dir_only(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
@@ -110,6 +143,15 @@ class TestTrain:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "manifest.tsv:" in err
+
+    def test_validation_needs_its_own_subjects(self, tmp_path, capsys):
+        rc = main(["train", *TINY, "--epochs", "1", "--n-subjects", "4",
+                   "--output-dir", str(tmp_path / "four")])
+        assert rc == EXIT_CONFIG
+        assert "n_subjects" in one_line_error(capsys)
+        rc = main(["train", *TINY, "--epochs", "1", "--n-subjects", "5",
+                   "--output-dir", str(tmp_path / "five")])
+        assert rc == EXIT_OK
 
     def test_writes_log_and_checkpoint(self, tmp_path):
         rc = main(["train", *TINY, "--output-dir", str(tmp_path)])
@@ -193,6 +235,12 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and name in err
 
+    def test_missing_checkpoint_refused(self, tmp_path, capsys):
+        ckpt = tmp_path / "absent.bin"
+        rc = main(["eval", *TINY, "--checkpoint", str(ckpt), "--output-dir", str(tmp_path / "e")])
+        assert rc == EXIT_CONFIG
+        assert str(ckpt) in one_line_error(capsys)
+
     def test_fold_mode_emits_per_fold_and_mean(self, tmp_path):
         train_dir = tmp_path / "run"
         main(["train", *TINY, "--output-dir", str(train_dir)])
@@ -237,6 +285,13 @@ class TestSweep:
     def test_empty_values_rejected(self, tmp_path):
         rc = main(["sweep-n", *TINY, "--n-values", ",", "--output-dir", str(tmp_path)])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("values", ["x,2", "1.5", "0"])
+    def test_bad_values_rejected(self, tmp_path, capsys, values):
+        rc = main(["sweep-n", *TINY, "--epochs", "1", "--n-values", values,
+                   "--output-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        one_line_error(capsys)
 
 
 class TestGradcheckCommand:
@@ -297,6 +352,33 @@ class TestParamsCommand:
         assert lines["model_params"] == lines["closed_form_params"]
 
 
+class TestAblations:
+    PINNED = {  # (model_params, bypass_head_params) under TINY
+        "baseline": (176012, 0),
+        "multi_channel": (176812, 1984),
+        "f2a": (177308, 1984),
+        "aaa": (177228, 0),
+        "multi_channel_aaa": (177356, 1984),
+        "f2a_aaa": (177852, 1984),
+        "f2a_aaa_lma": (177852, 1984),
+        "f2a_aaa_ldiv": (177852, 1984),
+        "full": (177852, 1984),
+    }
+    BALANCE = {"f2a_aaa_lma": (0.0, 0.05), "f2a_aaa_ldiv": (0.25, 0.0), "full": (0.25, 0.05)}
+
+    def test_table_covers_every_ablation(self):
+        assert list(ABLATIONS) == list(self.PINNED)
+
+    @pytest.mark.parametrize("ablation", list(PINNED))
+    def test_params_and_loss_balance(self, tmp_path, ablation):
+        rc = main(["params", *TINY, "--ablation", ablation, "--output-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        lines = dict(l.split(",") for l in (tmp_path / "params.txt").read_text().splitlines()[1:])
+        assert (int(lines["model_params"]), int(lines["bypass_head_params"])) == self.PINNED[ablation]
+        lcfg = loss_config(tiny_cfg(ablation=ablation, alpha=0.25, lam=0.05))
+        assert (lcfg.alpha, lcfg.lam) == self.BALANCE.get(ablation, (0.0, 0.0))
+
+
 class TestExportAttention:
     def test_zero_attention_exports_flat_maps(self, tmp_path):
         cfg = tiny_cfg(output_dir=str(tmp_path / "run"))
@@ -345,6 +427,21 @@ class TestExportAttention:
         main(["export-attention", *TINY, "--checkpoint", str(ckpt),
               "--output-dir", str(out_dir), str(img_path)])
         assert read_tree(out_dir) == first
+
+    def test_missing_inputs_refused(self, tmp_path, capsys):
+        cfg = tiny_cfg()
+        ckpt = tmp_path / "m.bin"
+        save_checkpoint(ckpt, config_digest(cfg), TrainState(cfg).state_arrays())
+        from smanet.ppm import encode_color
+
+        img_path = tmp_path / "p.ppm"
+        img_path.write_bytes(encode_color(np.zeros((64, 64, 3))))
+        absent = tmp_path / "absent"
+        for ckpt_arg, img_arg in ((absent, img_path), (ckpt, absent)):
+            rc = main(["export-attention", *TINY, "--checkpoint", str(ckpt_arg),
+                       "--output-dir", str(tmp_path / "o"), str(img_arg)])
+            assert rc == EXIT_CONFIG
+            assert str(absent) in one_line_error(capsys)
 
     def test_wrong_size_image_rejected(self, tmp_path):
         cfg = tiny_cfg()
