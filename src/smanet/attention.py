@@ -140,9 +140,7 @@ class MultiChannelAttention(Module):
         if not self.use_aaa:
             n = self.cfg.n_channels
             return Tensor(np.full((b, n), 1.0 / n, dtype=feature.dtype))
-        pooled = T.reshape(
-            T.avg_pool(feature, axes=(2, 3)), (b, self.cfg.in_channels)
-        )
+        pooled = feature.mean(axis=(2, 3))
         # Two stacked affine maps, deliberately no nonlinearity in between.
         return T.softmax(self.mix_fc(self.reduce_fc(pooled)), axis=1)
 
@@ -172,6 +170,6 @@ class ChannelGate(Module):
 
     def forward(self, feature: Tensor) -> tuple[Tensor, None]:
         b, c = feature.shape[0], feature.shape[1]
-        pooled = T.reshape(T.avg_pool(feature, axes=(2, 3)), (b, c))
+        pooled = feature.mean(axis=(2, 3))
         gates = T.sigmoid(self.expand_fc(self.reduce_fc(pooled)))
         return T.mul(T.reshape(gates, (b, c, 1, 1)), feature), None

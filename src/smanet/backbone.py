@@ -141,8 +141,7 @@ class Backbone(Module):
             h, inter = block(h)
             if inter is not None:
                 inters.append(inter)
-        pooled = T.reshape(T.avg_pool(h, axes=(2, 3)), (h.shape[0], h.shape[1]))
-        return self.head(pooled), inters
+        return self.head(h.mean(axis=(2, 3))), inters
 
 
 def attention_param_count(cfg: BackboneConfig, width: int) -> int:

@@ -5,8 +5,8 @@ Every verb consumes one flat config (file via --config, overridden by
 flags).  Each config key has one string flag, and `--key value` is
 parsed exactly like the file line `key = value`, by `config.load_config`.
 The SMANET_OUTPUT_DIR environment variable overrides output_dir and
-nothing else.  Exit codes: 0 ok, 2 config/input error, 3 numeric
-failure, 4 threshold violation.
+nothing else.  Exit codes: 0 ok, 2 config/input error (a command line
+argparse rejects included), 3 numeric failure, 4 threshold violation.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import tensor as T
 from .backbone import backbone_param_count
 from .checkpoint import load_checkpoint
 from .config import (RunConfig, backbone_config, config_digest, config_keys,
-                     input_size, load_config)
+                     input_size, load_config, np_dtype)
 from .data import make_folds, write_dataset
 from .errors import ConfigError, DataError, NumericError
 from .gradcheck import SUITE_TOLERANCE, run_suite
@@ -195,7 +195,7 @@ def cmd_export_attention(cfg: RunConfig, args) -> int:
             raise DataError(f"cannot read image {path}: {type(exc).__name__}") from None
         if img.ndim != 3 or img.shape != (size, size, 3):
             raise DataError(f"{path}: expected {size}x{size} color image, got {img.shape}")
-        x = T.Tensor(img.transpose(2, 0, 1)[None].astype(np.float64))
+        x = T.Tensor(img.transpose(2, 0, 1)[None].astype(np_dtype(cfg)))
         with T.no_grad():
             _, inters = state.model(x)
         stem = Path(path).stem
@@ -218,8 +218,16 @@ def cmd_export_attention(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns a command line argparse rejects into a ConfigError (exit 2,
+    one line) instead of the usage text and SystemExit(2)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="smanet",
         description="Multi-channel spatial attention: synthetic data, training, "
                     "evaluation, and verification harness.",
@@ -252,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(_config_from_args(args), args)
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,13 @@
 """Training objectives: mask-diversity penalty, per-channel bypass
 classification, weighted binary cross-entropy, cross-entropy, and the
-combined objective."""
+combined objective.
+
+Each loss term is one graph op per attention block: L_div is the single
+op `diversity_loss`; L_ma is `masked_avg_pool`, then `bypass_logits`
+(every bypass head at once), then one task loss.  `diversity_loss`,
+`bypass_logits`, `weighted_bce_logits` and `cross_entropy` record their
+own vjp through `tensor.apply_op`.
+"""
 
 from __future__ import annotations
 
@@ -42,13 +49,35 @@ def diversity_loss(masks: Tensor, delta: float) -> Tensor:
     Per pixel and channel: mask * max(0, max_over_other_channels - delta),
     averaged over batch, channels, and pixels.  Zero when channel supports
     are disjoint (the hinge never activates) or when there is one channel.
+
+    One op: the max over the other channels is the top channel's value
+    for every channel but the top one, which sees the runner-up (ties go
+    to the lowest index).  The vjp gives each mask its hinge as the direct
+    term, and routes each active hinge's mask value to the channel its max
+    came from: the top channel, or the runner-up for the top channel.
     """
     if masks.ndim != 4 or masks.shape[1] == 0:
         raise ShapeError(f"diversity_loss: need [B,N>=1,H,W], got {masks.shape}")
     if masks.shape[1] == 1:
         return Tensor(np.zeros((), dtype=masks.dtype))
-    others = T.exclusive_channel_max(masks)
-    return T.mul(masks, T.hinge_sub(others, delta)).mean()
+    d = masks.data
+    ch = np.arange(d.shape[1])[None, :, None, None]
+    top = ch == d.argmax(axis=1)[:, None]
+    runner_up = np.where(top, -np.inf, d)
+    second = ch == runner_up.argmax(axis=1)[:, None]
+    others = np.where(top, runner_up.max(axis=1, keepdims=True), d.max(axis=1, keepdims=True))
+    shifted = others - delta
+    hinge = np.maximum(shifted, 0.0)
+    data = np.asarray((d * hinge).mean())
+
+    def vjp(g):
+        scale = g / d.size
+        routed = scale * d * (shifted > 0.0)
+        from_top = (routed * top).sum(axis=1, keepdims=True)
+        to_top = routed.sum(axis=1, keepdims=True) - from_top
+        return (scale * hinge + top * to_top + second * from_top,)
+
+    return apply_op(data, (masks,), vjp)
 
 
 def weighted_bce_logits(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
@@ -105,6 +134,32 @@ def task_loss(logits: Tensor, labels: np.ndarray, cfg: LossConfig) -> Tensor:
     return cross_entropy(logits, labels)
 
 
+def bypass_logits(pooled: Tensor, heads) -> Tensor:
+    """Every bypass head applied to its own channel's pooled feature.
+
+    pooled[B,N,C] holds the attended feature of channel n in row n, and
+    heads[n] is an affine map C -> K.  Row b*N + n of the [B*N, K] result
+    is head n's logits for sample b.  The parents are `pooled` and each
+    head's weight and bias, so the heads stay separate parameters.
+    """
+    if pooled.ndim != 3 or pooled.shape[1] != len(heads):
+        raise ShapeError(f"bypass_logits: {len(heads)} heads for pooled {pooled.shape}")
+    b, n = pooled.shape[:2]
+    w = np.stack([h.weight.data for h in heads])  # [N,K,C]
+    bias = np.stack([h.bias.data for h in heads])  # [N,K]
+    data = (np.einsum("bnc,nkc->bnk", pooled.data, w) + bias).reshape(b * n, -1)
+
+    def vjp(g):
+        g3 = g.reshape(b, n, -1)
+        gp = np.einsum("bnk,nkc->bnc", g3, w) if pooled.requires_grad else None
+        gw = np.einsum("bnk,bnc->nkc", g3, pooled.data)
+        gb = g3.sum(axis=0)
+        return (gp, *(a for i in range(n) for a in (gw[i], gb[i])))
+
+    parents = (pooled, *(p for h in heads for p in (h.weight, h.bias)))
+    return apply_op(data, parents, vjp)
+
+
 def multi_attention_loss(
     stack: AttentionStack,
     feature: Tensor,
@@ -116,18 +171,12 @@ def multi_attention_loss(
 
     Each channel gates the feature block with its own mask, pools it
     globally, and must predict the labels through its own affine head.
+    With the labels repeated once per channel, one task loss over all
+    B*N rows is the mean of the N per-head losses.
     """
-    n = stack.masks.shape[1]
-    if len(heads) != n:
-        raise ShapeError(f"multi_attention_loss: {len(heads)} heads for {n} channels")
-    b, c = feature.shape[0], feature.shape[1]
-    pooled_all = T.masked_avg_pool(feature, stack.masks)
-    total = None
-    for i, head in enumerate(heads):
-        pooled = T.reshape(T.narrow(pooled_all, 1, i, 1), (b, c))
-        li = task_loss(head(pooled), labels, cfg)
-        total = li if total is None else total + li
-    return total * (1.0 / n)
+    pooled = T.masked_avg_pool(feature, stack.masks)
+    logits = bypass_logits(pooled, heads)
+    return task_loss(logits, np.repeat(labels, len(heads), axis=0), cfg)
 
 
 def total_loss(l_cla: Tensor, l_div: Tensor, l_ma: Tensor, cfg: LossConfig) -> Tensor:

@@ -14,12 +14,15 @@ as k banded GEMMs over row-shifted views (``_depthwise_correlate``) and
 its weight gradient as one einsum over the window view.  All math uses a
 fixed reduction order, so identical inputs give bit-identical outputs
 run to run.
+
+`PRIMITIVES` names the ops the model is built from.  The loss terms are
+single ops of their own in `losses`, built on the same `apply_op` seam.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,21 +35,17 @@ DEFAULT_DTYPE = np.float64
 PRIMITIVES = (
     "add",
     "mul",
-    "hinge_sub",
     "relu",
     "sigmoid",
     "sum",
     "mean",
-    "avg_pool",
     "softmax",
     "reshape",
-    "narrow",
     "linear",
     "conv2d",
     "depthwise_conv2d",
     "max_pool2d",
     "batch_norm2d",
-    "exclusive_channel_max",
     "masked_avg_pool",
 )
 
@@ -261,18 +260,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return apply_op(data, (a, b), vjp)
 
 
-def hinge_sub(a: Tensor, delta: float) -> Tensor:
-    """max(0, a - delta); subgradient at the kink is 0."""
-    shifted = a.data - delta
-    data = np.maximum(shifted, 0.0)
-    mask = shifted > 0.0
-
-    def vjp(g):
-        return (g * mask,)
-
-    return apply_op(data, (a,), vjp)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
 
@@ -340,11 +327,6 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return apply_op(np.asarray(data), (a,), vjp)
 
 
-def avg_pool(a: Tensor, axes: Iterable[int]) -> Tensor:
-    """Mean over the named axes, keeping them as size-1 dims."""
-    return tensor_mean(a, axis=tuple(axes), keepdims=True)
-
-
 def softmax(a: Tensor, axis: int) -> Tensor:
     axis = int(axis) % a.ndim
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -366,24 +348,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def vjp(g):
         return (g.reshape(a.shape),)
-
-    return apply_op(data, (a,), vjp)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis."""
-    axis = int(axis) % a.ndim
-    if start < 0 or start + length > a.shape[axis]:
-        raise ShapeError(f"narrow: [{start},{start + length}) out of range for {a.shape}")
-    sl = tuple(
-        slice(start, start + length) if i == axis else slice(None) for i in range(a.ndim)
-    )
-    data = a.data[sl]
-
-    def vjp(g):
-        out = np.zeros_like(a.data)
-        out[sl] = g
-        return (out,)
 
     return apply_op(data, (a,), vjp)
 
@@ -664,47 +628,11 @@ def batch_norm2d(
     return apply_op(data, (x, gamma, beta), vjp)
 
 
-def exclusive_channel_max(x: Tensor) -> Tensor:
-    """For x[B,N,H,W], entry (b,n,h,w) = max over channels k != n.
-
-    The subgradient routes to the channel attaining the max, ties broken
-    toward the lowest index. Requires N >= 2.
-    """
-    if x.ndim != 4 or x.shape[1] < 2:
-        raise ShapeError(f"exclusive_channel_max: need [B,N>=2,H,W], got {x.shape}")
-    d = x.data
-    arg1 = d.argmax(axis=1)
-    max1 = np.take_along_axis(d, arg1[:, None], axis=1)[:, 0]
-    masked = d.copy()
-    np.put_along_axis(masked, arg1[:, None], -np.inf, axis=1)
-    arg2 = masked.argmax(axis=1)
-    max2 = np.take_along_axis(masked, arg2[:, None], axis=1)[:, 0]
-    n = x.shape[1]
-    ch = np.arange(n)[None, :, None, None]
-    is_self = arg1[:, None] == ch
-    data = np.where(is_self, max2[:, None], max1[:, None])
-    src = np.where(is_self, arg2[:, None], arg1[:, None])
-
-    def vjp(g):
-        # Channel arg1 collects the gradient of every other channel's max;
-        # the entry at arg1 itself routes to the runner-up channel arg2.
-        total = g.sum(axis=1)
-        g_at_arg1 = np.take_along_axis(g, arg1[:, None], axis=1)[:, 0]
-        out = np.zeros_like(d)
-        np.put_along_axis(out, arg1[:, None], (total - g_at_arg1)[:, None], axis=1)
-        runner = np.zeros_like(d)
-        np.put_along_axis(runner, arg2[:, None], g_at_arg1[:, None], axis=1)
-        out += runner
-        return (out,)
-
-    return apply_op(data, (x,), vjp)
-
-
 def masked_avg_pool(feature: Tensor, masks: Tensor) -> Tensor:
     """Spatial mean of feature[B,C,H,W] gated by each mask in masks[B,N,H,W].
 
-    Entry (b, n, c) equals avg_pool(feature * masks[:, n]) over the spatial
-    axes: the pooled per-channel attended features, all channels at once.
+    Entry (b, n, c) is the mean over (h, w) of feature[b, c] * masks[b, n]:
+    the pooled attended feature of every mask channel, all at once.
     """
     if feature.ndim != 4 or masks.ndim != 4 or feature.shape[0] != masks.shape[0] \
             or feature.shape[2:] != masks.shape[2:]:

@@ -160,15 +160,25 @@ def diversity_loop(masks, delta):
     return total / (bsz * n * h * w)
 
 
-def exclusive_max_loop(x):
-    bsz, n, h, w = x.shape
-    out = np.zeros_like(x)
+def diversity_vjp_loop(masks, delta):
+    """Gradient of diversity_loop with respect to the masks.  The max over
+    the other channels is taken by the lowest channel index attaining it."""
+    bsz, n, h, w = masks.shape
+    grad = np.zeros(masks.shape)
+    scale = 1.0 / masks.size
     for bi in range(bsz):
-        for ni in range(n):
-            for i in range(h):
-                for j in range(w):
-                    out[bi, ni, i, j] = max(x[bi, k, i, j] for k in range(n) if k != ni)
-    return out
+        for i in range(h):
+            for j in range(w):
+                for ni in range(n):
+                    src = None
+                    for k in range(n):
+                        if k != ni and (src is None or masks[bi, k, i, j] > masks[bi, src, i, j]):
+                            src = k
+                    excess = masks[bi, src, i, j] - delta
+                    grad[bi, ni, i, j] += scale * max(0.0, excess)
+                    if excess > 0.0:
+                        grad[bi, src, i, j] += scale * masks[bi, ni, i, j]
+    return grad
 
 
 def cross_entropy_loop(logits, classes):

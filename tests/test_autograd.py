@@ -1,7 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
+from smanet import gradcheck as G
+from smanet import losses as L
 from smanet import tensor as T
 from smanet.attention import MultiChannelAttention, SmaConfig
 from smanet.errors import AutogradError, NumericError
@@ -137,15 +142,35 @@ def test_grad_check_many_directional_probe_flags_scaled_gradient():
 
 # Primitives whose function in `tensor` has another name.
 _PRIMITIVE_FUNCTIONS = {"sum": "tensor_sum", "mean": "tensor_mean"}
+_LOSS_OPS = ("weighted_bce_logits", "cross_entropy", "diversity_loss", "bypass_logits")
+_MUTATED_OPS = T.PRIMITIVES + _LOSS_OPS
 
 
-@pytest.mark.parametrize("name", T.PRIMITIVES)
+@pytest.mark.parametrize("name", _MUTATED_OPS)
 def test_suite_check_flags_scaled_vjp(name, monkeypatch):
     attr = _PRIMITIVE_FUNCTIONS.get(name, name)
-    orig = getattr(T, attr)
-    monkeypatch.setattr(T, attr, lambda *args, **kwargs: _scaled_vjp(orig(*args, **kwargs)))
+    orig = getattr(T if name in T.PRIMITIVES else L, attr)
+    # Rebind every module-level name of the op: `gradcheck` imports the
+    # loss ops by name.
+    for module in (T, L, G):
+        if getattr(module, attr, None) is orig:
+            monkeypatch.setattr(module, attr,
+                                lambda *args, **kwargs: _scaled_vjp(orig(*args, **kwargs)))
     check = dict(build_suite(0))[name]
     assert check() >= SUITE_TOLERANCE
+
+
+def test_every_op_is_mutation_tested():
+    """Each function of `tensor` and `losses` that records a vjp through
+    `apply_op` has a suite check that the scaled-vjp test above mutates."""
+    ops = set()
+    for module in (T, L):
+        for node in ast.parse(Path(module.__file__).read_text()).body:
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and getattr(call.func, "id", None) == "apply_op"
+                    for call in ast.walk(node)):
+                ops.add(node.name)
+    assert ops == {_PRIMITIVE_FUNCTIONS.get(n, n) for n in _MUTATED_OPS}
 
 
 def test_no_grad_blocks_recording():

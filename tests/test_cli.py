@@ -67,6 +67,15 @@ class TestConfigFile:
             assert rc == EXIT_CONFIG, flags
             one_line_error(capsys)
 
+    def test_command_line_errors_exit_2(self, tmp_path, capsys):
+        for argv in (["train", "--warp-speed", "9"], ["eval", *TINY],
+                     ["eval", "--checkpoint", "x", "--folds", "two"], ["bogus"], []):
+            assert main(argv) == EXIT_CONFIG, argv
+            one_line_error(capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+
     def test_rejects_bad_delta(self, tmp_path):
         for delta in ("1.0", "-0.1"):
             rc = main(["train", *TINY, "--delta", delta, "--output-dir", str(tmp_path)])
@@ -302,7 +311,7 @@ class TestGradcheckCommand:
         names = {line.split(",")[0] for line in report.splitlines()[2:]}
         missing = set(PRIMITIVES) - names
         assert not missing
-        for extra in ("sma_block", "diversity_loss", "weighted_bce_logits",
+        for extra in ("sma_block", "diversity_loss", "bypass_logits", "weighted_bce_logits",
                       "cross_entropy", "total_objective"):
             assert extra in names
 
@@ -427,6 +436,37 @@ class TestExportAttention:
         main(["export-attention", *TINY, "--checkpoint", str(ckpt),
               "--output-dir", str(out_dir), str(img_path)])
         assert read_tree(out_dir) == first
+
+    def test_exports_the_float32_forward(self, tmp_path, monkeypatch):
+        import smanet.cli as cli
+        from smanet.data import generate_synthetic
+        from smanet.ppm import decode_image, encode_color
+
+        cfg = tiny_cfg()
+        state = TrainState(cfg)
+        ckpt = tmp_path / "m.bin"
+        save_checkpoint(ckpt, config_digest(cfg), state.state_arrays())
+        img_path = tmp_path / "p.ppm"
+        img_path.write_bytes(encode_color(generate_synthetic(4, 1)[0].image))
+        exported = []
+        encode = cli.encode_heatmap
+        monkeypatch.setattr(cli, "encode_heatmap",
+                            lambda arr, **kw: exported.append(arr) or encode(arr, **kw))
+        out_dir = tmp_path / "maps"
+        assert main(["export-attention", *TINY, "--checkpoint", str(ckpt),
+                     "--output-dir", str(out_dir), str(img_path)]) == EXIT_OK
+
+        image = decode_image(img_path.read_bytes()).transpose(2, 0, 1)[None]
+        state.model.eval()
+        with T.no_grad():
+            _, inters = state.model(T.Tensor(image.astype(np.float32)))
+        want = [m for it in inters for m in (it.fused.data[0, 0], *it.stack.masks.data[0])]
+        assert len(exported) == len(want)
+        for got, ref in zip(exported, want):
+            assert got.dtype == np.float32 and np.array_equal(got, ref)
+        for bi, it in enumerate(inters):
+            row = (out_dir / f"p_block{bi}_weights.txt").read_text().splitlines()[-1]
+            assert row == " ".join(f"{w:.6f}" for w in it.weights.data[0])
 
     def test_missing_inputs_refused(self, tmp_path, capsys):
         cfg = tiny_cfg()

@@ -46,6 +46,21 @@ class TestDiversityLoss:
         m = np.random.default_rng(seed).random((1, 3, 3, 3))
         assert diversity_loss(Tensor(m), delta).item() >= 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_vjp_matches_loop_oracle(self, dtype):
+        rng = np.random.default_rng(11)
+        m = rng.choice([0.1, 0.3, 0.6, 0.8], size=(2, 4, 3, 3))
+        m[0, :, 0, 0] = 0.8                      # all channels tie at the top
+        m[0, :, 0, 1] = [0.6, 0.8, 0.8, 0.3]     # two-way tie at the top
+        m[1, :, 1, 1] = [0.6, 0.9, 0.6, 0.6]     # three-way tie for runner-up
+        m[1, :, 2, 2] = [0.3, 0.1, 0.3, 0.1]     # no hinge active
+        x = Tensor(m, requires_grad=True, dtype=dtype)
+        diversity_loss(x, 0.5).backward()
+        want = oracles.diversity_vjp_loop(x.data.astype(np.float64), 0.5)
+        assert x.grad.dtype == dtype
+        rtol = 1e-12 if dtype == np.float64 else 1e-6
+        assert np.allclose(x.grad, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
         m = rng.random((2, 4, 5, 5))
@@ -134,7 +149,7 @@ class TestMultiAttentionLoss:
         labels = np.array([0, 2])
         cfg = LossConfig(task="multi_class")
         got = multi_attention_loss(stack, feature, labels, [head], cfg).item()
-        pooled = T.reshape(T.avg_pool(feature, axes=(2, 3)), (2, 4))
+        pooled = Tensor(feature.data.mean(axis=(2, 3)))
         want = cross_entropy(head(pooled), labels).item()
         assert abs(got - want) < 1e-12
 
@@ -154,19 +169,20 @@ class TestMultiAttentionLoss:
     def test_matches_hand_composed_pipeline(self):
         rng = np.random.default_rng(7)
         feature = Tensor(rng.normal(size=(2, 3, 4, 4)))
-        block = MultiChannelAttention(SmaConfig(n_channels=2, in_channels=3), rng)
+        block = MultiChannelAttention(SmaConfig(n_channels=3, in_channels=3), rng)
         stack = block.f2a(feature)
-        heads = [Linear(3, 4, rng, init=("uniform", 0.7)) for _ in range(2)]
-        labels = (rng.random((2, 4)) > 0.5).astype(float)
+        heads = [Linear(3, 4, rng, init=("uniform", 0.7)) for _ in range(3)]
         w = rng.uniform(1.0, 2.0, 4)
-        cfg = LossConfig(task="multi_label", pos_weights=w)
-        got = multi_attention_loss(stack, feature, labels, heads, cfg).item()
-        acc = 0.0
-        for i, head in enumerate(heads):
-            gated = T.mul(T.narrow(stack.masks, 1, i, 1), feature)
-            pooled = T.reshape(T.avg_pool(gated, axes=(2, 3)), (2, 3))
-            acc += weighted_bce_logits(head(pooled), labels, w).item()
-        assert abs(got - acc / 2) < 1e-12
+        multi_label = (rng.random((2, 4)) > 0.5).astype(float)
+        for cfg, labels in ((LossConfig(task="multi_label", pos_weights=w), multi_label),
+                            (LossConfig(task="multi_class"), rng.integers(0, 4, size=2))):
+            got = multi_attention_loss(stack, feature, labels, heads, cfg).item()
+            acc = 0.0
+            for i, head in enumerate(heads):
+                gated = stack.masks.data[:, i : i + 1] * feature.data
+                pooled = Tensor(gated.mean(axis=(2, 3)))
+                acc += task_loss(head(pooled), labels, cfg).item()
+            assert abs(got - acc / 3) < 1e-12
 
     def test_head_count_mismatch(self):
         rng = np.random.default_rng(8)
