@@ -10,6 +10,7 @@ model compute dtype, so save -> load -> save round-trips byte-identically.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -65,22 +66,31 @@ def load_checkpoint(path):
         pos += n
         return chunk
 
+    def text(n, encoding, what):
+        try:
+            return bytes(take(n)).decode(encoding)
+        except UnicodeDecodeError:
+            raise DataError(f"checkpoint {path}: {what} is not {encoding}") from None
+
     if bytes(take(4)) != MAGIC:
         raise DataError(f"{path} is not a checkpoint (bad magic)")
     (version,) = struct.unpack("<I", take(4))
     if version != VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
     (dlen,) = struct.unpack("<H", take(2))
-    digest = bytes(take(dlen)).decode("ascii")
+    digest = text(dlen, "ascii", "digest")
     (count,) = struct.unpack("<I", take(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<H", take(2))
-        name = bytes(take(nlen)).decode("utf-8")
+        name = text(nlen, "utf-8", "record name")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        n_items = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(take(8 * n_items), dtype="<f8").reshape(shape)
+        payload = take(8 * math.prod(shape))
+        try:
+            arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
+        except ValueError:   # more dims than numpy supports
+            raise DataError(f"checkpoint {path}: record {name!r} has {ndim} dims") from None
         arrays[name] = arr.copy()
     if pos != len(blob):
         raise DataError(f"trailing bytes in checkpoint {path}")

@@ -93,7 +93,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     _, val = build_splits(cfg)
     lines = [f"# config_digest={digest}"]
     if args.folds:
-        fold_sets = make_folds(val, args.folds, by_subject=True, seed=cfg.seed)
+        fold_sets = make_folds(val, args.folds, seed=cfg.seed)
         lines.append("fold,metric")
         metrics = []
         for i, idxs in enumerate(fold_sets):

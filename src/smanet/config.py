@@ -81,6 +81,10 @@ class RunConfig:
     output_dir: str = "runs/out"
 
     def validate(self) -> "RunConfig":
+        for name in _fields():
+            value = getattr(self, name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{_KEY_OF_FIELD.get(name, name)} must be finite, got {value}")
         if self.task not in ("au", "fer"):
             raise ConfigError(f"task must be au or fer, got {self.task!r}")
         if self.profile not in ("toy", "paper"):

@@ -285,26 +285,19 @@ def selective_oversample(samples: list[Sample], cfg: ResampleConfig) -> list[Sam
 # -- folds ------------------------------------------------------------------
 
 
-def make_folds(samples: list[Sample], k: int, by_subject: bool = True, seed: int = 0) -> list[list[int]]:
-    """Deterministic k-way partition of sample indices; with by_subject no
+def make_folds(samples: list[Sample], k: int, seed: int = 0) -> list[list[int]]:
+    """Deterministic k-way partition of sample indices by subject: no
     subject appears in two folds."""
     if k < 2:
         raise ConfigError(f"need k >= 2 folds, got {k}")
-    rng = np.random.default_rng((seed, 707))
-    if by_subject:
-        subjects = sorted({s.subject_id for s in samples})
-        if len(subjects) < k:
-            raise ConfigError(f"{len(subjects)} subjects cannot fill {k} folds")
-        perm = rng.permutation(subjects)
-        fold_of = {int(subj): i % k for i, subj in enumerate(perm)}
-        folds = [[] for _ in range(k)]
-        for idx, s in enumerate(samples):
-            folds[fold_of[s.subject_id]].append(idx)
-        return folds
-    perm = rng.permutation(len(samples))
+    subjects = sorted({s.subject_id for s in samples})
+    if len(subjects) < k:
+        raise ConfigError(f"{len(subjects)} subjects cannot fill {k} folds")
+    perm = np.random.default_rng((seed, 707)).permutation(subjects)
+    fold_of = {int(subj): i % k for i, subj in enumerate(perm)}
     folds = [[] for _ in range(k)]
-    for i, idx in enumerate(perm):
-        folds[i % k].append(int(idx))
+    for idx, s in enumerate(samples):
+        folds[fold_of[s.subject_id]].append(idx)
     return folds
 
 
@@ -331,7 +324,7 @@ def write_dataset(out_dir, samples: list[Sample], mode: str, digest: str = "") -
             lab = str(int(s.labels))
         lines.append(f"{rel}\t{lab}\t{s.subject_id}")
     manifest = out_dir / "manifest.tsv"
-    manifest.write_text("\n".join(lines) + "\n")
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
 
 
@@ -347,8 +340,12 @@ def load_dataset(dataset_dir, mode: str, count: int) -> list[Sample]:
     manifest = dataset_dir / "manifest.tsv"
     if not manifest.exists():
         raise DataError(f"no manifest.tsv under {dataset_dir}")
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{manifest}: cannot read as UTF-8 text ({type(exc).__name__})") from None
     samples = []
-    for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line or line.startswith("#"):
             continue
         where = f"{manifest}:{lineno}"

@@ -7,13 +7,15 @@ gradients additively across fan-out.  The graph is consumed by the
 backward pass: reusing an already-backpropagated intermediate raises.
 
 Every kernel lives in this module, once, on numpy alone, and puts its
-arithmetic on BLAS or on strided slices: ``conv2d`` is an im2col GEMM
-whose strided input gradient scatters back with k*k slice-adds
-(``_col2im``); ``depthwise_conv2d`` runs its forward and input gradient
-as k banded GEMMs over row-shifted views (``_depthwise_correlate``) and
-its weight gradient as one einsum over the window view.  All math uses a
-fixed reduction order, so identical inputs give bit-identical outputs
-run to run.
+arithmetic on BLAS or on strided slices: ``conv2d`` copies the strided
+slice of the padded input that each of its k*k kernel taps meets
+(``_taps``) into one column buffer for a single GEMM, and its input
+gradient slice-adds one GEMM per tap back onto the same slices;
+``depthwise_conv2d`` runs its forward and input gradient as k banded
+GEMMs over row-shifted views (``_depthwise_correlate``) and its weight
+gradient as one einsum over the window view.  All math uses a fixed
+reduction order, so identical inputs give bit-identical outputs run to
+run.
 
 `PRIMITIVES` names the ops the model is built from.  The loss terms are
 single ops of their own in `losses`, built on the same `apply_op` seam.
@@ -386,49 +388,20 @@ def _pad_hw(x: np.ndarray, padding: int, fill: float = 0.0) -> np.ndarray:
 
 
 def _check_padding(op: str, k: int, padding: int) -> None:
-    # The stride-1 input gradient correlates with the flipped kernel on
-    # a gradient padded by k-1-padding, which must not be negative.
+    # The depthwise input gradient correlates with the flipped kernel on a
+    # gradient padded by k-1-padding, which must not be negative; conv2d
+    # keeps the same bound.
     if not 0 <= padding <= k - 1:
         raise ShapeError(f"{op}: padding {padding} outside [0, {k - 1}] for kernel {k}")
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int):
-    b, c = xp.shape[:2]
-    view = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    ho, wo = view.shape[2:4]
-    cols = np.ascontiguousarray(view.transpose(0, 1, 4, 5, 2, 3))
-    return cols.reshape(b, c * k * k, ho * wo), ho, wo
-
-
-def _col2im(gcols: np.ndarray, c: int, hp: int, wp: int, k: int, stride: int, ho: int, wo: int):
-    """Scatter-add gcols[B, C*k*k, Ho*Wo] back onto the padded input grid
-    [B,C,Hp,Wp]: one strided slice-add per kernel tap, in the input dtype.
-    The positions one slice touches are distinct, so no index arrays are
-    needed."""
-    b = gcols.shape[0]
-    g6 = gcols.reshape(b, c, k, k, ho, wo)
-    out = np.zeros((b, c, hp, wp), dtype=gcols.dtype)
-    for i in range(k):
-        for j in range(k):
-            out[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += g6[:, :, i, j]
-    return out
-
-
-def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
-    b, cin, h, wd = x.shape
-    cout, _, k, _ = w.shape
-    if k == 1 and padding == 0:
-        # 1x1 kernels need no window gather: the input already is the
-        # column matrix (possibly after a strided crop).
-        xs = x if stride == 1 else np.ascontiguousarray(x[:, :, ::stride, ::stride])
-        ho, wo = xs.shape[2:]
-        cols = xs.reshape(b, cin, ho * wo)
-        out = np.matmul(w.reshape(cout, cin), cols)
-        return out.reshape(b, cout, ho, wo), cols, x.shape
-    xp = _pad_hw(x, padding)
-    cols, ho, wo = _im2col(xp, k, stride)
-    out = np.matmul(w.reshape(cout, -1), cols)
-    return out.reshape(b, cout, ho, wo), cols, xp.shape
+def _taps(k: int, stride: int, ho: int, wo: int) -> list[tuple]:
+    """Index of the [..., Ho, Wo] strided slice of the padded input that
+    each kernel tap meets, tap t = i*k + j first to last: output pixel
+    (r, q) reads padded pixel (i + stride*r, j + stride*q) through tap
+    (i, j)."""
+    return [(..., slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
+            for i in range(k) for j in range(k)]
 
 
 def conv2d(
@@ -440,7 +413,15 @@ def conv2d(
 ) -> Tensor:
     """Cross-correlation of x[B,Cin,H,W] with weight[Cout,Cin,k,k].
 
-    Requires 0 <= padding <= k-1.
+    Requires 0 <= padding <= k-1.  One pass over the k*k kernel taps
+    serves every stride, kernel size and padding.  Tap (i, j) copies its
+    strided slice of the padded input into its [B, Cin, Ho*Wo] block of
+    one column buffer, and the output, the sum over taps of
+    weight[:, :, i, j] times the tap's block, is one GEMM over the whole
+    buffer.  Backward, a tap's weight gradient is the output gradient
+    times its block, and the input gradient slice-adds
+    weight[:, :, i, j].T times the output gradient onto the tap's slice,
+    then crops the padding.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d input/weight, got {x.shape} / {weight.shape}")
@@ -454,30 +435,36 @@ def conv2d(
     if h + 2 * padding < k or wd + 2 * padding < k:
         raise ShapeError(f"conv2d: kernel {k} larger than padded input {x.shape}")
 
-    data, cols, padded_shape = _conv_forward(x.data, weight.data, stride, padding)
-    ho, wo = data.shape[2:]
+    xp = _pad_hw(x.data, padding)
+    # The vjp needs only the padded shape: holding xp would keep a padded
+    # copy of every conv input alive until backward.
+    padded_shape = xp.shape
+    ho, wo = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
+    taps = _taps(k, stride, ho, wo)
+    cols = np.empty((b, k * k, cin, ho, wo), dtype=xp.dtype)
+    for t, at in enumerate(taps):
+        cols[:, t] = xp[at]
+    cols = cols.reshape(b, k * k, cin, ho * wo)
+    # Tap-major weight: wt[t] = weight[:, :, i, j], a [Cout, Cin] matrix.
+    wmat = weight.data.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
+    wt = wmat.reshape(cout, k * k, cin).transpose(1, 0, 2)
+    data = np.matmul(wmat, cols.reshape(b, k * k * cin, ho * wo)).reshape(b, cout, ho, wo)
     if bias is not None:
         data = data + bias.data[:, None, None]
 
     def vjp(g):
-        gflat = np.ascontiguousarray(g).reshape(b, cout, -1)
+        gflat = g.reshape(b, cout, ho * wo)
         gw = None
         if weight.requires_grad:
-            # Batched GEMM with a transposed view: no tensordot copies.
-            gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+            gw = np.stack([np.matmul(gflat, cols[:, t].transpose(0, 2, 1)).sum(axis=0)
+                           for t in range(k * k)], axis=-1).reshape(weight.shape)
         gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
         gx = None
         if x.requires_grad:
-            if stride == 1:
-                # Input gradient is itself a correlation with the flipped,
-                # transposed kernel; stays on the BLAS path.
-                wt = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                gx, _, _ = _conv_forward(np.ascontiguousarray(g), np.ascontiguousarray(wt), 1, k - 1 - padding)
-            else:
-                gcols = np.matmul(weight.data.reshape(cout, -1).T, gflat)
-                hp, wp = padded_shape[2:]
-                gxp = _col2im(gcols, cin, hp, wp, k, stride, ho, wo)
-                gx = gxp[:, :, padding : padding + h, padding : padding + wd] if padding else gxp
+            gxp = np.zeros(padded_shape, dtype=np.result_type(g, wt))
+            for w_t, at in zip(wt, taps):
+                gxp[at] += np.matmul(w_t.T, gflat).reshape(b, cin, ho, wo)
+            gx = gxp[:, :, padding : padding + h, padding : padding + wd]
         ret = (gx, gw)
         return ret + (gb,) if bias is not None else ret
 
@@ -560,16 +547,15 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     data = windows.max(axis=-1)
     # argmax picks the lowest index on ties, which fixes the subgradient.
     arg = windows.argmax(axis=-1)
+    padded_shape = xp.shape
 
     def vjp(g):
         # One strided slice-add per window offset, each carrying the
         # gradient of the windows whose max sits at that offset.
-        acc = np.zeros(xp.shape, dtype=x.dtype)
-        for i in range(kernel):
-            for j in range(kernel):
-                hit = arg == i * kernel + j
-                acc[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += g * hit
-        return (acc[:, :, padding : padding + h, padding : padding + wd] if padding else acc,)
+        acc = np.zeros(padded_shape, dtype=x.dtype)
+        for t, at in enumerate(_taps(kernel, stride, ho, wo)):
+            acc[at] += g * (arg == t)
+        return (acc[:, :, padding : padding + h, padding : padding + wd],)
 
     return apply_op(data, (x,), vjp)
 

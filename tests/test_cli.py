@@ -8,6 +8,7 @@ from smanet import tensor as T
 from smanet.checkpoint import load_checkpoint, save_checkpoint
 from smanet.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_THRESHOLD, main
 from smanet.config import ABLATIONS, RunConfig, config_digest, load_config, loss_config, to_text
+from smanet.errors import DataError
 from smanet.tensor import PRIMITIVES
 from smanet.train import TrainState
 
@@ -62,7 +63,9 @@ class TestConfigFile:
                    for k in ("-1", "4", "0")]
         for flags in (["--task", "speech"], ["--lr", "-1"], ["--lr", "0"], ["--momentum", "5"],
                       ["--momentum", "1"], ["--momentum", "-0.1"], ["--weight-decay", "-1"],
-                      ["--seed", "x"], ["--augment", "maybe"], ["--lambda", "big"], *kernels):
+                      ["--seed", "x"], ["--augment", "maybe"], ["--lambda", "big"],
+                      ["--alpha", "nan"], ["--lambda", "nan"], ["--alpha", "inf"], ["--lr", "inf"],
+                      ["--weight-decay", "inf"], *kernels):
             rc = main(["train", *flags, "--output-dir", str(tmp_path)])
             assert rc == EXIT_CONFIG, flags
             one_line_error(capsys)
@@ -135,16 +138,23 @@ class TestSynth:
 
 
 class TestTrain:
-    @pytest.mark.parametrize("case", ["label_count", "subject"])
+    @pytest.mark.parametrize("case", ["label_count", "subject", "not_utf8", "directory"])
     def test_bad_dataset_ends_in_config_error(self, tmp_path, capsys, case):
         main(["synth", *TINY, "--num-labels", "3", "--output-dir", str(tmp_path / "data")])
         flags = ["--num-labels", "12"]
+        manifest = tmp_path / "data" / "train" / "manifest.tsv"
         if case == "subject":
-            manifest = tmp_path / "data" / "train" / "manifest.tsv"
             lines = manifest.read_text().splitlines()
             rel, lab, _ = lines[3].split("\t")
             lines[3] = "\t".join((rel, lab, "x7"))
             manifest.write_text("\n".join(lines) + "\n")
+            flags = ["--num-labels", "3"]
+        elif case == "not_utf8":
+            manifest.write_bytes(manifest.read_bytes() + b"images/\xff.ppm\t1,0,0\t1\n")
+            flags = ["--num-labels", "3"]
+        elif case == "directory":
+            manifest.unlink()
+            manifest.mkdir()
             flags = ["--num-labels", "3"]
         capsys.readouterr()
         rc = main(["train", *TINY, *flags, "--data-dir", str(tmp_path / "data"),
@@ -243,6 +253,30 @@ class TestEval:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and name in err
+
+    @pytest.mark.parametrize("field,byte", [("digest", 0xFF), ("name", 0xFF), ("ndim", 200)])
+    def test_damaged_checkpoint_bytes_refused(self, tmp_path, capsys, field, byte):
+        cfg = tiny_cfg()
+        digest = config_digest(cfg)
+        ckpt = tmp_path / "flipped.bin"
+        save_checkpoint(ckpt, digest, TrainState(cfg).state_arrays())
+        blob = bytearray(ckpt.read_bytes())
+        digest_at = 10                               # magic, version, digest length
+        name_at = digest_at + len(digest) + 4 + 2    # record count, name length
+        nlen = int.from_bytes(blob[name_at - 2 : name_at], "little")
+        blob[{"digest": digest_at, "name": name_at, "ndim": name_at + nlen}[field]] = byte
+        ckpt.write_bytes(bytes(blob))
+        rc = main(["eval", *TINY, "--checkpoint", str(ckpt), "--output-dir", str(tmp_path / "e")])
+        assert rc == EXIT_CONFIG
+        assert str(ckpt) in one_line_error(capsys)
+
+    def test_record_with_too_many_dims_refused(self, tmp_path):
+        ckpt = tmp_path / "deep.bin"
+        save_checkpoint(ckpt, "d", [("w", np.zeros(1))])
+        blob = ckpt.read_bytes()   # ends in: ndim byte 1, dim 1, one float64
+        ckpt.write_bytes(blob[:-13] + bytes([65]) + (1).to_bytes(4, "little") * 65 + blob[-8:])
+        with pytest.raises(DataError, match="65 dims"):
+            load_checkpoint(ckpt)
 
     def test_missing_checkpoint_refused(self, tmp_path, capsys):
         ckpt = tmp_path / "absent.bin"

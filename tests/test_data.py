@@ -225,7 +225,7 @@ class TestFolds:
                 for s in range(n_subjects) for _ in range(per)]
 
     def test_nine_subjects_three_folds(self):
-        folds = make_folds(self._by_subject(9), 3, by_subject=True, seed=0)
+        folds = make_folds(self._by_subject(9), 3, seed=0)
         subj = [{self._by_subject(9)[i].subject_id for i in f} for f in folds]
         assert all(len(s) == 3 for s in subj)
         assert subj[0] | subj[1] | subj[2] == set(range(9))
@@ -233,7 +233,7 @@ class TestFolds:
 
     def test_union_is_everything(self):
         data = self._by_subject(7)
-        folds = make_folds(data, 3, by_subject=True, seed=1)
+        folds = make_folds(data, 3, seed=1)
         assert sorted(i for f in folds for i in f) == list(range(len(data)))
 
     def test_shuffled_input_same_subject_groups(self):
@@ -241,19 +241,14 @@ class TestFolds:
         rng = np.random.default_rng(2)
         shuffled = [data[i] for i in rng.permutation(len(data))]
         groups_a = [frozenset(data[i].subject_id for i in f)
-                    for f in make_folds(data, 4, by_subject=True, seed=3)]
+                    for f in make_folds(data, 4, seed=3)]
         groups_b = [frozenset(shuffled[i].subject_id for i in f)
-                    for f in make_folds(shuffled, 4, by_subject=True, seed=3)]
+                    for f in make_folds(shuffled, 4, seed=3)]
         assert groups_a == groups_b
 
     def test_too_few_subjects(self):
         with pytest.raises(ConfigError):
             make_folds(self._by_subject(2), 3)
-
-    def test_sample_level_mode(self):
-        data = self._by_subject(2, per=6)
-        folds = make_folds(data, 3, by_subject=False, seed=4)
-        assert sorted(i for f in folds for i in f) == list(range(12))
 
 
 class TestManifest:

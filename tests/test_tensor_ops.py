@@ -31,7 +31,7 @@ class TestConv2d:
         got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1)
         assert np.allclose(got.data, oracles.conv2d_loop(x, w, b, 1, 1), atol=1e-12)
 
-    @pytest.mark.parametrize("stride,padding,k", [(1, 0, 1), (2, 0, 1), (1, 1, 3), (2, 1, 3), (1, 3, 7), (2, 3, 7)])
+    @pytest.mark.parametrize("stride,padding,k", [(1, 0, 1), (2, 0, 1), (1, 1, 3), (2, 0, 3), (2, 1, 3), (1, 3, 7), (2, 3, 7)])
     def test_strides_and_padding(self, stride, padding, k):
         rng = rnd(10 * stride + k)
         x = rng.normal(size=(2, 3, 9, 8))
@@ -41,7 +41,7 @@ class TestConv2d:
         assert np.allclose(got.data, oracles.conv2d_loop(x, w, b, stride, padding), atol=1e-12)
 
     @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-4)])
-    @pytest.mark.parametrize("stride,padding,k", [(1, 0, 1), (2, 0, 1), (1, 1, 3), (2, 1, 3), (1, 3, 7), (2, 3, 7)])
+    @pytest.mark.parametrize("stride,padding,k", [(1, 0, 1), (2, 0, 1), (1, 1, 3), (2, 0, 3), (2, 1, 3), (1, 3, 7), (2, 3, 7)])
     def test_vjp_matches_loop_oracle(self, stride, padding, k, dtype, atol):
         rng = rnd(20 * stride + k)
         x = rng.normal(size=(2, 3, 9, 8))
@@ -54,6 +54,11 @@ class TestConv2d:
         assert xt.grad.dtype == dtype and wt.grad.dtype == dtype
         assert np.allclose(xt.grad, gx, atol=atol)
         assert np.allclose(wt.grad, gw, atol=atol)
+        # Rows and columns past the last window are never read: their
+        # gradient is exactly zero (column 7 for stride 2, padding 0, k 3).
+        last_row = stride * (out.shape[2] - 1) + k - padding
+        last_col = stride * (out.shape[3] - 1) + k - padding
+        assert not xt.grad[:, :, last_row:].any() and not xt.grad[:, :, :, last_col:].any()
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
