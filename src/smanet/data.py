@@ -328,13 +328,15 @@ def write_dataset(out_dir, samples: list[Sample], mode: str, digest: str = "") -
     return manifest
 
 
-def load_dataset(dataset_dir, mode: str, count: int) -> list[Sample]:
-    """Read a manifest directory back as `mode` data.
+def load_dataset(dataset_dir, mode: str, count: int, size: int) -> list[Sample]:
+    """Read a manifest directory of size x size color images back as
+    `mode` data.
 
     A multi_label record holds `count` comma-joined 0/1 values (a lone
     value is a 1-label vector); a multi_class record holds one class id in
     [0, count).  A bad field, a record of the wrong length or kind, or a
-    missing image raises a DataError naming the manifest line.
+    missing or wrongly shaped image raises a DataError naming the manifest
+    line.
     """
     dataset_dir = Path(dataset_dir)
     manifest = dataset_dir / "manifest.tsv"
@@ -373,6 +375,8 @@ def load_dataset(dataset_dir, mode: str, count: int) -> list[Sample]:
             img = decode_image(path.read_bytes())
         except DataError as exc:
             raise DataError(f"{where}: {exc}") from None
+        if img.shape != (size, size, 3):
+            raise DataError(f"{where}: expected {size}x{size} color image {rel}, got {img.shape}")
         samples.append(Sample(image=img, labels=labels, subject_id=subject_id))
     if not samples:
         raise DataError(f"empty manifest {manifest}")

@@ -7,14 +7,17 @@ each probe compares a directional derivative with the central difference
 (f(x+eps*u) - f(x-eps*u)) / 2eps under the relative error
 |a - n| / max(1, |a|, |n|).
 
-`build_suite` assembles named checks for every primitive in
-`tensor.PRIMITIVES`, the attention block pieces, every loss op in
-`losses` (`weighted_bce_logits`, `cross_entropy`, `diversity_loss`,
-`bypass_logits`), the composed L_ma, and the training objective; the CLI
-gradcheck command runs it and fails on any error above threshold.  Each
-op check is named after its op.  Primitives, blocks and losses are
-checked coordinate by coordinate; the composed objective, with about 190
-leaves on the toy model, is checked along one random direction per leaf.
+`build_suite` names one check for every primitive in `tensor.PRIMITIVES`,
+the attention block pieces, every loss op in `losses`
+(`weighted_bce_logits`, `cross_entropy`, `diversity_loss`,
+`bypass_logits`), the composed L_ma, and the training objective.  Each op
+check is named after its op.  A check's builder draws its inputs and
+returns a (forward, leaves) pair; the check's thunk hands that pair to
+`grad_check_many` (conv2d checks three stride/padding cases and keeps the
+worst).  The CLI gradcheck command runs every thunk and fails on any error
+at or above `SUITE_TOLERANCE`.  Primitives, blocks and losses are checked
+coordinate by coordinate; the composed objective, with about 190 leaves on
+the toy model, is checked along one random direction per leaf.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ DEFAULT_EPS = 1e-5
 SUITE_TOLERANCE = 1e-4
 
 
-def grad_check_many(forward, leaves: dict[str, Tensor], eps: float = DEFAULT_EPS,
+def grad_check_many(forward, leaves: dict[str, Tensor],
                     rng: np.random.Generator | None = None) -> float:
     """Check d(forward())/d(leaf) for every leaf; returns the worst
     relative error over all probes.
@@ -50,7 +53,7 @@ def grad_check_many(forward, leaves: dict[str, Tensor], eps: float = DEFAULT_EPS
         y1 = forward()
         y2 = forward()
     if y1.size != 1:
-        raise ShapeError(f"grad_check needs a scalar function, got shape {y1.shape}")
+        raise ShapeError(f"grad_check_many needs a scalar function, got shape {y1.shape}")
     if not np.array_equal(y1.data, y2.data):
         raise NumericError("non-determinism detected: two forward passes disagree")
 
@@ -72,23 +75,17 @@ def grad_check_many(forward, leaves: dict[str, Tensor], eps: float = DEFAULT_EPS
             u /= np.linalg.norm(u)
             probes = [(slice(None), u, float(analytic @ u))]
         for at, step, a in probes:
-            flat[at] = base[at] + eps * step
+            flat[at] = base[at] + DEFAULT_EPS * step
             with no_grad():
                 fp = forward().item()
-            flat[at] = base[at] - eps * step
+            flat[at] = base[at] - DEFAULT_EPS * step
             with no_grad():
                 fm = forward().item()
             flat[at] = base[at]
-            numeric = (fp - fm) / (2.0 * eps)
+            numeric = (fp - fm) / (2.0 * DEFAULT_EPS)
             worst = max(worst, abs(a - numeric) / max(1.0, abs(a), abs(numeric)))
         leaf.grad = None
     return worst
-
-
-def grad_check(f, x: Tensor, eps: float = DEFAULT_EPS) -> float:
-    """Max relative error of the analytic gradient of scalar f at x."""
-    leaf = Tensor(np.array(x.data, dtype=np.float64, copy=True), requires_grad=True)
-    return grad_check_many(lambda: f(leaf), {"x": leaf}, eps=eps)
 
 
 # -- suite ----------------------------------------------------------------
@@ -109,13 +106,6 @@ def _rand(rng, *shape):
     return Tensor(rng.normal(size=shape))
 
 
-def _leaves(**tensors: Tensor) -> dict[str, Tensor]:
-    """The named inputs of one check, each made a requires-grad leaf."""
-    for t in tensors.values():
-        t.requires_grad = True
-    return tensors
-
-
 def _weighted(out: Tensor, seed: int = 0) -> Tensor:
     """Random fixed projection to a scalar; catches transposed gradients
     that a plain sum would miss."""
@@ -123,203 +113,161 @@ def _weighted(out: Tensor, seed: int = 0) -> Tensor:
     return T.mul(out, Tensor(r)).sum()
 
 
+def _op(fn, proj_seed: int = 0, /, **leaves: Tensor):
+    """(forward, leaves) of one check: forward applies `fn` to the leaves,
+    in order, and projects a non-scalar output with `_weighted(out,
+    proj_seed)`.  Every leaf is made to require a gradient."""
+    for t in leaves.values():
+        t.requires_grad = True
+
+    def forward():
+        out = fn(*leaves.values())
+        return out if out.size == 1 else _weighted(out, proj_seed)
+
+    return forward, leaves
+
+
+def _head_params(heads) -> dict[str, Tensor]:
+    return {f"head{i}.{n}": p for i, h in enumerate(heads) for n, p in h.named_parameters()}
+
+
+def _linear(rng):
+    return _op(T.linear, x=_rand(rng, 5, 4), w=_rand(rng, 3, 4), b=_rand(rng, 3))
+
+
+def _conv2d(rng, stride, pad):
+    return _op(lambda x, w, b: T.conv2d(x, w, b, stride, pad), 23,
+               x=_rand(rng, 2, 3, 7, 7), w=_rand(rng, 4, 3, 3, 3), b=_rand(rng, 4))
+
+
+def _depthwise(rng):
+    return _op(lambda x, w, b: T.depthwise_conv2d(x, w, b, padding=2), 24,
+               x=_rand(rng, 2, 3, 6, 6), w=_rand(rng, 3, 5, 5), b=_rand(rng, 3))
+
+
+def _batch_norm(rng):
+    rm, rv = np.zeros(4), np.ones(4)
+    return _op(lambda x, g, b: T.batch_norm2d(x, g, b, rm, rv, training=True), 26,
+               x=_rand(rng, 3, 4, 5, 5), g=_rand(rng, 4), b=_rand(rng, 4))
+
+
+def _masked_pool(rng):
+    return _op(T.masked_avg_pool, 28,
+               f=_rand(rng, 2, 3, 4, 4), m=Tensor(rng.uniform(0.1, 0.9, (2, 2, 4, 4))))
+
+
+def _bce(rng):
+    y = (rng.random((4, 5)) > 0.5).astype(float)
+    w = rng.uniform(0.5, 3.0, 5)
+    return _op(lambda x: weighted_bce_logits(x, y, w), x=_rand(rng, 4, 5))
+
+
+def _cross_entropy(rng):
+    cls = rng.integers(0, 5, size=6)
+    return _op(lambda x: cross_entropy(x, cls), x=_rand(rng, 6, 5))
+
+
+def _bypass(rng):
+    heads = [Linear(4, 3, rng, init=("uniform", 0.5)) for _ in range(3)]
+    return _op(lambda pooled, *_: bypass_logits(pooled, heads), 41,
+               pooled=_rand(rng, 2, 3, 4), **_head_params(heads))
+
+
+def _sma_block(rng):
+    block = MultiChannelAttention(SmaConfig(n_channels=3, in_channels=4), rng)
+    return _op(lambda x, *_: block(x)[0], 33,
+               input=_rand(rng, 2, 4, 6, 6), **dict(block.named_parameters()))
+
+
+def _aaa(rng):
+    block = MultiChannelAttention(SmaConfig(n_channels=3, in_channels=4), rng)
+    fc = {n: p for n, p in block.named_parameters() if "fc" in n}
+    return _op(lambda x, *_: block.channel_weights(x), 35, input=_rand(rng, 2, 4, 5, 5), **fc)
+
+
+def _combine(rng):
+    cfg = SmaConfig(n_channels=4, in_channels=3)
+    block = MultiChannelAttention(cfg, rng)
+    return _op(lambda x: combine(block.f2a(x), block.channel_weights(x), cfg), 37,
+               input=_rand(rng, 2, 3, 5, 5))
+
+
+def _refine(rng):
+    return _op(refine, 39, a=Tensor(rng.uniform(0.1, 0.9, (2, 1, 5, 5))), x=_rand(rng, 2, 3, 5, 5))
+
+
+def _multi_attention(rng):
+    block = MultiChannelAttention(SmaConfig(n_channels=2, in_channels=4), rng)
+    heads = [Linear(4, 3, rng, init=("uniform", 0.5)) for _ in range(2)]
+    lcfg = LossConfig(task="multi_class")
+    labels = rng.integers(0, 3, size=2)
+    return _op(lambda x, *_: multi_attention_loss(block.f2a(x), x, labels, heads, lcfg),
+               input=_rand(rng, 2, 4, 5, 5), **_head_params(heads))
+
+
+def _objective(seed, rng):
+    """The training objective of a float64 toy-profile model, at 32 px."""
+    cfg = RunConfig(task="au", profile="toy", dtype="float64", seed=seed,
+                    n_channels=4, num_labels=6)
+    state = TrainState(cfg)
+    labels = (rng.random((2, 6)) > 0.6).astype(float)
+    lcfg = loss_config(cfg, compute_pos_weights(labels))
+    heads = list(state.heads)
+
+    def fn(x, *_):
+        logits, inters = state.model(x)
+        return objective(logits, inters, labels, heads, lcfg)[-1]
+
+    return _op(fn, input=Tensor(rng.uniform(0.0, 1.0, (2, 3, 32, 32))),
+               **{f"p.{n}": p for n, p in state.named_parameters()})
+
+
 def build_suite(seed: int = 0) -> list[tuple[str, object]]:
-    """Named (check name, thunk -> max-rel-error) pairs covering every
+    """Named (check name, thunk -> max relative error) pairs covering every
     primitive, the attention block pieces, the losses, and the composed
-    objective on the compact-profile model.  Nothing is built until a
-    thunk runs."""
+    objective on the toy-profile model.  Nothing is built until a thunk
+    runs, and each thunk looks `grad_check_many` up when it runs."""
 
-    def rng_for(i):
-        return np.random.default_rng((seed, i))
+    def rng(stream):
+        return np.random.default_rng((seed, stream))
 
-    checks: list[tuple[str, object]] = []
+    def check(build):
+        return lambda: grad_check_many(*build())
 
-    def primitive(name, builder):
-        checks.append((name, builder))
+    def conv2d():
+        r = rng(23)  # the three cases draw in turn from one stream
+        return max(grad_check_many(*_conv2d(r, stride, pad))
+                   for stride, pad in ((1, 1), (2, 1), (1, 0)))
 
-    primitive("add", lambda: grad_check(
-        lambda x: _weighted(T.add(x, _rand(rng_for(1), 3, 1, 4))), _rand(rng_for(2), 3, 5, 4)))
-    primitive("mul", lambda: grad_check(
-        lambda x: _weighted(T.mul(x, _rand(rng_for(3), 5, 4))), _rand(rng_for(4), 3, 5, 4)))
-    primitive("relu", lambda: grad_check(
-        lambda x: _weighted(T.relu(x)),
-        Tensor(np.sign(rng_for(6).normal(size=(4, 6))) * rng_for(7).uniform(0.1, 1.0, (4, 6)))))
-    primitive("sigmoid", lambda: grad_check(
-        lambda x: _weighted(T.sigmoid(x)), _rand(rng_for(8), 4, 6)))
-    primitive("sum", lambda: grad_check(
-        lambda x: _weighted(x.sum(axis=(0, 2), keepdims=True)), _rand(rng_for(11), 3, 4, 5)))
-    primitive("mean", lambda: grad_check(
-        lambda x: _weighted(x.mean(axis=1)), _rand(rng_for(12), 3, 4, 5)))
-    primitive("softmax", lambda: grad_check(
-        lambda x: _weighted(T.softmax(x, axis=1)), _rand(rng_for(15), 4, 6)))
-    primitive("reshape", lambda: grad_check(
-        lambda x: _weighted(T.reshape(x, (6, 4))), _rand(rng_for(16), 4, 6)))
-
-    def linear_check():
-        rng = rng_for(22)
-        p = _leaves(x=_rand(rng, 5, 4), w=_rand(rng, 3, 4), b=_rand(rng, 3))
-        return grad_check_many(lambda: _weighted(T.linear(p["x"], p["w"], p["b"])), p)
-
-    primitive("linear", linear_check)
-
-    def conv_check():
-        rng = rng_for(23)
-        worst = 0.0
-        for stride, pad in ((1, 1), (2, 1), (1, 0)):
-            p = _leaves(x=_rand(rng, 2, 3, 7, 7), w=_rand(rng, 4, 3, 3, 3), b=_rand(rng, 4))
-            worst = max(worst, grad_check_many(
-                lambda: _weighted(T.conv2d(p["x"], p["w"], p["b"], stride, pad), 23), p))
-        return worst
-
-    primitive("conv2d", conv_check)
-
-    def depthwise_check():
-        rng = rng_for(24)
-        p = _leaves(x=_rand(rng, 2, 3, 6, 6), w=_rand(rng, 3, 5, 5), b=_rand(rng, 3))
-        return grad_check_many(
-            lambda: _weighted(T.depthwise_conv2d(p["x"], p["w"], p["b"], padding=2), 24), p)
-
-    primitive("depthwise_conv2d", depthwise_check)
-    primitive("max_pool2d", lambda: grad_check(
-        lambda x: _weighted(T.max_pool2d(x, 3, 2, 1)),
-        Tensor(spaced_uniform(rng_for(25), (2, 2, 7, 7), lo=-1.0, hi=1.0))))
-
-    def bn_check():
-        rng = rng_for(26)
-        p = _leaves(x=_rand(rng, 3, 4, 5, 5), g=_rand(rng, 4), b=_rand(rng, 4))
-        rm, rv = np.zeros(4), np.ones(4)
-        return grad_check_many(lambda: _weighted(
-            T.batch_norm2d(p["x"], p["g"], p["b"], rm, rv, training=True), 26), p)
-
-    primitive("batch_norm2d", bn_check)
-
-    def masked_pool_check():
-        rng = rng_for(28)
-        p = _leaves(f=_rand(rng, 2, 3, 4, 4), m=Tensor(rng.uniform(0.1, 0.9, (2, 2, 4, 4))))
-        return grad_check_many(lambda: _weighted(T.masked_avg_pool(p["f"], p["m"]), 28), p)
-
-    primitive("masked_avg_pool", masked_pool_check)
-
-    # losses
-    def bce_check():
-        rng = rng_for(30)
-        y = (rng.random((4, 5)) > 0.5).astype(float)
-        w = rng.uniform(0.5, 3.0, 5)
-        return grad_check(lambda x: weighted_bce_logits(x, y, w), _rand(rng, 4, 5))
-
-    checks.append(("weighted_bce_logits", bce_check))
-
-    def ce_check():
-        rng = rng_for(31)
-        cls = rng.integers(0, 5, size=6)
-        return grad_check(lambda x: cross_entropy(x, cls), _rand(rng, 6, 5))
-
-    checks.append(("cross_entropy", ce_check))
-    checks.append(("diversity_loss", lambda: grad_check(
-        lambda m: diversity_loss(m, 0.5),
-        Tensor(spaced_uniform(rng_for(32), (2, 3, 3, 3))))))
-
-    def bypass_check():
-        rng = rng_for(41)
-        heads = [Linear(4, 3, rng, init=("uniform", 0.5)) for _ in range(3)]
-        leaves = _leaves(pooled=_rand(rng, 2, 3, 4))
-        for i, h in enumerate(heads):
-            leaves.update({f"head{i}.{n}": p for n, p in h.named_parameters()})
-        return grad_check_many(
-            lambda: _weighted(bypass_logits(leaves["pooled"], heads), 41), leaves)
-
-    checks.append(("bypass_logits", bypass_check))
-
-    def sma_checks():
-        rng = rng_for(33)
-        block = MultiChannelAttention(SmaConfig(n_channels=3, in_channels=4), rng)
-        x = Tensor(rng.normal(size=(2, 4, 6, 6)), requires_grad=True)
-
-        def forward():
-            out, _ = block(x)
-            return _weighted(out, 33)
-
-        return grad_check_many(forward, {"input": x, **dict(block.named_parameters())})
-
-    checks.append(("sma_block", sma_checks))
-
-    def aaa_check():
-        rng = rng_for(35)
-        block = MultiChannelAttention(SmaConfig(n_channels=3, in_channels=4), rng)
-        x = Tensor(rng.normal(size=(2, 4, 5, 5)), requires_grad=True)
-        leaves = {"input": x}
-        leaves.update({n: p for n, p in block.named_parameters() if "fc" in n})
-        return grad_check_many(lambda: _weighted(block.channel_weights(x), 35), leaves)
-
-    checks.append(("aaa_weights", aaa_check))
-
-    def combine_check():
-        rng = rng_for(37)
-        cfg = SmaConfig(n_channels=4, in_channels=3)
-        block = MultiChannelAttention(cfg, rng)
-        x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
-
-        def forward():
-            return _weighted(combine(block.f2a(x), block.channel_weights(x), cfg), 37)
-
-        return grad_check_many(forward, {"input": x})
-
-    checks.append(("combine", combine_check))
-
-    def refine_check():
-        rng = rng_for(39)
-        p = _leaves(a=Tensor(rng.uniform(0.1, 0.9, (2, 1, 5, 5))), x=_rand(rng, 2, 3, 5, 5))
-        return grad_check_many(lambda: _weighted(refine(p["a"], p["x"]), 39), p)
-
-    checks.append(("refine", refine_check))
-
-    def ma_check():
-        rng = rng_for(40)
-        block = MultiChannelAttention(SmaConfig(n_channels=2, in_channels=4), rng)
-        heads = [Linear(4, 3, rng, init=("uniform", 0.5)) for _ in range(2)]
-        lcfg = LossConfig(task="multi_class")
-        labels = rng.integers(0, 3, size=2)
-        x = Tensor(rng.normal(size=(2, 4, 5, 5)), requires_grad=True)
-        leaves = {"input": x}
-        for i, h in enumerate(heads):
-            leaves.update({f"head{i}.{n}": p for n, p in h.named_parameters()})
-
-        def forward():
-            return multi_attention_loss(block.f2a(x), x, labels, heads, lcfg)
-
-        return grad_check_many(forward, leaves)
-
-    checks.append(("multi_attention_loss", ma_check))
-
-    def objective_check():
-        rng = np.random.default_rng((seed, 50))
-        cfg = RunConfig(task="au", profile="toy", dtype="float64", seed=seed,
-                        n_channels=4, num_labels=6)
-        state = TrainState(cfg)
-        labels = (rng.random((2, 6)) > 0.6).astype(float)
-        lcfg = loss_config(cfg, compute_pos_weights(labels))
-        x = Tensor(rng.uniform(0.0, 1.0, (2, 3, 32, 32)), requires_grad=True)
-        leaves = {"input": x}
-        leaves.update({f"p.{n}": p for n, p in state.named_parameters()})
-        heads = list(state.heads)
-
-        def forward():
-            logits, inters = state.model(x)
-            return objective(logits, inters, labels, heads, lcfg)[-1]
-
-        return grad_check_many(forward, leaves, rng=np.random.default_rng((seed, 51)))
-
-    checks.append(("total_objective", objective_check))
-    return checks
-
-
-def run_suite(seed: int = 0, tolerance: float = SUITE_TOLERANCE):
-    """Run every check; returns (results, failures) as name/error lists."""
-    results = []
-    failures = []
-    for name, thunk in build_suite(seed):
-        err = float(thunk())
-        results.append((name, err))
-        if not (err < tolerance):
-            failures.append((name, err))
-    return results, failures
+    return [
+        ("add", check(lambda: _op(lambda x: T.add(x, _rand(rng(1), 3, 1, 4)),
+                                  x=_rand(rng(2), 3, 5, 4)))),
+        ("mul", check(lambda: _op(lambda x: T.mul(x, _rand(rng(3), 5, 4)),
+                                  x=_rand(rng(4), 3, 5, 4)))),
+        ("relu", check(lambda: _op(T.relu, x=Tensor(
+            np.sign(rng(6).normal(size=(4, 6))) * rng(7).uniform(0.1, 1.0, (4, 6)))))),
+        ("sigmoid", check(lambda: _op(T.sigmoid, x=_rand(rng(8), 4, 6)))),
+        ("sum", check(lambda: _op(lambda x: x.sum(axis=(0, 2), keepdims=True),
+                                  x=_rand(rng(11), 3, 4, 5)))),
+        ("mean", check(lambda: _op(lambda x: x.mean(axis=1), x=_rand(rng(12), 3, 4, 5)))),
+        ("softmax", check(lambda: _op(lambda x: T.softmax(x, axis=1), x=_rand(rng(15), 4, 6)))),
+        ("reshape", check(lambda: _op(lambda x: T.reshape(x, (6, 4)), x=_rand(rng(16), 4, 6)))),
+        ("linear", check(lambda: _linear(rng(22)))),
+        ("conv2d", conv2d),
+        ("depthwise_conv2d", check(lambda: _depthwise(rng(24)))),
+        ("max_pool2d", check(lambda: _op(lambda x: T.max_pool2d(x, 3, 2, 1), x=Tensor(
+            spaced_uniform(rng(25), (2, 2, 7, 7), lo=-1.0, hi=1.0))))),
+        ("batch_norm2d", check(lambda: _batch_norm(rng(26)))),
+        ("masked_avg_pool", check(lambda: _masked_pool(rng(28)))),
+        ("weighted_bce_logits", check(lambda: _bce(rng(30)))),
+        ("cross_entropy", check(lambda: _cross_entropy(rng(31)))),
+        ("diversity_loss", check(lambda: _op(lambda m: diversity_loss(m, 0.5),
+                                             m=Tensor(spaced_uniform(rng(32), (2, 3, 3, 3)))))),
+        ("bypass_logits", check(lambda: _bypass(rng(41)))),
+        ("sma_block", check(lambda: _sma_block(rng(33)))),
+        ("aaa_weights", check(lambda: _aaa(rng(35)))),
+        ("combine", check(lambda: _combine(rng(37)))),
+        ("refine", check(lambda: _refine(rng(39)))),
+        ("multi_attention_loss", check(lambda: _multi_attention(rng(40)))),
+        ("total_objective", lambda: grad_check_many(*_objective(seed, rng(50)), rng=rng(51))),
+    ]

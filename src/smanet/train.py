@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .attention import MultiChannelAttention
 from .backbone import SGD, Backbone, lr_schedule
 from .checkpoint import save_checkpoint
 from .config import RunConfig, backbone_config, config_digest, input_size, loss_config, np_dtype
@@ -68,7 +69,8 @@ def build_splits(cfg: RunConfig) -> tuple[list[Sample], list[Sample]]:
         root = Path(cfg.data_dir)
         mode, count = (("multi_label", cfg.num_labels) if cfg.task == "au"
                        else ("multi_class", cfg.num_classes))
-        return load_dataset(root / "train", mode, count), load_dataset(root / "val", mode, count)
+        return tuple(load_dataset(root / split, mode, count, input_size(cfg))
+                     for split in ("train", "val"))
     train_pool, val_pool = subject_pools(cfg)
     train = generate_synthetic(cfg.seed, cfg.n_train, synthetic_spec(cfg, train_pool))
     # distinct stream so val never replays train draws
@@ -77,26 +79,21 @@ def build_splits(cfg: RunConfig) -> tuple[list[Sample], list[Sample]]:
 
 
 class TrainState(Module):
-    """Backbone plus the per-channel bypass heads, checkpointed together."""
+    """Backbone plus the per-channel bypass heads, checkpointed together:
+    N heads for each block whose attention is a MultiChannelAttention."""
 
     def __init__(self, cfg: RunConfig):
         super().__init__()
         rng = derive_rng(cfg.seed, STREAM_INIT)
-        bcfg = backbone_config(cfg)
         dtype = np_dtype(cfg)
-        self.model = Backbone(bcfg, rng, dtype=dtype)
+        self.model = Backbone(backbone_config(cfg), rng, dtype=dtype)
         self.heads = ModuleList()
-        if bcfg.attention_kind == "sma":
-            num_out = bcfg.num_outputs
-            for stage, block, cin, cout, stride in bcfg.block_positions():
-                if bcfg.attention_at(stage, block):
-                    per_block = ModuleList()
-                    for _ in range(cfg.n_channels):
-                        per_block.append(
-                            Linear(cout, num_out, rng, init=("uniform", 1e-2),
-                                   zero_bias=True, dtype=dtype)
-                        )
-                    self.heads.append(per_block)
+        for block in self.model.blocks:
+            if isinstance(block.attention, MultiChannelAttention):
+                width, num_out = block.attention.cfg.in_channels, self.model.cfg.num_outputs
+                self.heads.append(ModuleList(
+                    Linear(width, num_out, rng, init=("uniform", 1e-2), zero_bias=True, dtype=dtype)
+                    for _ in range(cfg.n_channels)))
 
 
 def _batch_tensor(images: list[np.ndarray], dtype) -> Tensor:

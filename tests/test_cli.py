@@ -4,11 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from smanet import cli
 from smanet import tensor as T
 from smanet.checkpoint import load_checkpoint, save_checkpoint
 from smanet.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_THRESHOLD, main
 from smanet.config import ABLATIONS, RunConfig, config_digest, load_config, loss_config, to_text
 from smanet.errors import DataError
+from smanet.ppm import encode_color, encode_heatmap
 from smanet.tensor import PRIMITIVES
 from smanet.train import TrainState
 
@@ -122,6 +124,17 @@ class TestConfigFile:
         assert config_digest(a) != config_digest(tiny_cfg(seed=4))
 
 
+@pytest.mark.parametrize("verb", ["synth", "train", "gradcheck"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_output_dir_that_is_a_file_refused(tmp_path, capsys, verb, under):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x" if under else blocker
+    rc = main([verb, *TINY, "--output-dir", str(out)])
+    assert rc == EXIT_CONFIG
+    assert str(out) in one_line_error(capsys)
+
+
 class TestSynth:
     def test_writes_manifest_and_images(self, tmp_path):
         rc = main(["synth", *TINY, "--output-dir", str(tmp_path)])
@@ -138,12 +151,18 @@ class TestSynth:
 
 
 class TestTrain:
-    @pytest.mark.parametrize("case", ["label_count", "subject", "not_utf8", "directory"])
+    @pytest.mark.parametrize("case", ["label_count", "subject", "not_utf8", "directory",
+                                      "wrong_size", "grayscale"])
     def test_bad_dataset_ends_in_config_error(self, tmp_path, capsys, case):
         main(["synth", *TINY, "--num-labels", "3", "--output-dir", str(tmp_path / "data")])
         flags = ["--num-labels", "12"]
         manifest = tmp_path / "data" / "train" / "manifest.tsv"
-        if case == "subject":
+        if case in ("wrong_size", "grayscale"):
+            image = manifest.parent / manifest.read_text().splitlines()[3].split("\t")[0]
+            image.write_bytes(encode_color(np.zeros((32, 32, 3))) if case == "wrong_size"
+                              else encode_heatmap(np.zeros((64, 64))))
+            flags = ["--num-labels", "3"]
+        elif case == "subject":
             lines = manifest.read_text().splitlines()
             rel, lab, _ = lines[3].split("\t")
             lines[3] = "\t".join((rel, lab, "x7"))
@@ -369,11 +388,16 @@ class TestGradcheckCommand:
             return out
 
         monkeypatch.setattr(tensor_mod, "conv2d", broken_conv)
+        # The full suite runs once, in the test above; here only the conv2d check.
+        suite = cli.build_suite
+        monkeypatch.setattr(cli, "build_suite",
+                            lambda seed: [c for c in suite(seed) if c[0] == "conv2d"])
         rc = main(["gradcheck", *TINY, "--output-dir", str(tmp_path)])
         assert rc == EXIT_THRESHOLD
         report = (tmp_path / "gradcheck.txt").read_text()
-        assert any(line.startswith("conv2d,") and line.endswith("FAIL")
-                   for line in report.splitlines())
+        assert report.splitlines()[2:] and all(
+            line.startswith("conv2d,") and line.endswith("FAIL")
+            for line in report.splitlines()[2:])
 
 
 class TestParamsCommand:

@@ -255,7 +255,7 @@ class TestManifest:
     def test_roundtrip(self, tmp_path):
         samples = generate_synthetic(12, 6)
         write_dataset(tmp_path / "ds", samples, "multi_label", digest="abc123")
-        loaded = load_dataset(tmp_path / "ds", "multi_label", 12)
+        loaded = load_dataset(tmp_path / "ds", "multi_label", 12, 64)
         assert len(loaded) == 6
         for a, b in zip(samples, loaded):
             assert np.array_equal(a.labels, b.labels)
@@ -265,25 +265,25 @@ class TestManifest:
     def test_multiclass_roundtrip(self, tmp_path):
         samples = generate_synthetic(13, 4, SyntheticSpec(mode="multi_class"))
         write_dataset(tmp_path / "ds", samples, "multi_class")
-        loaded = load_dataset(tmp_path / "ds", "multi_class", 6)
+        loaded = load_dataset(tmp_path / "ds", "multi_class", 6, 64)
         assert [s.labels for s in loaded] == [s.labels for s in samples]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
-            load_dataset(tmp_path, "multi_label", 12)
+            load_dataset(tmp_path, "multi_label", 12, 64)
 
     def test_malformed_record(self, tmp_path):
         d = tmp_path / "ds"
         d.mkdir()
         (d / "manifest.tsv").write_text("only-one-field\n")
         with pytest.raises(DataError):
-            load_dataset(d, "multi_label", 12)
+            load_dataset(d, "multi_label", 12, 64)
 
     def test_one_label_roundtrip(self, tmp_path):
         spec = SyntheticSpec(num_labels=1, rates=(0.5,), pairs=())
         samples = generate_synthetic(14, 6, spec)
         write_dataset(tmp_path / "ds", samples, "multi_label")
-        loaded = load_dataset(tmp_path / "ds", "multi_label", 1)
+        loaded = load_dataset(tmp_path / "ds", "multi_label", 1, 64)
         for a, b in zip(samples, loaded):
             assert b.labels.shape == (1,)
             assert np.array_equal(a.labels, b.labels)
@@ -304,11 +304,11 @@ class TestManifest:
         rel = good.split("\t")[0]
         (tmp_path / "manifest.tsv").write_text(f"# header\n{rel}\t{record}\n")
         with pytest.raises(DataError, match=r"manifest\.tsv:2: "):
-            load_dataset(tmp_path, mode, count)
+            load_dataset(tmp_path, mode, count, 64)
 
     def test_missing_image_names_its_line(self, tmp_path):
         write_dataset(tmp_path, generate_synthetic(16, 2, SyntheticSpec(mode="multi_class")),
                       "multi_class")
         (tmp_path / "images" / "sample_00001.ppm").unlink()
         with pytest.raises(DataError, match=r"manifest\.tsv:2: image .* not found"):
-            load_dataset(tmp_path, "multi_class", 6)
+            load_dataset(tmp_path, "multi_class", 6, 64)
