@@ -68,12 +68,11 @@ def _load_state(cfg: RunConfig, checkpoint: str) -> TrainState:
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
-    digest = config_digest(cfg)
-    saved_dir = cfg.data_dir
-    if saved_dir:
+    if cfg.data_dir:
         raise ConfigError("synth generates data; do not pass data_dir")
+    digest = config_digest(cfg)
     train, val = build_splits(cfg)
+    out = _out_dir(cfg)
     mode = "multi_label" if cfg.task == "au" else "multi_class"
     write_dataset(out / "train", train, mode, digest)
     write_dataset(out / "val", val, mode, digest)
@@ -90,13 +89,13 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
     digest = config_digest(cfg)
     state = _load_state(cfg, args.checkpoint)
     _, val = build_splits(cfg)
+    fold_sets = make_folds(val, args.folds, seed=cfg.seed) if args.folds else None
+    out = _out_dir(cfg)
     lines = [f"# config_digest={digest}"]
-    if args.folds:
-        fold_sets = make_folds(val, args.folds, seed=cfg.seed)
+    if fold_sets is not None:
         lines.append("fold,metric")
         metrics = []
         for i, idxs in enumerate(fold_sets):
@@ -188,11 +187,11 @@ def cmd_params(cfg: RunConfig, args) -> int:
 
 
 def cmd_export_attention(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
     digest = config_digest(cfg)
     state = _load_state(cfg, args.checkpoint)
     state.model.eval()
     size = input_size(cfg)
+    images = []
     for path in args.images:
         try:
             img = decode_image(Path(path).read_bytes())
@@ -200,10 +199,12 @@ def cmd_export_attention(cfg: RunConfig, args) -> int:
             raise DataError(f"cannot read image {path}: {type(exc).__name__}") from None
         if img.ndim != 3 or img.shape != (size, size, 3):
             raise DataError(f"{path}: expected {size}x{size} color image, got {img.shape}")
+        images.append((Path(path).stem, img))
+    out = _out_dir(cfg)
+    for stem, img in images:
         x = T.Tensor(img.transpose(2, 0, 1)[None].astype(np_dtype(cfg)))
         with T.no_grad():
             _, inters = state.model(x)
-        stem = Path(path).stem
         for bi, inter in enumerate(inters):
             fused = inter.fused.data[0, 0]
             (out / f"{stem}_block{bi}_fused.pgm").write_bytes(

@@ -7,15 +7,16 @@ gradients additively across fan-out.  The graph is consumed by the
 backward pass: reusing an already-backpropagated intermediate raises.
 
 Every kernel lives in this module, once, on numpy alone, and puts its
-arithmetic on BLAS or on strided slices: ``conv2d`` copies the strided
-slice of the padded input that each of its k*k kernel taps meets
-(``_taps``) into one column buffer for a single GEMM, and its input
-gradient slice-adds one GEMM per tap back onto the same slices;
-``depthwise_conv2d`` runs its forward and input gradient as k banded
-GEMMs over row-shifted views (``_depthwise_correlate``) and its weight
-gradient as one einsum over the window view.  All math uses a fixed
-reduction order, so identical inputs give bit-identical outputs run to
-run.
+arithmetic on BLAS or on strided slices.  ``conv2d`` is an implicit
+GEMM: it writes its input once into the stride's padded phase grids
+(``_phase_layout``), and each kernel tap is one batched GEMM on a
+contiguous window of a flattened grid, which BLAS reads in place; its
+gradients run one GEMM per tap against the same windows, so no column
+buffer is built.  ``depthwise_conv2d`` runs its forward and input
+gradient as k banded GEMMs over row-shifted views
+(``_depthwise_correlate``) and its weight gradient as one einsum over
+the window view.  All math uses a fixed reduction order, so identical
+inputs give bit-identical outputs run to run.
 
 `PRIMITIVES` names the ops the model is built from.  The loss terms are
 single ops of their own in `losses`, built on the same `apply_op` seam.
@@ -24,6 +25,7 @@ single ops of their own in `losses`, built on the same `apply_op` seam.
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -389,19 +391,61 @@ def _pad_hw(x: np.ndarray, padding: int, fill: float = 0.0) -> np.ndarray:
 
 def _check_padding(op: str, k: int, padding: int) -> None:
     # The depthwise input gradient correlates with the flipped kernel on a
-    # gradient padded by k-1-padding, which must not be negative; conv2d
-    # keeps the same bound.
+    # gradient padded by k-1-padding, which must not be negative.  conv2d's
+    # phase grids would hold any padding; it keeps the same bound, under
+    # which every output pixel still meets at least one pixel of x.
     if not 0 <= padding <= k - 1:
         raise ShapeError(f"{op}: padding {padding} outside [0, {k - 1}] for kernel {k}")
 
 
 def _taps(k: int, stride: int, ho: int, wo: int) -> list[tuple]:
     """Index of the [..., Ho, Wo] strided slice of the padded input that
-    each kernel tap meets, tap t = i*k + j first to last: output pixel
-    (r, q) reads padded pixel (i + stride*r, j + stride*q) through tap
-    (i, j)."""
+    each window offset meets, t = i*k + j first to last: output pixel
+    (r, q) reads padded pixel (i + stride*r, j + stride*q) through offset
+    (i, j).  Only the ``max_pool2d`` vjp uses it; ``conv2d`` reads
+    contiguous windows of its phase grids instead (``_phase_layout``)."""
     return [(..., slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
             for i in range(k) for j in range(k)]
+
+
+def _phase_axis(size: int, padding: int, stride: int, phase: int, count: int) -> tuple[slice, slice]:
+    """Along one spatial axis, the slice of x and the slice of a phase grid
+    that hold the same pixels.  Grid index r holds padded index
+    phase + stride*r, that is x index phase - padding + stride*r, for
+    r < count; grid indices in the padding or past x stay zero."""
+    first = max(0, -((phase - padding) // stride))
+    stop = max(first, min(count, -((phase - padding - size) // stride)))
+    start = phase - padding + stride * first
+    return slice(start, start + stride * (stop - first), stride), slice(first, stop)
+
+
+@functools.lru_cache(maxsize=256)
+def _phase_layout(h: int, wd: int, k: int, stride: int, padding: int) -> tuple:
+    """Geometry of ``conv2d`` on the polyphase padded grid, for an
+    [.., h, wd] input: ``(ho, wo, grid, scatter, windows)``.
+
+    ``grid`` is the [m*m, rows, Wq] shape of the phase grids, m = min(k,
+    stride); ``scatter`` pairs each phase's x slice with its grid slice
+    (phase (a, c) is grid a*m + c); ``windows[t]`` indexes the flat
+    window of length Ho*Wq that tap t = i*k + j reads.  Pure in its
+    integer arguments, so the model's few conv shapes are computed once.
+    """
+    ho, wo = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
+    e, m = (k - 1) // stride, min(k, stride)
+    # Tap (k-1, k-1)'s window runs e elements past Ho+e rows: one more
+    # zero row holds them.
+    rows, wq = ho + e + (e > 0), wo + e
+    rows_at = [_phase_axis(h, padding, stride, a, rows) for a in range(m)]
+    cols_at = [_phase_axis(wd, padding, stride, c, wq) for c in range(m)]
+    scatter = tuple(((..., xr, xc), (a * m + c, ..., gr, gc))
+                    for a, (xr, gr) in enumerate(rows_at) for c, (xc, gc) in enumerate(cols_at))
+    n = ho * wq
+    windows = []
+    for i in range(k):
+        for j in range(k):
+            start = (i // stride) * wq + j // stride
+            windows.append(((i % stride) * m + j % stride, ..., slice(start, start + n)))
+    return ho, wo, (m * m, rows, wq), scatter, tuple(windows)
 
 
 def conv2d(
@@ -413,15 +457,25 @@ def conv2d(
 ) -> Tensor:
     """Cross-correlation of x[B,Cin,H,W] with weight[Cout,Cin,k,k].
 
-    Requires 0 <= padding <= k-1.  One pass over the k*k kernel taps
-    serves every stride, kernel size and padding.  Tap (i, j) copies its
-    strided slice of the padded input into its [B, Cin, Ho*Wo] block of
-    one column buffer, and the output, the sum over taps of
-    weight[:, :, i, j] times the tap's block, is one GEMM over the whole
-    buffer.  Backward, a tap's weight gradient is the output gradient
-    times its block, and the input gradient slice-adds
-    weight[:, :, i, j].T times the output gradient onto the tap's slice,
-    then crops the padding.
+    Requires 0 <= padding <= k-1.  One pass over the k*k kernel taps, one
+    batched GEMM each, serves every stride, kernel size and padding, with
+    no column buffer (implicit GEMM).  x is written once into the
+    m = min(k, stride)**2 phase grids that the taps read: phase (a, c)
+    holds padded pixel (a + stride*r, c + stride*q) at (r, q), on a
+    [B, Cin, Ho+e (+1 zero row when e > 0), Wq] grid, e = (k-1)//stride
+    and Wq = Wo+e; stride 1 is the one-phase case.  Output pixel (r, q)
+    meets padded pixel (i + stride*r, j + stride*q) through tap (i, j),
+    so on the flattened grid the tap reads one contiguous window of phase
+    (i % stride, j % stride), starting at (i//stride)*Wq + j//stride, of
+    length Ho*Wq, which BLAS reads in place (``_phase_layout``).  The
+    output is the sum over taps of weight[:, :, i, j] times the tap's
+    window, on a [B, Cout, Ho*Wq] grid whose columns from Wo on wrap into
+    the next row and are cropped.  Backward, the output gradient is
+    zero-extended onto the same grid; a tap's weight gradient is that
+    gradient times its window, and the input gradient slice-adds
+    weight[:, :, i, j].T times that gradient onto the tap's window of a
+    phase-shaped buffer, whose phases are then scattered back into x's
+    shape.  The vjp keeps only the phase grids, about one copy of x.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d input/weight, got {x.shape} / {weight.shape}")
@@ -435,36 +489,39 @@ def conv2d(
     if h + 2 * padding < k or wd + 2 * padding < k:
         raise ShapeError(f"conv2d: kernel {k} larger than padded input {x.shape}")
 
-    xp = _pad_hw(x.data, padding)
-    # The vjp needs only the padded shape: holding xp would keep a padded
-    # copy of every conv input alive until backward.
-    padded_shape = xp.shape
-    ho, wo = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
-    taps = _taps(k, stride, ho, wo)
-    cols = np.empty((b, k * k, cin, ho, wo), dtype=xp.dtype)
-    for t, at in enumerate(taps):
-        cols[:, t] = xp[at]
-    cols = cols.reshape(b, k * k, cin, ho * wo)
+    ho, wo, (phases, rows, wq), scatter, windows = _phase_layout(h, wd, k, stride, padding)
+    grid = np.zeros((phases, b, cin, rows, wq), dtype=x.dtype)
+    for at_x, at_grid in scatter:
+        grid[at_grid] = x.data[at_x]
+    flat = grid.reshape(phases, b, cin, rows * wq)
+    views = [flat[at] for at in windows]
     # Tap-major weight: wt[t] = weight[:, :, i, j], a [Cout, Cin] matrix.
-    wmat = weight.data.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
-    wt = wmat.reshape(cout, k * k, cin).transpose(1, 0, 2)
-    data = np.matmul(wmat, cols.reshape(b, k * k * cin, ho * wo)).reshape(b, cout, ho, wo)
-    if bias is not None:
-        data = data + bias.data[:, None, None]
+    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
+    out = np.matmul(wt[0], views[0])
+    for t in range(1, k * k):
+        out += np.matmul(wt[t], views[t])
+    data = out.reshape(b, cout, ho, wq)[..., :wo]
+    data = data + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(data)
 
     def vjp(g):
-        gflat = g.reshape(b, cout, ho * wo)
+        gq = np.zeros((b, cout, ho, wq), dtype=g.dtype)
+        gq[..., :wo] = g
+        gq = gq.reshape(b, cout, ho * wq)
         gw = None
         if weight.requires_grad:
-            gw = np.stack([np.matmul(gflat, cols[:, t].transpose(0, 2, 1)).sum(axis=0)
-                           for t in range(k * k)], axis=-1).reshape(weight.shape)
+            gw = np.empty((cout, cin, k, k), dtype=np.result_type(g, grid))
+            for t, view in enumerate(views):
+                gw[:, :, t // k, t % k] = np.matmul(gq, view.transpose(0, 2, 1)).sum(axis=0)
         gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
         gx = None
         if x.requires_grad:
-            gxp = np.zeros(padded_shape, dtype=np.result_type(g, wt))
-            for w_t, at in zip(wt, taps):
-                gxp[at] += np.matmul(w_t.T, gflat).reshape(b, cin, ho, wo)
-            gx = gxp[:, :, padding : padding + h, padding : padding + wd]
+            gflat = np.zeros(flat.shape, dtype=np.result_type(g, wt))
+            for w_t, at in zip(wt, windows):
+                gflat[at] += np.matmul(w_t.T, gq)
+            ggrid = gflat.reshape(grid.shape)
+            gx = np.zeros(x.shape, dtype=gflat.dtype)
+            for at_x, at_grid in scatter:
+                gx[at_x] = ggrid[at_grid]
         ret = (gx, gw)
         return ret + (gb,) if bias is not None else ret
 

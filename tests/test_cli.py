@@ -135,6 +135,25 @@ def test_output_dir_that_is_a_file_refused(tmp_path, capsys, verb, under):
     assert str(out) in one_line_error(capsys)
 
 
+@pytest.mark.parametrize("verb", ["synth", "eval", "export-attention"])
+def test_refused_call_leaves_no_output_dir(tmp_path, capsys, verb):
+    # Inputs are checked before --output-dir is created: synth refuses a
+    # data_dir, eval a missing checkpoint, export-attention a missing image.
+    absent = tmp_path / "absent"
+    cfg = tiny_cfg()
+    ckpt = tmp_path / "m.bin"
+    save_checkpoint(ckpt, config_digest(cfg), TrainState(cfg).state_arrays())
+    argv = {
+        "synth": ["--data-dir", str(tmp_path)],
+        "eval": ["--checkpoint", str(absent)],
+        "export-attention": ["--checkpoint", str(ckpt), str(absent)],
+    }[verb]
+    out = tmp_path / "new"
+    assert main([verb, *TINY, *argv, "--output-dir", str(out)]) == EXIT_CONFIG
+    one_line_error(capsys)
+    assert not out.exists()
+
+
 class TestSynth:
     def test_writes_manifest_and_images(self, tmp_path):
         rc = main(["synth", *TINY, "--output-dir", str(tmp_path)])

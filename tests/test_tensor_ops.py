@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,21 @@ from smanet.tensor import Tensor
 
 def rnd(seed):
     return np.random.default_rng(seed)
+
+
+def conv_case(stride, padding, k, hw=(9, 8)):
+    """One conv oracle case on a [2, 3, *hw] input, named stride-padding-k."""
+    name = f"{stride}-{padding}-{k}" + ("" if hw == (9, 8) else f"-{hw[0]}x{hw[1]}")
+    return pytest.param(stride, padding, k, hw, id=name)
+
+
+# The polyphase layout's edge cases follow the first seven: a stride
+# larger than the kernel, stride 3, an even kernel equal to the stride,
+# k=5, and an 11x7 input that neither stride 2 nor stride 3 divides.
+CONV_CASES = [conv_case(*c) for c in [
+    (1, 0, 1), (2, 0, 1), (1, 1, 3), (2, 0, 3), (2, 1, 3), (1, 3, 7), (2, 3, 7),
+    (3, 0, 1), (3, 1, 3), (2, 1, 2), (3, 2, 5), (2, 1, 3, (11, 7)), (3, 2, 5, (11, 7)),
+]]
 
 
 class TestConv2d:
@@ -31,20 +48,23 @@ class TestConv2d:
         got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1)
         assert np.allclose(got.data, oracles.conv2d_loop(x, w, b, 1, 1), atol=1e-12)
 
-    @pytest.mark.parametrize("stride,padding,k", [(1, 0, 1), (2, 0, 1), (1, 1, 3), (2, 0, 3), (2, 1, 3), (1, 3, 7), (2, 3, 7)])
-    def test_strides_and_padding(self, stride, padding, k):
+    @pytest.mark.parametrize("stride,padding,k,hw", CONV_CASES)
+    def test_strides_and_padding(self, stride, padding, k, hw):
         rng = rnd(10 * stride + k)
-        x = rng.normal(size=(2, 3, 9, 8))
+        x = rng.normal(size=(2, 3, *hw))
         w = rng.normal(size=(4, 3, k, k))
         b = rng.normal(size=4)
-        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
-        assert np.allclose(got.data, oracles.conv2d_loop(x, w, b, stride, padding), atol=1e-12)
+        for bias in (b, None):
+            got = T.conv2d(Tensor(x), Tensor(w), None if bias is None else Tensor(bias),
+                           stride=stride, padding=padding)
+            assert got.data.flags.c_contiguous
+            assert np.allclose(got.data, oracles.conv2d_loop(x, w, bias, stride, padding), atol=1e-12)
 
     @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-4)])
-    @pytest.mark.parametrize("stride,padding,k", [(1, 0, 1), (2, 0, 1), (1, 1, 3), (2, 0, 3), (2, 1, 3), (1, 3, 7), (2, 3, 7)])
-    def test_vjp_matches_loop_oracle(self, stride, padding, k, dtype, atol):
+    @pytest.mark.parametrize("stride,padding,k,hw", CONV_CASES)
+    def test_vjp_matches_loop_oracle(self, stride, padding, k, hw, dtype, atol):
         rng = rnd(20 * stride + k)
-        x = rng.normal(size=(2, 3, 9, 8))
+        x = rng.normal(size=(2, 3, *hw))
         w = rng.normal(size=(4, 3, k, k))
         xt, wt = Tensor(x, requires_grad=True, dtype=dtype), Tensor(w, requires_grad=True, dtype=dtype)
         out = T.conv2d(xt, wt, stride=stride, padding=padding)
@@ -59,6 +79,22 @@ class TestConv2d:
         last_row = stride * (out.shape[2] - 1) + k - padding
         last_col = stride * (out.shape[3] - 1) + k - padding
         assert not xt.grad[:, :, last_row:].any() and not xt.grad[:, :, :, last_col:].any()
+
+    def test_vjp_keeps_about_one_copy_of_the_input(self):
+        # Beyond its output, a 3x3 stride-1 padding-1 conv keeps only its
+        # phase grid (the padded input plus one row) alive for the vjp,
+        # not a k*k column buffer.
+        rng = rnd(30)
+        x = Tensor(rng.normal(size=(2, 8, 32, 32)), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.conv2d(x, w, padding=1)
+            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept <= 2 * x.data.nbytes, kept / x.data.nbytes
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
