@@ -30,7 +30,7 @@ from .gradcheck import SUITE_TOLERANCE, build_suite
 from .metrics import (accuracy, binarize, confusion_matrix, confusion_report,
                       count_binary, metrics_report)
 from .ppm import decode_image, encode_heatmap
-from .train import TrainState, build_splits, evaluate_model, run_training
+from .train import TrainState, build_splits, evaluate_model, make_out_dir, run_training
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,15 +44,6 @@ def _config_from_args(args) -> RunConfig:
     if env_out:
         overrides["output_dir"] = env_out
     return load_config(args.config, overrides)
-
-
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {type(exc).__name__}") from None
-    return out
 
 
 def _load_state(cfg: RunConfig, checkpoint: str) -> TrainState:
@@ -72,17 +63,15 @@ def cmd_synth(cfg: RunConfig, args) -> int:
         raise ConfigError("synth generates data; do not pass data_dir")
     digest = config_digest(cfg)
     train, val = build_splits(cfg)
-    out = _out_dir(cfg)
-    mode = "multi_label" if cfg.task == "au" else "multi_class"
-    write_dataset(out / "train", train, mode, digest)
-    write_dataset(out / "val", val, mode, digest)
+    out = make_out_dir(cfg.output_dir)
+    write_dataset(out / "train", train, digest)
+    write_dataset(out / "val", val, digest)
     print(f"wrote {len(train)} train / {len(val)} val samples under {out}")
     return EXIT_OK
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
-    result = run_training(cfg, out_dir=out, log=print)
+    result = run_training(cfg, out_dir=cfg.output_dir, log=print)
     print(f"best val metric {result.best_val:.6f} at epoch {result.best_epoch}")
     print(f"log: {result.log_path}  checkpoint: {result.checkpoint_path}")
     return EXIT_OK
@@ -92,14 +81,14 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     digest = config_digest(cfg)
     state = _load_state(cfg, args.checkpoint)
     _, val = build_splits(cfg)
-    fold_sets = make_folds(val, args.folds, seed=cfg.seed) if args.folds else None
-    out = _out_dir(cfg)
+    fold_sets = make_folds(val.subjects, args.folds, seed=cfg.seed) if args.folds else None
+    out = make_out_dir(cfg.output_dir)
     lines = [f"# config_digest={digest}"]
     if fold_sets is not None:
         lines.append("fold,metric")
         metrics = []
         for i, idxs in enumerate(fold_sets):
-            res = evaluate_model(state, [val[j] for j in idxs], cfg)
+            res = evaluate_model(state, val.take(idxs), cfg)
             metrics.append(res["metric"])
             lines.append(f"fold_{i},{res['metric']:.6f}")
         lines.append(f"mean,{float(np.mean(metrics)):.6f}")
@@ -128,20 +117,21 @@ def cmd_sweep_n(cfg: RunConfig, args) -> int:
         raise ConfigError(f"n-values must be integers, got {args.n_values!r}") from None
     if not n_values:
         raise ConfigError("sweep-n needs at least one channel count")
-    out = _out_dir(cfg)
+    # Every swept config is checked before the first run writes anything.
+    subs = [dataclasses.replace(cfg, n_channels=n,
+                                output_dir=str(Path(cfg.output_dir) / f"n{n}")).validate()
+            for n in n_values]
     rows = ["n_channels,best_val_metric"]
-    for n in n_values:
-        sub = dataclasses.replace(cfg, n_channels=n,
-                                  output_dir=str(Path(cfg.output_dir) / f"n{n}")).validate()
-        result = run_training(sub, out_dir=_out_dir(sub))
-        rows.append(f"{n},{result.best_val:.6f}")
+    for sub in subs:
+        result = run_training(sub, out_dir=sub.output_dir)
+        rows.append(f"{sub.n_channels},{result.best_val:.6f}")
         print(rows[-1])
-    (out / "sweep.csv").write_text("\n".join(rows) + "\n")
+    (make_out_dir(cfg.output_dir) / "sweep.csv").write_text("\n".join(rows) + "\n")
     return EXIT_OK
 
 
 def cmd_gradcheck(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
+    out = make_out_dir(cfg.output_dir)
     lines = [f"# config_digest={config_digest(cfg)}", "check,max_rel_error,status"]
     failures = 0
     for name, check in build_suite(cfg.seed):
@@ -158,7 +148,7 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
 
 
 def cmd_params(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
+    out = make_out_dir(cfg.output_dir)
     state = TrainState(cfg)
     twin = dataclasses.replace(cfg, ablation="baseline")
     twin_state = TrainState(twin)
@@ -191,17 +181,21 @@ def cmd_export_attention(cfg: RunConfig, args) -> int:
     state = _load_state(cfg, args.checkpoint)
     state.model.eval()
     size = input_size(cfg)
-    images = []
+    images = {}
     for path in args.images:
+        stem = Path(path).stem
+        if stem in images:
+            raise ConfigError(f"two images share the stem {stem!r}, so their maps would "
+                              "overwrite each other")
         try:
             img = decode_image(Path(path).read_bytes())
         except OSError as exc:
             raise DataError(f"cannot read image {path}: {type(exc).__name__}") from None
         if img.ndim != 3 or img.shape != (size, size, 3):
             raise DataError(f"{path}: expected {size}x{size} color image, got {img.shape}")
-        images.append((Path(path).stem, img))
-    out = _out_dir(cfg)
-    for stem, img in images:
+        images[stem] = img
+    out = make_out_dir(cfg.output_dir)
+    for stem, img in images.items():
         x = T.Tensor(img.transpose(2, 0, 1)[None].astype(np_dtype(cfg)))
         with T.no_grad():
             _, inters = state.model(x)

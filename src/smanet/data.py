@@ -1,6 +1,10 @@
 """Synthetic dataset generation, augmentation, selective oversampling,
 subject-disjoint folds, and the on-disk manifest format.
 
+A dataset is one `Dataset` of three aligned arrays (images, labels,
+subjects).  Oversampling and folds return sample indices into it, so a
+duplicate or a fold shares the arrays' storage instead of copying samples.
+
 Each label owns a fixed image zone and a fixed color; a positive label
 renders a Gaussian blob of that color at its zone.  Multi-label draws
 include coupled pairs (conditional co-occurrence with the marginal rates
@@ -25,11 +29,22 @@ DEFAULT_LABEL_RATES = (0.30, 0.30, 0.25, 0.20, 0.20, 0.20, 0.15, 0.15, 0.10, 0.1
 DEFAULT_LABEL_PAIRS = ((0, 1, 0.8), (4, 5, 0.8))
 
 
-@dataclass
-class Sample:
-    image: np.ndarray          # [H,W,3] floats in [0,1]
-    labels: np.ndarray | int   # binary vector (multi_label) or class id
-    subject_id: int
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """N samples as aligned arrays: images [N,H,W,3] float64 in [0,1];
+    labels [N,L] int8 0/1 (multi_label) or [N] int64 class ids
+    (multi_class); subjects [N] int64 subject ids."""
+
+    images: np.ndarray
+    labels: np.ndarray
+    subjects: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def take(self, idx) -> "Dataset":
+        """The samples at `idx` (a slice, or an index array) in that order."""
+        return Dataset(self.images[idx], self.labels[idx], self.subjects[idx])
 
 
 @dataclass(frozen=True)
@@ -111,7 +126,7 @@ def _subject_tint(subject_id: int) -> np.ndarray:
     return np.random.default_rng((9001, subject_id)).uniform(-0.05, 0.05, 3)
 
 
-def _render(rng: np.random.Generator, active: list[int], subject_id: int,
+def _render(rng: np.random.Generator, active: np.ndarray, subject_id: int,
             spec: SyntheticSpec, colors: np.ndarray, centers: np.ndarray) -> np.ndarray:
     size = spec.image_size
     img = np.full((size, size, 3), 0.18) + _subject_tint(subject_id)[None, None, :]
@@ -131,8 +146,11 @@ def _render(rng: np.random.Generator, active: list[int], subject_id: int,
     return np.clip(img, 0.0, 1.0)
 
 
-def generate_synthetic(seed: int, n: int, spec: SyntheticSpec | None = None) -> list[Sample]:
-    """Deterministic synthetic dataset: same seed, same bytes."""
+def generate_synthetic(seed: int, n: int, spec: SyntheticSpec | None = None) -> Dataset:
+    """Deterministic synthetic dataset: same seed, same bytes.
+
+    Draws the subjects, then the labels (multi_label) or classes, then
+    renders each image into one preallocated [n,H,W,3] array."""
     if n <= 0:
         raise ConfigError(f"sample count must be positive, got {n}")
     spec = spec or SyntheticSpec()
@@ -140,26 +158,17 @@ def generate_synthetic(seed: int, n: int, spec: SyntheticSpec | None = None) -> 
     pool = np.asarray(spec.pool())
     subjects = pool[rng.integers(0, len(pool), size=n)]
     if spec.mode == "multi_label":
-        labels = sample_labels(rng, n, spec)
-        colors = label_colors(spec.num_labels)
-        centers = label_centers(spec.num_labels, spec.image_size)
-        samples = []
-        for i in range(n):
-            active = np.flatnonzero(labels[i]).tolist()
-            img = _render(rng, active, int(subjects[i]), spec, colors, centers)
-            samples.append(Sample(image=img, labels=labels[i].copy(), subject_id=int(subjects[i])))
-        return samples
-    classes = rng.integers(0, spec.num_classes, size=n)
-    colors = label_colors(spec.num_classes)
-    centers = label_centers(spec.num_classes, spec.image_size)
-    return [
-        Sample(
-            image=_render(rng, [int(classes[i])], int(subjects[i]), spec, colors, centers),
-            labels=int(classes[i]),
-            subject_id=int(subjects[i]),
-        )
-        for i in range(n)
-    ]
+        labels, count = sample_labels(rng, n, spec), spec.num_labels
+        active = [np.flatnonzero(row) for row in labels]
+    else:
+        labels, count = rng.integers(0, spec.num_classes, size=n), spec.num_classes
+        active = labels[:, None]
+    colors = label_colors(count)
+    centers = label_centers(count, spec.image_size)
+    images = np.empty((n, spec.image_size, spec.image_size, 3))
+    for i in range(n):
+        images[i] = _render(rng, active[i], int(subjects[i]), spec, colors, centers)
+    return Dataset(images, labels, subjects)
 
 
 # -- augmentation --------------------------------------------------------
@@ -208,8 +217,9 @@ def apply_augment(img: np.ndarray, theta_deg: float, flip: bool,
     return np.clip(out, 0.0, 1.0)
 
 
-def augment(sample: Sample, seed, mode: str) -> Sample:
-    """Seeded random rotation, horizontal flip, and +-20% color jitter.
+def augment(image: np.ndarray, seed, mode: str) -> np.ndarray:
+    """Seeded random rotation, horizontal flip, and +-20% color jitter of
+    one [H,W,3] image; returns a new image.
 
     AU runs rotate within +-45 degrees, expression runs within +-15.
     """
@@ -220,31 +230,32 @@ def augment(sample: Sample, seed, mode: str) -> Sample:
     theta = rng.uniform(-limit, limit)
     flip = rng.random() < 0.5
     brightness, contrast, saturation = rng.uniform(0.8, 1.2, 3)
-    img = apply_augment(sample.image, theta, flip, brightness, contrast, saturation)
-    return Sample(image=img, labels=sample.labels, subject_id=sample.subject_id)
+    return apply_augment(image, theta, flip, brightness, contrast, saturation)
 
 
 # -- selective oversampling ------------------------------------------------
 
 
-def selective_oversample(samples: list[Sample], cfg: ResampleConfig) -> list[Sample]:
-    """Duplicate minority-positive samples until each label's positive
-    frequency reaches the threshold (or the per-sample duplication cap).
+def selective_oversample(labels: np.ndarray, cfg: ResampleConfig) -> np.ndarray:
+    """Sample indices that duplicate minority-positive samples of the
+    [N,L] 0/1 `labels` until each label's positive frequency reaches the
+    threshold (or the per-sample duplication cap).
 
     Labels are processed in ascending original-frequency order; appended
     duplicates count toward every label they carry.  The input is never
-    shrunk: the result is a multiset superset of the input.
+    shrunk: the result is arange(N) followed by the duplicates' indices in
+    the order they were appended.
     """
-    if not samples:
+    if len(labels) == 0:
         raise DataError("selective_oversample: empty dataset")
-    labels = np.stack([np.asarray(s.labels) for s in samples])
     if labels.ndim != 2:
         raise DataError("selective_oversample requires multi-label data")
     p = cfg.threshold
-    out = list(samples)
+    n = len(labels)
+    dups = []
     counts = labels.sum(axis=0).astype(np.int64)
-    total = len(samples)
-    dup_used = np.zeros(len(samples), dtype=np.int64)
+    total = n
+    dup_used = np.zeros(n, dtype=np.int64)
     order = np.argsort(counts, kind="stable")
     positives = {int(l): np.flatnonzero(labels[:, l]) for l in order}
     cursor = {int(l): 0 for l in order}
@@ -269,7 +280,7 @@ def selective_oversample(samples: list[Sample], cfg: ResampleConfig) -> list[Sam
                     if dup_used[idx] >= cfg.max_duplication:
                         continue
                     dup_used[idx] += 1
-                    out.append(samples[idx])
+                    dups.append(idx)
                     counts += labels[idx]
                     total += 1
                     appended += 1
@@ -279,58 +290,56 @@ def selective_oversample(samples: list[Sample], cfg: ResampleConfig) -> list[Sam
         below = [int(l) for l in order if len(positives[int(l)]) and counts[int(l)] < p * total - 1e-12]
         if not below or not progressed:
             break
-    return out
+    return np.concatenate([np.arange(n), np.array(dups, dtype=np.int64)])
 
 
 # -- folds ------------------------------------------------------------------
 
 
-def make_folds(samples: list[Sample], k: int, seed: int = 0) -> list[list[int]]:
-    """Deterministic k-way partition of sample indices by subject: no
-    subject appears in two folds."""
+def make_folds(subjects: np.ndarray, k: int, seed: int = 0) -> list[np.ndarray]:
+    """Deterministic k-way partition of sample indices by the samples'
+    subject ids: no subject appears in two folds.  Each fold is an
+    ascending index array; a seeded shuffle of the sorted distinct
+    subjects deals them round-robin to the folds."""
     if k < 2:
         raise ConfigError(f"need k >= 2 folds, got {k}")
-    subjects = sorted({s.subject_id for s in samples})
-    if len(subjects) < k:
-        raise ConfigError(f"{len(subjects)} subjects cannot fill {k} folds")
-    perm = np.random.default_rng((seed, 707)).permutation(subjects)
-    fold_of = {int(subj): i % k for i, subj in enumerate(perm)}
-    folds = [[] for _ in range(k)]
-    for idx, s in enumerate(samples):
-        folds[fold_of[s.subject_id]].append(idx)
-    return folds
+    distinct, which = np.unique(subjects, return_inverse=True)
+    if len(distinct) < k:
+        raise ConfigError(f"{len(distinct)} subjects cannot fill {k} folds")
+    fold_of = np.empty(len(distinct), dtype=np.int64)
+    fold_of[np.random.default_rng((seed, 707)).permutation(len(distinct))] = (
+        np.arange(len(distinct)) % k)
+    return [np.flatnonzero(fold_of[which] == f) for f in range(k)]
 
 
 # -- manifest ----------------------------------------------------------------
 
 
-def write_dataset(out_dir, samples: list[Sample], mode: str, digest: str = "") -> Path:
+def write_dataset(out_dir, data: Dataset, digest: str = "") -> Path:
     """Write images as P6 files plus a tab-separated manifest.
 
-    Manifest fields, in order: image path, labels, subject id.  Labels are
-    comma-joined 0/1 for multi-label data, a single class id otherwise.
+    Manifest fields, in order: image path, labels, subject id.  A label
+    row of [N,L] labels is written comma-joined 0/1, a class id of [N]
+    labels as one integer.
     """
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     lines = []
     if digest:
         lines.append(f"# config_digest={digest}")
-    for i, s in enumerate(samples):
+    for i in range(len(data)):
         rel = f"images/sample_{i:05d}.ppm"
-        (out_dir / rel).write_bytes(encode_color(s.image))
-        if mode == "multi_label":
-            lab = ",".join(str(int(v)) for v in s.labels)
-        else:
-            lab = str(int(s.labels))
-        lines.append(f"{rel}\t{lab}\t{s.subject_id}")
+        (out_dir / rel).write_bytes(encode_color(data.images[i]))
+        lab = ",".join(map(str, np.atleast_1d(data.labels[i]).tolist()))
+        lines.append(f"{rel}\t{lab}\t{int(data.subjects[i])}")
     manifest = out_dir / "manifest.tsv"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
 
 
-def load_dataset(dataset_dir, mode: str, count: int, size: int) -> list[Sample]:
-    """Read a manifest directory of size x size color images back as
-    `mode` data.
+def load_dataset(dataset_dir, mode: str, count: int, size: int) -> Dataset:
+    """Read a manifest directory of size x size color images back as a
+    `mode` Dataset.
 
     A multi_label record holds `count` comma-joined 0/1 values (a lone
     value is a 1-label vector); a multi_class record holds one class id in
@@ -346,10 +355,13 @@ def load_dataset(dataset_dir, mode: str, count: int, size: int) -> list[Sample]:
         text = manifest.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{manifest}: cannot read as UTF-8 text ({type(exc).__name__})") from None
-    samples = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line or line.startswith("#"):
-            continue
+    records = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
+               if line and not line.startswith("#")]
+    if not records:
+        raise DataError(f"empty manifest {manifest}")
+    images = np.empty((len(records), size, size, 3))
+    labels, subjects = [], []
+    for i, (lineno, line) in enumerate(records):
         where = f"{manifest}:{lineno}"
         parts = line.split("\t")
         if len(parts) != 3:
@@ -357,17 +369,17 @@ def load_dataset(dataset_dir, mode: str, count: int, size: int) -> list[Sample]:
         rel, lab, subj = parts
         try:
             values = [int(v) for v in lab.split(",")]
-            subject_id = int(subj)
+            subjects.append(int(subj))
         except ValueError:
             raise DataError(f"{where}: non-integer field in {line!r}") from None
         if mode == "multi_label":
             if len(values) != count or any(v not in (0, 1) for v in values):
                 raise DataError(f"{where}: want {count} comma-joined 0/1 labels, got {lab!r}")
-            labels = np.array(values, dtype=np.int8)
+            labels.append(values)
         else:
             if len(values) != 1 or not 0 <= values[0] < count:
                 raise DataError(f"{where}: want one class id in [0,{count}), got {lab!r}")
-            labels = values[0]
+            labels.append(values[0])
         path = dataset_dir / rel
         if not path.is_file():
             raise DataError(f"{where}: image {rel} not found")
@@ -377,7 +389,6 @@ def load_dataset(dataset_dir, mode: str, count: int, size: int) -> list[Sample]:
             raise DataError(f"{where}: {exc}") from None
         if img.shape != (size, size, 3):
             raise DataError(f"{where}: expected {size}x{size} color image {rel}, got {img.shape}")
-        samples.append(Sample(image=img, labels=labels, subject_id=subject_id))
-    if not samples:
-        raise DataError(f"empty manifest {manifest}")
-    return samples
+        images[i] = img
+    dtype = np.int8 if mode == "multi_label" else np.int64
+    return Dataset(images, np.array(labels, dtype=dtype), np.array(subjects, dtype=np.int64))

@@ -17,7 +17,7 @@ from .attention import MultiChannelAttention
 from .backbone import SGD, Backbone, lr_schedule
 from .checkpoint import save_checkpoint
 from .config import RunConfig, backbone_config, config_digest, input_size, loss_config, np_dtype
-from .data import (DEFAULT_LABEL_PAIRS, DEFAULT_LABEL_RATES, ResampleConfig, Sample,
+from .data import (DEFAULT_LABEL_PAIRS, DEFAULT_LABEL_RATES, Dataset, ResampleConfig,
                    SyntheticSpec, augment, generate_synthetic, load_dataset,
                    selective_oversample)
 from .errors import ConfigError, NumericError
@@ -64,7 +64,7 @@ def subject_pools(cfg: RunConfig) -> tuple[tuple, tuple]:
     return train, val
 
 
-def build_splits(cfg: RunConfig) -> tuple[list[Sample], list[Sample]]:
+def build_splits(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     if cfg.data_dir:
         root = Path(cfg.data_dir)
         mode, count = (("multi_label", cfg.num_labels) if cfg.task == "au"
@@ -96,15 +96,24 @@ class TrainState(Module):
                     for _ in range(cfg.n_channels)))
 
 
-def _batch_tensor(images: list[np.ndarray], dtype) -> Tensor:
-    arr = np.stack(images).transpose(0, 3, 1, 2)
-    return Tensor(np.ascontiguousarray(arr, dtype=dtype))
+def make_out_dir(path) -> Path:
+    """Create an output directory (and its parents); an unusable path is a
+    ConfigError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {type(exc).__name__}") from None
+    return out
 
 
-def _labels_array(samples: list[Sample], task: str):
-    if task == "au":
-        return np.stack([s.labels for s in samples])
-    return np.array([s.labels for s in samples], dtype=np.int64)
+def _batch_tensor(images, dtype) -> Tensor:
+    """[H,W,3] images (a sequence, or an [B,H,W,3] array) as one
+    [B,3,H,W] tensor of `dtype`, copying each image once."""
+    x = np.empty((len(images), 3) + images[0].shape[:2], dtype=dtype)
+    for j, img in enumerate(images):
+        x[j] = img.transpose(2, 0, 1)
+    return Tensor(x)
 
 
 def _split_metric(logits: np.ndarray, labels, task: str) -> float:
@@ -114,24 +123,23 @@ def _split_metric(logits: np.ndarray, labels, task: str) -> float:
     return accuracy(logits.argmax(axis=1), labels)
 
 
-def evaluate_model(state: TrainState, samples: list[Sample], cfg: RunConfig) -> dict:
-    """Deterministic eval pass; returns logits, metric, and label arrays."""
+def evaluate_model(state: TrainState, data: Dataset, cfg: RunConfig) -> dict:
+    """Deterministic eval pass over `data` in batch_size slices; returns
+    the logits, the metric, and `data.labels`."""
     dtype = np_dtype(cfg)
     state.model.eval()
     chunks = []
     with T.no_grad():
-        for start in range(0, len(samples), cfg.batch_size):
-            batch = samples[start : start + cfg.batch_size]
-            x = _batch_tensor([s.image for s in batch], dtype)
+        for start in range(0, len(data), cfg.batch_size):
+            x = _batch_tensor(data.images[start : start + cfg.batch_size], dtype)
             logits, _ = state.model(x)
             chunks.append(logits.data.astype(np.float64))
     state.model.train()
     logits = np.concatenate(chunks, axis=0)
-    labels = _labels_array(samples, cfg.task)
     return {
         "logits": logits,
-        "labels": labels,
-        "metric": _split_metric(logits, labels, cfg.task),
+        "labels": data.labels,
+        "metric": _split_metric(logits, data.labels, cfg.task),
     }
 
 
@@ -160,19 +168,24 @@ def format_log(rows: list[dict], digest: str) -> str:
 
 def run_training(cfg: RunConfig, out_dir: Path | None = None, log=None) -> TrainResult:
     """Full training run; writes train_log.csv and checkpoint.bin when
-    out_dir is given, keeping the best-validation-metric checkpoint."""
+    out_dir is given, keeping the best-validation-metric checkpoint.  The
+    splits are built before out_dir is created.
+
+    An epoch walks `order`, the training indices after oversampling, in a
+    seeded permutation; position i of `order` seeds its augmentation."""
     digest = config_digest(cfg)
     dtype = np_dtype(cfg)
-    train_samples, val_samples = build_splits(cfg)
+    train, val = build_splits(cfg)
 
+    order = np.arange(len(train))
     pos_weights = None
     if cfg.task == "au":
         if cfg.resample_p > 0:
-            train_samples = selective_oversample(
-                train_samples,
+            order = selective_oversample(
+                train.labels,
                 ResampleConfig(cfg.resample_p, cfg.resample_max_duplication),
             )
-        pos_weights = compute_pos_weights(np.stack([s.labels for s in train_samples]))
+        pos_weights = compute_pos_weights(train.labels[order])
     lcfg = loss_config(cfg, pos_weights)
 
     state = TrainState(cfg)
@@ -183,12 +196,11 @@ def run_training(cfg: RunConfig, out_dir: Path | None = None, log=None) -> Train
 
     ckpt_path = log_path = None
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = make_out_dir(out_dir)
         ckpt_path = out_dir / "checkpoint.bin"
         log_path = out_dir / "train_log.csv"
 
-    n = len(train_samples)
+    n = len(order)
     rows: list[dict] = []
     best_val, best_epoch = -np.inf, -1
     heads_by_block = list(state.heads)
@@ -201,14 +213,13 @@ def run_training(cfg: RunConfig, out_dir: Path | None = None, log=None) -> Train
         train_logit_chunks, train_label_chunks = [], []
         for start in range(0, n, cfg.batch_size):
             idxs = perm[start : start + cfg.batch_size]
-            batch = []
-            for i in idxs:
-                s = train_samples[i]
-                if cfg.augment:
-                    s = augment(s, (cfg.seed, STREAM_AUGMENT, epoch, int(i)), cfg.task)
-                batch.append(s)
-            labels = _labels_array(batch, cfg.task)
-            x = _batch_tensor([s.image for s in batch], dtype)
+            batch = order[idxs]
+            images = [train.images[r] for r in batch]
+            if cfg.augment:
+                images = [augment(img, (cfg.seed, STREAM_AUGMENT, epoch, int(i)), cfg.task)
+                          for img, i in zip(images, idxs)]
+            labels = train.labels[batch]
+            x = _batch_tensor(images, dtype)
             logits, inters = state.model(x)
             l_cla, l_div, l_ma, l_all = objective(logits, inters, labels, heads_by_block, lcfg)
             if not np.isfinite(l_all.item()):
@@ -221,15 +232,15 @@ def run_training(cfg: RunConfig, out_dir: Path | None = None, log=None) -> Train
 
             bs = len(idxs)
             seen += bs
-            for key, val in (("l_cla", l_cla), ("l_div", l_div), ("l_ma", l_ma), ("l_all", l_all)):
-                sums[key] += val.item() * bs
+            for key, loss in (("l_cla", l_cla), ("l_div", l_div), ("l_ma", l_ma), ("l_all", l_all)):
+                sums[key] += loss.item() * bs
             train_logit_chunks.append(logits.data.astype(np.float64))
             train_label_chunks.append(labels)
 
         train_metric = _split_metric(
             np.concatenate(train_logit_chunks), np.concatenate(train_label_chunks), cfg.task
         )
-        val_metric = evaluate_model(state, val_samples, cfg)["metric"]
+        val_metric = evaluate_model(state, val, cfg)["metric"]
         row = {
             "epoch": epoch,
             "lr": lr,

@@ -103,6 +103,45 @@ def avg_pool_loop(x, axes):
     return out / count
 
 
+def _max_pool_windows(x, k, stride, padding):
+    """Yield (bi, c, i, j, (r, q)) for each output cell, where (r, q) is the
+    first in-bounds position holding the window's maximum."""
+    bsz, cin, h, wd = x.shape
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (wd + 2 * padding - k) // stride + 1
+    for bi in range(bsz):
+        for c in range(cin):
+            for i in range(ho):
+                for j in range(wo):
+                    best = None
+                    for ki in range(k):
+                        for kj in range(k):
+                            r, q = i * stride + ki - padding, j * stride + kj - padding
+                            if 0 <= r < h and 0 <= q < wd and (
+                                    best is None or x[bi, c, r, q] > x[bi, c][best]):
+                                best = (r, q)
+                    yield bi, c, i, j, best
+
+
+def max_pool_loop(x, k, stride, padding=0):
+    """Max over each k x k window; padded positions never win."""
+    ho = (x.shape[2] + 2 * padding - k) // stride + 1
+    wo = (x.shape[3] + 2 * padding - k) // stride + 1
+    out = np.zeros((x.shape[0], x.shape[1], ho, wo))
+    for bi, c, i, j, (r, q) in _max_pool_windows(x, k, stride, padding):
+        out[bi, c, i, j] = x[bi, c, r, q]
+    return out
+
+
+def max_pool_vjp_loop(x, g, k, stride, padding=0):
+    """Input gradient of max_pool_loop: each window's output gradient goes
+    to the first position holding its maximum."""
+    gx = np.zeros(x.shape)
+    for bi, c, i, j, (r, q) in _max_pool_windows(x, k, stride, padding):
+        gx[bi, c, r, q] += g[bi, c, i, j]
+    return gx
+
+
 def linear_loop(x, w, b=None):
     bsz, din = x.shape
     dout = w.shape[0]

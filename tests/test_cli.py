@@ -124,30 +124,40 @@ class TestConfigFile:
         assert config_digest(a) != config_digest(tiny_cfg(seed=4))
 
 
-@pytest.mark.parametrize("verb", ["synth", "train", "gradcheck"])
+@pytest.mark.parametrize("verb", ["synth", "train", "gradcheck", "sweep-n"])
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
 def test_output_dir_that_is_a_file_refused(tmp_path, capsys, verb, under):
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = blocker / "x" if under else blocker
-    rc = main([verb, *TINY, "--output-dir", str(out)])
+    extra = ["--n-values", "1"] if verb == "sweep-n" else []
+    rc = main([verb, *TINY, *extra, "--output-dir", str(out)])
     assert rc == EXIT_CONFIG
     assert str(out) in one_line_error(capsys)
 
 
-@pytest.mark.parametrize("verb", ["synth", "eval", "export-attention"])
-def test_refused_call_leaves_no_output_dir(tmp_path, capsys, verb):
+@pytest.mark.parametrize("case", ["synth", "eval", "export-attention", "train",
+                                  "sweep-n-0", "sweep-n-1,0"])
+def test_refused_call_leaves_no_output_dir(tmp_path, capsys, case):
     # Inputs are checked before --output-dir is created: synth refuses a
-    # data_dir, eval a missing checkpoint, export-attention a missing image.
+    # data_dir, eval a missing checkpoint, export-attention a missing image,
+    # train a bad manifest, and sweep-n a channel count of 0, also one that
+    # follows a good count.
     absent = tmp_path / "absent"
     cfg = tiny_cfg()
     ckpt = tmp_path / "m.bin"
     save_checkpoint(ckpt, config_digest(cfg), TrainState(cfg).state_arrays())
-    argv = {
-        "synth": ["--data-dir", str(tmp_path)],
-        "eval": ["--checkpoint", str(absent)],
-        "export-attention": ["--checkpoint", str(ckpt), str(absent)],
-    }[verb]
+    bad = tmp_path / "bad"
+    (bad / "train").mkdir(parents=True)
+    (bad / "train" / "manifest.tsv").write_text("only-one-field\n")
+    verb, *argv = {
+        "synth": ["synth", "--data-dir", str(tmp_path)],
+        "eval": ["eval", "--checkpoint", str(absent)],
+        "export-attention": ["export-attention", "--checkpoint", str(ckpt), str(absent)],
+        "train": ["train", "--data-dir", str(bad)],
+        "sweep-n-0": ["sweep-n", "--n-values", "0"],
+        "sweep-n-1,0": ["sweep-n", "--n-values", "1,0"],
+    }[case]
     out = tmp_path / "new"
     assert main([verb, *TINY, *argv, "--output-dir", str(out)]) == EXIT_CONFIG
     one_line_error(capsys)
@@ -478,7 +488,7 @@ class TestExportAttention:
         from smanet.data import generate_synthetic
         from smanet.ppm import decode_image, encode_color
 
-        img = generate_synthetic(1, 1)[0].image
+        img = generate_synthetic(1, 1).images[0]
         img_path = tmp_path / "probe.ppm"
         img_path.write_bytes(encode_color(img))
 
@@ -505,7 +515,7 @@ class TestExportAttention:
         from smanet.ppm import encode_color
 
         img_path = tmp_path / "p.ppm"
-        img_path.write_bytes(encode_color(generate_synthetic(2, 1)[0].image))
+        img_path.write_bytes(encode_color(generate_synthetic(2, 1).images[0]))
         out_dir = tmp_path / "maps"
         main(["export-attention", *TINY, "--checkpoint", str(ckpt),
               "--output-dir", str(out_dir), str(img_path)])
@@ -524,7 +534,7 @@ class TestExportAttention:
         ckpt = tmp_path / "m.bin"
         save_checkpoint(ckpt, config_digest(cfg), state.state_arrays())
         img_path = tmp_path / "p.ppm"
-        img_path.write_bytes(encode_color(generate_synthetic(4, 1)[0].image))
+        img_path.write_bytes(encode_color(generate_synthetic(4, 1).images[0]))
         exported = []
         encode = cli.encode_heatmap
         monkeypatch.setattr(cli, "encode_heatmap",
@@ -559,6 +569,25 @@ class TestExportAttention:
                        "--output-dir", str(tmp_path / "o"), str(img_arg)])
             assert rc == EXIT_CONFIG
             assert str(absent) in one_line_error(capsys)
+
+    def test_repeated_stem_refused(self, tmp_path, capsys):
+        # a/face.ppm and b/face.ppm would write the same map files.
+        cfg = tiny_cfg()
+        ckpt = tmp_path / "m.bin"
+        save_checkpoint(ckpt, config_digest(cfg), TrainState(cfg).state_arrays())
+        from smanet.ppm import encode_color
+
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "face.ppm")
+            paths[-1].write_bytes(encode_color(np.zeros((64, 64, 3))))
+        out = tmp_path / "o"
+        rc = main(["export-attention", *TINY, "--checkpoint", str(ckpt),
+                   "--output-dir", str(out), *map(str, paths)])
+        assert rc == EXIT_CONFIG
+        assert "'face'" in one_line_error(capsys)
+        assert not out.exists()
 
     def test_wrong_size_image_rejected(self, tmp_path):
         cfg = tiny_cfg()

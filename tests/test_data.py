@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smanet.data import (DEFAULT_LABEL_PAIRS, DEFAULT_LABEL_RATES, ResampleConfig,
-                         Sample, SyntheticSpec, apply_augment, augment,
+                         SyntheticSpec, apply_augment, augment,
                          generate_synthetic, label_centers, load_dataset,
                          make_folds, rotate_bilinear, sample_labels,
                          selective_oversample, write_dataset)
@@ -12,19 +14,42 @@ from smanet.errors import ConfigError, DataError
 from smanet.ppm import decode_image, encode_color, encode_heatmap
 
 
+def sha256(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
 class TestGenerator:
     def test_same_seed_same_bytes(self):
         a = generate_synthetic(7, 12)
         b = generate_synthetic(7, 12)
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.image, sb.image)
-            assert np.array_equal(sa.labels, sb.labels)
-            assert sa.subject_id == sb.subject_id
+        assert np.array_equal(a.images, b.images)
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.subjects, b.subjects)
+
+    # sha256 of (images, labels, subjects), recorded when samples were
+    # still objects: the draws and their dtypes must never change.
+    PINNED = [
+        ((7, 12, None), (
+            "7c433ae791bf437f76f995b2bcb9259a4bb6b7f8921ac04b33a5019126938c17",
+            "84fd50ee25cf492089108d327ba19a3bed52ed619242f619d088f8cf30102deb",
+            "f53a073eff3f800bc989378e46230ef28bb906209ce7a6787abece084aa94cf1")),
+        ((13, 6, SyntheticSpec(mode="multi_class")), (
+            "5b7fbc4ecb8106f86d273476ab1ca61ac0bfcc7c5aa9bc315d0fa8d2a3ac1898",
+            "8ed4b98f5251e93f36c486f9a21c6e3a2457d2336321d4518d9c3bfe852120b7",
+            "8d64cd0f46205b21cc85b1e2ec7525015d9461bd41947c9d8a32e663a02a8add")),
+    ]
+
+    @pytest.mark.parametrize("args,digests", PINNED, ids=["multi_label", "multi_class"])
+    def test_pinned_bytes(self, args, digests):
+        data = generate_synthetic(*args)
+        assert data.images.dtype == np.float64 and data.subjects.dtype == np.int64
+        assert data.labels.dtype == (np.int8 if data.labels.ndim == 2 else np.int64)
+        assert (sha256(data.images), sha256(data.labels), sha256(data.subjects)) == digests
 
     def test_different_seed_differs(self):
         a = generate_synthetic(1, 4)
         b = generate_synthetic(2, 4)
-        assert not all(np.array_equal(x.image, y.image) for x, y in zip(a, b))
+        assert not all(np.array_equal(x, y) for x, y in zip(a.images, b.images))
 
     def test_marginals_within_tolerance(self):
         spec = SyntheticSpec()
@@ -46,21 +71,22 @@ class TestGenerator:
 
     def test_zero_rates_give_blob_free_backgrounds(self):
         spec = SyntheticSpec(rates=(0.0,) * 12, pairs=(), distractors=0, noise=0.0)
-        samples = generate_synthetic(3, 5, spec)
-        for s in samples:
-            assert np.all(s.labels == 0)
-            assert s.image.max() < 0.30  # base gray + subject tint only
+        data = generate_synthetic(3, 5, spec)
+        assert data.images.shape == (5, 64, 64, 3) and data.labels.shape == (5, 12)
+        assert np.all(data.labels == 0)
+        assert data.images.max() < 0.30  # base gray + subject tint only
 
     def test_positive_label_renders_blob(self):
         spec = SyntheticSpec(rates=(1.0,) + (0.0,) * 11, pairs=(), distractors=0, noise=0.0)
-        s = generate_synthetic(4, 1, spec)[0]
+        image = generate_synthetic(4, 1, spec).images[0]
         cy, cx = label_centers(12, 64)[0]
-        assert s.image[int(round(cy)), int(round(cx))].max() > 0.6
+        assert image[int(round(cy)), int(round(cx))].max() > 0.6
 
     def test_multiclass_mode(self):
         spec = SyntheticSpec(mode="multi_class")
-        samples = generate_synthetic(5, 40, spec)
-        classes = {s.labels for s in samples}
+        data = generate_synthetic(5, 40, spec)
+        assert data.labels.shape == (40,)
+        classes = set(data.labels.tolist())
         assert classes <= set(range(6)) and len(classes) > 1
 
     def test_rejects_nonpositive_count(self):
@@ -69,8 +95,18 @@ class TestGenerator:
 
     def test_subject_pool_respected(self):
         spec = SyntheticSpec(subject_pool=(4, 9))
-        samples = generate_synthetic(6, 30, spec)
-        assert {s.subject_id for s in samples} <= {4, 9}
+        data = generate_synthetic(6, 30, spec)
+        assert len(data) == 30
+        assert set(data.subjects.tolist()) <= {4, 9}
+
+    def test_take_keeps_the_arrays_aligned(self):
+        data = generate_synthetic(17, 5)
+        idx = np.array([3, 0, 3])
+        part = data.take(idx)
+        assert len(part) == 3
+        assert np.array_equal(part.images, data.images[idx])
+        assert np.array_equal(part.labels, data.labels[idx])
+        assert np.array_equal(part.subjects, data.subjects[idx])
 
 
 class TestAugment:
@@ -88,95 +124,93 @@ class TestAugment:
     def test_rotation_roundtrip_error_small(self):
         spec = SyntheticSpec(noise=0.0, distractors=0,
                              rates=(1.0, 1.0) + (0.0,) * 10, pairs=())
-        img = generate_synthetic(8, 1, spec)[0].image
+        img = generate_synthetic(8, 1, spec).images[0]
         fwd = rotate_bilinear(img, 30.0)
         back = rotate_bilinear(fwd, -30.0)
         inner = (slice(8, -8), slice(8, -8))
         assert np.abs(back[inner] - img[inner]).mean() < 0.02
 
-    def test_labels_and_range_preserved(self):
-        s = generate_synthetic(9, 1)[0]
-        out = augment(s, 123, "au")
-        assert out.labels is s.labels and out.subject_id == s.subject_id
-        assert out.image.min() >= 0.0 and out.image.max() <= 1.0
+    def test_range_preserved(self):
+        img = generate_synthetic(9, 1).images[0]
+        out = augment(img, 123, "au")
+        assert out.shape == img.shape
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_seeded_determinism(self):
-        s = generate_synthetic(10, 1)[0]
-        a = augment(s, (1, 2), "fer")
-        b = augment(s, (1, 2), "fer")
-        assert np.array_equal(a.image, b.image)
+        img = generate_synthetic(10, 1).images[0]
+        a = augment(img, (1, 2), "fer")
+        b = augment(img, (1, 2), "fer")
+        assert np.array_equal(a, b)
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
-            augment(generate_synthetic(11, 1)[0], 0, "video")
-
-
-def _label_matrix(samples):
-    return np.stack([s.labels for s in samples])
+            augment(generate_synthetic(11, 1).images[0], 0, "video")
 
 
 class TestOversample:
-    def _dataset(self, n=200, rare_rate=0.05, seed=0):
+    def _labels(self, n=200, rare_rate=0.05, seed=0):
         rng = np.random.default_rng(seed)
         labels = (rng.random((n, 3)) < np.array([0.5, 0.3, rare_rate])).astype(np.int8)
         labels[0, 2] = 1  # ensure at least one positive
-        return [Sample(image=np.zeros((2, 2, 3)), labels=labels[i], subject_id=i % 5)
-                for i in range(n)]
+        return labels
 
     def test_zero_threshold_is_noop(self):
-        data = self._dataset()
-        out = selective_oversample(data, ResampleConfig(0.0, 20))
-        assert out == data
+        labels = self._labels()
+        out = selective_oversample(labels, ResampleConfig(0.0, 20))
+        assert np.array_equal(out, np.arange(len(labels)))
 
     def test_rare_label_reaches_threshold(self):
-        data = self._dataset()
-        out = selective_oversample(data, ResampleConfig(0.3, 20))
-        freq = _label_matrix(out).mean(axis=0)
+        labels = self._labels()
+        out = selective_oversample(labels, ResampleConfig(0.3, 20))
+        freq = labels[out].mean(axis=0)
         assert freq[2] >= 0.3
 
     def test_already_balanced_untouched(self):
         rng = np.random.default_rng(1)
         labels = (rng.random((50, 2)) < 0.6).astype(np.int8)
         labels[:, 1] |= 1 - labels[:, 0]
-        data = [Sample(np.zeros((2, 2, 3)), labels[i], 0) for i in range(50)]
         freq = labels.mean(axis=0)
-        out = selective_oversample(data, ResampleConfig(float(freq.min()) - 0.01, 20))
-        assert out == data
+        out = selective_oversample(labels, ResampleConfig(float(freq.min()) - 0.01, 20))
+        assert np.array_equal(out, np.arange(50))
 
-    def test_output_is_multiset_superset(self):
-        data = self._dataset()
-        out = selective_oversample(data, ResampleConfig(0.35, 20))
-        ids = [id(s) for s in data]
-        out_ids = [id(s) for s in out]
-        assert out_ids[: len(data)] == ids
-        assert len(out) >= len(data)
-        for s in out:
-            assert id(s) in set(ids)
+    def test_output_starts_with_every_index(self):
+        labels = self._labels()
+        out = selective_oversample(labels, ResampleConfig(0.35, 20))
+        assert np.array_equal(out[: len(labels)], np.arange(len(labels)))
+        assert len(out) > len(labels)
+        assert out.min() >= 0 and out.max() < len(labels)
+
+    def test_duplicate_order_pinned(self):
+        # Recorded when the oversampler still copied sample objects.
+        out = selective_oversample(self._labels(n=40), ResampleConfig(0.3, 20))
+        assert out[40:].tolist() == [0, 3, 6, 30, 37, 0, 3, 6, 30, 37, 0, 4, 15, 18, 19,
+                                     20, 21, 29, 0, 3]
 
     def test_majority_absolute_counts_preserved(self):
-        data = self._dataset()
-        before = _label_matrix(data).sum(axis=0)
-        out = selective_oversample(data, ResampleConfig(0.3, 20))
-        after = _label_matrix(out).sum(axis=0)
+        labels = self._labels()
+        before = labels.sum(axis=0)
+        out = selective_oversample(labels, ResampleConfig(0.3, 20))
+        after = labels[out].sum(axis=0)
         assert np.all(after >= before)
 
     def test_duplication_cap_respected(self):
-        data = self._dataset(n=50, rare_rate=0.02)
-        out = selective_oversample(data, ResampleConfig(0.9, 3))
-        from collections import Counter
-
-        copies = Counter(id(s) for s in out)
-        assert max(copies.values()) <= 1 + 3
+        labels = self._labels(n=50, rare_rate=0.02)
+        out = selective_oversample(labels, ResampleConfig(0.9, 3))
+        assert np.bincount(out).max() <= 1 + 3
 
     def test_deterministic(self):
-        data = self._dataset()
-        a = selective_oversample(data, ResampleConfig(0.3, 20))
-        b = selective_oversample(data, ResampleConfig(0.3, 20))
-        assert [id(s) for s in a] == [id(s) for s in b]
+        labels = self._labels()
+        a = selective_oversample(labels, ResampleConfig(0.3, 20))
+        b = selective_oversample(labels, ResampleConfig(0.3, 20))
+        assert np.array_equal(a, b)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            selective_oversample([], ResampleConfig(0.3, 20))
+            selective_oversample(np.zeros((0, 3), dtype=np.int8), ResampleConfig(0.3, 20))
+
+    def test_class_ids_rejected(self):
+        with pytest.raises(DataError):
+            selective_oversample(np.arange(5), ResampleConfig(0.3, 20))
 
 
 class TestPpm:
@@ -221,12 +255,12 @@ class TestPpm:
 
 class TestFolds:
     def _by_subject(self, n_subjects, per=4):
-        return [Sample(np.zeros((2, 2, 3)), np.zeros(2, dtype=np.int8), s)
-                for s in range(n_subjects) for _ in range(per)]
+        return np.repeat(np.arange(n_subjects), per)
 
     def test_nine_subjects_three_folds(self):
-        folds = make_folds(self._by_subject(9), 3, seed=0)
-        subj = [{self._by_subject(9)[i].subject_id for i in f} for f in folds]
+        subjects = self._by_subject(9)
+        folds = make_folds(subjects, 3, seed=0)
+        subj = [set(subjects[f].tolist()) for f in folds]
         assert all(len(s) == 3 for s in subj)
         assert subj[0] | subj[1] | subj[2] == set(range(9))
         assert not (subj[0] & subj[1] or subj[0] & subj[2] or subj[1] & subj[2])
@@ -239,11 +273,9 @@ class TestFolds:
     def test_shuffled_input_same_subject_groups(self):
         data = self._by_subject(8)
         rng = np.random.default_rng(2)
-        shuffled = [data[i] for i in rng.permutation(len(data))]
-        groups_a = [frozenset(data[i].subject_id for i in f)
-                    for f in make_folds(data, 4, seed=3)]
-        groups_b = [frozenset(shuffled[i].subject_id for i in f)
-                    for f in make_folds(shuffled, 4, seed=3)]
+        shuffled = data[rng.permutation(len(data))]
+        groups_a = [frozenset(data[f].tolist()) for f in make_folds(data, 4, seed=3)]
+        groups_b = [frozenset(shuffled[f].tolist()) for f in make_folds(shuffled, 4, seed=3)]
         assert groups_a == groups_b
 
     def test_too_few_subjects(self):
@@ -253,20 +285,21 @@ class TestFolds:
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):
-        samples = generate_synthetic(12, 6)
-        write_dataset(tmp_path / "ds", samples, "multi_label", digest="abc123")
+        data = generate_synthetic(12, 6)
+        write_dataset(tmp_path / "ds", data, digest="abc123")
         loaded = load_dataset(tmp_path / "ds", "multi_label", 12, 64)
         assert len(loaded) == 6
-        for a, b in zip(samples, loaded):
-            assert np.array_equal(a.labels, b.labels)
-            assert a.subject_id == b.subject_id
-            assert np.abs(a.image - b.image).max() <= 1.0 / 255.0 + 1e-12
+        assert loaded.labels.dtype == np.int8 and loaded.subjects.dtype == np.int64
+        assert np.array_equal(data.labels, loaded.labels)
+        assert np.array_equal(data.subjects, loaded.subjects)
+        assert np.abs(data.images - loaded.images).max() <= 1.0 / 255.0 + 1e-12
 
     def test_multiclass_roundtrip(self, tmp_path):
-        samples = generate_synthetic(13, 4, SyntheticSpec(mode="multi_class"))
-        write_dataset(tmp_path / "ds", samples, "multi_class")
+        data = generate_synthetic(13, 4, SyntheticSpec(mode="multi_class"))
+        write_dataset(tmp_path / "ds", data)
         loaded = load_dataset(tmp_path / "ds", "multi_class", 6, 64)
-        assert [s.labels for s in loaded] == [s.labels for s in samples]
+        assert loaded.labels.dtype == np.int64
+        assert loaded.labels.tolist() == data.labels.tolist()
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
@@ -281,12 +314,11 @@ class TestManifest:
 
     def test_one_label_roundtrip(self, tmp_path):
         spec = SyntheticSpec(num_labels=1, rates=(0.5,), pairs=())
-        samples = generate_synthetic(14, 6, spec)
-        write_dataset(tmp_path / "ds", samples, "multi_label")
+        data = generate_synthetic(14, 6, spec)
+        write_dataset(tmp_path / "ds", data)
         loaded = load_dataset(tmp_path / "ds", "multi_label", 1, 64)
-        for a, b in zip(samples, loaded):
-            assert b.labels.shape == (1,)
-            assert np.array_equal(a.labels, b.labels)
+        assert loaded.labels.shape == (6, 1)
+        assert np.array_equal(data.labels, loaded.labels)
 
     @pytest.mark.parametrize("mode,count,record", [
         ("multi_label", 3, "1,0,1\tx7"),        # non-integer subject
@@ -299,7 +331,7 @@ class TestManifest:
         ("multi_class", 3, "-1\t7"),
     ])
     def test_bad_record_names_its_line(self, tmp_path, mode, count, record):
-        write_dataset(tmp_path, generate_synthetic(15, 1), "multi_label")
+        write_dataset(tmp_path, generate_synthetic(15, 1))
         good = (tmp_path / "manifest.tsv").read_text().splitlines()[0]
         rel = good.split("\t")[0]
         (tmp_path / "manifest.tsv").write_text(f"# header\n{rel}\t{record}\n")
@@ -307,8 +339,7 @@ class TestManifest:
             load_dataset(tmp_path, mode, count, 64)
 
     def test_missing_image_names_its_line(self, tmp_path):
-        write_dataset(tmp_path, generate_synthetic(16, 2, SyntheticSpec(mode="multi_class")),
-                      "multi_class")
+        write_dataset(tmp_path, generate_synthetic(16, 2, SyntheticSpec(mode="multi_class")))
         (tmp_path / "images" / "sample_00001.ppm").unlink()
         with pytest.raises(DataError, match=r"manifest\.tsv:2: image .* not found"):
             load_dataset(tmp_path, "multi_class", 6, 64)

@@ -283,6 +283,23 @@ class TestReductionsAndShapes:
         want = x.reshape(1, 2, 3, 2, 3, 2).max(axis=(3, 5))
         assert np.array_equal(got, want)
 
+    # The stem's 3x3 stride-2 padding-1 pool first; odd and non-square inputs.
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-4)])
+    @pytest.mark.parametrize("hw", [(7, 7), (8, 9)], ids=["7x7", "8x9"])
+    @pytest.mark.parametrize("k,stride,padding", [(3, 2, 1), (2, 2, 0), (3, 1, 1), (3, 2, 0)])
+    def test_max_pool_matches_loop_oracle(self, k, stride, padding, hw, dtype, atol):
+        rng = rnd(30 + 3 * k + stride)
+        shape = (2, 3, *hw)
+        # Distinct values, exact in float32, so every window has one argmax.
+        x = rng.permutation(np.prod(shape)).reshape(shape) / 8.0 - 20.0
+        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        out = T.max_pool2d(xt, k, stride, padding)
+        assert np.allclose(out.data, oracles.max_pool_loop(x, k, stride, padding), atol=atol)
+        g = rng.normal(size=out.shape)
+        T.mul(out, Tensor(g, dtype=dtype)).sum().backward()
+        assert xt.grad.dtype == dtype
+        assert np.allclose(xt.grad, oracles.max_pool_vjp_loop(x, g, k, stride, padding), atol=atol)
+
 
 class TestBatchNorm:
     def test_train_mode_normalizes(self):
