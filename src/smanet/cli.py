@@ -4,6 +4,8 @@ Verbs: synth, train, eval, sweep-n, gradcheck, params, export-attention.
 Every verb consumes one flat config (file via --config, overridden by
 flags).  Each config key has one string flag, and `--key value` is
 parsed exactly like the file line `key = value`, by `config.load_config`.
+`--checked`, on every verb, traps the first NaN or Inf an op outputs
+(exit 3, one line); it changes no number, so it is no config key.
 The SMANET_OUTPUT_DIR environment variable overrides output_dir and
 nothing else.  Exit codes: 0 ok, 2 config/input error (a command line
 argparse rejects included), 3 numeric failure, 4 threshold violation.
@@ -71,7 +73,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    result = run_training(cfg, out_dir=cfg.output_dir, log=print)
+    result = run_training(cfg, build_splits(cfg), out_dir=cfg.output_dir, log=print)
     print(f"best val metric {result.best_val:.6f} at epoch {result.best_epoch}")
     print(f"log: {result.log_path}  checkpoint: {result.checkpoint_path}")
     return EXIT_OK
@@ -121,9 +123,11 @@ def cmd_sweep_n(cfg: RunConfig, args) -> int:
     subs = [dataclasses.replace(cfg, n_channels=n,
                                 output_dir=str(Path(cfg.output_dir) / f"n{n}")).validate()
             for n in n_values]
+    # The splits do not depend on n_channels: build them once for every run.
+    splits = build_splits(cfg)
     rows = ["n_channels,best_val_metric"]
     for sub in subs:
-        result = run_training(sub, out_dir=sub.output_dir)
+        result = run_training(sub, splits, out_dir=sub.output_dir)
         rows.append(f"{sub.n_channels},{result.best_val:.6f}")
         print(rows[-1])
     (make_out_dir(cfg.output_dir) / "sweep.csv").write_text("\n".join(rows) + "\n")
@@ -246,6 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
         p.add_argument("--config", default=None, help="flat key=value config file")
+        p.add_argument("--checked", action="store_true",
+                       help="stop with exit 3 at the first non-finite op output")
         for key in config_keys():
             p.add_argument("--" + key.replace("_", "-"), dest=key, help=f"override {key}")
         if name == "eval":
@@ -263,7 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.run(_config_from_args(args), args)
+        cfg = _config_from_args(args)
+        was_checked = T.checked_enabled()
+        T.set_checked(was_checked or args.checked)
+        try:
+            # Under --checked the trap reports the first non-finite value,
+            # so numpy's own floating-point warnings would only repeat it.
+            with np.errstate(all="ignore" if args.checked else None):
+                return args.run(cfg, args)
+        finally:
+            T.set_checked(was_checked)
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,11 +12,13 @@ GEMM: it writes its input once into the stride's padded phase grids
 (``_phase_layout``), and each kernel tap is one batched GEMM on a
 contiguous window of a flattened grid, which BLAS reads in place; its
 gradients run one GEMM per tap against the same windows, so no column
-buffer is built.  ``depthwise_conv2d`` runs its forward and input
-gradient as k banded GEMMs over row-shifted views
-(``_depthwise_correlate``) and its weight gradient as one einsum over
-the window view.  All math uses a fixed reduction order, so identical
-inputs give bit-identical outputs run to run.
+buffer is built.  ``depthwise_conv2d`` writes its input once into the
+same stride-1 grid.  Its forward and input gradient cut the output width
+into tiles and run k banded GEMMs, with the tiles as one more batch axis
+(``_depthwise_correlate``); its weight gradient is one dot product per
+tap, on the tap's window of the flattened grid.  ``masked_avg_pool`` is
+batched GEMMs on the flattened maps.  All math uses a fixed reduction
+order, so identical inputs give bit-identical outputs run to run.
 
 `PRIMITIVES` names the ops the model is built from.  The loss terms are
 single ops of their own in `losses`, built on the same `apply_op` seam.
@@ -390,10 +392,11 @@ def _pad_hw(x: np.ndarray, padding: int, fill: float = 0.0) -> np.ndarray:
 
 
 def _check_padding(op: str, k: int, padding: int) -> None:
-    # The depthwise input gradient correlates with the flipped kernel on a
-    # gradient padded by k-1-padding, which must not be negative.  conv2d's
-    # phase grids would hold any padding; it keeps the same bound, under
-    # which every output pixel still meets at least one pixel of x.
+    # The depthwise input gradient correlates with the flipped kernel on
+    # the gradient's grid padded by k-1-padding, which must not be
+    # negative.  conv2d's phase grids would hold any padding; it keeps the
+    # same bound, under which every output pixel still meets at least one
+    # pixel of x.
     if not 0 <= padding <= k - 1:
         raise ShapeError(f"{op}: padding {padding} outside [0, {k - 1}] for kernel {k}")
 
@@ -529,36 +532,69 @@ def conv2d(
     return apply_op(data, parents, vjp)
 
 
-def _depthwise_correlate(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Valid per-channel correlation of xp[B,N,Hp,Wp] with w[N,k,k].
+def _window_view(flat: np.ndarray, shape: tuple, steps: tuple) -> np.ndarray:
+    """Read-only view of the contiguous array `flat`, `steps` in elements.
+    numpy refuses a view that would reach past `flat`'s buffer."""
+    strides = tuple(step * flat.itemsize for step in steps)
+    view = np.ndarray(shape, flat.dtype, flat, 0, strides)
+    view.flags.writeable = False
+    return view
 
-    Kernel row i becomes a banded [Wp, Wo] matrix per channel,
-    band[i, n, q + j, q] = w[n, i, j], so the output is the sum over i of
-    the row-shifted views xp[:, :, i:i+Ho, :] times band[i]: k batched
-    GEMMs on views BLAS reads in place.
+
+def _depthwise_grid(x: np.ndarray, k: int, padding: int) -> tuple:
+    """x[B,N,h,wd] written once into the stride-1 padded grid of
+    ``_phase_layout``: ``(flat, ho, wo, wq)``, flat the [B,N,Hp+1,Wp]
+    grid as [B,N,(Hp+1)*Wp], Wq = Wp.  Its last row is zero (k > 1); the
+    windows that run past the padded rows read it."""
+    ho, wo, (_, rows, wq), scatter, _ = _phase_layout(x.shape[2], x.shape[3], k, 1, padding)
+    grid = np.zeros((1, *x.shape[:2], rows, wq), dtype=x.dtype)
+    for at_x, at_grid in scatter:
+        grid[at_grid] = x[at_x]
+    return grid.reshape(*x.shape[:2], rows * wq), ho, wo, wq
+
+
+def _depthwise_correlate(flat: np.ndarray, ho: int, wo: int, wq: int, w: np.ndarray) -> np.ndarray:
+    """Valid per-channel correlation of a flat padded grid (``_depthwise_grid``)
+    with w[N,k,k]: the [B,N,ho,wo] output.
+
+    The output width is cut into tiles of equal width, at most 16.
+    Kernel row i becomes one banded [tile+k-1, tile] matrix per channel,
+    band[i, n, q + j, q] = w[n, i, j], shared by every tile, so the output
+    is the sum over i of k batched GEMMs whose batch axes are (B, N, tile):
+    tile t of kernel row i reads grid rows i..i+ho-1, columns t*tile on, a
+    view BLAS reads in place.  A band does (tile+k-1)/k times the needed
+    multiply-adds.  The last tile's columns past wo wrap into the next row,
+    or into the grid's zero row, and are cropped.
     """
-    n, k, _ = w.shape
-    ho, wo = xp.shape[2] - k + 1, xp.shape[3] - k + 1
-    band = np.zeros((k, n, xp.shape[3], wo), dtype=np.result_type(xp, w))
-    q = np.arange(wo)
-    for j in range(k):
-        band[:, :, q + j, q] = w[:, :, j].T[:, :, None]
-    out = np.matmul(xp[:, :, :ho], band[0])
+    b, n, size = flat.shape
+    k = w.shape[1]
+    # A 1x1 kernel's grid has no zero row to hold a wrapped tile: one tile.
+    tiles = -(-wo // 16) if k > 1 else 1
+    tile = -(-wo // tiles)
+    view = _window_view(flat, (b, n, tiles, ho + k - 1, tile + k - 1), (n * size, size, tile, wq, 1))
+    # band[i, n] flattened: entry (q + j, q) sits at j*tile + q*(tile+1).
+    band = np.zeros((k, n, (tile + k - 1) * tile), dtype=np.result_type(flat, w))
+    band[:, :, np.arange(k)[:, None] * tile + np.arange(tile) * (tile + 1)] = w.transpose(1, 0, 2)[..., None]
+    band = band.reshape(k, n, 1, tile + k - 1, tile)
+    out = np.matmul(view[..., :ho, :], band[0])
     for i in range(1, k):
-        out += np.matmul(xp[:, :, i : i + ho], band[i])
-    return out
+        out += np.matmul(view[..., i : i + ho, :], band[i])
+    return out.transpose(0, 1, 3, 2, 4).reshape(b, n, ho, tiles * tile)[..., :wo]
 
 
 def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int = 0) -> Tensor:
     """Per-channel k-by-k correlation: channel n of x convolved with weight[n].
 
     Stride is fixed at 1; with padding k//2 the spatial size is preserved.
-    Requires 0 <= padding <= k-1.  The forward pass and the input gradient
-    share one banded-GEMM helper, ``_depthwise_correlate``: dx is the
-    correlation of the output gradient, padded by k-1-padding, with the
-    flipped kernel.  The weight gradient is one einsum contracting the
-    [B,N,Ho,Wo,k,k] window view of the padded input with the output
-    gradient.
+    Requires 0 <= padding <= k-1.  x is written once into its padded grid
+    (``_depthwise_grid``), the stride-1 grid ``conv2d`` uses.  The forward
+    pass and the input gradient share one width-tiled banded-GEMM helper,
+    ``_depthwise_correlate``: dx is the correlation of the output
+    gradient, in its grid padded by k-1-padding, with the flipped kernel.
+    The weight gradient is k*k dot products on the flat grid, as in
+    ``conv2d``: tap (i, j) reads the window of length Ho*Wq that starts
+    at i*Wq + j, and dots it with the output gradient zero-extended to
+    [B,N,Ho,Wq], summed over the batch.  The vjp keeps only the grid.
     """
     if x.ndim != 4 or weight.ndim != 3 or x.shape[1] != weight.shape[0]:
         raise ShapeError(f"depthwise_conv2d: x{x.shape} incompatible with weight{weight.shape}")
@@ -568,24 +604,27 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padd
     if bias is not None and bias.shape != (n,):
         raise ShapeError(f"depthwise_conv2d: bias{bias.shape} must be ({n},)")
     _check_padding("depthwise_conv2d", k, padding)
-    ho, wo = x.shape[2] + 2 * padding - k + 1, x.shape[3] + 2 * padding - k + 1
-    if ho <= 0 or wo <= 0:
+    if x.shape[2] + 2 * padding < k or x.shape[3] + 2 * padding < k:
         raise ShapeError("depthwise_conv2d: kernel larger than padded input")
 
-    xp = _pad_hw(x.data, padding)
-    data = _depthwise_correlate(xp, weight.data)
-    if bias is not None:
-        data = data + bias.data[:, None, None]
+    flat, ho, wo, wq = _depthwise_grid(x.data, k, padding)
+    data = _depthwise_correlate(flat, ho, wo, wq, weight.data)
+    data = data + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(data)
 
     def vjp(g):
         gw = None
         if weight.requires_grad:
-            windows = sliding_window_view(xp, (k, k), axis=(2, 3))
-            gw = np.einsum("bnhwij,bnhw->nij", windows, g)
+            b, size = g.shape[0], flat.shape[2]
+            gq = np.zeros((b, n, ho, wq), dtype=g.dtype)
+            gq[..., :wo] = g
+            # windows[b, n, i, j, 0, :] is tap (i, j)'s window.
+            windows = _window_view(flat, (b, n, k, k, 1, ho * wq), (n * size, size, wq, 1, 0, 1))
+            gw = np.matmul(windows, gq.reshape(b, n, 1, 1, ho * wq, 1)).reshape(b, n, k, k).sum(axis=0)
         gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
         gx = None
         if x.requires_grad:
-            gx = _depthwise_correlate(_pad_hw(g, k - 1 - padding), weight.data[:, ::-1, ::-1])
+            gflat, h, wd, gwq = _depthwise_grid(g, k, k - 1 - padding)
+            gx = _depthwise_correlate(gflat, h, wd, gwq, weight.data[:, ::-1, ::-1])
         ret = (gx, gw)
         return ret + (gb,) if bias is not None else ret
 
@@ -675,22 +714,27 @@ def masked_avg_pool(feature: Tensor, masks: Tensor) -> Tensor:
     """Spatial mean of feature[B,C,H,W] gated by each mask in masks[B,N,H,W].
 
     Entry (b, n, c) is the mean over (h, w) of feature[b, c] * masks[b, n]:
-    the pooled attended feature of every mask channel, all at once.
+    the pooled attended feature of every mask channel, all at once.  On
+    the [B,N,HW] and [B,C,HW] reshapes the output and both gradients are
+    batched GEMMs.
     """
     if feature.ndim != 4 or masks.ndim != 4 or feature.shape[0] != masks.shape[0] \
             or feature.shape[2:] != masks.shape[2:]:
         raise ShapeError(
             f"masked_avg_pool: feature {feature.shape} incompatible with masks {masks.shape}"
         )
-    area = feature.shape[2] * feature.shape[3]
-    data = np.einsum("bchw,bnhw->bnc", feature.data, masks.data, optimize=True) / area
+    b, c, h, wd = feature.shape
+    area = h * wd
+    f = feature.data.reshape(b, c, area)
+    m = masks.data.reshape(b, -1, area)
+    data = np.matmul(m, f.transpose(0, 2, 1)) / area
 
     def vjp(g):
         gf = gm = None
         if feature.requires_grad:
-            gf = np.einsum("bnc,bnhw->bchw", g, masks.data, optimize=True) / area
+            gf = (np.matmul(g.transpose(0, 2, 1), m) / area).reshape(feature.shape)
         if masks.requires_grad:
-            gm = np.einsum("bnc,bchw->bnhw", g, feature.data, optimize=True) / area
+            gm = (np.matmul(g, f) / area).reshape(masks.shape)
         return gf, gm
 
     return apply_op(data, (feature, masks), vjp)

@@ -166,16 +166,18 @@ def format_log(rows: list[dict], digest: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_training(cfg: RunConfig, out_dir: Path | None = None, log=None) -> TrainResult:
+def run_training(cfg: RunConfig, splits: tuple[Dataset, Dataset],
+                 out_dir: Path | None = None, log=None) -> TrainResult:
     """Full training run; writes train_log.csv and checkpoint.bin when
     out_dir is given, keeping the best-validation-metric checkpoint.  The
-    splits are built before out_dir is created.
+    (train, val) splits are `build_splits(cfg)`, built by the caller
+    before out_dir is created.
 
     An epoch walks `order`, the training indices after oversampling, in a
     seeded permutation; position i of `order` seeds its augmentation."""
     digest = config_digest(cfg)
     dtype = np_dtype(cfg)
-    train, val = build_splits(cfg)
+    train, val = splits
 
     order = np.arange(len(train))
     pos_weights = None

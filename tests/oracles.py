@@ -90,6 +90,29 @@ def depthwise_vjp_loop(x, w, g, padding=0):
     return gxp[:, :, padding : padding + h, padding : padding + wd], gw
 
 
+def depthwise_shifted(x, w, g, padding=0):
+    """Output, input gradient and weight gradient of depthwise_loop for
+    output gradient g, in float64: the same sums, vectorised over pixels
+    as one shifted whole-array product per kernel tap, for model-sized
+    inputs the scalar loops would take seconds on."""
+    bsz, n, h, wd = x.shape
+    k = w.shape[1]
+    xp = np.zeros((bsz, n, h + 2 * padding, wd + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    ho, wo = h + 2 * padding - k + 1, wd + 2 * padding - k + 1
+    out = np.zeros((bsz, n, ho, wo))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros((n, k, k))
+    for ki in range(k):
+        for kj in range(k):
+            window = xp[:, :, ki : ki + ho, kj : kj + wo]
+            tap = w[:, ki, kj][:, None, None]
+            out += window * tap
+            gxp[:, :, ki : ki + ho, kj : kj + wo] += g * tap
+            gw[:, ki, kj] = (window * g).sum(axis=(0, 2, 3))
+    return out, gxp[:, :, padding : padding + h, padding : padding + wd], gw
+
+
 def avg_pool_loop(x, axes):
     axes = tuple(sorted(axes))
     out_shape = tuple(1 if i in axes else s for i, s in enumerate(x.shape))

@@ -72,6 +72,14 @@ class TestConfigFile:
             assert rc == EXIT_CONFIG, flags
             one_line_error(capsys)
 
+    def test_every_verb_takes_checked(self):
+        required = {"eval": ["--checkpoint", "c"], "sweep-n": ["--n-values", "1"],
+                    "export-attention": ["--checkpoint", "c", "i.ppm"]}
+        parser = cli.build_parser()
+        for verb in ("synth", "train", "eval", "sweep-n", "gradcheck", "params", "export-attention"):
+            assert parser.parse_args([verb, *required.get(verb, [])]).checked is False
+            assert parser.parse_args([verb, "--checked", *required.get(verb, [])]).checked is True
+
     def test_command_line_errors_exit_2(self, tmp_path, capsys):
         for argv in (["train", "--warp-speed", "9"], ["eval", *TINY],
                      ["eval", "--checkpoint", "x", "--folds", "two"], ["bogus"], []):
@@ -258,6 +266,20 @@ class TestTrain:
         rc = main(["train", *TINY, "--lr", "1e9", "--output-dir", str(tmp_path)])
         assert rc == EXIT_NUMERIC
 
+    def test_checked_run_writes_the_same_bytes(self, tmp_path):
+        main(["train", *TINY, "--output-dir", str(tmp_path / "plain")])
+        assert main(["train", *TINY, "--checked", "--output-dir", str(tmp_path / "checked")]) == EXIT_OK
+        assert not T.checked_enabled()
+        for name in ("train_log.csv", "checkpoint.bin"):
+            assert (tmp_path / "checked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    def test_checked_traps_the_first_nonfinite_op_output(self, tmp_path, capsys):
+        # Without --checked this run ends at the non-finite loss instead.
+        rc = main(["train", *TINY, "--lr", "1e9", "--checked", "--output-dir", str(tmp_path)])
+        assert rc == EXIT_NUMERIC
+        assert "checked mode" in one_line_error(capsys)
+        assert not T.checked_enabled()
+
     def test_baseline_checkpoint_has_no_attention_records(self, tmp_path):
         main(["train", *TINY, "--ablation", "baseline", "--output-dir", str(tmp_path)])
         _, arrays = load_checkpoint(tmp_path / "checkpoint.bin")
@@ -367,6 +389,21 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "n_channels,best_val_metric"
         assert [l.split(",")[0] for l in lines[1:]] == ["1", "2"]
+
+    def test_builds_the_splits_once(self, tmp_path, monkeypatch):
+        from smanet import train
+        calls = []
+        generate = train.generate_synthetic
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(train, "generate_synthetic", counted)
+        rc = main(["sweep-n", *TINY, "--epochs", "1", "--n-train", "8", "--n-values", "1,3,5",
+                   "--output-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert len(calls) == 2  # one train and one val split for all three runs
 
     def test_single_value_degenerates(self, tmp_path):
         rc = main(["sweep-n", *TINY, "--epochs", "1", "--n-values", "1",

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -106,6 +107,18 @@ class TestConv2d:
                 T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), padding=padding)
 
 
+@functools.lru_cache(maxsize=None)
+def depthwise_oracle_case(k, padding, h, wd):
+    """Input [2, 3, h, wd], kernel and output gradient of one depthwise
+    case, with the loop oracles' output and gradients; cached, because
+    both dtypes check against the same scalar loops."""
+    rng = rnd(k * 1000 + padding * 100 + wd)
+    x, w = rng.normal(size=(2, 3, h, wd)), rng.normal(size=(3, k, k))
+    g = rng.normal(size=(2, 3, h + 2 * padding - k + 1, wd + 2 * padding - k + 1))
+    return x, w, g, (oracles.depthwise_loop(x, w, None, padding),
+                     *oracles.depthwise_vjp_loop(x, w, g, padding))
+
+
 class TestDepthwise:
     def test_equals_per_channel_conv2d_composition(self):
         rng = rnd(2)
@@ -132,20 +145,46 @@ class TestDepthwise:
     @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-4)])
     @pytest.mark.parametrize("pad_case", [0, 1, 2])
     def test_vjp_matches_loop_oracle(self, dtype, atol, pad_case):
-        # pad_case picks padding 0, k//2 or k-1 (for k=3: 0, 1, 2).
-        rng = rnd(16)
+        # pad_case picks padding 0, k//2 or k-1 (for k=3: 0, 1, 2).  The
+        # input widths put the output (forward) and the input gradient
+        # below, at and across the 16-wide tiles of the banded GEMMs, 19
+        # and 37 with a narrower last tile; the height differs from each.
         for k in (3, 7):
             padding = (0, k // 2, k - 1)[pad_case]
-            x = rng.normal(size=(2, 3, k + 2, k + 4))
-            w = rng.normal(size=(3, k, k))
-            xt, wt = Tensor(x, requires_grad=True, dtype=dtype), Tensor(w, requires_grad=True, dtype=dtype)
-            out = T.depthwise_conv2d(xt, wt, padding=padding)
-            g = rng.normal(size=out.shape)
-            T.mul(out, Tensor(g, dtype=dtype)).sum().backward()
-            gx, gw = oracles.depthwise_vjp_loop(x, w, g, padding)
-            assert xt.grad.dtype == dtype and wt.grad.dtype == dtype
-            assert np.allclose(xt.grad, gx, atol=atol)
-            assert np.allclose(wt.grad, gw, atol=atol)
+            for wd in (5, 8, 16, 19, 37):
+                if wd + 2 * padding < k:
+                    continue
+                x, w, g, want = depthwise_oracle_case(k, padding, k + 3, wd)
+                xt = Tensor(x, requires_grad=True, dtype=dtype)
+                wt = Tensor(w, requires_grad=True, dtype=dtype)
+                out = T.depthwise_conv2d(xt, wt, padding=padding)
+                T.mul(out, Tensor(g, dtype=dtype)).sum().backward()
+                for got in (out.data, xt.grad, wt.grad):
+                    assert got.dtype == dtype
+                for got, ref in zip((out.data, xt.grad, wt.grad), want):
+                    assert got.shape == ref.shape
+                    assert np.allclose(got, ref, atol=atol), (k, padding, wd)
+
+    def test_model_shape_matches_oracle_and_repeats_bit_for_bit(self):
+        # The largest attention-mask shape of the toy model, in its dtype:
+        # four 16-wide tiles, two batch items and seven channels, and a
+        # weight gradient summing 8,192 products.
+        rng = rnd(17)
+        x, w, g = (rng.normal(size=s).astype(np.float32)
+                   for s in ((2, 7, 64, 64), (7, 7, 7), (2, 7, 64, 64)))
+        runs = []
+        for _ in range(2):
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            out = T.depthwise_conv2d(xt, wt, padding=3)
+            T.mul(out, Tensor(g)).sum().backward()
+            runs.append((out.data, xt.grad, wt.grad))
+        want = oracles.depthwise_shifted(x.astype(np.float64), w.astype(np.float64),
+                                         g.astype(np.float64), padding=3)
+        for got, ref in zip(runs[0], want):
+            assert got.dtype == np.float32 and got.shape == ref.shape
+            assert np.allclose(got, ref, atol=1e-4)
+        for first, second in zip(*runs):
+            assert np.array_equal(first, second)
 
     def test_padding_bound(self):
         x, w = Tensor(np.ones((1, 2, 6, 6))), Tensor(np.ones((2, 3, 3)))
@@ -258,6 +297,19 @@ class TestReductionsAndShapes:
         for n in range(2):
             composed = (f.data * m.data[:, n : n + 1]).mean(axis=(2, 3))
             assert np.allclose(fused.data[:, n], composed, atol=1e-12)
+
+    def test_masked_avg_pool_keeps_float32(self):
+        rng = rnd(11)
+        f, m, g = (rng.normal(size=s) for s in ((2, 3, 5, 4), (2, 2, 5, 4), (2, 2, 3)))
+        ft = Tensor(f, requires_grad=True, dtype=np.float32)
+        mt = Tensor(m, requires_grad=True, dtype=np.float32)
+        out = T.masked_avg_pool(ft, mt)
+        T.mul(out, Tensor(g, dtype=np.float32)).sum().backward()
+        for got in (out.data, ft.grad, mt.grad):
+            assert got.dtype == np.float32
+        assert np.allclose(out.data, np.einsum("bchw,bnhw->bnc", f, m) / 20, atol=1e-5)
+        assert np.allclose(ft.grad, np.einsum("bnc,bnhw->bchw", g, m) / 20, atol=1e-5)
+        assert np.allclose(mt.grad, np.einsum("bnc,bchw->bnhw", g, f) / 20, atol=1e-5)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_max_pool_vjp_routes_ties_to_lowest_index(self, dtype):
