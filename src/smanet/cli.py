@@ -6,6 +6,8 @@ flags).  Each config key has one string flag, and `--key value` is
 parsed exactly like the file line `key = value`, by `config.load_config`.
 `--checked`, on every verb, traps the first NaN or Inf an op outputs
 (exit 3, one line); it changes no number, so it is no config key.
+Every verb runs with numpy's floating-point warnings silenced, so a
+diverging run also ends in one line: exit 3 at its non-finite loss.
 The SMANET_OUTPUT_DIR environment variable overrides output_dir and
 nothing else.  Exit codes: 0 ok, 2 config/input error (a command line
 argparse rejects included), 3 numeric failure, 4 threshold violation.
@@ -32,7 +34,8 @@ from .gradcheck import SUITE_TOLERANCE, build_suite
 from .metrics import (accuracy, binarize, confusion_matrix, confusion_report,
                       count_binary, metrics_report)
 from .ppm import decode_image, encode_heatmap
-from .train import TrainState, build_splits, evaluate_model, make_out_dir, run_training
+from .train import (TrainState, batch_tensor, build_splits, evaluate_model, make_out_dir,
+                    run_training)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -200,7 +203,7 @@ def cmd_export_attention(cfg: RunConfig, args) -> int:
         images[stem] = img
     out = make_out_dir(cfg.output_dir)
     for stem, img in images.items():
-        x = T.Tensor(img.transpose(2, 0, 1)[None].astype(np_dtype(cfg)))
+        x = batch_tensor([img], np_dtype(cfg))
         with T.no_grad():
             _, inters = state.model(x)
         for bi, inter in enumerate(inters):
@@ -273,9 +276,10 @@ def main(argv=None) -> int:
         was_checked = T.checked_enabled()
         T.set_checked(was_checked or args.checked)
         try:
-            # Under --checked the trap reports the first non-finite value,
-            # so numpy's own floating-point warnings would only repeat it.
-            with np.errstate(all="ignore" if args.checked else None):
+            # A non-finite value ends a run as a NumericError (a non-finite
+            # loss, or the --checked trap), so numpy's own floating-point
+            # warnings would only repeat it on stderr.
+            with np.errstate(all="ignore"):
                 return args.run(cfg, args)
         finally:
             T.set_checked(was_checked)

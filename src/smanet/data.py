@@ -4,6 +4,9 @@ subject-disjoint folds, and the on-disk manifest format.
 A dataset is one `Dataset` of three aligned arrays (images, labels,
 subjects).  Oversampling and folds return sample indices into it, so a
 duplicate or a fold shares the arrays' storage instead of copying samples.
+Images are uint8 [H,W,3] everywhere, as the P6 files hold them: the
+generator and augmentation quantize with `ppm.quantize`, so a dataset
+written to disk reads back identical.
 
 Each label owns a fixed image zone and a fixed color; a positive label
 renders a Gaussian blob of that color at its zone.  Multi-label draws
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ppm import decode_image, encode_color
+from .ppm import decode_image, encode_color, quantize
 
 DEFAULT_LABEL_RATES = (0.30, 0.30, 0.25, 0.20, 0.20, 0.20, 0.15, 0.15, 0.10, 0.10, 0.05, 0.05)
 # (first label, second label, P(second | first)); marginals stay as configured.
@@ -31,7 +34,7 @@ DEFAULT_LABEL_PAIRS = ((0, 1, 0.8), (4, 5, 0.8))
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """N samples as aligned arrays: images [N,H,W,3] float64 in [0,1];
+    """N samples as aligned arrays: images [N,H,W,3] uint8 (0-255);
     labels [N,L] int8 0/1 (multi_label) or [N] int64 class ids
     (multi_class); subjects [N] int64 subject ids."""
 
@@ -150,7 +153,8 @@ def generate_synthetic(seed: int, n: int, spec: SyntheticSpec | None = None) -> 
     """Deterministic synthetic dataset: same seed, same bytes.
 
     Draws the subjects, then the labels (multi_label) or classes, then
-    renders each image into one preallocated [n,H,W,3] array."""
+    renders each image and quantizes it into one preallocated uint8
+    [n,H,W,3] array."""
     if n <= 0:
         raise ConfigError(f"sample count must be positive, got {n}")
     spec = spec or SyntheticSpec()
@@ -165,9 +169,9 @@ def generate_synthetic(seed: int, n: int, spec: SyntheticSpec | None = None) -> 
         active = labels[:, None]
     colors = label_colors(count)
     centers = label_centers(count, spec.image_size)
-    images = np.empty((n, spec.image_size, spec.image_size, 3))
+    images = np.empty((n, spec.image_size, spec.image_size, 3), dtype=np.uint8)
     for i in range(n):
-        images[i] = _render(rng, active[i], int(subjects[i]), spec, colors, centers)
+        images[i] = quantize(_render(rng, active[i], int(subjects[i]), spec, colors, centers))
     return Dataset(images, labels, subjects)
 
 
@@ -219,7 +223,8 @@ def apply_augment(img: np.ndarray, theta_deg: float, flip: bool,
 
 def augment(image: np.ndarray, seed, mode: str) -> np.ndarray:
     """Seeded random rotation, horizontal flip, and +-20% color jitter of
-    one [H,W,3] image; returns a new image.
+    one uint8 [H,W,3] image; returns a new uint8 image.  The jitter runs
+    on floats in [0,1], quantized back like a generated image.
 
     AU runs rotate within +-45 degrees, expression runs within +-15.
     """
@@ -230,7 +235,7 @@ def augment(image: np.ndarray, seed, mode: str) -> np.ndarray:
     theta = rng.uniform(-limit, limit)
     flip = rng.random() < 0.5
     brightness, contrast, saturation = rng.uniform(0.8, 1.2, 3)
-    return apply_augment(image, theta, flip, brightness, contrast, saturation)
+    return quantize(apply_augment(image / 255.0, theta, flip, brightness, contrast, saturation))
 
 
 # -- selective oversampling ------------------------------------------------
@@ -316,7 +321,7 @@ def make_folds(subjects: np.ndarray, k: int, seed: int = 0) -> list[np.ndarray]:
 
 
 def write_dataset(out_dir, data: Dataset, digest: str = "") -> Path:
-    """Write images as P6 files plus a tab-separated manifest.
+    """Write the uint8 images as P6 files plus a tab-separated manifest.
 
     Manifest fields, in order: image path, labels, subject id.  A label
     row of [N,L] labels is written comma-joined 0/1, a class id of [N]
@@ -339,7 +344,7 @@ def write_dataset(out_dir, data: Dataset, digest: str = "") -> Path:
 
 def load_dataset(dataset_dir, mode: str, count: int, size: int) -> Dataset:
     """Read a manifest directory of size x size color images back as a
-    `mode` Dataset.
+    `mode` Dataset; the exact inverse of `write_dataset`.
 
     A multi_label record holds `count` comma-joined 0/1 values (a lone
     value is a 1-label vector); a multi_class record holds one class id in
@@ -359,7 +364,7 @@ def load_dataset(dataset_dir, mode: str, count: int, size: int) -> Dataset:
                if line and not line.startswith("#")]
     if not records:
         raise DataError(f"empty manifest {manifest}")
-    images = np.empty((len(records), size, size, 3))
+    images = np.empty((len(records), size, size, 3), dtype=np.uint8)
     labels, subjects = [], []
     for i, (lineno, line) in enumerate(records):
         where = f"{manifest}:{lineno}"

@@ -1,7 +1,9 @@
 """Binary portable-pixmap (P6) and portable-graymap (P5) codec.
 
 The only image format the package reads or writes: byte-exact,
-dependency-free, maxval fixed at 255.
+dependency-free, maxval fixed at 255.  Color images are uint8 [H,W,3]
+arrays in and out, so encoding and decoding are exact inverses;
+`quantize` is the one rule that turns floats in [0,1] into uint8.
 """
 
 from __future__ import annotations
@@ -42,28 +44,31 @@ def _parse_header(data: bytes):
     return kind, width, height, pos
 
 
+def quantize(img: np.ndarray) -> np.ndarray:
+    """Floats in [0,1] as uint8: scale by 255, round half to even, clip."""
+    return np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+
+
 def decode_image(data: bytes) -> np.ndarray:
-    """Decode P6 to [H,W,3] or P5 to [H,W] floats in [0,1]."""
+    """Decode P6 to [H,W,3] or P5 to [H,W]: the uint8 payload itself,
+    a read-only view of `data`."""
     kind, width, height, pos = _parse_header(data)
     channels = 3 if kind == "6" else 1
     need = width * height * channels
     payload = data[pos : pos + need]
     if len(payload) != need:
         raise DataError(f"truncated pixmap payload: {len(payload)} of {need} bytes")
-    arr = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    if kind == "6":
-        return arr.reshape(height, width, 3)
-    return arr.reshape(height, width)
+    arr = np.frombuffer(payload, dtype=np.uint8)
+    return arr.reshape((height, width, 3) if channels == 3 else (height, width))
 
 
 def encode_color(img: np.ndarray, comment: str = "") -> bytes:
-    """Encode [H,W,3] floats in [0,1] as binary P6."""
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise DataError(f"encode_color needs [H,W,3], got {img.shape}")
+    """Encode a uint8 [H,W,3] image as binary P6, bytes as they are."""
+    if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
+        raise DataError(f"encode_color needs uint8 [H,W,3], got {img.dtype} {img.shape}")
     h, w = img.shape[:2]
-    raw = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     head = f"P6\n{'# ' + comment + chr(10) if comment else ''}{w} {h}\n255\n"
-    return head.encode("ascii") + raw.tobytes()
+    return head.encode("ascii") + img.tobytes()
 
 
 def encode_heatmap(heatmap: np.ndarray, comment: str = "") -> bytes:
@@ -79,7 +84,7 @@ def encode_heatmap(heatmap: np.ndarray, comment: str = "") -> bytes:
     if hi - lo < 1e-12:
         raw = np.zeros(heatmap.shape, dtype=np.uint8)
     else:
-        raw = np.clip(np.rint((heatmap - lo) / (hi - lo) * 255.0), 0, 255).astype(np.uint8)
+        raw = quantize((heatmap - lo) / (hi - lo))
     h, w = heatmap.shape
     head = f"P5\n{'# ' + comment + chr(10) if comment else ''}{w} {h}\n255\n"
     return head.encode("ascii") + raw.tobytes()

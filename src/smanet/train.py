@@ -107,12 +107,15 @@ def make_out_dir(path) -> Path:
     return out
 
 
-def _batch_tensor(images, dtype) -> Tensor:
-    """[H,W,3] images (a sequence, or an [B,H,W,3] array) as one
-    [B,3,H,W] tensor of `dtype`, copying each image once."""
+def batch_tensor(images, dtype) -> Tensor:
+    """uint8 [H,W,3] images (a sequence, or an [B,H,W,3] array) as one
+    [B,3,H,W] tensor of `dtype` in [0,1]: each image is copied once into
+    the compute dtype, then the batch is divided by 255 in place.  The
+    only conversion from stored images to model input."""
     x = np.empty((len(images), 3) + images[0].shape[:2], dtype=dtype)
     for j, img in enumerate(images):
         x[j] = img.transpose(2, 0, 1)
+    x /= 255
     return Tensor(x)
 
 
@@ -131,7 +134,7 @@ def evaluate_model(state: TrainState, data: Dataset, cfg: RunConfig) -> dict:
     chunks = []
     with T.no_grad():
         for start in range(0, len(data), cfg.batch_size):
-            x = _batch_tensor(data.images[start : start + cfg.batch_size], dtype)
+            x = batch_tensor(data.images[start : start + cfg.batch_size], dtype)
             logits, _ = state.model(x)
             chunks.append(logits.data.astype(np.float64))
     state.model.train()
@@ -221,7 +224,7 @@ def run_training(cfg: RunConfig, splits: tuple[Dataset, Dataset],
                 images = [augment(img, (cfg.seed, STREAM_AUGMENT, epoch, int(i)), cfg.task)
                           for img, i in zip(images, idxs)]
             labels = train.labels[batch]
-            x = _batch_tensor(images, dtype)
+            x = batch_tensor(images, dtype)
             logits, inters = state.model(x)
             l_cla, l_div, l_ma, l_all = objective(logits, inters, labels, heads_by_block, lcfg)
             if not np.isfinite(l_all.item()):

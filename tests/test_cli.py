@@ -12,7 +12,7 @@ from smanet.config import ABLATIONS, RunConfig, config_digest, load_config, loss
 from smanet.errors import DataError
 from smanet.ppm import encode_color, encode_heatmap
 from smanet.tensor import PRIMITIVES
-from smanet.train import TrainState
+from smanet.train import TrainState, batch_tensor
 
 TINY = [
     "--task", "au", "--profile", "toy", "--seed", "3",
@@ -196,8 +196,8 @@ class TestTrain:
         manifest = tmp_path / "data" / "train" / "manifest.tsv"
         if case in ("wrong_size", "grayscale"):
             image = manifest.parent / manifest.read_text().splitlines()[3].split("\t")[0]
-            image.write_bytes(encode_color(np.zeros((32, 32, 3))) if case == "wrong_size"
-                              else encode_heatmap(np.zeros((64, 64))))
+            image.write_bytes(encode_color(np.zeros((32, 32, 3), np.uint8))
+                              if case == "wrong_size" else encode_heatmap(np.zeros((64, 64))))
             flags = ["--num-labels", "3"]
         elif case == "subject":
             lines = manifest.read_text().splitlines()
@@ -246,6 +246,21 @@ class TestTrain:
         main(["train", *TINY, "--output-dir", str(tmp_path)])
         assert read_tree(tmp_path) == first
 
+    def test_synth_output_trains_like_the_generated_data(self, tmp_path):
+        # Only the digest line differs: data_dir is part of the config digest.
+        main(["synth", *TINY, "--output-dir", str(tmp_path / "data")])
+        runs = tmp_path / "memory", tmp_path / "disk"
+        assert main(["train", *TINY, "--output-dir", str(runs[0])]) == EXIT_OK
+        assert main(["train", *TINY, "--data-dir", str(tmp_path / "data"),
+                     "--output-dir", str(runs[1])]) == EXIT_OK
+        rows = [[l for l in (r / "train_log.csv").read_text().splitlines()
+                 if not l.startswith("#")] for r in runs]
+        assert rows[0] == rows[1] and len(rows[0]) == 1 + 2
+        (_, memory), (_, disk) = (load_checkpoint(r / "checkpoint.bin") for r in runs)
+        assert list(memory) == list(disk)
+        for k in memory:
+            assert memory[k].shape == disk[k].shape and np.array_equal(memory[k], disk[k]), k
+
     def test_alpha_zero_matches_detached_twin(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         main(["train", *TINY, "--ablation", "full", "--alpha", "0",
@@ -261,10 +276,10 @@ class TestTrain:
                           if not l.startswith("#")]
         assert rows(a_dir) == rows(b_dir)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nonfinite_loss_aborts_with_numeric_code(self, tmp_path):
+    def test_nonfinite_loss_aborts_with_numeric_code(self, tmp_path, capsys):
         rc = main(["train", *TINY, "--lr", "1e9", "--output-dir", str(tmp_path)])
         assert rc == EXIT_NUMERIC
+        assert "non-finite loss" in one_line_error(capsys)
 
     def test_checked_run_writes_the_same_bytes(self, tmp_path):
         main(["train", *TINY, "--output-dir", str(tmp_path / "plain")])
@@ -580,10 +595,10 @@ class TestExportAttention:
         assert main(["export-attention", *TINY, "--checkpoint", str(ckpt),
                      "--output-dir", str(out_dir), str(img_path)]) == EXIT_OK
 
-        image = decode_image(img_path.read_bytes()).transpose(2, 0, 1)[None]
+        image = batch_tensor([decode_image(img_path.read_bytes())], np.float32)
         state.model.eval()
         with T.no_grad():
-            _, inters = state.model(T.Tensor(image.astype(np.float32)))
+            _, inters = state.model(image)
         want = [m for it in inters for m in (it.fused.data[0, 0], *it.stack.masks.data[0])]
         assert len(exported) == len(want)
         for got, ref in zip(exported, want):
@@ -599,7 +614,7 @@ class TestExportAttention:
         from smanet.ppm import encode_color
 
         img_path = tmp_path / "p.ppm"
-        img_path.write_bytes(encode_color(np.zeros((64, 64, 3))))
+        img_path.write_bytes(encode_color(np.zeros((64, 64, 3), np.uint8)))
         absent = tmp_path / "absent"
         for ckpt_arg, img_arg in ((absent, img_path), (ckpt, absent)):
             rc = main(["export-attention", *TINY, "--checkpoint", str(ckpt_arg),
@@ -618,7 +633,7 @@ class TestExportAttention:
         for sub in ("a", "b"):
             (tmp_path / sub).mkdir()
             paths.append(tmp_path / sub / "face.ppm")
-            paths[-1].write_bytes(encode_color(np.zeros((64, 64, 3))))
+            paths[-1].write_bytes(encode_color(np.zeros((64, 64, 3), np.uint8)))
         out = tmp_path / "o"
         rc = main(["export-attention", *TINY, "--checkpoint", str(ckpt),
                    "--output-dir", str(out), *map(str, paths)])
@@ -634,7 +649,7 @@ class TestExportAttention:
         from smanet.ppm import encode_color
 
         img_path = tmp_path / "small.ppm"
-        img_path.write_bytes(encode_color(np.zeros((8, 8, 3))))
+        img_path.write_bytes(encode_color(np.zeros((8, 8, 3), np.uint8)))
         rc = main(["export-attention", *TINY, "--checkpoint", str(ckpt),
                    "--output-dir", str(tmp_path / "o"), str(img_path)])
         assert rc == EXIT_CONFIG

@@ -11,7 +11,7 @@ from smanet.data import (DEFAULT_LABEL_PAIRS, DEFAULT_LABEL_RATES, ResampleConfi
                          make_folds, rotate_bilinear, sample_labels,
                          selective_oversample, write_dataset)
 from smanet.errors import ConfigError, DataError
-from smanet.ppm import decode_image, encode_color, encode_heatmap
+from smanet.ppm import decode_image, encode_color, encode_heatmap, quantize
 
 
 def sha256(arr) -> str:
@@ -26,15 +26,16 @@ class TestGenerator:
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.subjects, b.subjects)
 
-    # sha256 of (images, labels, subjects), recorded when samples were
-    # still objects: the draws and their dtypes must never change.
+    # sha256 of (images, labels, subjects).  The label and subject pins
+    # were recorded when samples were still objects, the image pins when
+    # images became uint8: the draws and their dtypes must never change.
     PINNED = [
         ((7, 12, None), (
-            "7c433ae791bf437f76f995b2bcb9259a4bb6b7f8921ac04b33a5019126938c17",
+            "8d398732db877cd0f99e042cd2f0fbb73075406f64c5ed4838a1da037720b785",
             "84fd50ee25cf492089108d327ba19a3bed52ed619242f619d088f8cf30102deb",
             "f53a073eff3f800bc989378e46230ef28bb906209ce7a6787abece084aa94cf1")),
         ((13, 6, SyntheticSpec(mode="multi_class")), (
-            "5b7fbc4ecb8106f86d273476ab1ca61ac0bfcc7c5aa9bc315d0fa8d2a3ac1898",
+            "6c0ae7a8e0539eb57346b2d5d50c5fa0c42a22bf5fb3f8bf741c983f8497232a",
             "8ed4b98f5251e93f36c486f9a21c6e3a2457d2336321d4518d9c3bfe852120b7",
             "8d64cd0f46205b21cc85b1e2ec7525015d9461bd41947c9d8a32e663a02a8add")),
     ]
@@ -42,7 +43,7 @@ class TestGenerator:
     @pytest.mark.parametrize("args,digests", PINNED, ids=["multi_label", "multi_class"])
     def test_pinned_bytes(self, args, digests):
         data = generate_synthetic(*args)
-        assert data.images.dtype == np.float64 and data.subjects.dtype == np.int64
+        assert data.images.dtype == np.uint8 and data.subjects.dtype == np.int64
         assert data.labels.dtype == (np.int8 if data.labels.ndim == 2 else np.int64)
         assert (sha256(data.images), sha256(data.labels), sha256(data.subjects)) == digests
 
@@ -74,13 +75,13 @@ class TestGenerator:
         data = generate_synthetic(3, 5, spec)
         assert data.images.shape == (5, 64, 64, 3) and data.labels.shape == (5, 12)
         assert np.all(data.labels == 0)
-        assert data.images.max() < 0.30  # base gray + subject tint only
+        assert data.images.max() < 0.30 * 255  # base gray + subject tint only
 
     def test_positive_label_renders_blob(self):
         spec = SyntheticSpec(rates=(1.0,) + (0.0,) * 11, pairs=(), distractors=0, noise=0.0)
         image = generate_synthetic(4, 1, spec).images[0]
         cy, cx = label_centers(12, 64)[0]
-        assert image[int(round(cy)), int(round(cx))].max() > 0.6
+        assert image[int(round(cy)), int(round(cx))].max() > 0.6 * 255
 
     def test_multiclass_mode(self):
         spec = SyntheticSpec(mode="multi_class")
@@ -128,13 +129,20 @@ class TestAugment:
         fwd = rotate_bilinear(img, 30.0)
         back = rotate_bilinear(fwd, -30.0)
         inner = (slice(8, -8), slice(8, -8))
-        assert np.abs(back[inner] - img[inner]).mean() < 0.02
+        # in float: uint8 subtraction would wrap
+        assert np.abs(back[inner] - img[inner].astype(np.float64)).mean() < 0.02 * 255
 
     def test_range_preserved(self):
         img = generate_synthetic(9, 1).images[0]
         out = augment(img, 123, "au")
-        assert out.shape == img.shape
-        assert out.min() >= 0.0 and out.max() <= 1.0
+        assert out.shape == img.shape and out.dtype == np.uint8
+
+    def test_uint8_in_uint8_out(self):
+        img = np.random.default_rng(6).integers(0, 256, (12, 10, 3), dtype=np.uint8)
+        out = augment(img, (4, 5), "fer")
+        assert out.dtype == np.uint8 and out.shape == img.shape
+        # the identity draw quantizes back to the input exactly
+        assert np.array_equal(quantize(apply_augment(img / 255.0, 0.0, False, 1.0, 1.0, 1.0)), img)
 
     def test_seeded_determinism(self):
         img = generate_synthetic(10, 1).images[0]
@@ -217,7 +225,7 @@ class TestPpm:
     def test_white_pixel(self):
         data = b"P6\n1 1\n255\n\xff\xff\xff"
         img = decode_image(data)
-        assert np.array_equal(img, np.ones((1, 1, 3)))
+        assert img.dtype == np.uint8 and np.array_equal(img, np.full((1, 1, 3), 255))
 
     def test_comment_in_header(self):
         data = b"P6\n# hello\n1 1\n255\n\x00\x80\xff"
@@ -227,18 +235,23 @@ class TestPpm:
     def test_constant_heatmap_encodes_to_zeros(self):
         blob = encode_heatmap(np.full((3, 4), 0.5))
         img = decode_image(blob)
-        assert np.array_equal(img, np.zeros((3, 4)))
+        assert img.dtype == np.uint8 and np.array_equal(img, np.zeros((3, 4)))
 
     def test_color_roundtrip_quantization_bound(self):
         img = np.random.default_rng(4).random((5, 7, 3))
-        back = decode_image(encode_color(img))
-        assert np.abs(back - img).max() <= 1.0 / 255.0 + 1e-12
+        back = decode_image(encode_color(quantize(img)))
+        assert back.dtype == np.uint8 and np.array_equal(back, quantize(img))
+        assert np.abs(back - img * 255.0).max() <= 0.5
+
+    def test_color_refuses_float_images(self):
+        with pytest.raises(DataError, match="uint8"):
+            encode_color(np.zeros((2, 2, 3)))
 
     def test_heatmap_roundtrip_minmax(self):
         m = np.random.default_rng(5).random((6, 6))
         back = decode_image(encode_heatmap(m))
         normalized = (m - m.min()) / (m.max() - m.min())
-        assert np.abs(back - normalized).max() <= 1.0 / 255.0 + 1e-12
+        assert back.dtype == np.uint8 and np.abs(back - normalized * 255.0).max() <= 0.5
 
     def test_bad_magic(self):
         with pytest.raises(DataError):
@@ -292,7 +305,7 @@ class TestManifest:
         assert loaded.labels.dtype == np.int8 and loaded.subjects.dtype == np.int64
         assert np.array_equal(data.labels, loaded.labels)
         assert np.array_equal(data.subjects, loaded.subjects)
-        assert np.abs(data.images - loaded.images).max() <= 1.0 / 255.0 + 1e-12
+        assert loaded.images.dtype == np.uint8 and np.array_equal(data.images, loaded.images)
 
     def test_multiclass_roundtrip(self, tmp_path):
         data = generate_synthetic(13, 4, SyntheticSpec(mode="multi_class"))
