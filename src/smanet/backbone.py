@@ -177,23 +177,38 @@ def backbone_param_count(cfg: BackboneConfig) -> int:
 
 
 class SGD:
-    """Momentum SGD with decoupled-from-nothing L2: v <- m*v + g + wd*p; p -= lr*v."""
+    """Momentum SGD with decoupled-from-nothing L2: v <- m*v + g + wd*p; p -= lr*v.
+
+    The parameters live in one flat array: construction copies them into
+    `flat` and rebinds each `p.data` to its view of it, so each pass of a
+    step runs once over the whole buffer instead of once per parameter,
+    with the same elementwise arithmetic.  Code that replaces a
+    parameter's values afterwards must write into `p.data` in place.  The
+    parameters must share one dtype.
+    """
 
     def __init__(self, params: list[Tensor], momentum: float = 0.9, weight_decay: float = 1e-4):
         self.params = list(params)
+        if len({p.dtype for p in self.params}) != 1:
+            raise ConfigError("sgd needs a non-empty parameter list of one dtype")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
+        self.flat = np.concatenate([p.data for p in self.params], axis=None)
+        offset = 0
+        for p in self.params:
+            p.data = self.flat[offset : offset + p.size].reshape(p.shape)
+            offset += p.size
+        self.velocity = np.zeros_like(self.flat)
 
     def step(self, lr: float) -> None:
-        for p, v in zip(self.params, self.velocity):
-            if p.grad is None:
-                raise ConfigError("sgd step with a parameter that has no gradient")
-            v *= self.momentum
-            v += p.grad
-            if self.weight_decay:
-                v += self.weight_decay * p.data
-            p.data = p.data - lr * v
+        if any(p.grad is None for p in self.params):
+            raise ConfigError("sgd step with a parameter that has no gradient")
+        v = self.velocity
+        v *= self.momentum
+        v += np.concatenate([p.grad for p in self.params], axis=None)
+        if self.weight_decay:
+            v += self.weight_decay * self.flat
+        self.flat -= lr * v
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -104,7 +104,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
             counts = count_binary(binarize(res["logits"]), res["labels"].astype(bool))
             report = lines[0] + "\n" + metrics_report(counts)
         else:
-            preds = res["logits"].argmax(axis=1)
+            preds = res["logits"].argmax(axis=-1)
             acc = accuracy(preds, res["labels"])
             report = lines[0] + "\n" + f"accuracy,{acc:.6f}\n"
             conf = confusion_matrix(preds, res["labels"], cfg.num_classes)

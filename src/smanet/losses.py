@@ -50,32 +50,49 @@ def diversity_loss(masks: Tensor, delta: float) -> Tensor:
     averaged over batch, channels, and pixels.  Zero when channel supports
     are disjoint (the hinge never activates) or when there is one channel.
 
-    One op: the max over the other channels is the top channel's value
-    for every channel but the top one, which sees the runner-up (ties go
-    to the lowest index).  The vjp gives each mask its hinge as the direct
-    term, and routes each active hinge's mask value to the channel its max
-    came from: the top channel, or the runner-up for the top channel.
+    One op: the max over the other channels is the top value m1 for
+    every channel but the top one, which sees the runner-up m2 (ties go
+    to the lowest index).  With S the channel sum and h1, h2 the hinges
+    of m1 and m2, a pixel's penalty is (S - m1)*h1 + m1*h2.  One loop over
+    the channels keeps m1, m2 and their indices on [B,1,H,W] arrays with
+    max/min and integer arithmetic: on numpy 2.x, ``argmax`` over the
+    channel axis and a data-dependent ``np.where`` cost several times that
+    (see `tensor`).  The vjp gives each mask its hinge as the direct term,
+    and routes each active hinge's mask value to the channel its max came
+    from: the top channel, or the runner-up for the top channel.
     """
     if masks.ndim != 4 or masks.shape[1] == 0:
         raise ShapeError(f"diversity_loss: need [B,N>=1,H,W], got {masks.shape}")
     if masks.shape[1] == 1:
         return Tensor(np.zeros((), dtype=masks.dtype))
     d = masks.data
-    ch = np.arange(d.shape[1])[None, :, None, None]
-    top = ch == d.argmax(axis=1)[:, None]
-    runner_up = np.where(top, -np.inf, d)
-    second = ch == runner_up.argmax(axis=1)[:, None]
-    others = np.where(top, runner_up.max(axis=1, keepdims=True), d.max(axis=1, keepdims=True))
-    shifted = others - delta
-    hinge = np.maximum(shifted, 0.0)
-    data = np.asarray((d * hinge).mean())
+    m1, m2 = d[:, :1].copy(), np.full_like(d[:, :1], -np.inf)
+    # The smallest signed type that holds the indices (int8 passes cost a
+    # fraction of intp ones).  Each `i += mask * (new - i)` is a branch-free
+    # select, and the strict `>` keeps ties on the lower index.
+    i1 = np.zeros(m1.shape, dtype=np.min_scalar_type(-d.shape[1]))
+    i2 = i1.copy()
+    for c in range(1, d.shape[1]):
+        v = d[:, c : c + 1]
+        above1, above2 = v > m1, v > m2
+        i2 += above2 * (c - i2)
+        i2 += above1 * (i1 - i2)
+        i1 += above1 * (c - i1)
+        np.maximum(m2, np.minimum(v, m1), out=m2)
+        np.maximum(m1, v, out=m1)
+    rest = d.sum(axis=1, keepdims=True) - m1
+    h1, h2 = np.maximum(m1 - delta, 0.0), np.maximum(m2 - delta, 0.0)
+    data = np.asarray((rest * h1 + m1 * h2).sum() / d.size)
 
     def vjp(g):
-        scale = g / d.size
-        routed = scale * d * (shifted > 0.0)
-        from_top = (routed * top).sum(axis=1, keepdims=True)
-        to_top = routed.sum(axis=1, keepdims=True) - from_top
-        return (scale * hinge + top * to_top + second * from_top,)
+        s = g / d.size
+        ch = np.arange(d.shape[1], dtype=i1.dtype)[:, None, None]
+        # Per pixel: the top channel's extra term, and what its mask sends
+        # to the runner-up.
+        grad = (ch == i1) * ((h2 - h1 + rest * (m1 > delta)) * s)
+        grad += (ch == i2) * (m1 * (m2 > delta) * s)
+        grad += h1 * s
+        return (grad,)
 
     return apply_op(data, (masks,), vjp)
 

@@ -55,7 +55,8 @@ class Module:
             yield "buffer." + name, b
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy checkpoint records into parameters and buffers; a missing
+        """Copy checkpoint records into parameters and buffers, in place
+        (an optimizer may hold views of the parameter arrays); a missing
         record or a shape mismatch is a DataError naming the record."""
 
         def record(name, shape):
@@ -65,10 +66,8 @@ class Module:
                 raise DataError(f"checkpoint record {name}: shape {arrays[name].shape} != {shape}")
             return arrays[name]
 
-        for name, p in self.named_parameters():
-            p.data = record(name, p.data.shape).astype(p.data.dtype)
-        for name, b in self.named_buffers():
-            b[...] = record("buffer." + name, b.shape).astype(b.dtype)
+        for name, arr in self.state_arrays():
+            arr[...] = record(name, arr.shape)
 
     def param_total(self) -> int:
         return sum(p.size for p in self.parameters())

@@ -20,6 +20,20 @@ tap, on the tap's window of the flattened grid.  ``masked_avg_pool`` is
 batched GEMMs on the flattened maps.  All math uses a fixed reduction
 order, so identical inputs give bit-identical outputs run to run.
 
+The other kernels count numpy passes.  Two primitives are slow out of
+proportion on numpy 2.x.  On a [2,7,64,64] float32 array, ``np.where``
+on a data-dependent mask takes 0.40 ms, against 0.07 ms for the same
+select as arithmetic and 0.05 ms on a predictable mask: the cost is
+branch misprediction.  ``argmax`` over axis 1 takes 0.35 ms, against
+0.01 ms for ``max`` over that axis: numpy first copies the array into
+last-axis order, and ``argmax`` over a short last axis still pays per
+row.  So no kernel here calls ``np.where``, ``argmax`` never moves an
+axis (a test in `test_dependencies` keeps both rules), and per-pixel
+selections over channels are elementwise passes.  ``sigmoid_values``
+selects its branch with ``min(x, 0)``, ``batch_norm2d`` reuses one
+centred copy and its own parameter gradients, and
+`losses.diversity_loss` tracks the top two channels in one loop.
+
 `PRIMITIVES` names the ops the model is built from.  The loss terms are
 single ops of their own in `losses`, built on the same `apply_op` seam.
 """
@@ -276,9 +290,14 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid_values(arr: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic on a raw array (exp argument always <= 0)."""
-    z = np.exp(-np.abs(arr))
-    return np.where(arr >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    """Numerically stable logistic on a raw array (exp arguments always <= 0).
+
+    The two-branch formula 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) for x < 0
+    as arithmetic: the numerator exp(min(x, 0)) is 1 on the first branch,
+    so the result is bit-identical to selecting between the branches,
+    without a data-dependent ``np.where`` (see the module docstring).
+    """
+    return np.exp(np.minimum(arr, 0.0)) / (1.0 + np.exp(-np.abs(arr)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -671,41 +690,51 @@ def batch_norm2d(
     Training mode normalizes with batch statistics (biased variance) and
     updates the running buffers in place (unbiased variance, torch
     convention); eval mode normalizes with the running buffers.
+
+    The training forward takes one mean and one centred copy x - mean.
+    That copy gives the variance as sum((x - mean)^2) / m, bit for bit
+    what ``np.var`` returns without its second mean, and is then scaled
+    in place into xhat.  The gradient reuses the beta and gamma
+    gradients sum(g) and sum(g*xhat):
+    gx = gamma*invstd * (g - sum(g)/m - xhat*sum(g*xhat)/m).  Eval mode
+    folds the running statistics into one per-channel x*scale + shift.
     """
     if x.ndim != 4 or gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ShapeError(f"batch_norm2d: bad shapes x{x.shape} gamma{gamma.shape}")
     b, c, h, wd = x.shape
     m = b * h * wd
-    gsh = gamma.data[None, :, None, None]
+    axes = (0, 2, 3)
     if training:
-        mu = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mu = x.data.mean(axis=axes)
+        xhat = x.data - mu[:, None, None]
+        var = (xhat * xhat).sum(axis=axes) / m
         invstd = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu[None, :, None, None]) * invstd[None, :, None, None]
+        xhat *= invstd[:, None, None]
+        data = xhat * gamma.data[:, None, None]
+        data += beta.data[:, None, None]
         unbiased = var * (m / (m - 1)) if m > 1 else var
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
         running_var += momentum * unbiased
     else:
+        mu = running_mean.copy()  # the vjp must see the mean this forward used
         invstd = 1.0 / np.sqrt(running_var + eps)
-        xhat = (x.data - running_mean[None, :, None, None]) * invstd[None, :, None, None]
-    data = gsh * xhat + beta.data[None, :, None, None]
+        scale = gamma.data * invstd
+        data = x.data * scale[:, None, None]
+        data += (beta.data - mu * scale)[:, None, None]
 
     def vjp(g):
-        gg = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-        gb = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-        gx = None
-        if x.requires_grad:
-            inv = invstd[None, :, None, None]
-            gxhat = g * gsh
-            if training:
-                s1 = gxhat.sum(axis=(0, 2, 3), keepdims=True)
-                s2 = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                gx = inv * (gxhat - s1 / m - xhat * s2 / m)
-            else:
-                gx = gxhat * inv
-        return gx, gg, gb
+        k = (gamma.data * invstd)[:, None, None]
+        sg = g.sum(axis=axes)
+        if not training:
+            return g * k, (g * (x.data - mu[:, None, None])).sum(axis=axes) * invstd, sg
+        sgx = (g * xhat).sum(axis=axes)
+        gx = xhat * (-sgx / m)[:, None, None]
+        gx += g
+        gx -= (sg / m)[:, None, None]
+        gx *= k
+        return gx, sgx, sg
 
     return apply_op(data, (x, gamma, beta), vjp)
 

@@ -123,7 +123,7 @@ def _split_metric(logits: np.ndarray, labels, task: str) -> float:
     if task == "au":
         _, _, _, macro = f1_scores(count_binary(binarize(logits), labels.astype(bool)))
         return macro["f1"]
-    return accuracy(logits.argmax(axis=1), labels)
+    return accuracy(logits.argmax(axis=-1), labels)
 
 
 def evaluate_model(state: TrainState, data: Dataset, cfg: RunConfig) -> dict:

@@ -185,6 +185,13 @@ def sigmoid_scalar(v):
     return e / (1.0 + e)
 
 
+def sigmoid_branches(x):
+    """The two-branch logistic as an array select: 1/(1+e^-x) for x >= 0,
+    e^x/(1+e^x) below, with e^-|x| computed once."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
 def combine_loop(maps, weights):
     """Per-pixel weighted channel sum, then scalar sigmoid."""
     bsz, n, h, w = maps.shape
@@ -241,6 +248,20 @@ def diversity_vjp_loop(masks, delta):
                     if excess > 0.0:
                         grad[bi, src, i, j] += scale * masks[bi, ni, i, j]
     return grad
+
+
+def sgd_loop(params, grads, lr, momentum, weight_decay):
+    """Momentum SGD one parameter at a time: v <- m*v + g + wd*p; p -= lr*v.
+    `grads` holds one list of per-parameter gradients per step."""
+    params = [p.copy() for p in params]
+    velocity = [np.zeros_like(p) for p in params]
+    for step in grads:
+        for i, g in enumerate(step):
+            velocity[i] *= momentum
+            velocity[i] += g
+            velocity[i] += weight_decay * params[i]
+            params[i] = params[i] - lr * velocity[i]
+    return params
 
 
 def cross_entropy_loop(logits, classes):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from smanet import tensor as T
 from smanet.backbone import (SGD, Backbone, BackboneConfig, BasicBlock,
                              backbone_param_count, lr_schedule)
@@ -191,6 +192,42 @@ class TestSGD:
         p = Tensor(np.array([1.0]), requires_grad=True)
         with pytest.raises(ConfigError):
             SGD([p]).step(0.1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_parameter_recurrence_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(23)
+        shapes = [(4, 3, 3, 3), (4,), (1,), (5, 7), (2, 2, 1)]
+        start = [rng.normal(size=s).astype(dtype) for s in shapes]
+        grads = [[rng.normal(size=s).astype(dtype) for s in shapes] for _ in range(5)]
+        params = [Tensor(a.copy(), requires_grad=True) for a in start]
+        opt = SGD(params, momentum=0.9, weight_decay=1e-3)
+        for step in grads:
+            for p, g in zip(params, step):
+                p.grad = g
+            opt.step(0.05)
+            opt.zero_grad()
+        want = oracles.sgd_loop(start, grads, 0.05, 0.9, 1e-3)
+        for p, w in zip(params, want):
+            assert p.data.dtype == dtype and p.data.shape == w.shape
+            assert np.array_equal(p.data, w)
+
+    def test_mixed_dtypes_rejected(self):
+        params = [Tensor(np.zeros(2, np.float32), requires_grad=True),
+                  Tensor(np.zeros(2, np.float64), requires_grad=True)]
+        with pytest.raises(ConfigError):
+            SGD(params)
+
+    def test_loaded_state_is_what_the_next_step_reads(self):
+        model = Backbone(toy_config(n_channels=2), np.random.default_rng(24))
+        twin = Backbone(toy_config(n_channels=2), np.random.default_rng(25))
+        params = list(model.parameters())
+        opt = SGD(params, momentum=0.0, weight_decay=0.0)
+        model.load_state_arrays(dict(twin.state_arrays()))
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        opt.step(0.5)
+        for p, (_, loaded) in zip(params, twin.named_parameters()):
+            assert np.array_equal(p.data, loaded.data - 0.5)
 
 
 class TestSchedule:

@@ -39,3 +39,34 @@ def test_every_import_is_used():
                     if bound != "annotations" and bound not in used:
                         unused.append(f"{path.name}: {bound}")
     assert not unused
+
+
+def _calls(tree, attr):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Attribute, ast.Name))
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == attr]
+
+
+def test_no_slow_selects():
+    """On numpy 2.x `np.where` on a data-dependent mask mispredicts its
+    branches, and `argmax` over a non-last axis first copies the array
+    into last-axis order: each costs several times an elementwise pass.
+    So: no `np.where` in `tensor.py`, nor in a `losses.py` function that
+    calls `apply_op`, and every `argmax`/`argmin` in the package passes
+    `axis=-1`."""
+    root = Path(smanet.__file__).parent
+    slow = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _calls(tree, "argmax") + _calls(tree, "argmin"):
+            axis = [k.value for k in node.keywords if k.arg == "axis"]
+            if not axis or ast.unparse(axis[0]) != "-1":
+                slow.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+        scopes = [tree] if path.name == "tensor.py" else []
+        if path.name == "losses.py":
+            scopes = [f for f in tree.body
+                      if isinstance(f, ast.FunctionDef) and _calls(f, "apply_op")]
+        for scope in scopes:
+            slow += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                     for node in _calls(scope, "where")]
+    assert not slow

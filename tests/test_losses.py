@@ -16,6 +16,19 @@ from smanet.nn import Linear
 from smanet.tensor import Tensor
 
 
+def tie_masks(n):
+    """[2, n, 3, 3] masks on four levels, with the ties L_div must break by
+    the lowest channel index (those that fit in n channels)."""
+    m = np.random.default_rng(11).choice([0.1, 0.3, 0.6, 0.8], size=(2, n, 3, 3))
+    m[0, :, 0, 0] = 0.8                                   # all channels tie at the top
+    m[0, :, 0, 1] = 0.3
+    m[0, :4, 0, 1] = [0.6, 0.8, 0.8, 0.3][:n]             # two-way tie at the top
+    m[1, :, 1, 1] = 0.6
+    m[1, 1, 1, 1] = 0.9                                   # runner-up tie among the rest
+    m[1, :, 2, 2] = np.resize([0.3, 0.1], n)              # no hinge active
+    return m
+
+
 class TestDiversityLoss:
     def test_full_overlap_constant_masks(self):
         masks = Tensor(np.ones((1, 2, 4, 4)))
@@ -46,14 +59,18 @@ class TestDiversityLoss:
         m = np.random.default_rng(seed).random((1, 3, 3, 3))
         assert diversity_loss(Tensor(m), delta).item() >= 0.0
 
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_matches_loop_oracle_with_ties(self, dtype, n):
+        m = tie_masks(n)
+        got = diversity_loss(Tensor(m, dtype=dtype), 0.5)
+        want = oracles.diversity_loop(m.astype(dtype).astype(np.float64), 0.5)
+        assert got.dtype == dtype
+        assert got.item() == pytest.approx(want, rel=1e-12 if dtype == np.float64 else 1e-6)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_vjp_matches_loop_oracle(self, dtype):
-        rng = np.random.default_rng(11)
-        m = rng.choice([0.1, 0.3, 0.6, 0.8], size=(2, 4, 3, 3))
-        m[0, :, 0, 0] = 0.8                      # all channels tie at the top
-        m[0, :, 0, 1] = [0.6, 0.8, 0.8, 0.3]     # two-way tie at the top
-        m[1, :, 1, 1] = [0.6, 0.9, 0.6, 0.6]     # three-way tie for runner-up
-        m[1, :, 2, 2] = [0.3, 0.1, 0.3, 0.1]     # no hinge active
+        m = tie_masks(4)  # the three-way runner-up tie needs four channels
         x = Tensor(m, requires_grad=True, dtype=dtype)
         diversity_loss(x, 0.5).backward()
         want = oracles.diversity_vjp_loop(x.data.astype(np.float64), 0.5)

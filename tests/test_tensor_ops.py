@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from smanet import tensor as T
 from smanet.errors import NumericError, ShapeError
+from smanet.gradcheck import grad_check_many
 from smanet.tensor import Tensor
 
 
@@ -215,6 +216,16 @@ class TestSigmoid:
         y = T.sigmoid(Tensor(np.array([-1e3, 1e3]))).data
         assert np.all(np.isfinite(y))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_two_branch_formula(self, dtype):
+        # The float32 and float64 exp under- and overflow edges, and beyond.
+        edges = [0.0, -0.0, 88.7, -88.7, -104.0, 710.0, -710.0, -746.0, 1e4, -1e4,
+                 np.inf, -np.inf, np.nan]
+        x = np.concatenate([rnd(16).normal(scale=30.0, size=20_000), edges]).astype(dtype)
+        got = T.sigmoid(Tensor(x)).data
+        assert got.dtype == dtype
+        assert np.array_equal(got, oracles.sigmoid_branches(x), equal_nan=True)
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -369,6 +380,39 @@ class TestBatchNorm:
         out = T.batch_norm2d(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), rm, rv,
                              training=False, eps=0.0)
         assert np.allclose(out.data, (x - 1.5) / 2.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_mode_matches_numpy_statistics_bit_for_bit(self, dtype):
+        rng = rnd(17)
+        x = rng.normal(loc=2.0, scale=3.0, size=(2, 6, 9, 7)).astype(dtype)
+        gamma, beta = rng.normal(size=6).astype(dtype), rng.normal(size=6).astype(dtype)
+        rm0, rv0 = rng.normal(size=6).astype(dtype), rng.uniform(0.5, 2.0, 6).astype(dtype)
+        rm, rv = rm0.copy(), rv0.copy()
+        out = T.batch_norm2d(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv, training=True,
+                             momentum=0.1, eps=1e-5)
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        m = x.size // 6
+        c = (slice(None), None, None)
+        xhat = (x - mean[c]) * (1.0 / np.sqrt(var + 1e-5))[c]
+        assert np.array_equal(out.data, gamma[c] * xhat + beta[c])
+        assert np.array_equal(rm, rm0 * (1.0 - 0.1) + 0.1 * mean)
+        assert np.array_equal(rv, rv0 * (1.0 - 0.1) + 0.1 * (var * (m / (m - 1))))
+
+    def test_eval_mode_gradients(self):
+        rng = rnd(18)
+        rm, rv = rng.normal(size=4), rng.uniform(0.5, 2.0, 4)
+        leaves = {"x": Tensor(rng.normal(size=(3, 4, 5, 5)), requires_grad=True),
+                  "gamma": Tensor(rng.normal(size=4), requires_grad=True),
+                  "beta": Tensor(rng.normal(size=4), requires_grad=True)}
+        proj = Tensor(rng.normal(size=(3, 4, 5, 5)))
+
+        def forward():
+            out = T.batch_norm2d(*leaves.values(), rm, rv, training=False)
+            return T.mul(out, proj).sum()
+
+        before = rm.copy(), rv.copy()
+        assert grad_check_many(forward, leaves) < 1e-7
+        assert np.array_equal(rm, before[0]) and np.array_equal(rv, before[1])
 
 
 class TestDeterminismAndChecks:
