@@ -122,6 +122,10 @@ def cmd_sweep_n(cfg: RunConfig, args) -> int:
         raise ConfigError(f"n-values must be integers, got {args.n_values!r}") from None
     if not n_values:
         raise ConfigError("sweep-n needs at least one channel count")
+    # Each count trains into its own n<count>/ directory and csv row.
+    repeated = [n for n in n_values if n_values.count(n) > 1]
+    if repeated:
+        raise ConfigError(f"n-values repeats the channel count {repeated[0]}")
     # Every swept config is checked before the first run writes anything.
     subs = [dataclasses.replace(cfg, n_channels=n,
                                 output_dir=str(Path(cfg.output_dir) / f"n{n}")).validate()

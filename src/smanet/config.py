@@ -160,11 +160,13 @@ def config_digest(cfg: RunConfig) -> str:
 
 
 def _cast(key: str, raw: str):
-    """(field, value) of one `key = value` setting, from a file or a flag."""
-    field = _FIELD_OF_KEY.get(key, key)
-    kind = _fields().get(field)
-    if kind is None:
+    """(field, value) of one `key = value` setting, from a file or a flag.
+    Only the keys `config_keys` lists are accepted, so `lambda` has one
+    spelling."""
+    if key not in config_keys():
         raise ConfigError(f"unknown config key {key!r}")
+    field = _FIELD_OF_KEY.get(key, key)
+    kind = _fields()[field]
     raw = raw.strip()
     try:
         if kind == "bool":
@@ -183,9 +185,10 @@ def _cast(key: str, raw: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse the flat document; requires a matching schema_version line."""
+    """Parse the flat document; requires a matching schema_version line,
+    and each key at most once."""
     values: dict = {}
-    saw_schema = False
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -193,14 +196,19 @@ def parse_config_text(text: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in line_of:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {line_of[key]}")
+        line_of[key] = lineno
         if key == "schema_version":
             if raw != str(SCHEMA_VERSION):
                 raise ConfigError(f"unsupported schema_version {raw} (want {SCHEMA_VERSION})")
-            saw_schema = True
             continue
-        field, value = _cast(key, raw)
+        try:
+            field, value = _cast(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
         values[field] = value
-    if not saw_schema:
+    if "schema_version" not in line_of:
         raise ConfigError("config file is missing the schema_version line")
     return values
 

@@ -7,18 +7,22 @@ gradients additively across fan-out.  The graph is consumed by the
 backward pass: reusing an already-backpropagated intermediate raises.
 
 Every kernel lives in this module, once, on numpy alone, and puts its
-arithmetic on BLAS or on strided slices.  ``conv2d`` is an implicit
-GEMM: it writes its input once into the stride's padded phase grids
-(``_phase_layout``), and each kernel tap is one batched GEMM on a
-contiguous window of a flattened grid, which BLAS reads in place; its
-gradients run one GEMM per tap against the same windows, so no column
-buffer is built.  ``depthwise_conv2d`` writes its input once into the
-same stride-1 grid.  Its forward and input gradient cut the output width
+arithmetic on BLAS or on strided slices.  The windowed ops, ``conv2d``,
+``depthwise_conv2d`` and ``max_pool2d``, share one padded-input layout:
+``_phase_grid`` writes the input once into the stride's padded phase
+grids (``_phase_layout``), and kernel tap t reads one contiguous window
+of a flattened grid, ``windows[t]``, in place; ``_phase_gather`` moves a
+gradient on those grids back into the input's shape (a rule in
+`test_dependencies` keeps this the only padding path).  ``conv2d`` is an
+implicit GEMM: each tap is one batched GEMM on its window, and so are
+its gradients, so no column buffer is built.  ``depthwise_conv2d`` uses
+the stride-1 grid.  Its forward and input gradient cut the output width
 into tiles and run k banded GEMMs, with the tiles as one more batch axis
 (``_depthwise_correlate``); its weight gradient is one dot product per
-tap, on the tap's window of the flattened grid.  ``masked_avg_pool`` is
-batched GEMMs on the flattened maps.  All math uses a fixed reduction
-order, so identical inputs give bit-identical outputs run to run.
+tap, on the tap's window.  ``max_pool2d`` keeps a running maximum over
+the windows of a -inf-filled grid.  ``masked_avg_pool`` is batched
+GEMMs on the flattened maps.  All math uses a fixed reduction order, so
+identical inputs give bit-identical outputs run to run.
 
 The other kernels count numpy passes.  Two primitives are slow out of
 proportion on numpy 2.x.  On a [2,7,64,64] float32 array, ``np.where``
@@ -29,10 +33,11 @@ branch misprediction.  ``argmax`` over axis 1 takes 0.35 ms, against
 last-axis order, and ``argmax`` over a short last axis still pays per
 row.  So no kernel here calls ``np.where``, ``argmax`` never moves an
 axis (a test in `test_dependencies` keeps both rules), and per-pixel
-selections over channels are elementwise passes.  ``sigmoid_values``
-selects its branch with ``min(x, 0)``, ``batch_norm2d`` reuses one
-centred copy and its own parameter gradients, and
-`losses.diversity_loss` tracks the top two channels in one loop.
+selections over channels or window taps are elementwise passes.
+``sigmoid_values`` selects its branch with ``min(x, 0)``,
+``batch_norm2d`` reuses one centred copy and its own parameter
+gradients, `losses.diversity_loss` tracks the top two channels in one
+loop, and ``max_pool2d`` the winning tap in one loop over the taps.
 
 `PRIMITIVES` names the ops the model is built from.  The loss terms are
 single ops of their own in `losses`, built on the same `apply_op` seam.
@@ -45,7 +50,6 @@ import functools
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AutogradError, NumericError, ShapeError
 
@@ -400,41 +404,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return apply_op(data, parents, vjp)
 
 
-def _pad_hw(x: np.ndarray, padding: int, fill: float = 0.0) -> np.ndarray:
-    """Pad the two spatial axes of an [B,C,H,W] array with `fill`."""
-    if not padding:
-        return x
-    b, c, h, w = x.shape
-    out = np.full((b, c, h + 2 * padding, w + 2 * padding), fill, dtype=x.dtype)
-    out[:, :, padding : padding + h, padding : padding + w] = x
-    return out
-
-
-def _check_padding(op: str, k: int, padding: int) -> None:
-    # The depthwise input gradient correlates with the flipped kernel on
-    # the gradient's grid padded by k-1-padding, which must not be
-    # negative.  conv2d's phase grids would hold any padding; it keeps the
-    # same bound, under which every output pixel still meets at least one
-    # pixel of x.
-    if not 0 <= padding <= k - 1:
-        raise ShapeError(f"{op}: padding {padding} outside [0, {k - 1}] for kernel {k}")
-
-
-def _taps(k: int, stride: int, ho: int, wo: int) -> list[tuple]:
-    """Index of the [..., Ho, Wo] strided slice of the padded input that
-    each window offset meets, t = i*k + j first to last: output pixel
-    (r, q) reads padded pixel (i + stride*r, j + stride*q) through offset
-    (i, j).  Only the ``max_pool2d`` vjp uses it; ``conv2d`` reads
-    contiguous windows of its phase grids instead (``_phase_layout``)."""
-    return [(..., slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
-            for i in range(k) for j in range(k)]
-
-
 def _phase_axis(size: int, padding: int, stride: int, phase: int, count: int) -> tuple[slice, slice]:
     """Along one spatial axis, the slice of x and the slice of a phase grid
     that hold the same pixels.  Grid index r holds padded index
     phase + stride*r, that is x index phase - padding + stride*r, for
-    r < count; grid indices in the padding or past x stay zero."""
+    r < count; grid indices in the padding or past x hold the fill."""
     first = max(0, -((phase - padding) // stride))
     stop = max(first, min(count, -((phase - padding - size) // stride)))
     start = phase - padding + stride * first
@@ -443,19 +417,20 @@ def _phase_axis(size: int, padding: int, stride: int, phase: int, count: int) ->
 
 @functools.lru_cache(maxsize=256)
 def _phase_layout(h: int, wd: int, k: int, stride: int, padding: int) -> tuple:
-    """Geometry of ``conv2d`` on the polyphase padded grid, for an
-    [.., h, wd] input: ``(ho, wo, grid, scatter, windows)``.
+    """Geometry of a k-by-k window op on the polyphase padded grid, for an
+    [.., h, wd] input: ``(ho, wo, grid, scatter, windows)``.  ``conv2d``,
+    ``depthwise_conv2d`` (stride 1) and ``max_pool2d`` all read it.
 
     ``grid`` is the [m*m, rows, Wq] shape of the phase grids, m = min(k,
     stride); ``scatter`` pairs each phase's x slice with its grid slice
     (phase (a, c) is grid a*m + c); ``windows[t]`` indexes the flat
     window of length Ho*Wq that tap t = i*k + j reads.  Pure in its
-    integer arguments, so the model's few conv shapes are computed once.
+    integer arguments, so the model's few window shapes are computed once.
     """
     ho, wo = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
     e, m = (k - 1) // stride, min(k, stride)
     # Tap (k-1, k-1)'s window runs e elements past Ho+e rows: one more
-    # zero row holds them.
+    # row of fill holds them.
     rows, wq = ho + e + (e > 0), wo + e
     rows_at = [_phase_axis(h, padding, stride, a, rows) for a in range(m)]
     cols_at = [_phase_axis(wd, padding, stride, c, wq) for c in range(m)]
@@ -470,6 +445,49 @@ def _phase_layout(h: int, wd: int, k: int, stride: int, padding: int) -> tuple:
     return ho, wo, (m * m, rows, wq), scatter, tuple(windows)
 
 
+def _phase_grid(op: str, x: np.ndarray, k: int, stride: int, padding: int, fill: float = 0.0) -> tuple:
+    """x[B,C,h,wd] written once into the phase grids of ``_phase_layout``,
+    every other grid cell `fill`: ``(flat, layout)``, flat the
+    [m*m, B, C, rows*Wq] grids with each phase's rows flattened.  The one
+    padded-input layout of the module."""
+    # Every output pixel must meet at least one pixel of x, which holds
+    # for 0 <= padding <= k-1; the depthwise input gradient also
+    # re-grids its output gradient with padding k-1-padding, which must
+    # not be negative.
+    if not 0 <= padding <= k - 1:
+        raise ShapeError(f"{op}: padding {padding} outside [0, {k - 1}] for kernel {k}")
+    b, c, h, wd = x.shape
+    if h + 2 * padding < k or wd + 2 * padding < k:
+        raise ShapeError(f"{op}: kernel {k} larger than padded input {x.shape}")
+    layout = _phase_layout(h, wd, k, stride, padding)
+    phases, rows, wq = layout[2]
+    shape = (phases, b, c, rows, wq)
+    grid = np.full(shape, fill, dtype=x.dtype) if fill else np.zeros(shape, dtype=x.dtype)
+    for at_x, at_grid in layout[3]:
+        grid[at_grid] = x[at_x]
+    return grid.reshape(phases, b, c, rows * wq), layout
+
+
+def _phase_gather(gflat: np.ndarray, layout: tuple, shape: tuple) -> np.ndarray:
+    """A gradient on flat phase grids (``_phase_grid``) moved back into
+    x's shape; pixels of x that no grid holds get zero."""
+    phases, rows, wq = layout[2]
+    ggrid = gflat.reshape(phases, *shape[:2], rows, wq)
+    gx = np.zeros(shape, dtype=gflat.dtype)
+    for at_x, at_grid in layout[3]:
+        gx[at_x] = ggrid[at_grid]
+    return gx
+
+
+def _grid_rows(g: np.ndarray, wq: int) -> np.ndarray:
+    """An output gradient g[B,C,Ho,Wo] on the [B,C,Ho*Wq] rows that the
+    taps' windows cover; the wrapped columns from Wo on are zero."""
+    b, c, ho, wo = g.shape
+    gq = np.zeros((b, c, ho, wq), dtype=g.dtype)
+    gq[..., :wo] = g
+    return gq.reshape(b, c, ho * wq)
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -482,9 +500,9 @@ def conv2d(
     Requires 0 <= padding <= k-1.  One pass over the k*k kernel taps, one
     batched GEMM each, serves every stride, kernel size and padding, with
     no column buffer (implicit GEMM).  x is written once into the
-    m = min(k, stride)**2 phase grids that the taps read: phase (a, c)
-    holds padded pixel (a + stride*r, c + stride*q) at (r, q), on a
-    [B, Cin, Ho+e (+1 zero row when e > 0), Wq] grid, e = (k-1)//stride
+    m = min(k, stride)**2 phase grids that the taps read (``_phase_grid``):
+    phase (a, c) holds padded pixel (a + stride*r, c + stride*q) at (r, q),
+    on a [B, Cin, Ho+e (+1 zero row when e > 0), Wq] grid, e = (k-1)//stride
     and Wq = Wo+e; stride 1 is the one-phase case.  Output pixel (r, q)
     meets padded pixel (i + stride*r, j + stride*q) through tap (i, j),
     so on the flattened grid the tap reads one contiguous window of phase
@@ -496,26 +514,21 @@ def conv2d(
     zero-extended onto the same grid; a tap's weight gradient is that
     gradient times its window, and the input gradient slice-adds
     weight[:, :, i, j].T times that gradient onto the tap's window of a
-    phase-shaped buffer, whose phases are then scattered back into x's
-    shape.  The vjp keeps only the phase grids, about one copy of x.
+    phase-shaped buffer, which is gathered back into x's shape
+    (``_phase_gather``).  The vjp keeps only the phase grids, about one
+    copy of x.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d input/weight, got {x.shape} / {weight.shape}")
-    b, cin, h, wd = x.shape
+    b, cin = x.shape[:2]
     cout, cin_w, k, k2 = weight.shape
     if cin != cin_w or k != k2:
         raise ShapeError(f"conv2d: weight{weight.shape} incompatible with input{x.shape}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias{bias.shape} must be ({cout},)")
-    _check_padding("conv2d", k, padding)
-    if h + 2 * padding < k or wd + 2 * padding < k:
-        raise ShapeError(f"conv2d: kernel {k} larger than padded input {x.shape}")
 
-    ho, wo, (phases, rows, wq), scatter, windows = _phase_layout(h, wd, k, stride, padding)
-    grid = np.zeros((phases, b, cin, rows, wq), dtype=x.dtype)
-    for at_x, at_grid in scatter:
-        grid[at_grid] = x.data[at_x]
-    flat = grid.reshape(phases, b, cin, rows * wq)
+    flat, layout = _phase_grid("conv2d", x.data, k, stride, padding)
+    ho, wo, (_, _, wq), _, windows = layout
     views = [flat[at] for at in windows]
     # Tap-major weight: wt[t] = weight[:, :, i, j], a [Cout, Cin] matrix.
     wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
@@ -526,12 +539,10 @@ def conv2d(
     data = data + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(data)
 
     def vjp(g):
-        gq = np.zeros((b, cout, ho, wq), dtype=g.dtype)
-        gq[..., :wo] = g
-        gq = gq.reshape(b, cout, ho * wq)
+        gq = _grid_rows(g, wq)
         gw = None
         if weight.requires_grad:
-            gw = np.empty((cout, cin, k, k), dtype=np.result_type(g, grid))
+            gw = np.empty((cout, cin, k, k), dtype=np.result_type(g, flat))
             for t, view in enumerate(views):
                 gw[:, :, t // k, t % k] = np.matmul(gq, view.transpose(0, 2, 1)).sum(axis=0)
         gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
@@ -540,10 +551,7 @@ def conv2d(
             gflat = np.zeros(flat.shape, dtype=np.result_type(g, wt))
             for w_t, at in zip(wt, windows):
                 gflat[at] += np.matmul(w_t.T, gq)
-            ggrid = gflat.reshape(grid.shape)
-            gx = np.zeros(x.shape, dtype=gflat.dtype)
-            for at_x, at_grid in scatter:
-                gx[at_x] = ggrid[at_grid]
+            gx = _phase_gather(gflat, layout, x.shape)
         ret = (gx, gw)
         return ret + (gb,) if bias is not None else ret
 
@@ -560,21 +568,10 @@ def _window_view(flat: np.ndarray, shape: tuple, steps: tuple) -> np.ndarray:
     return view
 
 
-def _depthwise_grid(x: np.ndarray, k: int, padding: int) -> tuple:
-    """x[B,N,h,wd] written once into the stride-1 padded grid of
-    ``_phase_layout``: ``(flat, ho, wo, wq)``, flat the [B,N,Hp+1,Wp]
-    grid as [B,N,(Hp+1)*Wp], Wq = Wp.  Its last row is zero (k > 1); the
-    windows that run past the padded rows read it."""
-    ho, wo, (_, rows, wq), scatter, _ = _phase_layout(x.shape[2], x.shape[3], k, 1, padding)
-    grid = np.zeros((1, *x.shape[:2], rows, wq), dtype=x.dtype)
-    for at_x, at_grid in scatter:
-        grid[at_grid] = x[at_x]
-    return grid.reshape(*x.shape[:2], rows * wq), ho, wo, wq
-
-
-def _depthwise_correlate(flat: np.ndarray, ho: int, wo: int, wq: int, w: np.ndarray) -> np.ndarray:
-    """Valid per-channel correlation of a flat padded grid (``_depthwise_grid``)
-    with w[N,k,k]: the [B,N,ho,wo] output.
+def _depthwise_correlate(flat: np.ndarray, layout: tuple, w: np.ndarray) -> np.ndarray:
+    """Valid per-channel correlation of a flat stride-1 grid
+    (``_phase_grid``, [1,B,N,rows*Wq]) with w[N,k,k]: the [B,N,ho,wo]
+    output.
 
     The output width is cut into tiles of equal width, at most 16.
     Kernel row i becomes one banded [tile+k-1, tile] matrix per channel,
@@ -585,7 +582,8 @@ def _depthwise_correlate(flat: np.ndarray, ho: int, wo: int, wq: int, w: np.ndar
     multiply-adds.  The last tile's columns past wo wrap into the next row,
     or into the grid's zero row, and are cropped.
     """
-    b, n, size = flat.shape
+    _, b, n, size = flat.shape
+    ho, wo, (_, _, wq), _, _ = layout
     k = w.shape[1]
     # A 1x1 kernel's grid has no zero row to hold a wrapped tile: one tile.
     tiles = -(-wo // 16) if k > 1 else 1
@@ -606,7 +604,7 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padd
 
     Stride is fixed at 1; with padding k//2 the spatial size is preserved.
     Requires 0 <= padding <= k-1.  x is written once into its padded grid
-    (``_depthwise_grid``), the stride-1 grid ``conv2d`` uses.  The forward
+    (``_phase_grid``), the stride-1 grid ``conv2d`` uses.  The forward
     pass and the input gradient share one width-tiled banded-GEMM helper,
     ``_depthwise_correlate``: dx is the correlation of the output
     gradient, in its grid padded by k-1-padding, with the flipped kernel.
@@ -622,28 +620,25 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padd
         raise ShapeError("depthwise_conv2d: kernel must be square")
     if bias is not None and bias.shape != (n,):
         raise ShapeError(f"depthwise_conv2d: bias{bias.shape} must be ({n},)")
-    _check_padding("depthwise_conv2d", k, padding)
-    if x.shape[2] + 2 * padding < k or x.shape[3] + 2 * padding < k:
-        raise ShapeError("depthwise_conv2d: kernel larger than padded input")
 
-    flat, ho, wo, wq = _depthwise_grid(x.data, k, padding)
-    data = _depthwise_correlate(flat, ho, wo, wq, weight.data)
+    flat, layout = _phase_grid("depthwise_conv2d", x.data, k, 1, padding)
+    ho, _, (_, _, wq), _, _ = layout
+    data = _depthwise_correlate(flat, layout, weight.data)
     data = data + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(data)
 
     def vjp(g):
         gw = None
         if weight.requires_grad:
-            b, size = g.shape[0], flat.shape[2]
-            gq = np.zeros((b, n, ho, wq), dtype=g.dtype)
-            gq[..., :wo] = g
+            b, size = g.shape[0], flat.shape[3]
+            gq = _grid_rows(g, wq)[:, :, None, None, :, None]
             # windows[b, n, i, j, 0, :] is tap (i, j)'s window.
             windows = _window_view(flat, (b, n, k, k, 1, ho * wq), (n * size, size, wq, 1, 0, 1))
-            gw = np.matmul(windows, gq.reshape(b, n, 1, 1, ho * wq, 1)).reshape(b, n, k, k).sum(axis=0)
+            gw = np.matmul(windows, gq).reshape(b, n, k, k).sum(axis=0)
         gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
         gx = None
         if x.requires_grad:
-            gflat, h, wd, gwq = _depthwise_grid(g, k, k - 1 - padding)
-            gx = _depthwise_correlate(gflat, h, wd, gwq, weight.data[:, ::-1, ::-1])
+            gflat, glayout = _phase_grid("depthwise_conv2d", g, k, 1, k - 1 - padding)
+            gx = _depthwise_correlate(gflat, glayout, weight.data[:, ::-1, ::-1])
         ret = (gx, gw)
         return ret + (gb,) if bias is not None else ret
 
@@ -652,25 +647,38 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padd
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
+    """Max over each kernel-by-kernel window of x[B,C,H,W], padded with -inf.
+
+    Requires 0 <= padding <= kernel-1, so every window meets a pixel of x.
+    x is written once into its phase grids, filled with -inf
+    (``_phase_grid``), and tap t = i*kernel + j reads the same flat window
+    as in ``conv2d``.  One pass over the taps keeps the running
+    ``np.maximum`` and the winning tap, updated branch-free with a strict
+    ``>``, so ties go to the lowest offset, as ``argmax`` would put them.
+    The vjp slice-adds the output gradient where tap t won onto tap t's
+    window of a zeroed grid, and gathers that back into x's shape.  It
+    keeps only the winning taps, one byte per pixel of the [Ho, Wq] grid.
+    """
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d: need 4-d input, got {x.shape}")
-    b, c, h, wd = x.shape
-    xp = _pad_hw(x.data, padding, -np.inf)
-    view = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    ho, wo = view.shape[2:4]
-    windows = view.reshape(b, c, ho, wo, kernel * kernel)
-    data = windows.max(axis=-1)
-    # argmax picks the lowest index on ties, which fixes the subgradient.
-    arg = windows.argmax(axis=-1)
-    padded_shape = xp.shape
+    b, c = x.shape[:2]
+    flat, layout = _phase_grid("max_pool2d", x.data, kernel, stride, padding, -np.inf)
+    ho, wo, (_, _, wq), _, windows = layout
+    grid_shape = flat.shape  # the vjp keeps this, not the -inf grid
+    best = flat[windows[0]].copy()
+    arg = np.zeros(best.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
+    for t in range(1, kernel * kernel):
+        window = flat[windows[t]]
+        arg += (window > best) * (t - arg)
+        np.maximum(best, window, out=best)
+    data = np.ascontiguousarray(best.reshape(b, c, ho, wq)[..., :wo])
 
     def vjp(g):
-        # One strided slice-add per window offset, each carrying the
-        # gradient of the windows whose max sits at that offset.
-        acc = np.zeros(padded_shape, dtype=x.dtype)
-        for t, at in enumerate(_taps(kernel, stride, ho, wo)):
-            acc[at] += g * (arg == t)
-        return (acc[:, :, padding : padding + h, padding : padding + wd],)
+        gq = _grid_rows(g, wq)
+        gflat = np.zeros(grid_shape, dtype=x.dtype)
+        for t, at in enumerate(windows):
+            gflat[at] += gq * (arg == t)
+        return (_phase_gather(gflat, layout, x.shape),)
 
     return apply_op(data, (x,), vjp)
 

@@ -9,7 +9,7 @@ from smanet import tensor as T
 from smanet.checkpoint import load_checkpoint, save_checkpoint
 from smanet.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_THRESHOLD, main
 from smanet.config import ABLATIONS, RunConfig, config_digest, load_config, loss_config, to_text
-from smanet.errors import DataError
+from smanet.errors import ConfigError, DataError
 from smanet.ppm import encode_color, encode_heatmap
 from smanet.tensor import PRIMITIVES
 from smanet.train import TrainState, batch_tensor
@@ -71,6 +71,34 @@ class TestConfigFile:
             rc = main(["train", *flags, "--output-dir", str(tmp_path)])
             assert rc == EXIT_CONFIG, flags
             one_line_error(capsys)
+
+    @pytest.mark.parametrize("case", ["repeated", "repeated_schema", "lam", "lam_after_lambda"])
+    def test_each_key_once_in_its_one_spelling(self, tmp_path, capsys, case):
+        # A repeated key, or `lam` for `lambda`, would silently override an
+        # earlier line; both are refused with the line number.
+        body, lineno = {
+            "repeated": ("n_channels = 2\nn_channels = 3\n", 3),
+            "repeated_schema": ("seed = 1\nschema_version = 1\n", 3),
+            "lam": ("lam = 0.3\n", 2),
+            "lam_after_lambda": ("lambda = 0.2\nlam = 0.3\n", 3),
+        }[case]
+        path = tmp_path / "run.cfg"
+        path.write_text("schema_version = 1\n" + body)
+        with pytest.raises(ConfigError, match=f"^line {lineno}: "):
+            load_config(path)
+        rc = main(["params", *TINY, "--config", str(path), "--output-dir", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_flags_override_file_values(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("schema_version = 1\nn_channels = 3\nlambda = 0.2\n")
+        assert (load_config(path).n_channels, load_config(path).lam) == (3, 0.2)
+        cfg = load_config(path, {"n_channels": "5", "lambda": "0.4"})
+        assert (cfg.n_channels, cfg.lam) == (5, 0.4)
+        with pytest.raises(ConfigError, match="unknown config key 'lam'"):
+            load_config(path, {"lam": "0.4"})
 
     def test_every_verb_takes_checked(self):
         required = {"eval": ["--checkpoint", "c"], "sweep-n": ["--n-values", "1"],
@@ -145,12 +173,12 @@ def test_output_dir_that_is_a_file_refused(tmp_path, capsys, verb, under):
 
 
 @pytest.mark.parametrize("case", ["synth", "eval", "export-attention", "train",
-                                  "sweep-n-0", "sweep-n-1,0"])
+                                  "sweep-n-0", "sweep-n-1,0", "sweep-n-2,2", "sweep-n-2,02"])
 def test_refused_call_leaves_no_output_dir(tmp_path, capsys, case):
     # Inputs are checked before --output-dir is created: synth refuses a
     # data_dir, eval a missing checkpoint, export-attention a missing image,
     # train a bad manifest, and sweep-n a channel count of 0, also one that
-    # follows a good count.
+    # follows a good count, and a repeated count, also one spelt twice.
     absent = tmp_path / "absent"
     cfg = tiny_cfg()
     ckpt = tmp_path / "m.bin"
@@ -165,6 +193,8 @@ def test_refused_call_leaves_no_output_dir(tmp_path, capsys, case):
         "train": ["train", "--data-dir", str(bad)],
         "sweep-n-0": ["sweep-n", "--n-values", "0"],
         "sweep-n-1,0": ["sweep-n", "--n-values", "1,0"],
+        "sweep-n-2,2": ["sweep-n", "--n-values", "2,2"],
+        "sweep-n-2,02": ["sweep-n", "--n-values", "2,02"],
     }[case]
     out = tmp_path / "new"
     assert main([verb, *TINY, *argv, "--output-dir", str(out)]) == EXIT_CONFIG

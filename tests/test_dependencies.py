@@ -70,3 +70,18 @@ def test_no_slow_selects():
             slow += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
                      for node in _calls(scope, "where")]
     assert not slow
+
+
+def test_windowed_ops_share_one_grid_builder():
+    """`conv2d`, `depthwise_conv2d` and `max_pool2d` pad their inputs
+    through one layout, `_phase_grid`; no second padding path
+    (`np.pad`, `sliding_window_view`) exists beside it."""
+    path = Path(smanet.__file__).parent / "tensor.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    # Names, attributes and imported names alike.
+    names = {getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+             for node in ast.walk(tree)}
+    assert "sliding_window_view" not in names and "pad" not in names
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    for op in ("conv2d", "depthwise_conv2d", "max_pool2d"):
+        assert _calls(functions[op], "_phase_grid"), op

@@ -346,6 +346,44 @@ class TestReductionsAndShapes:
         want = x.reshape(1, 2, 3, 2, 3, 2).max(axis=(3, 5))
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k,stride,padding", [(3, 2, 1), (2, 2, 0), (3, 1, 1), (5, 3, 2)])
+    def test_max_pool_ties_match_loop_oracle(self, k, stride, padding, dtype):
+        # Rounded normals: most windows hold a tie, which goes to the
+        # lowest offset.  Integer gradients make every sum exact.
+        rng = rnd(40 + k + stride)
+        x = np.round(rng.normal(size=(2, 3, 9, 8)))
+        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        out = T.max_pool2d(xt, k, stride, padding)
+        assert out.data.dtype == dtype and out.data.flags.c_contiguous
+        assert np.array_equal(out.data, oracles.max_pool_loop(x, k, stride, padding))
+        g = np.round(rng.normal(size=out.shape) * 4)
+        T.mul(out, Tensor(g, dtype=dtype)).sum().backward()
+        assert np.array_equal(xt.grad, oracles.max_pool_vjp_loop(x, g, k, stride, padding))
+
+    def test_max_pool_padding_bound(self):
+        x = Tensor(np.ones((1, 2, 6, 6)))
+        assert T.max_pool2d(x, 3, 2, padding=2).shape == (1, 2, 4, 4)
+        for padding in (-1, 3):
+            with pytest.raises(ShapeError):
+                T.max_pool2d(x, 3, 2, padding=padding)
+        with pytest.raises(ShapeError):
+            T.max_pool2d(Tensor(np.ones((1, 1, 2, 2))), 5, 1)
+
+    def test_max_pool_vjp_keeps_only_the_winning_taps(self):
+        # Beyond its output, the stem's 3x3 stride-2 padding-1 pool keeps
+        # one byte per grid pixel, not the -inf grid (about 10x the
+        # output) nor an intp argmax (1x).
+        x = Tensor(rnd(31).normal(size=(2, 8, 32, 32)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.max_pool2d(x, 3, 2, 1)
+            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept <= 0.25 * out.data.nbytes, kept / out.data.nbytes
+
     # The stem's 3x3 stride-2 padding-1 pool first; odd and non-square inputs.
     @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-4)])
     @pytest.mark.parametrize("hw", [(7, 7), (8, 9)], ids=["7x7", "8x9"])
