@@ -23,21 +23,32 @@ ATTENTION_INIT_SCALE = 1e-2
 
 @dataclass(frozen=True)
 class SmaConfig:
+    """One attention variant: the settings every SMA block of a backbone
+    shares.  The width a block attends over is its own `in_channels`.
+
+    mapping_mode 'conv' learns the C->N reduction; 'channel_mean' replaces
+    it with the channel average replicated N times (the non-diversified
+    multi-branch baseline).  use_aaa=False fixes uniform channel weights.
+    """
+
     n_channels: int
-    in_channels: int
     mapping_kernel: int = 1
     attn_kernel: int = 7
     combine_on: str = "logits"
+    mapping_mode: str = "conv"
+    use_aaa: bool = True
 
     def __post_init__(self):
         if self.n_channels < 1:
-            raise ConfigError(f"n_channels must be >= 1, got {self.n_channels}")
-        if self.in_channels < 1:
-            raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
-        if self.attn_kernel % 2 == 0 or self.mapping_kernel % 2 == 0:
-            raise ConfigError("attention kernels must be odd to preserve spatial dims")
+            raise ConfigError(f"n_channels must be positive, got {self.n_channels}")
+        for name in ("mapping_kernel", "attn_kernel"):
+            k = getattr(self, name)
+            if k < 1 or k % 2 == 0:
+                raise ConfigError(f"{name} must be a positive odd number, got {k}")
         if self.combine_on not in ("logits", "masks"):
-            raise ConfigError(f"combine_on must be 'logits' or 'masks', got {self.combine_on!r}")
+            raise ConfigError(f"combine_on must be logits or masks, got {self.combine_on!r}")
+        if self.mapping_mode not in ("conv", "channel_mean"):
+            raise ConfigError(f"unknown mapping_mode {self.mapping_mode!r}")
 
 
 @dataclass
@@ -78,56 +89,48 @@ def refine(fused: Tensor, feature: Tensor) -> Tensor:
     return T.mul(fused, feature)
 
 
-def param_count(cfg: SmaConfig) -> int:
-    """Trainable scalars in one full attention block (closed form)."""
-    c, n = cfg.in_channels, cfg.n_channels
-    mapping = c * n * cfg.mapping_kernel ** 2 + n
-    per_channel = n * (cfg.attn_kernel ** 2 + 1)
-    reduce_fc = c * n + n
-    mix_fc = n * n + n
-    return mapping + per_channel + reduce_fc + mix_fc
+def param_count(cfg: SmaConfig, in_channels: int) -> int:
+    """Trainable scalars in one attention block over `in_channels`
+    (closed form)."""
+    c, n = in_channels, cfg.n_channels
+    total = n * (cfg.attn_kernel ** 2 + 1)            # per-channel masks
+    if cfg.mapping_mode == "conv":
+        total += c * n * cfg.mapping_kernel ** 2 + n  # mapping conv
+    if cfg.use_aaa:
+        total += (c * n + n) + (n * n + n)            # reduce and mix fcs
+    return total
 
 
 class MultiChannelAttention(Module):
     """The full attention block: channel mapping, per-channel masks,
-    channel weighting, combination, and feature refinement.
+    channel weighting, combination, and feature refinement, in the
+    variant `cfg` spells."""
 
-    mapping_mode 'conv' learns the C->N reduction; 'channel_mean' replaces
-    it with the channel average replicated N times (the non-diversified
-    multi-branch baseline).  use_aaa=False fixes uniform channel weights.
-    """
-
-    def __init__(self, cfg: SmaConfig, rng: np.random.Generator,
-                 mapping_mode: str = "conv", use_aaa: bool = True,
+    def __init__(self, cfg: SmaConfig, in_channels: int, rng: np.random.Generator,
                  dtype=np.float64):
         super().__init__()
-        if mapping_mode not in ("conv", "channel_mean"):
-            raise ConfigError(f"unknown mapping_mode {mapping_mode!r}")
         self.cfg = cfg
-        self.mapping_mode = mapping_mode
-        self.use_aaa = use_aaa
+        self.in_channels = in_channels
         init = ("uniform", ATTENTION_INIT_SCALE)
-        if mapping_mode == "conv":
+        if cfg.mapping_mode == "conv":
             self.mapping = Conv2d(
-                cfg.in_channels, cfg.n_channels, cfg.mapping_kernel, rng,
+                in_channels, cfg.n_channels, cfg.mapping_kernel, rng,
                 padding=cfg.mapping_kernel // 2, init=init, dtype=dtype,
             )
         self.attn_convs = DepthwiseConv2d(
             cfg.n_channels, cfg.attn_kernel, rng,
             padding=cfg.attn_kernel // 2, init=init, dtype=dtype,
         )
-        if use_aaa:
-            self.reduce_fc = Linear(cfg.in_channels, cfg.n_channels, rng, init=init, dtype=dtype)
+        if cfg.use_aaa:
+            self.reduce_fc = Linear(in_channels, cfg.n_channels, rng, init=init, dtype=dtype)
             self.mix_fc = Linear(cfg.n_channels, cfg.n_channels, rng, init=init, dtype=dtype)
         self._ones_n = Tensor(np.ones((1, cfg.n_channels, 1, 1), dtype=dtype))
 
     def f2a(self, feature: Tensor) -> AttentionStack:
         """Map the feature block to N channels and build the spatial masks."""
-        if feature.ndim != 4 or feature.shape[1] != self.cfg.in_channels:
-            raise ShapeError(
-                f"f2a: expected [B,{self.cfg.in_channels},H,W], got {feature.shape}"
-            )
-        if self.mapping_mode == "conv":
+        if feature.ndim != 4 or feature.shape[1] != self.in_channels:
+            raise ShapeError(f"f2a: expected [B,{self.in_channels},H,W], got {feature.shape}")
+        if self.cfg.mapping_mode == "conv":
             mapped = self.mapping(feature)
         else:
             mapped = T.mul(feature.mean(axis=1, keepdims=True), self._ones_n)
@@ -137,7 +140,7 @@ class MultiChannelAttention(Module):
     def channel_weights(self, feature: Tensor) -> Tensor:
         """Softmax channel scores from spatially pooled features."""
         b = feature.shape[0]
-        if not self.use_aaa:
+        if not self.cfg.use_aaa:
             n = self.cfg.n_channels
             return Tensor(np.full((b, n), 1.0 / n, dtype=feature.dtype))
         pooled = feature.mean(axis=(2, 3))

@@ -30,15 +30,10 @@ class BackboneConfig:
     stage_widths: tuple = (64, 128, 256, 512)
     blocks_per_stage: int = 2
     sma_placement: str = "all_blocks"
-    n_channels: int = 7
     stem: str = "compact"  # compact: 3x3 stride 1; imagenet: 7x7 stride 2 + maxpool
     in_channels: int = 3
     attention_kind: str = "sma"
-    mapping_mode: str = "conv"
-    use_aaa: bool = True
-    mapping_kernel: int = 1
-    attn_kernel: int = 7
-    combine_on: str = "logits"
+    sma: SmaConfig = SmaConfig(n_channels=7)  # channel_gate reads n_channels only
 
     def __post_init__(self):
         if len(self.stage_widths) != 4 or any(w <= 0 for w in self.stage_widths):
@@ -87,17 +82,9 @@ class BasicBlock(Module):
         self.attention = None
         if with_attention:
             if cfg.attention_kind == "sma":
-                sma_cfg = SmaConfig(
-                    n_channels=cfg.n_channels, in_channels=cout,
-                    mapping_kernel=cfg.mapping_kernel, attn_kernel=cfg.attn_kernel,
-                    combine_on=cfg.combine_on,
-                )
-                self.attention = MultiChannelAttention(
-                    sma_cfg, rng, mapping_mode=cfg.mapping_mode,
-                    use_aaa=cfg.use_aaa, dtype=dtype,
-                )
+                self.attention = MultiChannelAttention(cfg.sma, cout, rng, dtype=dtype)
             else:
-                self.attention = ChannelGate(cout, cfg.n_channels, rng, dtype=dtype)
+                self.attention = ChannelGate(cout, cfg.sma.n_channels, rng, dtype=dtype)
 
     def forward(self, x: Tensor):
         h = T.relu(self.bn1(self.conv1(x)))
@@ -146,18 +133,10 @@ class Backbone(Module):
 
 def attention_param_count(cfg: BackboneConfig, width: int) -> int:
     """Closed-form trainable-parameter count of one attention insert."""
-    n = cfg.n_channels
     if cfg.attention_kind == "channel_gate":
+        n = cfg.sma.n_channels
         return width * n + n + n * width + width
-    full = param_count(SmaConfig(
-        n_channels=n, in_channels=width, mapping_kernel=cfg.mapping_kernel,
-        attn_kernel=cfg.attn_kernel, combine_on=cfg.combine_on,
-    ))
-    if cfg.mapping_mode == "channel_mean":
-        full -= width * n * cfg.mapping_kernel ** 2 + n
-    if not cfg.use_aaa:
-        full -= (width * n + n) + (n * n + n)
-    return full
+    return param_count(cfg.sma, width)
 
 
 def backbone_param_count(cfg: BackboneConfig) -> int:
@@ -215,13 +194,13 @@ class SGD:
             p.grad = None
 
 
-def lr_schedule(epoch: int, mode: str, base: float = 0.01) -> float:
+def lr_schedule(epoch: int, task: str, base: float = 0.01) -> float:
     """AU runs: base for two epochs, then base/10.  Expression runs:
     multiplicative 0.99 decay every 10 epochs over a 100-epoch budget."""
     if epoch < 0:
         raise ConfigError("epoch must be >= 0")
-    if mode == "au":
+    if task == "au":
         return base if epoch < 2 else base * 0.1
-    if mode == "fer":
+    if task == "fer":
         return base * 0.99 ** (epoch // 10)
-    raise ConfigError(f"unknown schedule mode {mode!r}")
+    raise ConfigError(f"task must be au or fer, got {task!r}")

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .attention import SmaConfig
 from .backbone import BackboneConfig
 from .errors import ConfigError
 from .losses import LossConfig
@@ -95,17 +96,12 @@ class RunConfig:
             raise ConfigError(f"bad sma_placement {self.sma_placement!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        if self.combine_on not in ("logits", "masks"):
-            raise ConfigError(f"combine_on must be logits or masks, got {self.combine_on!r}")
-        for name in ("seed", "epochs", "batch_size", "n_channels", "num_labels",
+        for name in ("seed", "epochs", "batch_size", "num_labels",
                      "num_classes", "n_train", "n_val", "n_subjects",
                      "resample_max_duplication"):
             if getattr(self, name) < 0 or (name not in ("seed",) and getattr(self, name) == 0):
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("mapping_kernel", "attn_kernel"):
-            k = getattr(self, name)
-            if k < 1 or k % 2 == 0:
-                raise ConfigError(f"{name} must be a positive odd number, got {k}")
+        backbone_config(self)  # SmaConfig checks the attention settings
         if self.alpha < 0 or self.lam < 0:
             raise ConfigError("alpha and lambda must be >= 0")
         if not self.lr > 0.0:
@@ -243,18 +239,17 @@ def resolved_placement(cfg: RunConfig) -> str:
 def backbone_config(cfg: RunConfig) -> BackboneConfig:
     row = ABLATIONS[cfg.ablation]
     widths = TOY_WIDTHS if cfg.profile == "toy" else PAPER_WIDTHS
+    # The ablation row picks the attention kind and the SMA variant; the
+    # backbone reads neither when the placement is none.
     return BackboneConfig(
         num_outputs=cfg.num_labels if cfg.task == "au" else cfg.num_classes,
         stage_widths=widths,
         sma_placement=resolved_placement(cfg),
-        n_channels=cfg.n_channels,
         stem="compact" if cfg.profile == "toy" else "imagenet",
-        attention_kind=row.attention or "sma",   # unread when placement is none
-        mapping_mode=row.mapping_mode,
-        use_aaa=row.use_aaa,
-        mapping_kernel=cfg.mapping_kernel,
-        attn_kernel=cfg.attn_kernel,
-        combine_on=cfg.combine_on,
+        attention_kind=row.attention or "sma",
+        sma=SmaConfig(n_channels=cfg.n_channels, mapping_kernel=cfg.mapping_kernel,
+                      attn_kernel=cfg.attn_kernel, combine_on=cfg.combine_on,
+                      mapping_mode=row.mapping_mode, use_aaa=row.use_aaa),
     )
 
 
@@ -264,7 +259,6 @@ def loss_config(cfg: RunConfig, pos_weights=None) -> LossConfig:
         alpha=cfg.alpha if row.l_div else 0.0,
         lam=cfg.lam if row.l_ma else 0.0,
         delta=cfg.delta,
-        task="multi_label" if cfg.task == "au" else "multi_class",
         pos_weights=pos_weights,
     )
 

@@ -9,7 +9,7 @@ generator and augmentation quantize with `ppm.quantize`, so a dataset
 written to disk reads back identical.
 
 Each label owns a fixed image zone and a fixed color; a positive label
-renders a Gaussian blob of that color at its zone.  Multi-label draws
+renders a Gaussian blob of that color at its zone.  AU label draws
 include coupled pairs (conditional co-occurrence with the marginal rates
 preserved) and rare labels, so the imbalance machinery has something to
 chew on at desk scale.
@@ -35,8 +35,8 @@ DEFAULT_LABEL_PAIRS = ((0, 1, 0.8), (4, 5, 0.8))
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """N samples as aligned arrays: images [N,H,W,3] uint8 (0-255);
-    labels [N,L] int8 0/1 (multi_label) or [N] int64 class ids
-    (multi_class); subjects [N] int64 subject ids."""
+    labels [N,L] int8 0/1 action units (au) or [N] int64 expression class
+    ids (fer); subjects [N] int64 subject ids."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -51,20 +51,12 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class ResampleConfig:
-    threshold: float = 0.2
-    max_duplication: int = 20
-
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"resample threshold must be in [0,1], got {self.threshold}")
-        if self.max_duplication < 1:
-            raise ConfigError("max_duplication must be >= 1")
-
-
-@dataclass(frozen=True)
 class SyntheticSpec:
-    mode: str = "multi_label"            # or multi_class
+    """What `generate_synthetic` draws: au samples carry `num_labels`
+    coupled 0/1 labels at `rates`, fer samples one of `num_classes`
+    class ids."""
+
+    task: str = "au"
     num_labels: int = 12
     num_classes: int = 6
     image_size: int = 64
@@ -78,9 +70,9 @@ class SyntheticSpec:
     distractors: int = 2
 
     def __post_init__(self):
-        if self.mode not in ("multi_label", "multi_class"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.mode == "multi_label" and len(self.rates) != self.num_labels:
+        if self.task not in ("au", "fer"):
+            raise ConfigError(f"task must be au or fer, got {self.task!r}")
+        if self.task == "au" and len(self.rates) != self.num_labels:
             raise ConfigError("rates length must equal num_labels")
         seen = set()
         for a, b, q in self.pairs:
@@ -152,7 +144,7 @@ def _render(rng: np.random.Generator, active: np.ndarray, subject_id: int,
 def generate_synthetic(seed: int, n: int, spec: SyntheticSpec | None = None) -> Dataset:
     """Deterministic synthetic dataset: same seed, same bytes.
 
-    Draws the subjects, then the labels (multi_label) or classes, then
+    Draws the subjects, then the au labels or fer classes, then
     renders each image and quantizes it into one preallocated uint8
     [n,H,W,3] array."""
     if n <= 0:
@@ -161,7 +153,7 @@ def generate_synthetic(seed: int, n: int, spec: SyntheticSpec | None = None) -> 
     rng = np.random.default_rng((seed, 101))
     pool = np.asarray(spec.pool())
     subjects = pool[rng.integers(0, len(pool), size=n)]
-    if spec.mode == "multi_label":
+    if spec.task == "au":
         labels, count = sample_labels(rng, n, spec), spec.num_labels
         active = [np.flatnonzero(row) for row in labels]
     else:
@@ -221,17 +213,17 @@ def apply_augment(img: np.ndarray, theta_deg: float, flip: bool,
     return np.clip(out, 0.0, 1.0)
 
 
-def augment(image: np.ndarray, seed, mode: str) -> np.ndarray:
+def augment(image: np.ndarray, seed, task: str) -> np.ndarray:
     """Seeded random rotation, horizontal flip, and +-20% color jitter of
     one uint8 [H,W,3] image; returns a new uint8 image.  The jitter runs
     on floats in [0,1], quantized back like a generated image.
 
     AU runs rotate within +-45 degrees, expression runs within +-15.
     """
-    if mode not in ("au", "fer"):
-        raise ConfigError(f"unknown augmentation mode {mode!r}")
+    if task not in ("au", "fer"):
+        raise ConfigError(f"task must be au or fer, got {task!r}")
     rng = np.random.default_rng(seed)
-    limit = 45.0 if mode == "au" else 15.0
+    limit = 45.0 if task == "au" else 15.0
     theta = rng.uniform(-limit, limit)
     flip = rng.random() < 0.5
     brightness, contrast, saturation = rng.uniform(0.8, 1.2, 3)
@@ -241,10 +233,12 @@ def augment(image: np.ndarray, seed, mode: str) -> np.ndarray:
 # -- selective oversampling ------------------------------------------------
 
 
-def selective_oversample(labels: np.ndarray, cfg: ResampleConfig) -> np.ndarray:
+def selective_oversample(labels: np.ndarray, threshold: float,
+                         max_duplication: int) -> np.ndarray:
     """Sample indices that duplicate minority-positive samples of the
-    [N,L] 0/1 `labels` until each label's positive frequency reaches the
-    threshold (or the per-sample duplication cap).
+    [N,L] 0/1 `labels` until each label's positive frequency reaches
+    `threshold` in [0,1] (or each positive sample is duplicated
+    `max_duplication` >= 1 times).
 
     Labels are processed in ascending original-frequency order; appended
     duplicates count toward every label they carry.  The input is never
@@ -254,8 +248,12 @@ def selective_oversample(labels: np.ndarray, cfg: ResampleConfig) -> np.ndarray:
     if len(labels) == 0:
         raise DataError("selective_oversample: empty dataset")
     if labels.ndim != 2:
-        raise DataError("selective_oversample requires multi-label data")
-    p = cfg.threshold
+        raise DataError("selective_oversample requires [N,L] au labels")
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"resample threshold must be in [0,1], got {threshold}")
+    if max_duplication < 1:
+        raise ConfigError("max_duplication must be >= 1")
+    p = threshold
     n = len(labels)
     dups = []
     counts = labels.sum(axis=0).astype(np.int64)
@@ -265,7 +263,7 @@ def selective_oversample(labels: np.ndarray, cfg: ResampleConfig) -> np.ndarray:
     positives = {int(l): np.flatnonzero(labels[:, l]) for l in order}
     cursor = {int(l): 0 for l in order}
 
-    for _ in range(cfg.max_duplication):
+    for _ in range(max_duplication):
         progressed = False
         for l in order:
             l = int(l)
@@ -278,11 +276,11 @@ def selective_oversample(labels: np.ndarray, cfg: ResampleConfig) -> np.ndarray:
                     break
                 appended = 0
                 scanned = 0
-                while appended < need and scanned < len(pos) * cfg.max_duplication:
+                while appended < need and scanned < len(pos) * max_duplication:
                     idx = int(pos[cursor[l] % len(pos)])
                     cursor[l] += 1
                     scanned += 1
-                    if dup_used[idx] >= cfg.max_duplication:
+                    if dup_used[idx] >= max_duplication:
                         continue
                     dup_used[idx] += 1
                     dups.append(idx)
@@ -342,15 +340,14 @@ def write_dataset(out_dir, data: Dataset, digest: str = "") -> Path:
     return manifest
 
 
-def load_dataset(dataset_dir, mode: str, count: int, size: int) -> Dataset:
+def load_dataset(dataset_dir, task: str, count: int, size: int) -> Dataset:
     """Read a manifest directory of size x size color images back as a
-    `mode` Dataset; the exact inverse of `write_dataset`.
+    `task` Dataset; the exact inverse of `write_dataset`.
 
-    A multi_label record holds `count` comma-joined 0/1 values (a lone
-    value is a 1-label vector); a multi_class record holds one class id in
-    [0, count).  A bad field, a record of the wrong length or kind, or a
-    missing or wrongly shaped image raises a DataError naming the manifest
-    line.
+    An au record holds `count` comma-joined 0/1 values (a lone value is a
+    1-label vector); a fer record holds one class id in [0, count).  A bad
+    field, a record of the wrong length or kind, or a missing or wrongly
+    shaped image raises a DataError naming the manifest line.
     """
     dataset_dir = Path(dataset_dir)
     manifest = dataset_dir / "manifest.tsv"
@@ -377,7 +374,7 @@ def load_dataset(dataset_dir, mode: str, count: int, size: int) -> Dataset:
             subjects.append(int(subj))
         except ValueError:
             raise DataError(f"{where}: non-integer field in {line!r}") from None
-        if mode == "multi_label":
+        if task == "au":
             if len(values) != count or any(v not in (0, 1) for v in values):
                 raise DataError(f"{where}: want {count} comma-joined 0/1 labels, got {lab!r}")
             labels.append(values)
@@ -395,5 +392,5 @@ def load_dataset(dataset_dir, mode: str, count: int, size: int) -> Dataset:
         if img.shape != (size, size, 3):
             raise DataError(f"{where}: expected {size}x{size} color image {rel}, got {img.shape}")
         images[i] = img
-    dtype = np.int8 if mode == "multi_label" else np.int64
+    dtype = np.int8 if task == "au" else np.int64
     return Dataset(images, np.array(labels, dtype=dtype), np.array(subjects, dtype=np.int64))

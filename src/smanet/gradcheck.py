@@ -174,20 +174,20 @@ def _bypass(rng):
 
 
 def _sma_block(rng):
-    block = MultiChannelAttention(SmaConfig(n_channels=3, in_channels=4), rng)
+    block = MultiChannelAttention(SmaConfig(n_channels=3), 4, rng)
     return _op(lambda x, *_: block(x)[0], 33,
                input=_rand(rng, 2, 4, 6, 6), **dict(block.named_parameters()))
 
 
 def _aaa(rng):
-    block = MultiChannelAttention(SmaConfig(n_channels=3, in_channels=4), rng)
+    block = MultiChannelAttention(SmaConfig(n_channels=3), 4, rng)
     fc = {n: p for n, p in block.named_parameters() if "fc" in n}
     return _op(lambda x, *_: block.channel_weights(x), 35, input=_rand(rng, 2, 4, 5, 5), **fc)
 
 
 def _combine(rng):
-    cfg = SmaConfig(n_channels=4, in_channels=3)
-    block = MultiChannelAttention(cfg, rng)
+    cfg = SmaConfig(n_channels=4)
+    block = MultiChannelAttention(cfg, 3, rng)
     return _op(lambda x: combine(block.f2a(x), block.channel_weights(x), cfg), 37,
                input=_rand(rng, 2, 3, 5, 5))
 
@@ -197,9 +197,9 @@ def _refine(rng):
 
 
 def _multi_attention(rng):
-    block = MultiChannelAttention(SmaConfig(n_channels=2, in_channels=4), rng)
+    block = MultiChannelAttention(SmaConfig(n_channels=2), 4, rng)
     heads = [Linear(4, 3, rng, init=("uniform", 0.5)) for _ in range(2)]
-    lcfg = LossConfig(task="multi_class")
+    lcfg = LossConfig()
     labels = rng.integers(0, 3, size=2)
     return _op(lambda x, *_: multi_attention_loss(block.f2a(x), x, labels, heads, lcfg),
                input=_rand(rng, 2, 4, 5, 5), **_head_params(heads))

@@ -29,14 +29,11 @@ class LossConfig:
     alpha: float = 0.1
     lam: float = 0.1
     delta: float = 0.5
-    task: str = "multi_label"
     pos_weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.alpha < 0 or self.lam < 0:
             raise ValueError("balance factors must be >= 0")
-        if self.task not in ("multi_label", "multi_class"):
-            raise ValueError(f"unknown task {self.task!r}")
         if self.pos_weights is not None:
             self.pos_weights = np.asarray(self.pos_weights, dtype=np.float64)
             if np.any(self.pos_weights <= 0):
@@ -143,7 +140,9 @@ def cross_entropy(logits: Tensor, classes: np.ndarray) -> Tensor:
 
 
 def task_loss(logits: Tensor, labels: np.ndarray, cfg: LossConfig) -> Tensor:
-    if cfg.task == "multi_label":
+    """Weighted BCE for [B,L] 0/1 labels (au), cross-entropy for [B]
+    class ids (fer): the two label kinds of `data.Dataset`."""
+    if np.ndim(labels) == 2:
         w = cfg.pos_weights
         if w is None:
             w = np.ones(logits.shape[-1])

@@ -88,22 +88,17 @@ class Module:
 class ModuleList(Module):
     def __init__(self, mods=()):
         super().__init__()
-        self._items: list[Module] = []
         for m in mods:
             self.append(m)
 
     def append(self, mod: Module) -> None:
-        self._modules[str(len(self._items))] = mod
-        self._items.append(mod)
+        self._modules[str(len(self._modules))] = mod
 
     def __iter__(self):
-        return iter(self._items)
+        return iter(self._modules.values())
 
     def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, i):
-        return self._items[i]
+        return len(self._modules)
 
 
 def _init_weight(rng: np.random.Generator, shape, init, fan_in: int, dtype):
@@ -150,16 +145,13 @@ class DepthwiseConv2d(Module):
 
 
 class Linear(Module):
-    def __init__(self, din, dout, rng, init="he", bias=True, zero_bias=False, dtype=DEFAULT_DTYPE):
+    def __init__(self, din, dout, rng, init="he", zero_bias=False, dtype=DEFAULT_DTYPE):
         super().__init__()
         self.weight = _init_weight(rng, (dout, din), init, din, dtype)
-        if bias:
-            if init == "he" or zero_bias:
-                self.bias = Tensor(np.zeros(dout, dtype=dtype), requires_grad=True)
-            else:
-                self.bias = _init_weight(rng, (dout,), init, din, dtype)
+        if init == "he" or zero_bias:
+            self.bias = Tensor(np.zeros(dout, dtype=dtype), requires_grad=True)
         else:
-            self.bias = None
+            self.bias = _init_weight(rng, (dout,), init, din, dtype)
 
     def forward(self, x):
         return linear(x, self.weight, self.bias)

@@ -384,24 +384,21 @@ def reshape(a: Tensor, shape) -> Tensor:
 # -- dense / convolutional ---------------------------------------------------
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map x @ weight.T + bias for x[B,Din], weight[Dout,Din]."""
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ShapeError(f"linear: x{x.shape} incompatible with weight{weight.shape}")
-    if bias is not None and bias.shape != (weight.shape[0],):
+    if bias.shape != (weight.shape[0],):
         raise ShapeError(f"linear: bias{bias.shape} incompatible with weight{weight.shape}")
-    data = x.data @ weight.data.T
-    if bias is not None:
-        data = data + bias.data
+    data = x.data @ weight.data.T + bias.data
 
     def vjp(g):
         gx = g @ weight.data if x.requires_grad else None
         gw = g.T @ x.data if weight.requires_grad else None
-        gb = g.sum(axis=0) if bias is not None and bias.requires_grad else None
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+        gb = g.sum(axis=0) if bias.requires_grad else None
+        return (gx, gw, gb)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return apply_op(data, parents, vjp)
+    return apply_op(data, (x, weight, bias), vjp)
 
 
 def _phase_axis(size: int, padding: int, stride: int, phase: int, count: int) -> tuple[slice, slice]:

@@ -17,9 +17,8 @@ from .attention import MultiChannelAttention
 from .backbone import SGD, Backbone, lr_schedule
 from .checkpoint import save_checkpoint
 from .config import RunConfig, backbone_config, config_digest, input_size, loss_config, np_dtype
-from .data import (DEFAULT_LABEL_PAIRS, DEFAULT_LABEL_RATES, Dataset, ResampleConfig,
-                   SyntheticSpec, augment, generate_synthetic, load_dataset,
-                   selective_oversample)
+from .data import (DEFAULT_LABEL_PAIRS, DEFAULT_LABEL_RATES, Dataset, SyntheticSpec,
+                   augment, generate_synthetic, load_dataset, selective_oversample)
 from .errors import ConfigError, NumericError
 from .losses import compute_pos_weights, objective
 from .metrics import accuracy, binarize, count_binary, f1_scores
@@ -42,7 +41,7 @@ def synthetic_spec(cfg: RunConfig, subject_pool: tuple) -> SyntheticSpec:
     rates = (DEFAULT_LABEL_RATES * reps)[: cfg.num_labels]
     pairs = tuple(p for p in DEFAULT_LABEL_PAIRS if p[0] < cfg.num_labels and p[1] < cfg.num_labels)
     return SyntheticSpec(
-        mode="multi_label" if cfg.task == "au" else "multi_class",
+        task=cfg.task,
         num_labels=cfg.num_labels,
         num_classes=cfg.num_classes,
         image_size=input_size(cfg),
@@ -67,9 +66,8 @@ def subject_pools(cfg: RunConfig) -> tuple[tuple, tuple]:
 def build_splits(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     if cfg.data_dir:
         root = Path(cfg.data_dir)
-        mode, count = (("multi_label", cfg.num_labels) if cfg.task == "au"
-                       else ("multi_class", cfg.num_classes))
-        return tuple(load_dataset(root / split, mode, count, input_size(cfg))
+        count = cfg.num_labels if cfg.task == "au" else cfg.num_classes
+        return tuple(load_dataset(root / split, cfg.task, count, input_size(cfg))
                      for split in ("train", "val"))
     train_pool, val_pool = subject_pools(cfg)
     train = generate_synthetic(cfg.seed, cfg.n_train, synthetic_spec(cfg, train_pool))
@@ -89,11 +87,12 @@ class TrainState(Module):
         self.model = Backbone(backbone_config(cfg), rng, dtype=dtype)
         self.heads = ModuleList()
         for block in self.model.blocks:
-            if isinstance(block.attention, MultiChannelAttention):
-                width, num_out = block.attention.cfg.in_channels, self.model.cfg.num_outputs
+            attn = block.attention
+            if isinstance(attn, MultiChannelAttention):
                 self.heads.append(ModuleList(
-                    Linear(width, num_out, rng, init=("uniform", 1e-2), zero_bias=True, dtype=dtype)
-                    for _ in range(cfg.n_channels)))
+                    Linear(attn.in_channels, self.model.cfg.num_outputs, rng,
+                           init=("uniform", 1e-2), zero_bias=True, dtype=dtype)
+                    for _ in range(attn.cfg.n_channels)))
 
 
 def make_out_dir(path) -> Path:
@@ -186,10 +185,8 @@ def run_training(cfg: RunConfig, splits: tuple[Dataset, Dataset],
     pos_weights = None
     if cfg.task == "au":
         if cfg.resample_p > 0:
-            order = selective_oversample(
-                train.labels,
-                ResampleConfig(cfg.resample_p, cfg.resample_max_duplication),
-            )
+            order = selective_oversample(train.labels, cfg.resample_p,
+                                         cfg.resample_max_duplication)
         pos_weights = compute_pos_weights(train.labels[order])
     lcfg = loss_config(cfg, pos_weights)
 

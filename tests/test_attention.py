@@ -12,7 +12,7 @@ from smanet.tensor import Tensor
 
 
 def make_block(n=3, c=4, seed=0, **kwargs):
-    return MultiChannelAttention(SmaConfig(n_channels=n, in_channels=c, **kwargs),
+    return MultiChannelAttention(SmaConfig(n_channels=n, **kwargs), c,
                                  np.random.default_rng(seed))
 
 
@@ -24,15 +24,24 @@ def zero_params(module):
 class TestConfig:
     def test_rejects_even_kernel(self):
         with pytest.raises(ConfigError):
-            SmaConfig(n_channels=2, in_channels=4, attn_kernel=6)
+            SmaConfig(n_channels=2, attn_kernel=6)
 
     def test_rejects_zero_channels(self):
         with pytest.raises(ConfigError):
-            SmaConfig(n_channels=0, in_channels=4)
+            SmaConfig(n_channels=0)
 
     def test_rejects_bad_combine(self):
         with pytest.raises(ConfigError):
-            SmaConfig(n_channels=2, in_channels=4, combine_on="both")
+            SmaConfig(n_channels=2, combine_on="both")
+
+    @pytest.mark.parametrize("kernels", [dict(attn_kernel=-1), dict(mapping_kernel=-3)])
+    def test_rejects_negative_kernel(self, kernels):
+        with pytest.raises(ConfigError, match="positive odd"):
+            SmaConfig(n_channels=2, **kernels)
+
+    def test_rejects_unknown_mapping_mode(self):
+        with pytest.raises(ConfigError):
+            SmaConfig(n_channels=2, mapping_mode="channel_max")
 
 
 class TestF2a:
@@ -69,8 +78,7 @@ class TestF2a:
             make_block(c=4).f2a(Tensor(np.ones((1, 5, 4, 4))))
 
     def test_channel_mean_mapping_replicates(self):
-        block = make_block(n=3, c=4, seed=5)
-        block.mapping_mode = "channel_mean"
+        block = make_block(n=3, c=4, seed=5, mapping_mode="channel_mean")
         x = Tensor(np.random.default_rng(6).normal(size=(2, 4, 5, 5)))
         stack = block.f2a(x)
         mean = x.data.mean(axis=1, keepdims=True)
@@ -107,16 +115,15 @@ class TestChannelWeights:
         assert np.allclose(w.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_uniform_when_aaa_disabled(self):
-        block = MultiChannelAttention(SmaConfig(n_channels=4, in_channels=3),
-                                      np.random.default_rng(0), use_aaa=False)
+        block = make_block(n=4, c=3, use_aaa=False)
         w = block.channel_weights(Tensor(np.random.default_rng(1).normal(size=(2, 3, 4, 4))))
         assert np.allclose(w.data, 0.25, atol=0)
 
 
 class TestCombineRefine:
     def test_single_channel_degenerates(self):
-        cfg = SmaConfig(n_channels=1, in_channels=2)
-        block = MultiChannelAttention(cfg, np.random.default_rng(12))
+        cfg = SmaConfig(n_channels=1)
+        block = MultiChannelAttention(cfg, 2, np.random.default_rng(12))
         x = Tensor(np.random.default_rng(13).normal(size=(2, 2, 5, 5)))
         stack = block.f2a(x)
         weights = block.channel_weights(x)
@@ -125,7 +132,7 @@ class TestCombineRefine:
         assert np.array_equal(fused.data, T.sigmoid(stack.logits).data)
 
     def test_identical_logits_ignore_weights(self):
-        cfg = SmaConfig(n_channels=3, in_channels=2)
+        cfg = SmaConfig(n_channels=3)
         rng = np.random.default_rng(14)
         z = rng.normal(size=(2, 1, 4, 4))
         from smanet.attention import AttentionStack
@@ -140,7 +147,7 @@ class TestCombineRefine:
         assert np.allclose(fused.data, 1.0 / (1.0 + np.exp(-z)), atol=1e-12)
 
     def test_combine_matches_pixel_loop(self):
-        cfg = SmaConfig(n_channels=4, in_channels=2)
+        cfg = SmaConfig(n_channels=4)
         rng = np.random.default_rng(15)
         from smanet.attention import AttentionStack
 
@@ -151,7 +158,7 @@ class TestCombineRefine:
         assert np.allclose(fused.data, oracles.combine_loop(z, w.data), atol=1e-12)
 
     def test_combine_on_masks_variant(self):
-        cfg = SmaConfig(n_channels=2, in_channels=2, combine_on="masks")
+        cfg = SmaConfig(n_channels=2, combine_on="masks")
         rng = np.random.default_rng(16)
         from smanet.attention import AttentionStack
 
@@ -199,8 +206,8 @@ class TestBlockForward:
         assert np.allclose(out.data, inter.fused.data * x.data, atol=0)
 
     def test_channel_permutation_leaves_fused_map_unchanged(self):
-        cfg = SmaConfig(n_channels=4, in_channels=3)
-        block = MultiChannelAttention(cfg, np.random.default_rng(22))
+        cfg = SmaConfig(n_channels=4)
+        block = MultiChannelAttention(cfg, 3, np.random.default_rng(22))
         x = Tensor(np.random.default_rng(23).normal(size=(2, 3, 5, 5)))
         stack = block.f2a(x)
         weights = block.channel_weights(x)
@@ -220,21 +227,31 @@ class TestBlockForward:
 class TestParamCount:
     def test_single_attention_conv_costs_fifty(self):
         # one 7x7 filter plus its bias
-        cfg = SmaConfig(n_channels=1, in_channels=1)
+        cfg = SmaConfig(n_channels=1)
         per_channel = cfg.n_channels * (cfg.attn_kernel ** 2 + 1)
         assert per_channel == 50
-        assert param_count(cfg) == 2 + 50 + 2 + 2  # mapping + conv + two 1-d fcs
+        assert param_count(cfg, 1) == 2 + 50 + 2 + 2  # mapping + conv + two 1-d fcs
 
     def test_mapping_params_example(self):
-        cfg = SmaConfig(n_channels=7, in_channels=64)
+        cfg = SmaConfig(n_channels=7)
         mapping = 64 * 7 * 1 + 7
         assert mapping == 455
-        assert param_count(cfg) == mapping + 7 * 50 + (64 * 7 + 7) + (7 * 7 + 7)
+        assert param_count(cfg, 64) == mapping + 7 * 50 + (64 * 7 + 7) + (7 * 7 + 7)
 
     def test_matches_registry_walk(self):
-        cfg = SmaConfig(n_channels=7, in_channels=64)
-        block = MultiChannelAttention(cfg, np.random.default_rng(24))
-        assert block.param_total() == param_count(cfg)
+        cfg = SmaConfig(n_channels=7)
+        block = MultiChannelAttention(cfg, 64, np.random.default_rng(24))
+        assert block.param_total() == param_count(cfg, 64)
+
+    @pytest.mark.parametrize("width", [1, 12])
+    @pytest.mark.parametrize("mapping_kernel", [1, 3])
+    @pytest.mark.parametrize("use_aaa", [True, False])
+    @pytest.mark.parametrize("mapping_mode", ["conv", "channel_mean"])
+    def test_closed_form_on_every_variant(self, mapping_mode, use_aaa, mapping_kernel, width):
+        cfg = SmaConfig(n_channels=3, mapping_kernel=mapping_kernel,
+                        mapping_mode=mapping_mode, use_aaa=use_aaa)
+        block = MultiChannelAttention(cfg, width, np.random.default_rng(27))
+        assert param_count(cfg, width) == block.param_total()
 
 
 class TestChannelGate:

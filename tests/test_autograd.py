@@ -84,8 +84,7 @@ def test_composed_attention_block_matches_manual_finite_differences():
     # Independent oracle: plain numpy central differences around the full
     # block, not the packaged grad_check_many checker.
     rng = np.random.default_rng(5)
-    cfg = SmaConfig(n_channels=2, in_channels=3)
-    block = MultiChannelAttention(cfg, rng)
+    block = MultiChannelAttention(SmaConfig(n_channels=2), 3, rng)
     x0 = rng.normal(size=(1, 3, 5, 5))
 
     def loss_np(arr):

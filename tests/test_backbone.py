@@ -3,8 +3,9 @@ import pytest
 
 import oracles
 from smanet import tensor as T
+from smanet.attention import ChannelGate, SmaConfig
 from smanet.backbone import (SGD, Backbone, BackboneConfig, BasicBlock,
-                             backbone_param_count, lr_schedule)
+                             attention_param_count, backbone_param_count, lr_schedule)
 from smanet.checkpoint import load_checkpoint, save_checkpoint
 from smanet.errors import ConfigError, DataError, ShapeError
 from smanet.gradcheck import grad_check_many
@@ -14,8 +15,8 @@ from smanet.tensor import Tensor
 TOY = dict(stage_widths=(8, 16, 32, 64), stem="compact")
 
 
-def toy_config(**kwargs):
-    base = dict(num_outputs=6, n_channels=3, **TOY)
+def toy_config(n_channels=3, **kwargs):
+    base = dict(num_outputs=6, sma=SmaConfig(n_channels=n_channels), **TOY)
     base.update(kwargs)
     return BackboneConfig(**base)
 
@@ -138,18 +139,23 @@ class TestParamCounts:
         without = toy_config(sma_placement="none")
         diff = backbone_param_count(with_sma) - backbone_param_count(without)
         from smanet.attention import param_count as sma_count
-        from smanet.attention import SmaConfig
 
         want = sum(
-            sma_count(SmaConfig(n_channels=3, in_channels=c))
+            sma_count(SmaConfig(n_channels=3), c)
             for _, _, _, c, _ in with_sma.block_positions()
         )
         assert diff == want
 
+    @pytest.mark.parametrize("width", [4, 16])
+    def test_channel_gate_closed_form(self, width):
+        cfg = toy_config(attention_kind="channel_gate", n_channels=5)
+        gate = ChannelGate(width, 5, np.random.default_rng(17))
+        assert attention_param_count(cfg, width) == gate.param_total()
+
     def test_paper_profile_overhead_under_five_percent(self):
-        full = BackboneConfig(num_outputs=12, n_channels=7, sma_placement="all_blocks",
+        full = BackboneConfig(num_outputs=12, sma_placement="all_blocks",
                               stem="imagenet")
-        plain = BackboneConfig(num_outputs=12, n_channels=7, sma_placement="none",
+        plain = BackboneConfig(num_outputs=12, sma_placement="none",
                                stem="imagenet")
         ratio = backbone_param_count(full) / backbone_param_count(plain)
         assert ratio <= 1.05

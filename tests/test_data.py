@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smanet.data import (DEFAULT_LABEL_PAIRS, DEFAULT_LABEL_RATES, ResampleConfig,
+from smanet.data import (DEFAULT_LABEL_PAIRS, DEFAULT_LABEL_RATES,
                          SyntheticSpec, apply_augment, augment,
                          generate_synthetic, label_centers, load_dataset,
                          make_folds, rotate_bilinear, sample_labels,
@@ -34,7 +34,7 @@ class TestGenerator:
             "8d398732db877cd0f99e042cd2f0fbb73075406f64c5ed4838a1da037720b785",
             "84fd50ee25cf492089108d327ba19a3bed52ed619242f619d088f8cf30102deb",
             "f53a073eff3f800bc989378e46230ef28bb906209ce7a6787abece084aa94cf1")),
-        ((13, 6, SyntheticSpec(mode="multi_class")), (
+        ((13, 6, SyntheticSpec(task="fer")), (
             "6c0ae7a8e0539eb57346b2d5d50c5fa0c42a22bf5fb3f8bf741c983f8497232a",
             "8ed4b98f5251e93f36c486f9a21c6e3a2457d2336321d4518d9c3bfe852120b7",
             "8d64cd0f46205b21cc85b1e2ec7525015d9461bd41947c9d8a32e663a02a8add")),
@@ -84,7 +84,7 @@ class TestGenerator:
         assert image[int(round(cy)), int(round(cx))].max() > 0.6 * 255
 
     def test_multiclass_mode(self):
-        spec = SyntheticSpec(mode="multi_class")
+        spec = SyntheticSpec(task="fer")
         data = generate_synthetic(5, 40, spec)
         assert data.labels.shape == (40,)
         classes = set(data.labels.tolist())
@@ -164,12 +164,12 @@ class TestOversample:
 
     def test_zero_threshold_is_noop(self):
         labels = self._labels()
-        out = selective_oversample(labels, ResampleConfig(0.0, 20))
+        out = selective_oversample(labels, 0.0, 20)
         assert np.array_equal(out, np.arange(len(labels)))
 
     def test_rare_label_reaches_threshold(self):
         labels = self._labels()
-        out = selective_oversample(labels, ResampleConfig(0.3, 20))
+        out = selective_oversample(labels, 0.3, 20)
         freq = labels[out].mean(axis=0)
         assert freq[2] >= 0.3
 
@@ -178,47 +178,52 @@ class TestOversample:
         labels = (rng.random((50, 2)) < 0.6).astype(np.int8)
         labels[:, 1] |= 1 - labels[:, 0]
         freq = labels.mean(axis=0)
-        out = selective_oversample(labels, ResampleConfig(float(freq.min()) - 0.01, 20))
+        out = selective_oversample(labels, float(freq.min()) - 0.01, 20)
         assert np.array_equal(out, np.arange(50))
 
     def test_output_starts_with_every_index(self):
         labels = self._labels()
-        out = selective_oversample(labels, ResampleConfig(0.35, 20))
+        out = selective_oversample(labels, 0.35, 20)
         assert np.array_equal(out[: len(labels)], np.arange(len(labels)))
         assert len(out) > len(labels)
         assert out.min() >= 0 and out.max() < len(labels)
 
     def test_duplicate_order_pinned(self):
         # Recorded when the oversampler still copied sample objects.
-        out = selective_oversample(self._labels(n=40), ResampleConfig(0.3, 20))
+        out = selective_oversample(self._labels(n=40), 0.3, 20)
         assert out[40:].tolist() == [0, 3, 6, 30, 37, 0, 3, 6, 30, 37, 0, 4, 15, 18, 19,
                                      20, 21, 29, 0, 3]
 
     def test_majority_absolute_counts_preserved(self):
         labels = self._labels()
         before = labels.sum(axis=0)
-        out = selective_oversample(labels, ResampleConfig(0.3, 20))
+        out = selective_oversample(labels, 0.3, 20)
         after = labels[out].sum(axis=0)
         assert np.all(after >= before)
 
     def test_duplication_cap_respected(self):
         labels = self._labels(n=50, rare_rate=0.02)
-        out = selective_oversample(labels, ResampleConfig(0.9, 3))
+        out = selective_oversample(labels, 0.9, 3)
         assert np.bincount(out).max() <= 1 + 3
 
     def test_deterministic(self):
         labels = self._labels()
-        a = selective_oversample(labels, ResampleConfig(0.3, 20))
-        b = selective_oversample(labels, ResampleConfig(0.3, 20))
+        a = selective_oversample(labels, 0.3, 20)
+        b = selective_oversample(labels, 0.3, 20)
         assert np.array_equal(a, b)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            selective_oversample(np.zeros((0, 3), dtype=np.int8), ResampleConfig(0.3, 20))
+            selective_oversample(np.zeros((0, 3), dtype=np.int8), 0.3, 20)
 
     def test_class_ids_rejected(self):
         with pytest.raises(DataError):
-            selective_oversample(np.arange(5), ResampleConfig(0.3, 20))
+            selective_oversample(np.arange(5), 0.3, 20)
+
+    @pytest.mark.parametrize("threshold,max_duplication", [(-0.1, 20), (1.5, 20), (0.3, 0)])
+    def test_out_of_range_settings_rejected(self, threshold, max_duplication):
+        with pytest.raises(ConfigError):
+            selective_oversample(self._labels(), threshold, max_duplication)
 
 
 class TestPpm:
@@ -300,7 +305,7 @@ class TestManifest:
     def test_roundtrip(self, tmp_path):
         data = generate_synthetic(12, 6)
         write_dataset(tmp_path / "ds", data, digest="abc123")
-        loaded = load_dataset(tmp_path / "ds", "multi_label", 12, 64)
+        loaded = load_dataset(tmp_path / "ds", "au", 12, 64)
         assert len(loaded) == 6
         assert loaded.labels.dtype == np.int8 and loaded.subjects.dtype == np.int64
         assert np.array_equal(data.labels, loaded.labels)
@@ -308,51 +313,52 @@ class TestManifest:
         assert loaded.images.dtype == np.uint8 and np.array_equal(data.images, loaded.images)
 
     def test_multiclass_roundtrip(self, tmp_path):
-        data = generate_synthetic(13, 4, SyntheticSpec(mode="multi_class"))
+        data = generate_synthetic(13, 4, SyntheticSpec(task="fer"))
         write_dataset(tmp_path / "ds", data)
-        loaded = load_dataset(tmp_path / "ds", "multi_class", 6, 64)
+        loaded = load_dataset(tmp_path / "ds", "fer", 6, 64)
         assert loaded.labels.dtype == np.int64
         assert loaded.labels.tolist() == data.labels.tolist()
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
-            load_dataset(tmp_path, "multi_label", 12, 64)
+            load_dataset(tmp_path, "au", 12, 64)
 
     def test_malformed_record(self, tmp_path):
         d = tmp_path / "ds"
         d.mkdir()
         (d / "manifest.tsv").write_text("only-one-field\n")
         with pytest.raises(DataError):
-            load_dataset(d, "multi_label", 12, 64)
+            load_dataset(d, "au", 12, 64)
 
     def test_one_label_roundtrip(self, tmp_path):
         spec = SyntheticSpec(num_labels=1, rates=(0.5,), pairs=())
         data = generate_synthetic(14, 6, spec)
         write_dataset(tmp_path / "ds", data)
-        loaded = load_dataset(tmp_path / "ds", "multi_label", 1, 64)
+        loaded = load_dataset(tmp_path / "ds", "au", 1, 64)
         assert loaded.labels.shape == (6, 1)
         assert np.array_equal(data.labels, loaded.labels)
 
-    @pytest.mark.parametrize("mode,count,record", [
-        ("multi_label", 3, "1,0,1\tx7"),        # non-integer subject
-        ("multi_label", 3, "1,a,1\t7"),         # non-integer label
-        ("multi_label", 3, "1,0\t7"),           # too few labels
-        ("multi_label", 3, "1,0,2\t7"),         # not a 0/1 label
-        ("multi_label", 3, "1\t7"),             # a lone class id
-        ("multi_class", 3, "1,0,1\t7"),         # a label vector
-        ("multi_class", 3, "3\t7"),             # class id out of range
-        ("multi_class", 3, "-1\t7"),
-    ])
-    def test_bad_record_names_its_line(self, tmp_path, mode, count, record):
+    # The ids name the label kind of each task's records.
+    @pytest.mark.parametrize("task,count,record", [
+        ("au", 3, "1,0,1\tx7"),        # non-integer subject
+        ("au", 3, "1,a,1\t7"),         # non-integer label
+        ("au", 3, "1,0\t7"),           # too few labels
+        ("au", 3, "1,0,2\t7"),         # not a 0/1 label
+        ("au", 3, "1\t7"),             # a lone class id
+        ("fer", 3, "1,0,1\t7"),        # a label vector
+        ("fer", 3, "3\t7"),            # class id out of range
+        ("fer", 3, "-1\t7"),
+    ], ids=lambda v: {"au": "multi_label", "fer": "multi_class"}.get(v) if isinstance(v, str) else None)
+    def test_bad_record_names_its_line(self, tmp_path, task, count, record):
         write_dataset(tmp_path, generate_synthetic(15, 1))
         good = (tmp_path / "manifest.tsv").read_text().splitlines()[0]
         rel = good.split("\t")[0]
         (tmp_path / "manifest.tsv").write_text(f"# header\n{rel}\t{record}\n")
         with pytest.raises(DataError, match=r"manifest\.tsv:2: "):
-            load_dataset(tmp_path, mode, count, 64)
+            load_dataset(tmp_path, task, count, 64)
 
     def test_missing_image_names_its_line(self, tmp_path):
-        write_dataset(tmp_path, generate_synthetic(16, 2, SyntheticSpec(mode="multi_class")))
+        write_dataset(tmp_path, generate_synthetic(16, 2, SyntheticSpec(task="fer")))
         (tmp_path / "images" / "sample_00001.ppm").unlink()
         with pytest.raises(DataError, match=r"manifest\.tsv:2: image .* not found"):
-            load_dataset(tmp_path, "multi_class", 6, 64)
+            load_dataset(tmp_path, "fer", 6, 64)

@@ -1,8 +1,11 @@
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
 import smanet
+from smanet.attention import SmaConfig
+from smanet.backbone import BackboneConfig
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "smanet"}
 
@@ -85,3 +88,24 @@ def test_windowed_ops_share_one_grid_builder():
     functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     for op in ("conv2d", "depthwise_conv2d", "max_pool2d"):
         assert _calls(functions[op], "_phase_grid"), op
+
+
+def test_task_has_one_spelling():
+    """The task is `au` or `fer` everywhere: no string constant in the
+    package, docstrings included, spells it `multi_label` or
+    `multi_class`."""
+    root = Path(smanet.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if "multi_label" in node.value or "multi_class" in node.value:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
+def test_attention_settings_live_in_sma_config_only():
+    """`BackboneConfig` holds the attention variant as one `SmaConfig`
+    and copies none of its fields."""
+    backbone = {f.name for f in dataclasses.fields(BackboneConfig)}
+    assert not backbone & {f.name for f in dataclasses.fields(SmaConfig)}

@@ -164,7 +164,7 @@ class TestMultiAttentionLoss:
         )
         head = Linear(4, 3, rng, init=("uniform", 0.5))
         labels = np.array([0, 2])
-        cfg = LossConfig(task="multi_class")
+        cfg = LossConfig()
         got = multi_attention_loss(stack, feature, labels, [head], cfg).item()
         pooled = Tensor(feature.data.mean(axis=(2, 3)))
         want = cross_entropy(head(pooled), labels).item()
@@ -173,26 +173,26 @@ class TestMultiAttentionLoss:
     def test_zero_heads_give_log_k(self):
         rng = np.random.default_rng(6)
         feature = Tensor(rng.normal(size=(2, 4, 5, 5)))
-        block = MultiChannelAttention(SmaConfig(n_channels=2, in_channels=4), rng)
+        block = MultiChannelAttention(SmaConfig(n_channels=2), 4, rng)
         stack = block.f2a(feature)
         heads = [Linear(4, 5, rng) for _ in range(2)]
         for h in heads:
             h.weight.data[...] = 0.0
             h.bias.data[...] = 0.0
-        cfg = LossConfig(task="multi_class")
+        cfg = LossConfig()
         got = multi_attention_loss(stack, feature, np.array([1, 4]), heads, cfg).item()
         assert abs(got - math.log(5)) < 1e-12
 
     def test_matches_hand_composed_pipeline(self):
         rng = np.random.default_rng(7)
         feature = Tensor(rng.normal(size=(2, 3, 4, 4)))
-        block = MultiChannelAttention(SmaConfig(n_channels=3, in_channels=3), rng)
+        block = MultiChannelAttention(SmaConfig(n_channels=3), 3, rng)
         stack = block.f2a(feature)
         heads = [Linear(3, 4, rng, init=("uniform", 0.7)) for _ in range(3)]
         w = rng.uniform(1.0, 2.0, 4)
-        multi_label = (rng.random((2, 4)) > 0.5).astype(float)
-        for cfg, labels in ((LossConfig(task="multi_label", pos_weights=w), multi_label),
-                            (LossConfig(task="multi_class"), rng.integers(0, 4, size=2))):
+        au_labels = (rng.random((2, 4)) > 0.5).astype(float)
+        for cfg, labels in ((LossConfig(pos_weights=w), au_labels),
+                            (LossConfig(), rng.integers(0, 4, size=2))):
             got = multi_attention_loss(stack, feature, labels, heads, cfg).item()
             acc = 0.0
             for i, head in enumerate(heads):
@@ -204,11 +204,11 @@ class TestMultiAttentionLoss:
     def test_head_count_mismatch(self):
         rng = np.random.default_rng(8)
         feature = Tensor(rng.normal(size=(1, 3, 4, 4)))
-        block = MultiChannelAttention(SmaConfig(n_channels=2, in_channels=3), rng)
+        block = MultiChannelAttention(SmaConfig(n_channels=2), 3, rng)
         stack = block.f2a(feature)
         with pytest.raises(ShapeError):
             multi_attention_loss(stack, feature, np.zeros((1, 2)), [Linear(3, 2, rng)],
-                                 LossConfig(task="multi_label"))
+                                 LossConfig())
 
 
 class TestTotalLoss:
@@ -257,6 +257,6 @@ class TestPosWeights:
         rng = np.random.default_rng(10)
         x = Tensor(rng.normal(size=(2, 3)))
         y_ml = (rng.random((2, 3)) > 0.5).astype(float)
-        cfg = LossConfig(task="multi_label")
+        cfg = LossConfig()
         assert abs(task_loss(x, y_ml, cfg).item()
                    - weighted_bce_logits(x, y_ml, np.ones(3)).item()) < 1e-15

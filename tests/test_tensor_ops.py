@@ -281,7 +281,7 @@ class TestLinear:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+            T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.ones(4)))
 
 
 class TestElementwise:
