@@ -5,6 +5,10 @@ runs a 7x7 conv + sigmoid to produce a spatial mask.  A squeeze-style
 two-layer MLP (no hidden nonlinearity) scores the channels with a
 softmax weight vector, the weighted channel combination is squashed to
 a single fused map, and the fused map gates the input feature block.
+
+Every attention layer (mapping conv, mask convs, MLPs) starts uniform in
++-`nn.INIT_SCALE`, weights and biases alike, and is built in float64 like
+every layer; the owner of the model casts it to the compute dtype.
 """
 
 from __future__ import annotations
@@ -15,10 +19,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .nn import Conv2d, DepthwiseConv2d, Linear, Module
+from .nn import INIT_SCALE, Conv2d, DepthwiseConv2d, Linear, Module
 from .tensor import Tensor
-
-ATTENTION_INIT_SCALE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -106,25 +108,18 @@ class MultiChannelAttention(Module):
     channel weighting, combination, and feature refinement, in the
     variant `cfg` spells."""
 
-    def __init__(self, cfg: SmaConfig, in_channels: int, rng: np.random.Generator,
-                 dtype=np.float64):
+    def __init__(self, cfg: SmaConfig, in_channels: int, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
         self.in_channels = in_channels
-        init = ("uniform", ATTENTION_INIT_SCALE)
+        n = cfg.n_channels
         if cfg.mapping_mode == "conv":
-            self.mapping = Conv2d(
-                in_channels, cfg.n_channels, cfg.mapping_kernel, rng,
-                padding=cfg.mapping_kernel // 2, init=init, dtype=dtype,
-            )
-        self.attn_convs = DepthwiseConv2d(
-            cfg.n_channels, cfg.attn_kernel, rng,
-            padding=cfg.attn_kernel // 2, init=init, dtype=dtype,
-        )
+            self.mapping = Conv2d(in_channels, n, cfg.mapping_kernel, rng,
+                                  padding=cfg.mapping_kernel // 2, scale=INIT_SCALE)
+        self.attn_convs = DepthwiseConv2d(n, cfg.attn_kernel, rng)
         if cfg.use_aaa:
-            self.reduce_fc = Linear(in_channels, cfg.n_channels, rng, init=init, dtype=dtype)
-            self.mix_fc = Linear(cfg.n_channels, cfg.n_channels, rng, init=init, dtype=dtype)
-        self._ones_n = Tensor(np.ones((1, cfg.n_channels, 1, 1), dtype=dtype))
+            self.reduce_fc = Linear(in_channels, n, rng, INIT_SCALE)
+            self.mix_fc = Linear(n, n, rng, INIT_SCALE)
 
     def f2a(self, feature: Tensor) -> AttentionStack:
         """Map the feature block to N channels and build the spatial masks."""
@@ -133,7 +128,8 @@ class MultiChannelAttention(Module):
         if self.cfg.mapping_mode == "conv":
             mapped = self.mapping(feature)
         else:
-            mapped = T.mul(feature.mean(axis=1, keepdims=True), self._ones_n)
+            ones = Tensor(np.ones((1, self.cfg.n_channels, 1, 1), dtype=feature.dtype))
+            mapped = T.mul(feature.mean(axis=1, keepdims=True), ones)
         logits = self.attn_convs(mapped)
         return AttentionStack(mapped=mapped, logits=logits, masks=T.sigmoid(logits))
 
@@ -163,13 +159,11 @@ class ChannelGate(Module):
     the channel-attention-only ablation; produces no spatial masks.
     """
 
-    def __init__(self, in_channels: int, bottleneck: int, rng: np.random.Generator,
-                 dtype=np.float64):
+    def __init__(self, in_channels: int, bottleneck: int, rng: np.random.Generator):
         super().__init__()
-        init = ("uniform", ATTENTION_INIT_SCALE)
         self.in_channels = in_channels
-        self.reduce_fc = Linear(in_channels, bottleneck, rng, init=init, dtype=dtype)
-        self.expand_fc = Linear(bottleneck, in_channels, rng, init=init, dtype=dtype)
+        self.reduce_fc = Linear(in_channels, bottleneck, rng, INIT_SCALE)
+        self.expand_fc = Linear(bottleneck, in_channels, rng, INIT_SCALE)
 
     def forward(self, feature: Tensor) -> tuple[Tensor, None]:
         b, c = feature.shape[0], feature.shape[1]

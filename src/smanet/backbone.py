@@ -5,21 +5,28 @@ Attention sits on the residual branch, after the second batch norm and
 before the summation with the identity path.  A width-scaled compact
 profile (stage widths divided by 8, 3x3 stride-1 stem) keeps desk-scale
 runs fast; the full-width profile uses the standard 7x7 stride-2 stem
-with max-pooling.
+with max-pooling.  Every stage has two blocks and the input is RGB.
+
+Each conv is He-initialised without a bias, since a batch norm follows
+it; the head is uniform in +-`nn.INIT_SCALE` with a zero bias.  The
+network is built in float64; `train.TrainState` casts it to the compute
+dtype.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import tensor as T
 from .attention import ChannelGate, MultiChannelAttention, SmaConfig, SmaIntermediates, param_count
 from .errors import ConfigError, ShapeError
-from .nn import BatchNorm2d, Conv2d, Linear, Module, ModuleList
+from .nn import INIT_SCALE, BatchNorm2d, Conv2d, Linear, Module, ModuleList
 from .tensor import Tensor
 
+IN_CHANNELS = 3  # RGB input
 PLACEMENTS = ("all_blocks", "first_two_blocks", "none")
 ATTENTION_KINDS = ("sma", "channel_gate")
 
@@ -28,10 +35,9 @@ ATTENTION_KINDS = ("sma", "channel_gate")
 class BackboneConfig:
     num_outputs: int
     stage_widths: tuple = (64, 128, 256, 512)
-    blocks_per_stage: int = 2
+    blocks_per_stage: ClassVar[int] = 2
     sma_placement: str = "all_blocks"
     stem: str = "compact"  # compact: 3x3 stride 1; imagenet: 7x7 stride 2 + maxpool
-    in_channels: int = 3
     attention_kind: str = "sma"
     sma: SmaConfig = SmaConfig(n_channels=7)  # channel_gate reads n_channels only
 
@@ -68,23 +74,23 @@ class BackboneConfig:
 
 class BasicBlock(Module):
     def __init__(self, cin, cout, stride, cfg: BackboneConfig, with_attention: bool,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator):
         super().__init__()
-        self.conv1 = Conv2d(cin, cout, 3, rng, stride=stride, padding=1, bias=False, dtype=dtype)
-        self.bn1 = BatchNorm2d(cout, dtype=dtype)
-        self.conv2 = Conv2d(cout, cout, 3, rng, stride=1, padding=1, bias=False, dtype=dtype)
-        self.bn2 = BatchNorm2d(cout, dtype=dtype)
+        self.conv1 = Conv2d(cin, cout, 3, rng, stride=stride, padding=1)
+        self.bn1 = BatchNorm2d(cout)
+        self.conv2 = Conv2d(cout, cout, 3, rng, stride=1, padding=1)
+        self.bn2 = BatchNorm2d(cout)
         if stride != 1 or cin != cout:
-            self.down_conv = Conv2d(cin, cout, 1, rng, stride=stride, bias=False, dtype=dtype)
-            self.down_bn = BatchNorm2d(cout, dtype=dtype)
+            self.down_conv = Conv2d(cin, cout, 1, rng, stride=stride)
+            self.down_bn = BatchNorm2d(cout)
         else:
             self.down_conv = None
         self.attention = None
         if with_attention:
             if cfg.attention_kind == "sma":
-                self.attention = MultiChannelAttention(cfg.sma, cout, rng, dtype=dtype)
+                self.attention = MultiChannelAttention(cfg.sma, cout, rng)
             else:
-                self.attention = ChannelGate(cout, cfg.sma.n_channels, rng, dtype=dtype)
+                self.attention = ChannelGate(cout, cfg.sma.n_channels, rng)
 
     def forward(self, x: Tensor):
         h = T.relu(self.bn1(self.conv1(x)))
@@ -99,27 +105,24 @@ class BasicBlock(Module):
 class Backbone(Module):
     """Stem, four two-block stages, global average pool, affine head."""
 
-    def __init__(self, cfg: BackboneConfig, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
         w0 = cfg.stage_widths[0]
         if cfg.stem == "compact":
-            self.stem_conv = Conv2d(cfg.in_channels, w0, 3, rng, stride=1, padding=1, bias=False, dtype=dtype)
+            self.stem_conv = Conv2d(IN_CHANNELS, w0, 3, rng, stride=1, padding=1)
         else:
-            self.stem_conv = Conv2d(cfg.in_channels, w0, 7, rng, stride=2, padding=3, bias=False, dtype=dtype)
-        self.stem_bn = BatchNorm2d(w0, dtype=dtype)
+            self.stem_conv = Conv2d(IN_CHANNELS, w0, 7, rng, stride=2, padding=3)
+        self.stem_bn = BatchNorm2d(w0)
         self.blocks = ModuleList()
         for stage, block, cin, cout, stride in cfg.block_positions():
-            self.blocks.append(
-                BasicBlock(cin, cout, stride, cfg, cfg.attention_at(stage, block), rng, dtype=dtype)
-            )
-        self.head = Linear(cfg.stage_widths[-1], cfg.num_outputs, rng,
-                           init=("uniform", 1e-2), zero_bias=True, dtype=dtype)
+            self.blocks.append(BasicBlock(cin, cout, stride, cfg, cfg.attention_at(stage, block), rng))
+        self.head = Linear(cfg.stage_widths[-1], cfg.num_outputs, rng, INIT_SCALE, zero_bias=True)
 
     def forward(self, x: Tensor):
         """Return (logits, attention intermediates of every carrying block)."""
-        if x.ndim != 4 or x.shape[1] != self.cfg.in_channels:
-            raise ShapeError(f"expected [B,{self.cfg.in_channels},H,W] input, got {x.shape}")
+        if x.ndim != 4 or x.shape[1] != IN_CHANNELS:
+            raise ShapeError(f"expected [B,{IN_CHANNELS},H,W] input, got {x.shape}")
         h = T.relu(self.stem_bn(self.stem_conv(x)))
         if self.cfg.stem == "imagenet":
             h = T.max_pool2d(h, 3, 2, 1)
@@ -143,7 +146,7 @@ def backbone_param_count(cfg: BackboneConfig) -> int:
     """Closed-form trainable-parameter count of the whole network."""
     w0 = cfg.stage_widths[0]
     stem_k = 3 if cfg.stem == "compact" else 7
-    total = cfg.in_channels * w0 * stem_k ** 2 + 2 * w0
+    total = IN_CHANNELS * w0 * stem_k ** 2 + 2 * w0
     for stage, block, cin, cout, stride in cfg.block_positions():
         total += cin * cout * 9 + 2 * cout          # conv1 + bn1
         total += cout * cout * 9 + 2 * cout         # conv2 + bn2

@@ -168,7 +168,7 @@ def _cross_entropy(rng):
 
 
 def _bypass(rng):
-    heads = [Linear(4, 3, rng, init=("uniform", 0.5)) for _ in range(3)]
+    heads = [Linear(4, 3, rng, 0.5) for _ in range(3)]
     return _op(lambda pooled, *_: bypass_logits(pooled, heads), 41,
                pooled=_rand(rng, 2, 3, 4), **_head_params(heads))
 
@@ -198,7 +198,7 @@ def _refine(rng):
 
 def _multi_attention(rng):
     block = MultiChannelAttention(SmaConfig(n_channels=2), 4, rng)
-    heads = [Linear(4, 3, rng, init=("uniform", 0.5)) for _ in range(2)]
+    heads = [Linear(4, 3, rng, 0.5) for _ in range(2)]
     lcfg = LossConfig()
     labels = rng.integers(0, 3, size=2)
     return _op(lambda x, *_: multi_attention_loss(block.f2a(x), x, labels, heads, lcfg),

@@ -31,14 +31,6 @@ class LossConfig:
     delta: float = 0.5
     pos_weights: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.alpha < 0 or self.lam < 0:
-            raise ValueError("balance factors must be >= 0")
-        if self.pos_weights is not None:
-            self.pos_weights = np.asarray(self.pos_weights, dtype=np.float64)
-            if np.any(self.pos_weights <= 0):
-                raise ValueError("pos_weights entries must be > 0")
-
 
 def diversity_loss(masks: Tensor, delta: float) -> Tensor:
     """Hinge-penalized overlap between each mask and the strongest other mask.

@@ -2,7 +2,9 @@
 
 Modules exist to own parameters: registration order is attribute
 assignment order, which keeps checkpoint layouts and init draws
-deterministic for a fixed config and seed.
+deterministic for a fixed config and seed.  Layers take shapes and an
+init scale only: every layer is built in float64, and the model's owner
+casts it once to the compute dtype (`Module.cast`).
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .tensor import DEFAULT_DTYPE, Tensor, batch_norm2d, conv2d, depthwise_conv2d, linear
+from .tensor import Tensor, batch_norm2d, conv2d, depthwise_conv2d, linear
 
 
 class Module:
@@ -69,6 +71,17 @@ class Module:
         for name, arr in self.state_arrays():
             arr[...] = record(name, arr.shape)
 
+    def cast(self, dtype) -> Module:
+        """Cast every parameter and buffer to `dtype`, copying only those
+        of another dtype."""
+        for p in self._params.values():
+            p.data = p.data.astype(dtype, copy=False)
+        for name, b in list(self._buffers.items()):
+            self.register_buffer(name, b.astype(dtype, copy=False))
+        for mod in self._modules.values():
+            mod.cast(dtype)
+        return self
+
     def param_total(self) -> int:
         return sum(p.size for p in self.parameters())
 
@@ -101,74 +114,69 @@ class ModuleList(Module):
         return len(self._modules)
 
 
-def _init_weight(rng: np.random.Generator, shape, init, fan_in: int, dtype):
-    if init == "he":
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+INIT_SCALE = 1e-2  # half-width of the uniform init of the attention layers and heads
+
+
+def _init_weight(rng: np.random.Generator, shape, scale) -> Tensor:
+    """He-normal over the fan-in (every axis but the first) when `scale`
+    is None, else uniform in +-scale."""
+    if scale is None:
+        w = rng.normal(0.0, np.sqrt(2.0 / np.prod(shape[1:])), size=shape)
     else:
-        kind, scale = init
-        if kind != "uniform":
-            raise ValueError(f"unknown init {init!r}")
         w = rng.uniform(-scale, scale, size=shape)
-    return Tensor(w.astype(dtype), requires_grad=True)
+    return Tensor(w, requires_grad=True)
 
 
 class Conv2d(Module):
-    def __init__(self, cin, cout, kernel, rng, stride=1, padding=0, bias=True,
-                 init="he", dtype=DEFAULT_DTYPE):
+    """scale=None: He weights and no bias (a batch norm follows every such
+    conv); a float: weights and bias uniform in +-scale."""
+
+    def __init__(self, cin, cout, kernel, rng, stride=1, padding=0, scale=None):
         super().__init__()
         self.stride = stride
         self.padding = padding
-        self.weight = _init_weight(rng, (cout, cin, kernel, kernel), init, cin * kernel * kernel, dtype)
-        if bias:
-            if init == "he":
-                self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
-            else:
-                self.bias = _init_weight(rng, (cout,), init, cin, dtype)
-        else:
-            self.bias = None
+        self.weight = _init_weight(rng, (cout, cin, kernel, kernel), scale)
+        self.bias = None if scale is None else _init_weight(rng, (cout,), scale)
 
     def forward(self, x):
         return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
 class DepthwiseConv2d(Module):
-    """One kernel per channel, stride 1; used by the per-channel attention convs."""
+    """One kernel per channel, stride 1, padded to keep the map size;
+    weights and bias uniform in +-INIT_SCALE.  Used by the per-channel
+    attention convs."""
 
-    def __init__(self, channels, kernel, rng, padding=0, init=("uniform", 1e-2), dtype=DEFAULT_DTYPE):
+    def __init__(self, channels, kernel, rng):
         super().__init__()
-        self.padding = padding
-        self.weight = _init_weight(rng, (channels, kernel, kernel), init, kernel * kernel, dtype)
-        self.bias = _init_weight(rng, (channels,), init, kernel * kernel, dtype)
+        self.weight = _init_weight(rng, (channels, kernel, kernel), INIT_SCALE)
+        self.bias = _init_weight(rng, (channels,), INIT_SCALE)
 
     def forward(self, x):
-        return depthwise_conv2d(x, self.weight, self.bias, padding=self.padding)
+        return depthwise_conv2d(x, self.weight, self.bias, padding=self.weight.shape[-1] // 2)
 
 
 class Linear(Module):
-    def __init__(self, din, dout, rng, init="he", zero_bias=False, dtype=DEFAULT_DTYPE):
+    """Weights uniform in +-scale; the bias too, or zeros if zero_bias."""
+
+    def __init__(self, din, dout, rng, scale, zero_bias=False):
         super().__init__()
-        self.weight = _init_weight(rng, (dout, din), init, din, dtype)
-        if init == "he" or zero_bias:
-            self.bias = Tensor(np.zeros(dout, dtype=dtype), requires_grad=True)
-        else:
-            self.bias = _init_weight(rng, (dout,), init, din, dtype)
+        self.weight = _init_weight(rng, (dout, din), scale)
+        self.bias = (Tensor(np.zeros(dout), requires_grad=True) if zero_bias
+                     else _init_weight(rng, (dout,), scale))
 
     def forward(self, x):
         return linear(x, self.weight, self.bias)
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=DEFAULT_DTYPE):
+    def __init__(self, channels):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_var", np.ones(channels, dtype=dtype))
+        self.gamma = Tensor(np.ones(channels), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels), requires_grad=True)
+        self.register_buffer("running_mean", np.zeros(channels))
+        self.register_buffer("running_var", np.ones(channels))
 
     def forward(self, x):
-        return batch_norm2d(
-            x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training=self.training, momentum=self.momentum, eps=self.eps,
-        )
+        return batch_norm2d(x, self.gamma, self.beta, self.running_mean, self.running_var,
+                            training=self.training)

@@ -596,8 +596,9 @@ def _depthwise_correlate(flat: np.ndarray, layout: tuple, w: np.ndarray) -> np.n
     return out.transpose(0, 1, 3, 2, 4).reshape(b, n, ho, tiles * tile)[..., :wo]
 
 
-def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int = 0) -> Tensor:
-    """Per-channel k-by-k correlation: channel n of x convolved with weight[n].
+def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
+    """Per-channel k-by-k correlation: channel n of x convolved with
+    weight[n], plus bias[n].
 
     Stride is fixed at 1; with padding k//2 the spatial size is preserved.
     Requires 0 <= padding <= k-1.  x is written once into its padded grid
@@ -615,13 +616,13 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padd
     n, k, k2 = weight.shape
     if k != k2:
         raise ShapeError("depthwise_conv2d: kernel must be square")
-    if bias is not None and bias.shape != (n,):
+    if bias.shape != (n,):
         raise ShapeError(f"depthwise_conv2d: bias{bias.shape} must be ({n},)")
 
     flat, layout = _phase_grid("depthwise_conv2d", x.data, k, 1, padding)
     ho, _, (_, _, wq), _, _ = layout
     data = _depthwise_correlate(flat, layout, weight.data)
-    data = data + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(data)
+    data = data + bias.data[:, None, None]
 
     def vjp(g):
         gw = None
@@ -631,16 +632,14 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padd
             # windows[b, n, i, j, 0, :] is tap (i, j)'s window.
             windows = _window_view(flat, (b, n, k, k, 1, ho * wq), (n * size, size, wq, 1, 0, 1))
             gw = np.matmul(windows, gq).reshape(b, n, k, k).sum(axis=0)
-        gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
+        gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
         gx = None
         if x.requires_grad:
             gflat, glayout = _phase_grid("depthwise_conv2d", g, k, 1, k - 1 - padding)
             gx = _depthwise_correlate(gflat, glayout, weight.data[:, ::-1, ::-1])
-        ret = (gx, gw)
-        return ret + (gb,) if bias is not None else ret
+        return (gx, gw, gb)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return apply_op(data, parents, vjp)
+    return apply_op(data, (x, weight, bias), vjp)
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:

@@ -22,7 +22,7 @@ from .data import (DEFAULT_LABEL_PAIRS, DEFAULT_LABEL_RATES, Dataset, SyntheticS
 from .errors import ConfigError, NumericError
 from .losses import compute_pos_weights, objective
 from .metrics import accuracy, binarize, count_binary, f1_scores
-from .nn import Linear, Module, ModuleList
+from .nn import INIT_SCALE, Linear, Module, ModuleList
 from .tensor import Tensor
 
 STREAM_DATA_TRAIN = 11
@@ -78,21 +78,22 @@ def build_splits(cfg: RunConfig) -> tuple[Dataset, Dataset]:
 
 class TrainState(Module):
     """Backbone plus the per-channel bypass heads, checkpointed together:
-    N heads for each block whose attention is a MultiChannelAttention."""
+    N heads for each block whose attention is a MultiChannelAttention.
+    Built in float64, then cast once to the configured compute dtype."""
 
     def __init__(self, cfg: RunConfig):
         super().__init__()
         rng = derive_rng(cfg.seed, STREAM_INIT)
-        dtype = np_dtype(cfg)
-        self.model = Backbone(backbone_config(cfg), rng, dtype=dtype)
+        self.model = Backbone(backbone_config(cfg), rng)
         self.heads = ModuleList()
         for block in self.model.blocks:
             attn = block.attention
             if isinstance(attn, MultiChannelAttention):
                 self.heads.append(ModuleList(
-                    Linear(attn.in_channels, self.model.cfg.num_outputs, rng,
-                           init=("uniform", 1e-2), zero_bias=True, dtype=dtype)
+                    Linear(attn.in_channels, self.model.cfg.num_outputs, rng, INIT_SCALE,
+                           zero_bias=True)
                     for _ in range(attn.cfg.n_channels)))
+        self.cast(np_dtype(cfg))
 
 
 def make_out_dir(path) -> Path:

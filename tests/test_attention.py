@@ -84,6 +84,13 @@ class TestF2a:
         mean = x.data.mean(axis=1, keepdims=True)
         assert np.allclose(stack.mapped.data, np.repeat(mean, 3, axis=1), atol=1e-15)
 
+    def test_channel_mean_block_keeps_float32(self):
+        block = make_block(n=3, c=4, seed=5, mapping_mode="channel_mean").cast(np.float32)
+        x = Tensor(np.random.default_rng(6).normal(size=(2, 4, 5, 5)), dtype=np.float32)
+        out, inter = block(x)
+        maps = (inter.stack.mapped, inter.stack.logits, inter.stack.masks, inter.fused, out)
+        assert [m.dtype for m in maps] == [np.float32] * len(maps)
+
 
 class TestChannelWeights:
     def test_zero_mlp_gives_uniform(self):

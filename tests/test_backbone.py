@@ -294,14 +294,27 @@ class TestCheckpoint:
 
     def test_float32_roundtrip_exact(self, tmp_path):
         cfg = toy_config(n_channels=2)
-        model = Backbone(cfg, np.random.default_rng(19), dtype=np.float32)
+        model = Backbone(cfg, np.random.default_rng(19)).cast(np.float32)
         path = tmp_path / "c.bin"
         save_checkpoint(path, "0" * 64, model.state_arrays())
         _, arrays = load_checkpoint(path)
-        twin = Backbone(cfg, np.random.default_rng(20), dtype=np.float32)
+        twin = Backbone(cfg, np.random.default_rng(20)).cast(np.float32)
         twin.load_state_arrays(arrays)
         for (_, a), (_, b) in zip(model.named_parameters(), twin.named_parameters()):
             assert np.array_equal(a.data, b.data)
+
+    def test_cast_copies_only_other_dtypes(self):
+        model = Backbone(toy_config(n_channels=2), np.random.default_rng(23))
+        before = [arr for _, arr in model.state_arrays()]
+        assert model.cast(np.float64) is model
+        assert all(a is b for a, b in zip(before, (arr for _, arr in model.state_arrays())))
+        model.cast(np.float32)
+        after = [arr for _, arr in model.state_arrays()]
+        assert all(a.dtype == np.float32 for a in after)
+        assert all(np.array_equal(a.astype(np.float32), b) for a, b in zip(before, after))
+        # the forward reads the cast buffers, not stale attributes
+        bn = model.stem_bn
+        assert bn.running_mean is dict(bn.named_buffers())["running_mean"]
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         class Exploding:

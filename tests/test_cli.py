@@ -556,6 +556,16 @@ class TestAblations:
         lcfg = loss_config(tiny_cfg(ablation=ablation, alpha=0.25, lam=0.05))
         assert (lcfg.alpha, lcfg.lam) == self.BALANCE.get(ablation, (0.0, 0.0))
 
+    @pytest.mark.parametrize("ablation", list(PINNED))
+    def test_float32_state_is_the_float64_state_cast_down(self, ablation):
+        # TrainState builds in float64 and casts once, buffers included.
+        f32 = list(TrainState(tiny_cfg(ablation=ablation)).state_arrays())
+        f64 = dict(TrainState(tiny_cfg(ablation=ablation, dtype="float64")).state_arrays())
+        assert [name for name, _ in f32] == list(f64)
+        for name, arr in f32:
+            assert arr.dtype == np.float32, name
+            assert arr.tobytes() == f64[name].astype(np.float32).tobytes(), name
+
 
 class TestExportAttention:
     def test_zero_attention_exports_flat_maps(self, tmp_path):

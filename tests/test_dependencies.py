@@ -1,9 +1,11 @@
 import ast
 import dataclasses
+import inspect
 import sys
 from pathlib import Path
 
 import smanet
+from smanet import attention, backbone, nn
 from smanet.attention import SmaConfig
 from smanet.backbone import BackboneConfig
 
@@ -26,13 +28,10 @@ def test_package_imports_only_stdlib_and_numpy():
 
 
 def test_every_import_is_used():
-    """The project's unused-import check (it declares no linter).
-    `__init__.py` re-exports names, so its imports are exempt."""
+    """The project's unused-import check (it declares no linter)."""
     root = Path(smanet.__file__).parent
     unused = []
     for path in sorted(root.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
@@ -109,3 +108,18 @@ def test_attention_settings_live_in_sma_config_only():
     and copies none of its fields."""
     backbone = {f.name for f in dataclasses.fields(BackboneConfig)}
     assert not backbone & {f.name for f in dataclasses.fields(SmaConfig)}
+
+
+def test_layers_take_shapes_not_settings():
+    """No layer constructor takes a dtype: layers are built in float64 and
+    `TrainState` casts the model once.  The input channel count and the
+    blocks per stage are constants, not `BackboneConfig` fields."""
+    with_dtype = [f"{mod.__name__}.{name}"
+                  for mod in (nn, attention, backbone)
+                  for name, cls in vars(mod).items()
+                  if inspect.isclass(cls) and cls.__module__ == mod.__name__
+                  and "dtype" in inspect.signature(cls.__init__).parameters]
+    assert not with_dtype
+    fields = {f.name for f in dataclasses.fields(BackboneConfig)}
+    assert not fields & {"in_channels", "blocks_per_stage"}
+    assert BackboneConfig(num_outputs=2).blocks_per_stage == 2

@@ -162,7 +162,7 @@ class TestMultiAttentionLoss:
             Tensor(np.zeros((2, 1, 5, 5))),
             Tensor(np.ones((2, 1, 5, 5))),
         )
-        head = Linear(4, 3, rng, init=("uniform", 0.5))
+        head = Linear(4, 3, rng, 0.5)
         labels = np.array([0, 2])
         cfg = LossConfig()
         got = multi_attention_loss(stack, feature, labels, [head], cfg).item()
@@ -175,7 +175,7 @@ class TestMultiAttentionLoss:
         feature = Tensor(rng.normal(size=(2, 4, 5, 5)))
         block = MultiChannelAttention(SmaConfig(n_channels=2), 4, rng)
         stack = block.f2a(feature)
-        heads = [Linear(4, 5, rng) for _ in range(2)]
+        heads = [Linear(4, 5, rng, 0.5) for _ in range(2)]
         for h in heads:
             h.weight.data[...] = 0.0
             h.bias.data[...] = 0.0
@@ -188,7 +188,7 @@ class TestMultiAttentionLoss:
         feature = Tensor(rng.normal(size=(2, 3, 4, 4)))
         block = MultiChannelAttention(SmaConfig(n_channels=3), 3, rng)
         stack = block.f2a(feature)
-        heads = [Linear(3, 4, rng, init=("uniform", 0.7)) for _ in range(3)]
+        heads = [Linear(3, 4, rng, 0.7) for _ in range(3)]
         w = rng.uniform(1.0, 2.0, 4)
         au_labels = (rng.random((2, 4)) > 0.5).astype(float)
         for cfg, labels in ((LossConfig(pos_weights=w), au_labels),
@@ -207,7 +207,7 @@ class TestMultiAttentionLoss:
         block = MultiChannelAttention(SmaConfig(n_channels=2), 3, rng)
         stack = block.f2a(feature)
         with pytest.raises(ShapeError):
-            multi_attention_loss(stack, feature, np.zeros((1, 2)), [Linear(3, 2, rng)],
+            multi_attention_loss(stack, feature, np.zeros((1, 2)), [Linear(3, 2, rng, 0.5)],
                                  LossConfig())
 
 

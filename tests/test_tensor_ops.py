@@ -158,7 +158,8 @@ class TestDepthwise:
                 x, w, g, want = depthwise_oracle_case(k, padding, k + 3, wd)
                 xt = Tensor(x, requires_grad=True, dtype=dtype)
                 wt = Tensor(w, requires_grad=True, dtype=dtype)
-                out = T.depthwise_conv2d(xt, wt, padding=padding)
+                bt = Tensor(np.zeros(w.shape[0]), dtype=dtype)
+                out = T.depthwise_conv2d(xt, wt, bt, padding=padding)
                 T.mul(out, Tensor(g, dtype=dtype)).sum().backward()
                 for got in (out.data, xt.grad, wt.grad):
                     assert got.dtype == dtype
@@ -176,7 +177,7 @@ class TestDepthwise:
         runs = []
         for _ in range(2):
             xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-            out = T.depthwise_conv2d(xt, wt, padding=3)
+            out = T.depthwise_conv2d(xt, wt, Tensor(np.zeros(7, np.float32)), padding=3)
             T.mul(out, Tensor(g)).sum().backward()
             runs.append((out.data, xt.grad, wt.grad))
         want = oracles.depthwise_shifted(x.astype(np.float64), w.astype(np.float64),
@@ -188,11 +189,11 @@ class TestDepthwise:
             assert np.array_equal(first, second)
 
     def test_padding_bound(self):
-        x, w = Tensor(np.ones((1, 2, 6, 6))), Tensor(np.ones((2, 3, 3)))
-        assert T.depthwise_conv2d(x, w, padding=2).shape == (1, 2, 8, 8)
+        x, w, b = Tensor(np.ones((1, 2, 6, 6))), Tensor(np.ones((2, 3, 3))), Tensor(np.zeros(2))
+        assert T.depthwise_conv2d(x, w, b, padding=2).shape == (1, 2, 8, 8)
         for padding in (-1, 3):
             with pytest.raises(ShapeError):
-                T.depthwise_conv2d(x, w, padding=padding)
+                T.depthwise_conv2d(x, w, b, padding=padding)
 
 
 class TestSigmoid:
