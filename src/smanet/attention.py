@@ -14,6 +14,7 @@ every layer; the owner of the model casts it to the compute dtype.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,11 +56,22 @@ class SmaConfig:
 
 @dataclass
 class AttentionStack:
-    """Per-channel state: mapped features, pre-sigmoid logits, masks in (0,1)."""
+    """Per-channel state: mapped features and pre-sigmoid logits, and the
+    masks in (0,1) built from the logits on first read.
+
+    The fused map is built from the logits, so only the training losses
+    (`losses.objective`), `combine` under combine_on='masks' and
+    `export-attention` read the masks.  The sigmoid runs once, in the grad
+    mode of that first read, and a forward that reads none of them (an
+    eval pass) never runs it.
+    """
 
     mapped: Tensor  # [B,N,H,W]
     logits: Tensor  # [B,N,H,W]
-    masks: Tensor   # [B,N,H,W]
+
+    @cached_property
+    def masks(self) -> Tensor:  # [B,N,H,W]
+        return T.sigmoid(self.logits)
 
 
 @dataclass
@@ -122,7 +134,7 @@ class MultiChannelAttention(Module):
             self.mix_fc = Linear(n, n, rng, INIT_SCALE)
 
     def f2a(self, feature: Tensor) -> AttentionStack:
-        """Map the feature block to N channels and build the spatial masks."""
+        """Map the feature block to N channels and build the mask logits."""
         if feature.ndim != 4 or feature.shape[1] != self.in_channels:
             raise ShapeError(f"f2a: expected [B,{self.in_channels},H,W], got {feature.shape}")
         if self.cfg.mapping_mode == "conv":
@@ -131,7 +143,7 @@ class MultiChannelAttention(Module):
             ones = Tensor(np.ones((1, self.cfg.n_channels, 1, 1), dtype=feature.dtype))
             mapped = T.mul(feature.mean(axis=1, keepdims=True), ones)
         logits = self.attn_convs(mapped)
-        return AttentionStack(mapped=mapped, logits=logits, masks=T.sigmoid(logits))
+        return AttentionStack(mapped=mapped, logits=logits)
 
     def channel_weights(self, feature: Tensor) -> Tensor:
         """Softmax channel scores from spatially pooled features."""

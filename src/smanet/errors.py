@@ -6,7 +6,8 @@ input/configuration problems, numeric failures, and autograd misuse.
 
 
 class ShapeError(ValueError):
-    """Operands have incompatible or malformed shapes."""
+    """Operands have incompatible or malformed shapes, or a layer's
+    parameter has another float dtype than its input."""
 
 
 class ConfigError(ValueError):

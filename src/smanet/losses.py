@@ -43,12 +43,14 @@ def diversity_loss(masks: Tensor, delta: float) -> Tensor:
     every channel but the top one, which sees the runner-up m2 (ties go
     to the lowest index).  With S the channel sum and h1, h2 the hinges
     of m1 and m2, a pixel's penalty is (S - m1)*h1 + m1*h2.  One loop over
-    the channels keeps m1, m2 and their indices on [B,1,H,W] arrays with
-    max/min and integer arithmetic: on numpy 2.x, ``argmax`` over the
-    channel axis and a data-dependent ``np.where`` cost several times that
-    (see `tensor`).  The vjp gives each mask its hinge as the direct term,
-    and routes each active hinge's mask value to the channel its max came
-    from: the top channel, or the runner-up for the top channel.
+    the channels keeps m1 and m2 on [B,1,H,W] arrays with max/min, and,
+    when recording (`tensor.recording`), their indices with integer
+    arithmetic: on numpy 2.x, ``argmax`` over the channel axis and a
+    data-dependent ``np.where`` cost several times that (see `tensor`).
+    The value needs no index, so it is bit-identical either way.  The vjp
+    gives each mask its hinge as the direct term, and routes each active
+    hinge's mask value to the channel its max came from: the top channel,
+    or the runner-up for the top channel.
     """
     if masks.ndim != 4 or masks.shape[1] == 0:
         raise ShapeError(f"diversity_loss: need [B,N>=1,H,W], got {masks.shape}")
@@ -56,17 +58,21 @@ def diversity_loss(masks: Tensor, delta: float) -> Tensor:
         return Tensor(np.zeros((), dtype=masks.dtype))
     d = masks.data
     m1, m2 = d[:, :1].copy(), np.full_like(d[:, :1], -np.inf)
-    # The smallest signed type that holds the indices (int8 passes cost a
-    # fraction of intp ones).  Each `i += mask * (new - i)` is a branch-free
-    # select, and the strict `>` keeps ties on the lower index.
-    i1 = np.zeros(m1.shape, dtype=np.min_scalar_type(-d.shape[1]))
-    i2 = i1.copy()
+    track = T.recording(masks)
+    if track:
+        # The smallest signed type that holds the indices (int8 passes cost
+        # a fraction of intp ones).  Each `i += mask * (new - i)` is a
+        # branch-free select, and the strict `>` keeps ties on the lower
+        # index.
+        i1 = np.zeros(m1.shape, dtype=np.min_scalar_type(-d.shape[1]))
+        i2 = i1.copy()
     for c in range(1, d.shape[1]):
         v = d[:, c : c + 1]
-        above1, above2 = v > m1, v > m2
-        i2 += above2 * (c - i2)
-        i2 += above1 * (i1 - i2)
-        i1 += above1 * (c - i1)
+        if track:
+            above1, above2 = v > m1, v > m2
+            i2 += above2 * (c - i2)
+            i2 += above1 * (i1 - i2)
+            i1 += above1 * (c - i1)
         np.maximum(m2, np.minimum(v, m1), out=m2)
         np.maximum(m1, v, out=m1)
     rest = d.sum(axis=1, keepdims=True) - m1
@@ -199,14 +205,22 @@ def objective(logits: Tensor, inters, labels: np.ndarray, heads_by_block,
     Returns (l_cla, l_div, l_ma, l_all).  L_div and L_ma are means over the
     attention blocks in `inters` (L_ma only when bypass heads exist) and
     read 0 without them.  A term whose weight is 0 is still computed for
-    the log, but under no_grad, so it adds nothing to the graph.
+    the log, but under no_grad, so it adds nothing to the graph and skips
+    the forward work only a vjp reads (for L_div of `f2a_aaa`, the
+    top-two index tracking).
+
+    Unless `combine` fused them, the masks (`AttentionStack.masks`) are
+    first read here, in the caller's grad mode, before either term: a
+    training step records them once for both terms, even where a weight-0
+    term reads them under no_grad.
     """
     l_cla = task_loss(logits, labels, cfg)
     l_div = l_ma = Tensor(np.zeros((), dtype=logits.dtype))
     if inters:
         scale = 1.0 / len(inters)
+        masks = [it.stack.masks for it in inters]
         with contextlib.nullcontext() if cfg.alpha > 0 else T.no_grad():
-            terms = (diversity_loss(it.stack.masks, cfg.delta) for it in inters)
+            terms = (diversity_loss(m, cfg.delta) for m in masks)
             l_div = reduce(operator.add, terms) * scale
         if heads_by_block:
             with contextlib.nullcontext() if cfg.lam > 0 else T.no_grad():

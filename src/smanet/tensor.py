@@ -39,6 +39,16 @@ selections over channels or window taps are elementwise passes.
 gradients, `losses.diversity_loss` tracks the top two channels in one
 loop, and ``max_pool2d`` the winning tap in one loop over the taps.
 
+Work that only a vjp reads is done only when the op records a graph:
+``recording(*parents)`` is true when grad mode is on and some parent
+requires a gradient, and it is the one place that reads grad mode
+(``apply_op`` asks it too).  Three ops ask it before their forward
+work: ``relu`` keeps its one-byte mask, ``max_pool2d`` its winning tap
+and `losses.diversity_loss` its top-two channel indices only when
+recording; their outputs are bit-identical either way.  So a forward
+under ``no_grad`` (eval, logging, the gradient checks' probes) pays for
+none of it.
+
 `PRIMITIVES` names the ops the model is built from.  The loss terms are
 single ops of their own in `losses`, built on the same `apply_op` seam.
 """
@@ -87,6 +97,13 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def recording(*parents: Tensor) -> bool:
+    """Whether an op on `parents` records a graph: grad mode is on and
+    some parent requires a gradient.  Forward work that only a vjp reads
+    is done only when this holds."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def set_checked(flag: bool) -> None:
@@ -236,7 +253,7 @@ def apply_op(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tens
         if p._consumed:
             raise AutogradError("input tensor belongs to an already-consumed graph")
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if recording(*parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -285,12 +302,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
+    """max(x, 0) in one pass; the one-byte mask out > 0 that the vjp
+    reads is a second pass, taken only when recording.  A negative input
+    gives +0.0 (not -0.0), and NaN gives NaN with a zero gradient."""
+    data = np.maximum(a.data, 0.0)
+    mask = data > 0.0 if recording(a) else None
 
     def vjp(g):
         return (g * mask,)
 
-    return apply_op(a.data * mask, (a,), vjp)
+    return apply_op(data, (a,), vjp)
 
 
 def sigmoid_values(arr: np.ndarray) -> np.ndarray:
@@ -384,12 +405,21 @@ def reshape(a: Tensor, shape) -> Tensor:
 # -- dense / convolutional ---------------------------------------------------
 
 
+def _same_dtype(op: str, x: Tensor, *params: Tensor | None) -> None:
+    """Refuse a parameter of another float dtype than the input's: numpy
+    would promote the output, and with it the rest of the graph."""
+    for p in params:
+        if p is not None and p.dtype != x.dtype:
+            raise ShapeError(f"{op}: {p.dtype} parameter for a {x.dtype} input")
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map x @ weight.T + bias for x[B,Din], weight[Dout,Din]."""
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ShapeError(f"linear: x{x.shape} incompatible with weight{weight.shape}")
     if bias.shape != (weight.shape[0],):
         raise ShapeError(f"linear: bias{bias.shape} incompatible with weight{weight.shape}")
+    _same_dtype("linear", x, weight, bias)
     data = x.data @ weight.data.T + bias.data
 
     def vjp(g):
@@ -523,6 +553,7 @@ def conv2d(
         raise ShapeError(f"conv2d: weight{weight.shape} incompatible with input{x.shape}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias{bias.shape} must be ({cout},)")
+    _same_dtype("conv2d", x, weight, bias)
 
     flat, layout = _phase_grid("conv2d", x.data, k, stride, padding)
     ho, wo, (_, _, wq), _, windows = layout
@@ -618,6 +649,7 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) 
         raise ShapeError("depthwise_conv2d: kernel must be square")
     if bias.shape != (n,):
         raise ShapeError(f"depthwise_conv2d: bias{bias.shape} must be ({n},)")
+    _same_dtype("depthwise_conv2d", x, weight, bias)
 
     flat, layout = _phase_grid("depthwise_conv2d", x.data, k, 1, padding)
     ho, _, (_, _, wq), _, _ = layout
@@ -649,11 +681,12 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     x is written once into its phase grids, filled with -inf
     (``_phase_grid``), and tap t = i*kernel + j reads the same flat window
     as in ``conv2d``.  One pass over the taps keeps the running
-    ``np.maximum`` and the winning tap, updated branch-free with a strict
-    ``>``, so ties go to the lowest offset, as ``argmax`` would put them.
-    The vjp slice-adds the output gradient where tap t won onto tap t's
-    window of a zeroed grid, and gathers that back into x's shape.  It
-    keeps only the winning taps, one byte per pixel of the [Ho, Wq] grid.
+    ``np.maximum`` and, when recording, the winning tap, updated
+    branch-free with a strict ``>``, so ties go to the lowest offset, as
+    ``argmax`` would put them.  The vjp slice-adds the output gradient
+    where tap t won onto tap t's window of a zeroed grid, and gathers that
+    back into x's shape.  It keeps only the winning taps, one byte per
+    pixel of the [Ho, Wq] grid.
     """
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d: need 4-d input, got {x.shape}")
@@ -662,10 +695,13 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     ho, wo, (_, _, wq), _, windows = layout
     grid_shape = flat.shape  # the vjp keeps this, not the -inf grid
     best = flat[windows[0]].copy()
-    arg = np.zeros(best.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
+    track = recording(x)
+    if track:
+        arg = np.zeros(best.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
     for t in range(1, kernel * kernel):
         window = flat[windows[t]]
-        arg += (window > best) * (t - arg)
+        if track:
+            arg += (window > best) * (t - arg)
         np.maximum(best, window, out=best)
     data = np.ascontiguousarray(best.reshape(b, c, ho, wq)[..., :wo])
 
@@ -705,6 +741,7 @@ def batch_norm2d(
     """
     if x.ndim != 4 or gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ShapeError(f"batch_norm2d: bad shapes x{x.shape} gamma{gamma.shape}")
+    _same_dtype("batch_norm2d", x, gamma, beta)
     b, c, h, wd = x.shape
     m = b * h * wd
     axes = (0, 2, 3)

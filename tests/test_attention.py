@@ -73,6 +73,13 @@ class TestF2a:
         assert np.allclose(stack.logits.data, logits.data, atol=1e-14)
         assert np.allclose(stack.masks.data, T.sigmoid(logits).data, atol=1e-14)
 
+    def test_masks_built_once_on_first_read(self):
+        block = make_block(n=3, c=4, seed=7)
+        stack = block.f2a(Tensor(np.random.default_rng(8).normal(size=(2, 4, 5, 5))))
+        assert "masks" not in vars(stack)
+        assert stack.masks is stack.masks
+        assert np.array_equal(stack.masks.data, T.sigmoid(stack.logits).data)
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             make_block(c=4).f2a(Tensor(np.ones((1, 5, 4, 4))))
@@ -147,7 +154,6 @@ class TestCombineRefine:
         stack = AttentionStack(
             mapped=Tensor(np.zeros((2, 3, 4, 4))),
             logits=Tensor(np.repeat(z, 3, axis=1)),
-            masks=Tensor(T.sigmoid(Tensor(np.repeat(z, 3, axis=1))).data),
         )
         w = T.softmax(Tensor(rng.normal(size=(2, 3))), axis=1)
         fused = combine(stack, w, cfg)
@@ -159,7 +165,7 @@ class TestCombineRefine:
         from smanet.attention import AttentionStack
 
         z = rng.normal(size=(2, 4, 3, 3))
-        stack = AttentionStack(Tensor(np.zeros_like(z)), Tensor(z), T.sigmoid(Tensor(z)))
+        stack = AttentionStack(Tensor(np.zeros_like(z)), Tensor(z))
         w = T.softmax(Tensor(rng.normal(size=(2, 4))), axis=1)
         fused = combine(stack, w, cfg)
         assert np.allclose(fused.data, oracles.combine_loop(z, w.data), atol=1e-12)
@@ -170,11 +176,11 @@ class TestCombineRefine:
         from smanet.attention import AttentionStack
 
         z = rng.normal(size=(1, 2, 3, 3))
-        masks = T.sigmoid(Tensor(z))
-        stack = AttentionStack(Tensor(np.zeros_like(z)), Tensor(z), masks)
+        stack = AttentionStack(Tensor(np.zeros_like(z)), Tensor(z))
         w = T.softmax(Tensor(rng.normal(size=(1, 2))), axis=1)
         fused = combine(stack, w, cfg)
-        assert np.allclose(fused.data, oracles.combine_loop(masks.data, w.data), atol=1e-12)
+        masks = 1.0 / (1.0 + np.exp(-z))
+        assert np.allclose(fused.data, oracles.combine_loop(masks, w.data), atol=1e-12)
 
     def test_refine_half_map(self):
         x = Tensor(np.random.default_rng(17).normal(size=(2, 3, 4, 4)))
@@ -225,7 +231,6 @@ class TestBlockForward:
         stack_p = AttentionStack(
             Tensor(stack.mapped.data[:, perm]),
             Tensor(stack.logits.data[:, perm]),
-            Tensor(stack.masks.data[:, perm]),
         )
         fused_p = combine(stack_p, Tensor(weights.data[:, perm]), cfg)
         assert np.allclose(fused.data, fused_p.data, atol=1e-12)

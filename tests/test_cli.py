@@ -12,7 +12,8 @@ from smanet.config import ABLATIONS, RunConfig, config_digest, load_config, loss
 from smanet.errors import ConfigError, DataError
 from smanet.ppm import encode_color, encode_heatmap
 from smanet.tensor import PRIMITIVES
-from smanet.train import TrainState, batch_tensor
+from smanet.losses import objective
+from smanet.train import TrainState, batch_tensor, build_splits, evaluate_model
 
 TINY = [
     "--task", "au", "--profile", "toy", "--seed", "3",
@@ -424,6 +425,50 @@ class TestEval:
         grid = np.array([[int(v) for v in row.split()] for row in
                          (eval_dir / "confusion.txt").read_text().splitlines()])
         assert grid.shape == (3, 3) and grid.sum() == 8
+
+
+def record_sigmoid_inputs(monkeypatch) -> list:
+    """The input shape of every `tensor.sigmoid` call from now on."""
+    shapes, sigmoid = [], T.sigmoid
+    monkeypatch.setattr(T, "sigmoid", lambda a: shapes.append(a.shape) or sigmoid(a))
+    return shapes
+
+
+class TestMaskSigmoids:
+    """The N channel masks feed only the losses (and the combine_on=masks
+    fusion), so they are built on first read, once."""
+
+    def test_eval_runs_only_the_fused_map_sigmoid(self, monkeypatch):
+        cfg = tiny_cfg()
+        state = TrainState(cfg)
+        val = build_splits(cfg)[1]
+        shapes = record_sigmoid_inputs(monkeypatch)
+        evaluate_model(state, val, cfg)
+        batches = -(-len(val) // cfg.batch_size)
+        assert len(state.model.blocks) == 8 and batches == 1
+        assert len(shapes) == 8 * batches
+        assert all(shape[1] == 1 for shape in shapes)
+
+    @pytest.mark.parametrize("combine_on,ablation", [("logits", "full"), ("masks", "full"),
+                                                     ("logits", "f2a_aaa_lma")])
+    def test_training_step_records_each_mask_sigmoid_once(self, monkeypatch, combine_on,
+                                                          ablation):
+        cfg = tiny_cfg(combine_on=combine_on, ablation=ablation)
+        state = TrainState(cfg)
+        train = build_splits(cfg)[0]
+        x = batch_tensor(train.images[:2], np.float32)
+        shapes = record_sigmoid_inputs(monkeypatch)
+        logits, inters = state.model(x)
+        l_all = objective(logits, inters, train.labels[:2], list(state.heads),
+                          loss_config(cfg))[-1]
+        assert len(inters) == 8
+        assert sum(shape[1] == cfg.n_channels for shape in shapes) == 8
+        assert len(shapes) == 2 * 8
+        # Recorded even where L_div (weight 0 for f2a_aaa_lma) reads them first.
+        assert all(it.stack.masks is it.stack.masks and it.stack.masks.requires_grad
+                   for it in inters)
+        l_all.backward()
+        assert len(shapes) == 2 * 8
 
 
 class TestSweep:

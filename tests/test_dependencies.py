@@ -89,6 +89,23 @@ def test_windowed_ops_share_one_grid_builder():
         assert _calls(functions[op], "_phase_grid"), op
 
 
+def test_one_function_decides_whether_a_graph_is_recorded():
+    """Only `tensor.recording` reads grad mode, and only `no_grad` sets
+    it: every op, `apply_op` included, asks `recording`."""
+    root = Path(smanet.__file__).parent
+    touching = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope in ast.walk(tree):
+            if isinstance(scope, ast.FunctionDef) and any(
+                    getattr(node, "id", None) == "_grad_enabled"
+                    or getattr(node, "attr", None) == "_grad_enabled"
+                    or (isinstance(node, ast.Global) and "_grad_enabled" in node.names)
+                    for node in ast.walk(scope)):
+                touching.add(f"{path.name}:{scope.name}")
+    assert touching == {"tensor.py:recording", "tensor.py:no_grad"}
+
+
 def test_task_has_one_spelling():
     """The task is `au` or `fer` everywhere: no string constant in the
     package, docstrings included, spells it `multi_label` or

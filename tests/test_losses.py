@@ -78,6 +78,19 @@ class TestDiversityLoss:
         rtol = 1e-12 if dtype == np.float64 else 1e-6
         assert np.allclose(x.grad, want, rtol=rtol, atol=rtol * np.abs(want).max())
 
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_no_grad_value_matches_the_recording_value(self, dtype, n):
+        # Under no_grad the top-two indices are not tracked; the value
+        # never read them.
+        x = Tensor(tie_masks(n), requires_grad=True, dtype=dtype)
+        recorded = diversity_loss(x, 0.5)
+        with T.no_grad():
+            plain = diversity_loss(x, 0.5)
+        assert recorded.requires_grad and not plain.requires_grad
+        assert plain.dtype == recorded.dtype == dtype
+        assert plain.data.tobytes() == recorded.data.tobytes()
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
         m = rng.random((2, 4, 5, 5))
@@ -157,11 +170,8 @@ class TestMultiAttentionLoss:
     def test_degenerate_single_channel_equals_main_loss(self):
         rng = np.random.default_rng(5)
         feature = Tensor(rng.normal(size=(2, 4, 5, 5)))
-        stack = AttentionStack(
-            Tensor(np.zeros((2, 1, 5, 5))),
-            Tensor(np.zeros((2, 1, 5, 5))),
-            Tensor(np.ones((2, 1, 5, 5))),
-        )
+        # sigmoid(40) is exactly 1.0 in float64: all-ones masks.
+        stack = AttentionStack(Tensor(np.zeros((2, 1, 5, 5))), Tensor(np.full((2, 1, 5, 5), 40.0)))
         head = Linear(4, 3, rng, 0.5)
         labels = np.array([0, 2])
         cfg = LossConfig()

@@ -454,6 +454,89 @@ class TestBatchNorm:
         assert np.array_equal(rm, before[0]) and np.array_equal(rv, before[1])
 
 
+class TestRelu:
+    def test_negative_input_gives_positive_zero(self):
+        out = T.relu(Tensor([-2.0, -0.0, 0.0, 3.0]))
+        assert np.array_equal(out.data, [0.0, 0.0, 0.0, 3.0])
+        assert not np.signbit(out.data).any()
+
+    def test_nan_passes_with_zero_gradient(self):
+        x = Tensor([np.nan, -1.0, 2.0], requires_grad=True)
+        out = T.relu(x)
+        assert np.isnan(out.data[0])
+        T.mul(out, Tensor([0.0, 1.0, 1.0])).sum().backward()
+        assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
+
+
+def _relu_case(rng, dtype):
+    x = rng.normal(size=(2, 3, 5, 5)).astype(dtype)
+    x.flat[::7] = 0.0
+    return T.relu, Tensor(x)
+
+
+def _max_pool_case(rng, dtype):
+    # Small integers: many windows hold ties.
+    x = rng.integers(-2, 3, size=(2, 3, 7, 8)).astype(dtype)
+    return lambda t: T.max_pool2d(t, 3, 2, 1), Tensor(x)
+
+
+class TestNoGradForwards:
+    """An op that skips its vjp-only work when not recording gives the
+    recording forward's output bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", [_relu_case, _max_pool_case], ids=["relu", "max_pool2d"])
+    def test_output_matches_the_recording_forward(self, case, dtype):
+        fn, x = case(rnd(40), dtype)
+        x.requires_grad = True
+        recorded = fn(x)
+        with T.no_grad():
+            plain = fn(x)
+        assert recorded.requires_grad and not plain.requires_grad
+        assert plain.dtype == recorded.dtype == dtype
+        assert plain.data.tobytes() == recorded.data.tobytes()
+
+    def test_recording_needs_grad_mode_and_a_parent_that_requires_grad(self):
+        a, b = Tensor([1.0]), Tensor([2.0], requires_grad=True)
+        assert T.recording(a, b) and not T.recording(a) and not T.recording()
+        with T.no_grad():
+            assert not T.recording(a, b)
+
+
+# op -> (call on (x, *params), x shape, parameter shapes)
+LAYER_OPS = {
+    "conv2d": (lambda x, w, b: T.conv2d(x, w, b, padding=1), (2, 3, 5, 5), [(4, 3, 3, 3), (4,)]),
+    "depthwise_conv2d": (lambda x, w, b: T.depthwise_conv2d(x, w, b, padding=1),
+                         (2, 2, 5, 5), [(2, 3, 3), (2,)]),
+    "linear": (T.linear, (3, 4), [(2, 4), (2,)]),
+    "batch_norm2d": (lambda x, g, b: T.batch_norm2d(x, g, b, np.zeros(2), np.ones(2), True),
+                     (2, 2, 3, 3), [(2,), (2,)]),
+}
+
+
+class TestMixedDtypes:
+    def test_float64_bias_does_not_promote_a_float32_depthwise(self):
+        x32 = Tensor(rnd(41).normal(size=(1, 2, 4, 4)), dtype=np.float32)
+        w32 = Tensor(rnd(42).normal(size=(2, 3, 3)), dtype=np.float32)
+        with pytest.raises(ShapeError, match="float64.*float32"):
+            T.depthwise_conv2d(x32, w32, Tensor(np.zeros(2)), padding=1)
+
+    @pytest.mark.parametrize("op", sorted(LAYER_OPS))
+    def test_parameter_of_another_float_dtype_refused(self, op):
+        fn, x_shape, shapes = LAYER_OPS[op]
+        rng = rnd(43)
+        for x_dtype, odd_dtype in ((np.float32, np.float64), (np.float64, np.float32)):
+            x = Tensor(rng.normal(size=x_shape), dtype=x_dtype)
+            for odd in range(len(shapes)):
+                params = [Tensor(rng.normal(size=s), dtype=odd_dtype if i == odd else x_dtype)
+                          for i, s in enumerate(shapes)]
+                name, x_name = np.dtype(odd_dtype).name, np.dtype(x_dtype).name
+                with pytest.raises(ShapeError, match=f"{op}: {name} .*{x_name}"):
+                    fn(x, *params)
+            params = [Tensor(rng.normal(size=s), dtype=x_dtype) for s in shapes]
+            assert fn(x, *params).dtype == x_dtype
+
+
 class TestDeterminismAndChecks:
     def test_forward_bit_identical(self):
         rng = rnd(15)
