@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import AutogradError, ConfigError, ShapeError
 from .nn import INIT_SCALE, Conv2d, DepthwiseConv2d, Linear, Module
 from .tensor import Tensor
 
@@ -63,7 +63,10 @@ class AttentionStack:
     (`losses.objective`), `combine` under combine_on='masks' and
     `export-attention` read the masks.  The sigmoid runs once, in the grad
     mode of that first read, and a forward that reads none of them (an
-    eval pass) never runs it.
+    eval pass) never runs it.  So on a recorded forward the first read
+    must record too: one under no_grad would cache masks with no graph,
+    and the losses would train nothing through them.  It raises
+    AutogradError instead.
     """
 
     mapped: Tensor  # [B,N,H,W]
@@ -71,6 +74,9 @@ class AttentionStack:
 
     @cached_property
     def masks(self) -> Tensor:  # [B,N,H,W]
+        if self.logits.requires_grad and not T.recording(self.logits):
+            raise AutogradError("AttentionStack.masks: first read under no_grad "
+                                "on a recorded forward; read them before no_grad")
         return T.sigmoid(self.logits)
 
 

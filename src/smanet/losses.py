@@ -212,7 +212,8 @@ def objective(logits: Tensor, inters, labels: np.ndarray, heads_by_block,
     Unless `combine` fused them, the masks (`AttentionStack.masks`) are
     first read here, in the caller's grad mode, before either term: a
     training step records them once for both terms, even where a weight-0
-    term reads them under no_grad.
+    term reads them under no_grad (a first read there raises
+    AutogradError, see `AttentionStack`).
     """
     l_cla = task_loss(logits, labels, cfg)
     l_div = l_ma = Tensor(np.zeros((), dtype=logits.dtype))

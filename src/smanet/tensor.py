@@ -42,12 +42,11 @@ loop, and ``max_pool2d`` the winning tap in one loop over the taps.
 Work that only a vjp reads is done only when the op records a graph:
 ``recording(*parents)`` is true when grad mode is on and some parent
 requires a gradient, and it is the one place that reads grad mode
-(``apply_op`` asks it too).  Three ops ask it before their forward
-work: ``relu`` keeps its one-byte mask, ``max_pool2d`` its winning tap
-and `losses.diversity_loss` its top-two channel indices only when
-recording; their outputs are bit-identical either way.  So a forward
-under ``no_grad`` (eval, logging, the gradient checks' probes) pays for
-none of it.
+(``apply_op`` asks it too).  Two ops ask it before their forward work:
+``relu`` keeps its one-byte mask and `losses.diversity_loss` its
+top-two channel indices only when recording; their outputs are
+bit-identical either way.  So a forward under ``no_grad`` (eval,
+logging, the gradient checks' probes) pays for neither.
 
 `PRIMITIVES` names the ops the model is built from.  The loss terms are
 single ops of their own in `losses`, built on the same `apply_op` seam.
@@ -681,12 +680,11 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     x is written once into its phase grids, filled with -inf
     (``_phase_grid``), and tap t = i*kernel + j reads the same flat window
     as in ``conv2d``.  One pass over the taps keeps the running
-    ``np.maximum`` and, when recording, the winning tap, updated
-    branch-free with a strict ``>``, so ties go to the lowest offset, as
-    ``argmax`` would put them.  The vjp slice-adds the output gradient
-    where tap t won onto tap t's window of a zeroed grid, and gathers that
-    back into x's shape.  It keeps only the winning taps, one byte per
-    pixel of the [Ho, Wq] grid.
+    ``np.maximum`` and the winning tap, updated branch-free with a strict
+    ``>``, so ties go to the lowest offset, as ``argmax`` would put them.
+    The vjp slice-adds the output gradient where tap t won onto tap t's
+    window of a zeroed grid, and gathers that back into x's shape.  It
+    keeps only the winning taps, one byte per pixel of the [Ho, Wq] grid.
     """
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d: need 4-d input, got {x.shape}")
@@ -695,13 +693,10 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     ho, wo, (_, _, wq), _, windows = layout
     grid_shape = flat.shape  # the vjp keeps this, not the -inf grid
     best = flat[windows[0]].copy()
-    track = recording(x)
-    if track:
-        arg = np.zeros(best.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
+    arg = np.zeros(best.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
     for t in range(1, kernel * kernel):
         window = flat[windows[t]]
-        if track:
-            arg += (window > best) * (t - arg)
+        arg += (window > best) * (t - arg)
         np.maximum(best, window, out=best)
     data = np.ascontiguousarray(best.reshape(b, c, ho, wq)[..., :wo])
 

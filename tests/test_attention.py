@@ -7,7 +7,7 @@ import oracles
 from smanet import tensor as T
 from smanet.attention import (ChannelGate, MultiChannelAttention, SmaConfig,
                               combine, param_count, refine)
-from smanet.errors import ConfigError, ShapeError
+from smanet.errors import AutogradError, ConfigError, ShapeError
 from smanet.tensor import Tensor
 
 
@@ -79,6 +79,17 @@ class TestF2a:
         assert "masks" not in vars(stack)
         assert stack.masks is stack.masks
         assert np.array_equal(stack.masks.data, T.sigmoid(stack.logits).data)
+
+    def test_masks_first_read_under_no_grad_on_a_recorded_forward_refused(self):
+        block = make_block(n=3, c=4, seed=7)
+        x = Tensor(np.random.default_rng(8).normal(size=(2, 4, 5, 5)))
+        stack = block.f2a(x)
+        with T.no_grad(), pytest.raises(AutogradError, match="first read under no_grad"):
+            stack.masks
+        assert stack.masks.requires_grad  # a recording read still builds them
+        with T.no_grad():
+            plain = block.f2a(x)
+            assert not plain.masks.requires_grad  # an unrecorded forward reads freely
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
