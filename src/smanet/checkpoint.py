@@ -50,7 +50,9 @@ def save_checkpoint(path, digest: str, arrays) -> None:
 
 
 def load_checkpoint(path):
-    """Return (digest, {name: float64 array}) preserving record order."""
+    """Return (digest, {name: float64 array}) preserving record order.
+    A record that holds a NaN or Inf is refused, as is any damage to the
+    layout: both raise DataError."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -91,6 +93,8 @@ def load_checkpoint(path):
             arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
         except ValueError:   # more dims than numpy supports
             raise DataError(f"checkpoint {path}: record {name!r} has {ndim} dims") from None
+        if not np.isfinite(arr).all():
+            raise DataError(f"checkpoint {path}: record {name!r} holds a NaN or Inf")
         arrays[name] = arr.copy()
     if pos != len(blob):
         raise DataError(f"trailing bytes in checkpoint {path}")

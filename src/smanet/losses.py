@@ -78,10 +78,11 @@ def diversity_loss(masks: Tensor, delta: float) -> Tensor:
     rest = d.sum(axis=1, keepdims=True) - m1
     h1, h2 = np.maximum(m1 - delta, 0.0), np.maximum(m2 - delta, 0.0)
     data = np.asarray((rest * h1 + m1 * h2).sum() / d.size)
+    size, n = d.size, d.shape[1]
 
     def vjp(g):
-        s = g / d.size
-        ch = np.arange(d.shape[1], dtype=i1.dtype)[:, None, None]
+        s = g / size
+        ch = np.arange(n, dtype=i1.dtype)[:, None, None]
         # Per pixel: the top channel's extra term, and what its mask sends
         # to the runner-up.
         grad = (ch == i1) * ((h2 - h1 + rest * (m1 > delta)) * s)
@@ -162,11 +163,12 @@ def bypass_logits(pooled: Tensor, heads) -> Tensor:
     w = np.stack([h.weight.data for h in heads])  # [N,K,C]
     bias = np.stack([h.bias.data for h in heads])  # [N,K]
     data = (np.einsum("bnc,nkc->bnk", pooled.data, w) + bias).reshape(b * n, -1)
+    pd, pooled_grad = pooled.data, pooled.requires_grad  # the heads' gradient reads pd
 
     def vjp(g):
         g3 = g.reshape(b, n, -1)
-        gp = np.einsum("bnk,nkc->bnc", g3, w) if pooled.requires_grad else None
-        gw = np.einsum("bnk,bnc->nkc", g3, pooled.data)
+        gp = np.einsum("bnk,nkc->bnc", g3, w) if pooled_grad else None
+        gw = np.einsum("bnk,bnc->nkc", g3, pd)
         gb = g3.sum(axis=0)
         return (gp, *(a for i in range(n) for a in (gw[i], gb[i])))
 

@@ -1,10 +1,21 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Every differentiable operation records its inputs and a local
-vector-Jacobian product on the output tensor; ``backward`` on a scalar
-replays the recorded graph in reverse topological order, accumulating
-gradients additively across fan-out.  The graph is consumed by the
-backward pass: reusing an already-backpropagated intermediate raises.
+Every differentiable operation records a small graph node on its output
+tensor: the local vector-Jacobian product, its parents' graph entries
+and a gradient slot, but never tensor data.  A parent's entry is its
+node if it has one, the leaf tensor itself if it is a leaf that
+requires a gradient, and None otherwise.  So the graph keeps an op
+output alive only where a vjp reads it.  The capture rule: each vjp
+closes over arrays, shapes and flags, never over a ``Tensor``, and
+keeps an input's data only where a gradient reads it.  ``mul``,
+``linear``, eval-mode ``batch_norm2d``, ``masked_avg_pool`` and
+`losses.bypass_logits` keep one input for another's gradient, and the
+task losses their logits; ``add``, ``reshape``, ``sum`` and ``mean`` keep
+shapes, and ``conv2d`` keeps its phase grid and the input's shape and
+flag.  ``backward`` on a scalar replays the nodes in reverse topological
+order, accumulating gradients additively across fan-out, and writes
+``.grad`` only on leaves.  The graph is consumed by the backward pass:
+reusing an already-backpropagated intermediate raises.
 
 Every kernel lives in this module, once, on numpy alone, and puts its
 arithmetic on BLAS or on strided slices.  The windowed ops, ``conv2d``,
@@ -115,8 +126,30 @@ def checked_enabled() -> bool:
     return _checked
 
 
+class _Node:
+    """The graph state of one recorded op, apart from its output's data:
+    the vjp, the parents' graph entries (a node, a leaf `Tensor` that
+    requires a gradient, or None) and the gradient slot.  A node whose
+    vjp is None is consumed."""
+
+    __slots__ = ("vjp", "parents", "grad")
+
+    def __init__(self, vjp: Callable | None, parents: tuple):
+        self.vjp = vjp
+        self.parents = parents
+        self.grad: np.ndarray | None = None
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_consumed")
+    """An array, and for a recorded op's output its graph node.
+
+    A leaf holds its gradient in ``grad``; a recorded output's gradient
+    lives on its node (``_node``) only while ``backward`` runs.  The node
+    never points back to this tensor, so the graph does not keep ``data``
+    alive: once the caller drops an output that no vjp reads, it is
+    freed."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -127,9 +160,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable | None = None
-        self._consumed = False
+        self._node: _Node | None = None
 
     # -- basic introspection -------------------------------------------------
 
@@ -182,52 +213,55 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` on every reachable requires-grad leaf.
 
-        Requires a scalar; consumes the recorded graph, so a second call
-        (or building new ops on consumed intermediates) raises.
+        Requires a scalar.  Walks the graph nodes, not tensors: a node's
+        gradient sits in its slot until its vjp runs, and ``.grad`` is
+        written only on leaves (on this tensor only if it is itself a
+        leaf or an unrecorded result).  Consumes the recorded graph, so a
+        second call (or building new ops on consumed intermediates)
+        raises.
         """
         if self.data.size != 1:
             raise AutogradError(f"backward requires a scalar, got shape {self.shape}")
-        if self._consumed:
+        root = self._node
+        if root is None:
+            self.grad = np.ones_like(self.data)
+            self._node = _Node(None, ())  # consumed like any graph
+            return
+        if root.vjp is None:
             raise AutogradError("backward already ran on this graph; re-run the forward pass")
 
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        order: list[_Node] = []
+        seen: set[_Node] = set()
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
-            for parent in node._parents:
-                if parent._vjp is not None and id(parent) not in seen:
-                    stack.append((parent, False))
+            for entry in node.parents:
+                if type(entry) is _Node and entry.vjp is not None and entry not in seen:
+                    stack.append((entry, False))
 
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while order:
             node = order.pop()
-            if node._vjp is None:
-                continue
-            grads = node._vjp(node.grad)
-            for parent, g in zip(node._parents, grads):
-                if g is None or not parent.requires_grad:
+            grads = node.vjp(node.grad)
+            for entry, g in zip(node.parents, grads):
+                if g is None or entry is None:
                     continue
-                if parent.grad is None:
-                    parent.grad = g
+                if entry.grad is None:
+                    entry.grad = g
                 else:
-                    parent.grad = parent.grad + g
+                    entry.grad = entry.grad + g
             # Every consumer of `node` ran before it, so its gradient is
-            # final: consume it now, freeing its closure, inputs and
-            # gradient; grads stay only on leaves.
-            node._vjp = None
-            node._parents = ()
-            node._consumed = True
+            # final: consume it now, freeing its closure and gradient.
+            node.vjp = None
+            node.parents = ()
             node.grad = None
-        if self._vjp is None and not self._consumed:
-            self._consumed = True
 
 
 def _lift(value, dtype) -> Tensor:
@@ -241,21 +275,30 @@ def _assert_finite(arr: np.ndarray) -> None:
         raise NumericError("non-finite value produced in checked mode")
 
 
+def _graph_entry(t: Tensor):
+    """`t` as a parent in a node: its node if it has one, itself if it is
+    a leaf that requires a gradient, else None."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
 def apply_op(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
     """Wrap an op result, recording `vjp` when gradients are needed.
 
-    `vjp(grad_out)` must return one gradient array (or None) per parent.
+    `vjp(grad_out)` must return one gradient array (or None) per parent,
+    and must close over arrays, shapes and flags only: a `Tensor` in its
+    closure would keep that tensor's data alive until backward.
     """
     if _checked:
         _assert_finite(data)
     for p in parents:
-        if p._consumed:
+        if p._node is not None and p._node.vjp is None:
             raise AutogradError("input tensor belongs to an already-consumed graph")
     out = Tensor(data)
     if recording(*parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+        out._node = _Node(vjp, tuple(_graph_entry(p) for p in parents))
     return out
 
 
@@ -279,9 +322,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError as exc:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from exc
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return apply_op(data, (a, b), vjp)
 
@@ -291,10 +335,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError as exc:
         raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from exc
+    # Each factor's data is kept only for the other factor's gradient.
+    sa, sb = a.shape, b.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def vjp(g):
-        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g * bd, sa) if bd is not None else None
+        gb = _unbroadcast(g * ad, sb) if ad is not None else None
         return ga, gb
 
     return apply_op(data, (a, b), vjp)
@@ -358,9 +406,10 @@ def _expand_reduced(g: np.ndarray, shape, axes, keepdims) -> np.ndarray:
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.ndim)
     data = a.data.sum(axis=axes, keepdims=keepdims)
+    shape = a.shape
 
     def vjp(g):
-        return (_expand_reduced(g, a.shape, axes, keepdims).copy(),)
+        return (_expand_reduced(g, shape, axes, keepdims).copy(),)
 
     return apply_op(np.asarray(data), (a,), vjp)
 
@@ -369,9 +418,10 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.ndim)
     data = a.data.mean(axis=axes, keepdims=keepdims)
     count = a.size if axes is None else int(np.prod([a.shape[i] for i in axes]))
+    shape = a.shape
 
     def vjp(g):
-        return (_expand_reduced(g, a.shape, axes, keepdims) / count,)
+        return (_expand_reduced(g, shape, axes, keepdims) / count,)
 
     return apply_op(np.asarray(data), (a,), vjp)
 
@@ -394,9 +444,10 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
+    shape_in = a.shape
 
     def vjp(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(shape_in),)
 
     return apply_op(data, (a,), vjp)
 
@@ -420,11 +471,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"linear: bias{bias.shape} incompatible with weight{weight.shape}")
     _same_dtype("linear", x, weight, bias)
     data = x.data @ weight.data.T + bias.data
+    wd = weight.data if x.requires_grad else None
+    xd = x.data if weight.requires_grad else None
+    bias_grad = bias.requires_grad
 
     def vjp(g):
-        gx = g @ weight.data if x.requires_grad else None
-        gw = g.T @ x.data if weight.requires_grad else None
-        gb = g.sum(axis=0) if bias.requires_grad else None
+        gx = g @ wd if wd is not None else None
+        gw = g.T @ xd if xd is not None else None
+        gb = g.sum(axis=0) if bias_grad else None
         return (gx, gw, gb)
 
     return apply_op(data, (x, weight, bias), vjp)
@@ -564,23 +618,26 @@ def conv2d(
         out += np.matmul(wt[t], views[t])
     data = out.reshape(b, cout, ho, wq)[..., :wo]
     data = data + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(data)
+    x_shape, x_grad, w_grad = x.shape, x.requires_grad, weight.requires_grad
+    has_bias = bias is not None
+    b_grad = has_bias and bias.requires_grad
 
     def vjp(g):
         gq = _grid_rows(g, wq)
         gw = None
-        if weight.requires_grad:
+        if w_grad:
             gw = np.empty((cout, cin, k, k), dtype=np.result_type(g, flat))
             for t, view in enumerate(views):
                 gw[:, :, t // k, t % k] = np.matmul(gq, view.transpose(0, 2, 1)).sum(axis=0)
-        gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
+        gb = g.sum(axis=(0, 2, 3)) if b_grad else None
         gx = None
-        if x.requires_grad:
+        if x_grad:
             gflat = np.zeros(flat.shape, dtype=np.result_type(g, wt))
             for w_t, at in zip(wt, windows):
                 gflat[at] += np.matmul(w_t.T, gq)
-            gx = _phase_gather(gflat, layout, x.shape)
+            gx = _phase_gather(gflat, layout, x_shape)
         ret = (gx, gw)
-        return ret + (gb,) if bias is not None else ret
+        return ret + (gb,) if has_bias else ret
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return apply_op(data, parents, vjp)
@@ -654,20 +711,22 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) 
     ho, _, (_, _, wq), _, _ = layout
     data = _depthwise_correlate(flat, layout, weight.data)
     data = data + bias.data[:, None, None]
+    x_grad, w_grad, b_grad = x.requires_grad, weight.requires_grad, bias.requires_grad
+    wd = weight.data
 
     def vjp(g):
         gw = None
-        if weight.requires_grad:
+        if w_grad:
             b, size = g.shape[0], flat.shape[3]
             gq = _grid_rows(g, wq)[:, :, None, None, :, None]
             # windows[b, n, i, j, 0, :] is tap (i, j)'s window.
             windows = _window_view(flat, (b, n, k, k, 1, ho * wq), (n * size, size, wq, 1, 0, 1))
             gw = np.matmul(windows, gq).reshape(b, n, k, k).sum(axis=0)
-        gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
+        gb = g.sum(axis=(0, 2, 3)) if b_grad else None
         gx = None
-        if x.requires_grad:
+        if x_grad:
             gflat, glayout = _phase_grid("depthwise_conv2d", g, k, 1, k - 1 - padding)
-            gx = _depthwise_correlate(gflat, glayout, weight.data[:, ::-1, ::-1])
+            gx = _depthwise_correlate(gflat, glayout, wd[:, ::-1, ::-1])
         return (gx, gw, gb)
 
     return apply_op(data, (x, weight, bias), vjp)
@@ -692,6 +751,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     flat, layout = _phase_grid("max_pool2d", x.data, kernel, stride, padding, -np.inf)
     ho, wo, (_, _, wq), _, windows = layout
     grid_shape = flat.shape  # the vjp keeps this, not the -inf grid
+    x_shape, dtype = x.shape, x.dtype
     best = flat[windows[0]].copy()
     arg = np.zeros(best.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
     for t in range(1, kernel * kernel):
@@ -702,10 +762,10 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
 
     def vjp(g):
         gq = _grid_rows(g, wq)
-        gflat = np.zeros(grid_shape, dtype=x.dtype)
+        gflat = np.zeros(grid_shape, dtype=dtype)
         for t, at in enumerate(windows):
             gflat[at] += gq * (arg == t)
-        return (_phase_gather(gflat, layout, x.shape),)
+        return (_phase_gather(gflat, layout, x_shape),)
 
     return apply_op(data, (x,), vjp)
 
@@ -759,12 +819,14 @@ def batch_norm2d(
         scale = gamma.data * invstd
         data = x.data * scale[:, None, None]
         data += (beta.data - mu * scale)[:, None, None]
+    gd = gamma.data
+    xd = None if training else x.data  # the eval gamma gradient reads x
 
     def vjp(g):
-        k = (gamma.data * invstd)[:, None, None]
+        k = (gd * invstd)[:, None, None]
         sg = g.sum(axis=axes)
         if not training:
-            return g * k, (g * (x.data - mu[:, None, None])).sum(axis=axes) * invstd, sg
+            return g * k, (g * (xd - mu[:, None, None])).sum(axis=axes) * invstd, sg
         sgx = (g * xhat).sum(axis=axes)
         gx = xhat * (-sgx / m)[:, None, None]
         gx += g
@@ -793,13 +855,17 @@ def masked_avg_pool(feature: Tensor, masks: Tensor) -> Tensor:
     f = feature.data.reshape(b, c, area)
     m = masks.data.reshape(b, -1, area)
     data = np.matmul(m, f.transpose(0, 2, 1)) / area
+    # Each input's data is kept only for the other input's gradient.
+    f_shape, m_shape = feature.shape, masks.shape
+    mk = m if feature.requires_grad else None
+    fk = f if masks.requires_grad else None
 
     def vjp(g):
         gf = gm = None
-        if feature.requires_grad:
-            gf = (np.matmul(g.transpose(0, 2, 1), m) / area).reshape(feature.shape)
-        if masks.requires_grad:
-            gm = (np.matmul(g, f) / area).reshape(masks.shape)
+        if mk is not None:
+            gf = (np.matmul(g.transpose(0, 2, 1), mk) / area).reshape(f_shape)
+        if fk is not None:
+            gm = (np.matmul(g, fk) / area).reshape(m_shape)
         return gf, gm
 
     return apply_op(data, (feature, masks), vjp)

@@ -239,6 +239,9 @@ def run_training(cfg: RunConfig, splits: tuple[Dataset, Dataset],
                 sums[key] += loss.item() * bs
             train_logit_chunks.append(logits.data.astype(np.float64))
             train_label_chunks.append(labels)
+            # Free this step's activations (features, masks, fused maps)
+            # before the next forward, not when its results rebind them.
+            del logits, inters, l_cla, l_div, l_ma, l_all
 
         train_metric = _split_metric(
             np.concatenate(train_logit_chunks), np.concatenate(train_label_chunks), cfg.task

@@ -1,4 +1,5 @@
 import ast
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,11 @@ from smanet import gradcheck as G
 from smanet import losses as L
 from smanet import tensor as T
 from smanet.attention import MultiChannelAttention, SmaConfig
+from smanet.config import RunConfig
 from smanet.errors import AutogradError, NumericError
 from smanet.gradcheck import SUITE_TOLERANCE, build_suite, grad_check_many
 from smanet.tensor import Tensor
+from smanet.train import build_splits, run_training
 
 
 def test_sum_gradient_is_ones():
@@ -121,9 +124,10 @@ def test_grad_check_many_covers_multiple_leaves():
 
 def _scaled_vjp(out: Tensor) -> Tensor:
     """`out` with its recorded vjp scaled by 1.01: a slightly wrong rule."""
-    if out._vjp is not None:
-        vjp = out._vjp
-        out._vjp = lambda g: tuple(None if r is None else r * 1.01 for r in vjp(g))
+    node = out._node
+    if node is not None:
+        vjp = node.vjp
+        node.vjp = lambda g: tuple(None if r is None else r * 1.01 for r in vjp(g))
     return out
 
 
@@ -199,10 +203,90 @@ def test_no_grad_blocks_recording():
     x = Tensor(np.ones(3), requires_grad=True)
     with T.no_grad():
         y = x + x
-    assert y._vjp is None and not y.requires_grad
+    assert y._node is None and not y.requires_grad
 
 
 def test_gradients_not_tracked_for_plain_tensors():
     x = Tensor(np.ones(3))
     y = x + x
-    assert y._vjp is None
+    assert y._node is None
+
+
+def _record_vjps(monkeypatch) -> list:
+    """Every vjp `tensor.apply_op` records from now on, under each module
+    name bound to it (`losses` imports it by name)."""
+    vjps, orig = [], T.apply_op
+
+    def apply_op(data, parents, vjp):
+        out = orig(data, parents, vjp)
+        if out.requires_grad:
+            vjps.append(vjp)
+        return out
+
+    for module in (T, L):
+        monkeypatch.setattr(module, "apply_op", apply_op)
+    return vjps
+
+
+def _tensors_in_closures(vjps) -> list[str]:
+    """`op.name` for each closure cell of `vjps` that holds a Tensor, or
+    a tuple or list holding one."""
+    found = []
+    for vjp in vjps:
+        for name, cell in zip(vjp.__code__.co_freevars, vjp.__closure__ or ()):
+            try:
+                value = cell.cell_contents
+            except ValueError:   # a cell the op never bound
+                continue
+            items = list(value) if isinstance(value, (tuple, list)) else [value]
+            if any(isinstance(item, Tensor) for item in items):
+                found.append(f"{vjp.__qualname__.split('.')[0]}.{name}")
+    return sorted(set(found))
+
+
+def test_no_vjp_of_a_training_step_holds_a_tensor(monkeypatch):
+    cfg = RunConfig(task="au", profile="toy", seed=3, epochs=1, batch_size=8, n_train=8,
+                    n_val=8, n_subjects=10, n_channels=2, num_labels=4).validate()
+    splits = build_splits(cfg)
+    vjps = _record_vjps(monkeypatch)
+    run_training(cfg, splits)
+    assert len(vjps) > 100
+    assert _tensors_in_closures(vjps) == []
+
+
+def test_no_vjp_of_the_objective_check_holds_a_tensor(monkeypatch):
+    forward, _ = G._objective(0, np.random.default_rng(50))
+    vjps = _record_vjps(monkeypatch)
+    forward().backward()
+    assert len(vjps) > 100
+    assert _tensors_in_closures(vjps) == []
+
+
+def test_graph_releases_outputs_no_vjp_reads():
+    """relu(bn(conv(x))): neither the conv output (the batch norm keeps
+    its own centred copy) nor the batch-norm output (relu keeps a mask)
+    is read by a vjp, so dropping them frees them, with the gradients
+    unchanged bit for bit."""
+    def run(keep: bool):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        gamma = Tensor(rng.normal(size=4), requires_grad=True)
+        beta = Tensor(rng.normal(size=4), requires_grad=True)
+        conv = T.conv2d(x, w, padding=1)
+        bn = T.batch_norm2d(conv, gamma, beta, np.zeros(4), np.ones(4), training=True)
+        h = T.relu(bn)
+        refs = [weakref.ref(conv.data), weakref.ref(bn.data)]
+        kept = [conv, bn] if keep else []
+        del conv, bn
+        alive = [ref() is not None for ref in refs]
+        T.mul(h, Tensor(rng.normal(size=h.shape))).sum().backward()
+        del kept
+        return alive, [t.grad for t in (x, w, gamma, beta)]
+
+    alive, grads = run(keep=False)
+    assert alive == [False, False]
+    alive_kept, grads_kept = run(keep=True)
+    assert alive_kept == [True, True]
+    for got, want in zip(grads, grads_kept):
+        assert got.dtype == want.dtype and np.array_equal(got, want)

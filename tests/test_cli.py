@@ -370,6 +370,19 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and name in err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_checkpoint_record_refused(self, tmp_path, capsys, value):
+        cfg = tiny_cfg()
+        arrays = dict(TrainState(cfg).state_arrays())
+        name = next(k for k in arrays if k.endswith("weight"))
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[0] = value
+        ckpt = tmp_path / "nonfinite.bin"
+        save_checkpoint(ckpt, config_digest(cfg), arrays.items())
+        rc = main(["eval", *TINY, "--checkpoint", str(ckpt), "--output-dir", str(tmp_path / "e")])
+        assert rc == EXIT_CONFIG
+        assert name in one_line_error(capsys)
+
     @pytest.mark.parametrize("field,byte", [("digest", 0xFF), ("name", 0xFF), ("ndim", 200)])
     def test_damaged_checkpoint_bytes_refused(self, tmp_path, capsys, field, byte):
         cfg = tiny_cfg()
@@ -532,15 +545,15 @@ class TestGradcheckCommand:
 
         def broken_conv(x, weight, bias=None, stride=1, padding=0):
             out = orig(x, weight, bias, stride=stride, padding=padding)
-            if out._vjp is None:
+            if out._node is None:
                 return out
-            true_vjp = out._vjp
+            true_vjp = out._node.vjp
 
             def bad_vjp(g):
                 grads = true_vjp(g)
                 return tuple(None if gr is None else gr * 1.01 for gr in grads)
 
-            out._vjp = bad_vjp
+            out._node.vjp = bad_vjp
             return out
 
         monkeypatch.setattr(tensor_mod, "conv2d", broken_conv)
