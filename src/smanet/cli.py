@@ -34,8 +34,8 @@ from .gradcheck import SUITE_TOLERANCE, build_suite
 from .metrics import (accuracy, binarize, confusion_matrix, confusion_report,
                       count_binary, metrics_report)
 from .ppm import decode_image, encode_heatmap
-from .train import (TrainState, batch_tensor, build_splits, evaluate_model, make_out_dir,
-                    run_training)
+from .train import (TrainState, batch_tensor, build_split, build_splits, evaluate_model,
+                    make_out_dir, run_training)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,7 +85,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 def cmd_eval(cfg: RunConfig, args) -> int:
     digest = config_digest(cfg)
     state = _load_state(cfg, args.checkpoint)
-    _, val = build_splits(cfg)
+    val = build_split(cfg, "val")
     fold_sets = make_folds(val.subjects, args.folds, seed=cfg.seed) if args.folds else None
     out = make_out_dir(cfg.output_dir)
     lines = [f"# config_digest={digest}"]

@@ -8,6 +8,14 @@ Images are uint8 [H,W,3] everywhere, as the P6 files hold them: the
 generator and augmentation quantize with `ppm.quantize`, so a dataset
 written to disk reads back identical.
 
+The float work of both runs on planar [3,H,W] buffers, one image at a
+time, so each pass over a channel is one contiguous plane rather than a
+length-3 inner loop.  What is fixed for a whole dataset is built once
+per `generate_synthetic` call: each label's colored blob, each
+subject's tint, and the grid coordinates.  Only the random draws stay
+per image, in a fixed order.  The tests pin the bytes of both, so
+neither layout nor arithmetic order may change them.
+
 Each label owns a fixed image zone and a fixed color; a positive label
 renders a Gaussian blob of that color at its zone.  AU label draws
 include coupled pairs (conditional co-occurrence with the marginal rates
@@ -121,32 +129,50 @@ def _subject_tint(subject_id: int) -> np.ndarray:
     return np.random.default_rng((9001, subject_id)).uniform(-0.05, 0.05, 3)
 
 
-def _render(rng: np.random.Generator, active: np.ndarray, subject_id: int,
-            spec: SyntheticSpec, colors: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _gaussian(grid: np.ndarray, cy, cx, sigma) -> np.ndarray:
+    """exp(-((y-cy)^2 + (x-cx)^2) / (2 sigma^2)) over the [size,size] grid
+    of `grid` = arange(size).  The squared distances are 1-D vectors
+    summed by broadcasting, which is exact; the exp stays on the full
+    grid, because a product of two 1-D exps rounds differently."""
+    d = ((grid - cy) ** 2)[:, None] + (grid - cx) ** 2
+    d /= -2 * sigma**2  # same bits as negating first: rounding is sign-symmetric
+    return np.exp(d, out=d)
+
+
+def _render(rng: np.random.Generator, active: np.ndarray, base: np.ndarray,
+            spec: SyntheticSpec, blobs: list, grid: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """Render one image into the planar float64 [3,H,W] buffer `out`:
+    the subject's `base` level per channel, plus noise and distractors
+    drawn from `rng` in a fixed order, plus the prebuilt colored blob of
+    each `active` label; clipped to [0,1]."""
     size = spec.image_size
-    img = np.full((size, size, 3), 0.18) + _subject_tint(subject_id)[None, None, :]
-    img += rng.normal(0.0, spec.noise, size=(size, size, 3))
-    yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    # Drawn in [H,W,3] order, which the pinned bytes fix, and read through
+    # a transposed view.
+    noise = rng.normal(0.0, spec.noise, size=(size, size, 3))
+    np.add(noise.transpose(2, 0, 1), base[:, None, None], out=out)
     for _ in range(spec.distractors):
         dy, dx = rng.uniform(8, size - 8, 2)
         dsig = rng.uniform(2.0, 5.0)
-        bump = 0.25 * np.exp(-((yy - dy) ** 2 + (xx - dx) ** 2) / (2 * dsig**2))
-        img += bump[:, :, None]
+        bump = _gaussian(grid, dy, dx, dsig)
+        bump *= 0.25
+        out += bump
     for lab in active:
-        cy, cx = centers[lab]
-        bump = spec.blob_amplitude * np.exp(
-            -((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * spec.blob_sigma**2)
-        )
-        img += bump[:, :, None] * colors[lab][None, None, :]
-    return np.clip(img, 0.0, 1.0)
+        out += blobs[lab]
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def generate_synthetic(seed: int, n: int, spec: SyntheticSpec | None = None) -> Dataset:
     """Deterministic synthetic dataset: same seed, same bytes.
 
-    Draws the subjects, then the au labels or fer classes, then
-    renders each image and quantizes it into one preallocated uint8
-    [n,H,W,3] array."""
+    Draws the subjects, then the au labels or fer classes, then renders
+    each image and quantizes it into one preallocated uint8 [n,H,W,3]
+    array.  Built once per dataset: each label's colored blob as a
+    planar [3,H,W] array, each subject's tint, and the grid coordinates.
+    Per image, only the draws remain, in a fixed order: the noise, then
+    each distractor's center and width.  Images are rendered one at a
+    time into one planar float buffer, so the transient memory does not
+    grow with `n`."""
     if n <= 0:
         raise ConfigError(f"sample count must be positive, got {n}")
     spec = spec or SyntheticSpec()
@@ -159,66 +185,107 @@ def generate_synthetic(seed: int, n: int, spec: SyntheticSpec | None = None) -> 
     else:
         labels, count = rng.integers(0, spec.num_classes, size=n), spec.num_classes
         active = labels[:, None]
-    colors = label_colors(count)
-    centers = label_centers(count, spec.image_size)
-    images = np.empty((n, spec.image_size, spec.image_size, 3), dtype=np.uint8)
+    size = spec.image_size
+    grid = np.arange(size, dtype=np.float64)
+    blobs = [spec.blob_amplitude * _gaussian(grid, cy, cx, spec.blob_sigma)
+             * color[:, None, None]
+             for (cy, cx), color in zip(label_centers(count, size), label_colors(count))]
+    bases = {s: 0.18 + _subject_tint(s) for s in set(subjects.tolist())}
+    plane = np.empty((3, size, size))
+    images = np.empty((n, size, size, 3), dtype=np.uint8)
     for i in range(n):
-        images[i] = quantize(_render(rng, active[i], int(subjects[i]), spec, colors, centers))
+        _render(rng, active[i], bases[int(subjects[i])], spec, blobs, grid, plane)
+        quantize(plane.transpose(1, 2, 0), out=images[i])
     return Dataset(images, labels, subjects)
 
 
 # -- augmentation --------------------------------------------------------
 
 
-def rotate_bilinear(img: np.ndarray, theta_deg: float) -> np.ndarray:
-    """Rotate about the image center; bilinear sampling, replicated border."""
-    h, w = img.shape[:2]
+def _rotate(planes: np.ndarray, theta_deg: float, flip: bool) -> np.ndarray:
+    """[C,H,W] planes rotated about the center, then mirrored left-right
+    if `flip`: bilinear sampling, replicated border; a new float [C,H,W]
+    array.  The flip reverses the sample columns instead of the result,
+    and each tap gathers whole [C,H*W] rows with one `np.take`."""
+    c, h, w = planes.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     t = math.radians(theta_deg)
     cos_t, sin_t = math.cos(t), math.sin(t)
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    sy = cy + (yy - cy) * cos_t - (xx - cx) * sin_t
-    sx = cx + (yy - cy) * sin_t + (xx - cx) * cos_t
-    sy = np.clip(sy, 0.0, h - 1.0)
-    sx = np.clip(sx, 0.0, w - 1.0)
+    dy = np.arange(h, dtype=np.float64) - cy
+    dx = np.arange(w, dtype=np.float64) - cx
+    if flip:
+        dx = dx[::-1]
+    sy = np.clip((cy + dy * cos_t)[:, None] - dx * sin_t, 0.0, h - 1.0).ravel()
+    sx = np.clip((cx + dy * sin_t)[:, None] + dx * cos_t, 0.0, w - 1.0).ravel()
     y0 = np.floor(sy).astype(np.intp)
     x0 = np.floor(sx).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
+    wy, wx = sy - y0, sx - x0
+    row0, row1 = y0 * w, np.minimum(y0 + 1, h - 1) * w
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = (sy - y0)[..., None]
-    wx = (sx - x0)[..., None]
-    top = img[y0, x0] * (1 - wx) + img[y0, x1] * wx
-    bot = img[y1, x0] * (1 - wx) + img[y1, x1] * wx
-    return top * (1 - wy) + bot * wy
+    flat = np.ascontiguousarray(planes).reshape(c, h * w)
+    left = 1 - wx
+    top = np.take(flat, row0 + x0, axis=1) * left
+    top += np.take(flat, row0 + x1, axis=1) * wx
+    bot = np.take(flat, row1 + x0, axis=1) * left
+    bot += np.take(flat, row1 + x1, axis=1) * wx
+    top *= 1 - wy
+    bot *= wy
+    top += bot
+    return top.reshape(c, h, w)
+
+
+def rotate_bilinear(img: np.ndarray, theta_deg: float) -> np.ndarray:
+    """Rotate an [H,W,3] image about its center; bilinear sampling,
+    replicated border.  Returns float [H,W,3], a view of a new planar
+    [3,H,W] array."""
+    return _rotate(img.transpose(2, 0, 1), theta_deg, False).transpose(1, 2, 0)
 
 
 def apply_augment(img: np.ndarray, theta_deg: float, flip: bool,
                   brightness: float, contrast: float, saturation: float) -> np.ndarray:
-    """Deterministic augmentation core; the identity draw is exact."""
-    out = img
-    if theta_deg != 0.0:
-        out = rotate_bilinear(out, theta_deg)
-    if flip:
-        out = out[:, ::-1, :]
-    if brightness != 1.0:
-        out = out * brightness
-    if contrast != 1.0:
-        mean = out.mean()
-        out = mean + (out - mean) * contrast
-    if saturation != 1.0:
-        gray = out.mean(axis=2, keepdims=True)
-        out = gray + (out - gray) * saturation
-    if out is img:
+    """Deterministic augmentation core on a float [H,W,3] image in [0,1]:
+    rotation, flip, then brightness, contrast and saturation, clipped to
+    [0,1].  The identity draw is exact (an unclipped copy).
+
+    The work runs on one planar [3,H,W] buffer, made by the rotation
+    (which folds the flip in) or by a copy, then updated in place; the
+    result is an [H,W,3] view of it.  The contrast mean is summed in
+    [H,W,3] element order, the order of the image as stored.  Nothing is
+    drawn here or kept between calls: `augment` makes the draws."""
+    if (theta_deg, flip, brightness, contrast, saturation) == (0.0, False, 1.0, 1.0, 1.0):
         return img.copy()
-    return np.clip(out, 0.0, 1.0)
+    planes = img.transpose(2, 0, 1)
+    if theta_deg != 0.0:
+        out = _rotate(planes, theta_deg, flip)
+    else:
+        out = (planes[:, :, ::-1] if flip else planes).copy()
+    if brightness != 1.0:
+        out *= brightness
+    if contrast != 1.0:
+        mean = np.ascontiguousarray(out.transpose(1, 2, 0)).mean()
+        out -= mean
+        out *= contrast
+        out += mean
+    if saturation != 1.0:
+        gray = out[0] + out[1]
+        gray += out[2]
+        gray /= 3
+        out -= gray
+        out *= saturation
+        out += gray
+    return np.clip(out, 0.0, 1.0, out=out).transpose(1, 2, 0)
 
 
 def augment(image: np.ndarray, seed, task: str) -> np.ndarray:
     """Seeded random rotation, horizontal flip, and +-20% color jitter of
     one uint8 [H,W,3] image; returns a new uint8 image.  The jitter runs
-    on floats in [0,1], quantized back like a generated image.
+    on floats in [0,1], in a planar [3,H,W] buffer (see `apply_augment`),
+    quantized back like a generated image.
 
-    AU runs rotate within +-45 degrees, expression runs within +-15.
+    Nothing is built once per dataset here: each call seeds its own
+    generator with `seed` and draws in a fixed order, the angle, the
+    flip, then brightness, contrast and saturation.  AU runs rotate
+    within +-45 degrees, expression runs within +-15.
     """
     if task not in ("au", "fer"):
         raise ConfigError(f"task must be au or fer, got {task!r}")
@@ -227,7 +294,11 @@ def augment(image: np.ndarray, seed, task: str) -> np.ndarray:
     theta = rng.uniform(-limit, limit)
     flip = rng.random() < 0.5
     brightness, contrast, saturation = rng.uniform(0.8, 1.2, 3)
-    return quantize(apply_augment(image / 255.0, theta, flip, brightness, contrast, saturation))
+    planes = np.empty((3,) + image.shape[:2])
+    np.divide(image.transpose(2, 0, 1), 255.0, out=planes)
+    jittered = apply_augment(planes.transpose(1, 2, 0), theta, flip,
+                             brightness, contrast, saturation)
+    return quantize(jittered, out=np.empty(image.shape, dtype=np.uint8))
 
 
 # -- selective oversampling ------------------------------------------------

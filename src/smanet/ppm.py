@@ -44,9 +44,19 @@ def _parse_header(data: bytes):
     return kind, width, height, pos
 
 
-def quantize(img: np.ndarray) -> np.ndarray:
-    """Floats in [0,1] as uint8: scale by 255, round half to even, clip."""
-    return np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+def quantize(img: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Floats in [0,1] as uint8: scale by 255, round half to even, clip.
+
+    Given `out`, a uint8 array of `img`'s shape (any strides), the result
+    is cast into it on assignment, and the float array `img` is
+    overwritten on the way as the scratch buffer."""
+    scaled = np.multiply(img, 255.0, out=None if out is None else img)
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, 0, 255, out=scaled)
+    if out is None:
+        return scaled.astype(np.uint8)
+    out[...] = scaled
+    return out
 
 
 def decode_image(data: bytes) -> np.ndarray:

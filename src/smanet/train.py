@@ -63,17 +63,22 @@ def subject_pools(cfg: RunConfig) -> tuple[tuple, tuple]:
     return train, val
 
 
-def build_splits(cfg: RunConfig) -> tuple[Dataset, Dataset]:
+def build_split(cfg: RunConfig, split: str) -> Dataset:
+    """The "train" or "val" split alone: decoded from `data_dir`/<split>
+    when `data_dir` is set, otherwise generated from the split's own seed
+    stream and subject pool, so building one never shifts the other."""
     if cfg.data_dir:
-        root = Path(cfg.data_dir)
         count = cfg.num_labels if cfg.task == "au" else cfg.num_classes
-        return tuple(load_dataset(root / split, cfg.task, count, input_size(cfg))
-                     for split in ("train", "val"))
+        return load_dataset(Path(cfg.data_dir) / split, cfg.task, count, input_size(cfg))
     train_pool, val_pool = subject_pools(cfg)
-    train = generate_synthetic(cfg.seed, cfg.n_train, synthetic_spec(cfg, train_pool))
     # distinct stream so val never replays train draws
-    val = generate_synthetic(cfg.seed * 2 + STREAM_DATA_VAL, cfg.n_val, synthetic_spec(cfg, val_pool))
-    return train, val
+    seed, n, pool = {"train": (cfg.seed, cfg.n_train, train_pool),
+                     "val": (cfg.seed * 2 + STREAM_DATA_VAL, cfg.n_val, val_pool)}[split]
+    return generate_synthetic(seed, n, synthetic_spec(cfg, pool))
+
+
+def build_splits(cfg: RunConfig) -> tuple[Dataset, Dataset]:
+    return build_split(cfg, "train"), build_split(cfg, "val")
 
 
 class TrainState(Module):
@@ -135,7 +140,7 @@ def evaluate_model(state: TrainState, data: Dataset, cfg: RunConfig) -> dict:
     with T.no_grad():
         for start in range(0, len(data), cfg.batch_size):
             x = batch_tensor(data.images[start : start + cfg.batch_size], dtype)
-            logits, _ = state.model(x)
+            logits = state.model(x)[0]  # drop the maps before the next batch
             chunks.append(logits.data.astype(np.float64))
     state.model.train()
     logits = np.concatenate(chunks, axis=0)

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from smanet.errors import ConfigError, DataError
 from smanet.ppm import encode_color, encode_heatmap
 from smanet.tensor import PRIMITIVES
 from smanet.losses import objective
-from smanet.train import TrainState, batch_tensor, build_splits, evaluate_model
+from smanet.train import TrainState, batch_tensor, build_split, build_splits, evaluate_model
 
 TINY = [
     "--task", "au", "--profile", "toy", "--seed", "3",
@@ -345,6 +347,51 @@ class TestEval:
         report = (eval_dir / "eval_report.csv").read_text()
         macro = float(report.splitlines()[-1].split(",")[-1])
         assert macro == pytest.approx(best_val, abs=5e-7)
+
+    # sha256 of the TINY eval_report.csv, recorded while eval still built
+    # the training split too: building the validation split alone must
+    # leave the report as it was.
+    TINY_REPORT_SHA256 = "7456bed6cf187bae509e48c6e61b07912c6053e47a3375b485373560c8766090"
+
+    def test_builds_only_the_validation_split(self, tmp_path, monkeypatch):
+        from smanet import train
+        train_dir = tmp_path / "run"
+        main(["train", *TINY, "--output-dir", str(train_dir)])
+        calls, generate = [], train.generate_synthetic
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(train, "generate_synthetic", counted)
+        eval_dir = tmp_path / "eval"
+        rc = main(["eval", *TINY, "--checkpoint", str(train_dir / "checkpoint.bin"),
+                   "--output-dir", str(eval_dir)])
+        assert rc == EXIT_OK
+        cfg = tiny_cfg()
+        assert calls == [(cfg.seed * 2 + train.STREAM_DATA_VAL, cfg.n_val)]
+        report = (eval_dir / "eval_report.csv").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == self.TINY_REPORT_SHA256
+
+    def test_eval_peak_memory_does_not_grow_with_batches(self):
+        """Each batch's features and maps are freed before the next
+        forward: only the logits are kept."""
+        cfg = tiny_cfg()
+        state = TrainState(cfg)
+        val = build_split(cfg, "val")
+        four = val.take(np.arange(4 * cfg.batch_size) % len(val))
+
+        def peak(data) -> int:
+            tracemalloc.start()
+            try:
+                evaluate_model(state, data, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        evaluate_model(state, val, cfg)  # warm-up
+        one_batch, four_batches = peak(val), peak(four)
+        assert four_batches <= 1.25 * one_batch, (one_batch, four_batches)
 
     def test_digest_mismatch_refused(self, tmp_path):
         train_dir = tmp_path / "run"

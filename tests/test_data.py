@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,9 +39,20 @@ class TestGenerator:
             "6c0ae7a8e0539eb57346b2d5d50c5fa0c42a22bf5fb3f8bf741c983f8497232a",
             "8ed4b98f5251e93f36c486f9a21c6e3a2457d2336321d4518d9c3bfe852120b7",
             "8d64cd0f46205b21cc85b1e2ec7525015d9461bd41947c9d8a32e663a02a8add")),
+        # Recorded before the renderer moved to planar buffers.
+        ((19, 2, SyntheticSpec(image_size=256)), (
+            "fc76a2c4226cd3724820c6576be858a4156f22403ed6913ef3c850b8540bd820",
+            "4c40d5573dd11ed41983ecfc8904aaaa7658f7aa8b92177fd874a6a1b8f05bf1",
+            "493630ab4b4b7f42305ac0ec0a28cc67967dc24e9fba10b1c7b058f028a35b45")),
+        ((23, 6, SyntheticSpec(task="fer", image_size=32)), (
+            "08c42f896194b30dc7ea7daa4b786539225ea19535bed2c5d76bbe36c4ebf104",
+            "5febe92231992a51a7c653c8f53a309679dab2a163981b9f55eb1e3263793620",
+            "d360633c719945f10e6b57fb565b65aca6537c23676aa60e134100a353958fd7")),
     ]
 
-    @pytest.mark.parametrize("args,digests", PINNED, ids=["multi_label", "multi_class"])
+    @pytest.mark.parametrize("args,digests", PINNED,
+                             ids=["multi_label", "multi_class", "multi_label_256px",
+                                  "multi_class_32px"])
     def test_pinned_bytes(self, args, digests):
         data = generate_synthetic(*args)
         assert data.images.dtype == np.uint8 and data.subjects.dtype == np.int64
@@ -100,6 +112,24 @@ class TestGenerator:
         assert len(data) == 30
         assert set(data.subjects.tolist()) <= {4, 9}
 
+    def test_transient_memory_does_not_grow_with_n(self):
+        """Images are rendered one at a time: the peak beyond the output
+        is the same for 8 images as for 64."""
+        def transient(n: int) -> int:
+            tracemalloc.start()
+            try:
+                data = generate_synthetic(5, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - data.images.nbytes - data.labels.nbytes - data.subjects.nbytes
+
+        generate_synthetic(5, 1)  # first-call allocations
+        small, large = transient(8), transient(64)
+        # one 64 px float image is 96 KiB; the per-sample label bookkeeping
+        # of 56 more samples is a few KiB
+        assert abs(large - small) < 32 * 1024, (small, large)
+
     def test_take_keeps_the_arrays_aligned(self):
         data = generate_synthetic(17, 5)
         idx = np.array([3, 0, 3])
@@ -143,6 +173,20 @@ class TestAugment:
         assert out.dtype == np.uint8 and out.shape == img.shape
         # the identity draw quantizes back to the input exactly
         assert np.array_equal(quantize(apply_augment(img / 255.0, 0.0, False, 1.0, 1.0, 1.0)), img)
+
+    # sha256 of the stacked outputs for 8 images x 4 epochs, recorded
+    # before augmentation moved to planar buffers.  Every draw rotates,
+    # and 17 (au) and 18 (fer) of the 32 draws flip.
+    PINNED = [("au", 31, "85922a8ed09e9bc55f3186085aab51c2a438b2a89c25c4389601b9e4a3635f68"),
+              ("fer", 37, "3926bee1e5f7a1fa600e0c4f5876a737343d0edf4a93cf982af29333af433a7b")]
+
+    @pytest.mark.parametrize("task,seed,digest", PINNED, ids=["au", "fer"])
+    def test_pinned_bytes(self, task, seed, digest):
+        images = generate_synthetic(seed, 8, SyntheticSpec(task=task)).images
+        outs = np.stack([augment(img, (seed, epoch, i), task)
+                         for epoch in range(4) for i, img in enumerate(images)])
+        assert outs.dtype == np.uint8 and outs.shape == (32, 64, 64, 3)
+        assert sha256(outs) == digest
 
     def test_seeded_determinism(self):
         img = generate_synthetic(10, 1).images[0]
