@@ -159,7 +159,8 @@ def backbone_param_count(cfg: BackboneConfig) -> int:
 
 
 class SGD:
-    """Momentum SGD with decoupled-from-nothing L2: v <- m*v + g + wd*p; p -= lr*v.
+    """Momentum SGD with L2 weight decay coupled into the gradient (not
+    decoupled, AdamW-style, decay): v <- m*v + g + wd*p; p -= lr*v.
 
     The parameters live in one flat array: construction copies them into
     `flat` and rebinds each `p.data` to its view of it, so each pass of a

@@ -11,12 +11,18 @@ diverging run also ends in one line: exit 3 at its non-finite loss.
 The SMANET_OUTPUT_DIR environment variable overrides output_dir and
 nothing else.  Exit codes: 0 ok, 2 config/input error (a command line
 argparse rejects included), 3 numeric failure, 4 threshold violation.
+
+The parser is built on the first `main` call and shared by every later
+call in the process, so nothing may mutate it.  Each verb's `cmd_*`
+function is bound into it when it is built: patch the globals those
+functions call, not `cli.cmd_*` itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -237,7 +243,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call (the first
+    `main` call) and shared for the rest of it: nothing may mutate it.
+    Each verb's `cmd_*` function is bound here, at build time.
+
+    The options every verb takes (`--config`, `--checked` and one flag per
+    config key) are defined once, on a parent parser each verb copies."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="flat key=value config file")
+    common.add_argument("--checked", action="store_true",
+                        help="stop with exit 3 at the first non-finite op output")
+    for key in config_keys():
+        common.add_argument("--" + key.replace("_", "-"), dest=key, help=f"override {key}")
     parser = _Parser(
         prog="smanet",
         description="Multi-channel spatial attention: synthetic data, training, "
@@ -254,13 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("params", cmd_params, "parameter audit against the attention-free twin"),
         ("export-attention", cmd_export_attention, "dump fused maps, channel masks, and weights"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, parents=[common])
         p.set_defaults(run=run)
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--checked", action="store_true",
-                       help="stop with exit 3 at the first non-finite op output")
-        for key in config_keys():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, help=f"override {key}")
         if name == "eval":
             p.add_argument("--checkpoint", required=True)
             p.add_argument("--folds", type=int, default=0)

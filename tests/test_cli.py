@@ -1,5 +1,9 @@
+import argparse
+import ast
 import hashlib
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -161,6 +165,102 @@ class TestConfigFile:
         b = tiny_cfg(output_dir="runs/b")
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(tiny_cfg(seed=4))
+
+
+class TestSharedParser:
+    """`main` builds the parser on its first call and shares it for the
+    rest of the process; no call may leave state behind for the next."""
+
+    def test_built_once(self, tmp_path, monkeypatch):
+        added, add_argument = [], argparse.ArgumentParser.add_argument
+
+        def counted(self, *args, **kwargs):
+            added.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        assert main(["params", *TINY, "--output-dir", str(tmp_path / "a")]) == EXIT_OK
+        added.clear()
+        assert main(["params", *TINY, "--output-dir", str(tmp_path / "b")]) == EXIT_OK
+        assert added == []
+
+    def test_first_main_call_builds_it(self, tmp_path):
+        # In a fresh process: the import builds no parser, the first call
+        # builds it and the second builds none.
+        script = (
+            "import argparse, sys\n"
+            "built, init = [], argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "from smanet.cli import main\n"
+            "counts = [len(built)]\n"
+            "for out in sys.argv[1:]:\n"
+            f"    assert main(['params', *{TINY!r}, '--output-dir', out]) == 0\n"
+            "    counts.append(len(built))\n"
+            "print(counts, file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "a"),
+                               str(tmp_path / "b")],
+                              env=env, capture_output=True, text=True, check=True)
+        import_count, first, second = ast.literal_eval(done.stderr)
+        assert import_count == 0 and first > 0 and second == first
+
+    def test_checked_does_not_leak_into_the_next_call(self, tmp_path, monkeypatch):
+        seen, trapping = [], []
+        config_from_args, make_out_dir = cli._config_from_args, cli.make_out_dir
+        monkeypatch.setattr(cli, "_config_from_args",
+                            lambda args: seen.append(args.checked) or config_from_args(args))
+        monkeypatch.setattr(cli, "make_out_dir",
+                            lambda d: trapping.append(T.checked_enabled()) or make_out_dir(d))
+        assert main(["params", *TINY, "--checked", "--output-dir", str(tmp_path / "a")]) == EXIT_OK
+        assert not T.checked_enabled()
+        assert main(["params", *TINY, "--output-dir", str(tmp_path / "b")]) == EXIT_OK
+        assert seen == [True, False] and trapping == [True, False]
+
+    def test_env_output_dir_read_on_each_call(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SMANET_OUTPUT_DIR", raising=False)
+        argv = ["params", *TINY, "--output-dir", str(tmp_path / "flag")]
+        assert main(argv) == EXIT_OK
+        assert (tmp_path / "flag" / "params.txt").exists()
+        monkeypatch.setenv("SMANET_OUTPUT_DIR", str(tmp_path / "env"))
+        (tmp_path / "flag" / "params.txt").unlink()
+        assert main(argv) == EXIT_OK
+        assert (tmp_path / "env" / "params.txt").exists()
+        assert not (tmp_path / "flag" / "params.txt").exists()
+
+    def test_rejection_then_valid_call(self, tmp_path, capsys):
+        for argv in (["train", "--warp-speed", "9"], ["eval", "--checkpoint", "x", "--folds", "two"],
+                     ["eval", *TINY]):
+            assert main(argv) == EXIT_CONFIG, argv
+            one_line_error(capsys)
+            assert main(["params", *TINY, "--output-dir", str(tmp_path)]) == EXIT_OK
+
+    # sha256 of each `--help` text at COLUMNS=100, recorded (Python 3.11
+    # argparse) while every verb still added its shared options itself.
+    HELP_SHA256 = {
+        (): "04d7da4f64f480a93af2a4ff6cd81cefe77893cc966c5e552947ef1e4c67072d",
+        ("synth",): "69c13b04c7a29e1301a566701336705b5ef4215cebfb4d69e78d2292fdc1ac5e",
+        ("train",): "c94d3b066a845db31539a6ffb25e324affe6f17a2d5742615ec0162963799cbe",
+        ("eval",): "54aa3943f320e96632a1ea99cbe6d42c0da1be8316c73eb477819f7c554c6a21",
+        ("sweep-n",): "e0a76e927691e491fd1299b375cd7da9904fef716f8314d57baf84c26713fb33",
+        ("gradcheck",): "ab4af4d1b47a6f6fe7959de59c202bf0f71eea606f36d5a1a4ee1cf44400e596",
+        ("params",): "2ee190d115ff58acff3525b3b263d6911c84e0dfbfa17b76bbe5821c82f500e3",
+        ("export-attention",): "132cd78b90a114612d39bae4ba9de817ecbe0ef48fc23cd94add6e4f41404436",
+    }
+
+    def test_help_text_unchanged(self, capsys, monkeypatch):
+        # Every `--help` after the first is served by the cached parser.
+        monkeypatch.setenv("COLUMNS", "100")
+        got = {}
+        for verb in self.HELP_SHA256:
+            with pytest.raises(SystemExit) as exc:
+                main([*verb, "--help"])
+            assert exc.value.code == 0
+            got[verb] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == self.HELP_SHA256
 
 
 @pytest.mark.parametrize("verb", ["synth", "train", "gradcheck", "sweep-n"])
@@ -334,14 +434,20 @@ class TestTrain:
         assert not any("attention" in k for k in arrays)
 
 
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory) -> Path:
+    """One TINY training run, shared: tests read it and write elsewhere."""
+    train_dir = tmp_path_factory.mktemp("tiny_run")
+    assert main(["train", *TINY, "--output-dir", str(train_dir)]) == EXIT_OK
+    return train_dir
+
+
 class TestEval:
-    def test_matches_training_validation_exactly(self, tmp_path):
-        train_dir = tmp_path / "run"
-        main(["train", *TINY, "--output-dir", str(train_dir)])
-        log_rows = [l for l in (train_dir / "train_log.csv").read_text().splitlines()[2:]]
+    def test_matches_training_validation_exactly(self, tmp_path, tiny_run):
+        log_rows = [l for l in (tiny_run / "train_log.csv").read_text().splitlines()[2:]]
         best_val = max(float(r.split(",")[-1]) for r in log_rows)
         eval_dir = tmp_path / "eval"
-        rc = main(["eval", *TINY, "--checkpoint", str(train_dir / "checkpoint.bin"),
+        rc = main(["eval", *TINY, "--checkpoint", str(tiny_run / "checkpoint.bin"),
                    "--output-dir", str(eval_dir)])
         assert rc == EXIT_OK
         report = (eval_dir / "eval_report.csv").read_text()
@@ -353,10 +459,8 @@ class TestEval:
     # leave the report as it was.
     TINY_REPORT_SHA256 = "7456bed6cf187bae509e48c6e61b07912c6053e47a3375b485373560c8766090"
 
-    def test_builds_only_the_validation_split(self, tmp_path, monkeypatch):
+    def test_builds_only_the_validation_split(self, tmp_path, monkeypatch, tiny_run):
         from smanet import train
-        train_dir = tmp_path / "run"
-        main(["train", *TINY, "--output-dir", str(train_dir)])
         calls, generate = [], train.generate_synthetic
 
         def counted(*args, **kwargs):
@@ -365,7 +469,7 @@ class TestEval:
 
         monkeypatch.setattr(train, "generate_synthetic", counted)
         eval_dir = tmp_path / "eval"
-        rc = main(["eval", *TINY, "--checkpoint", str(train_dir / "checkpoint.bin"),
+        rc = main(["eval", *TINY, "--checkpoint", str(tiny_run / "checkpoint.bin"),
                    "--output-dir", str(eval_dir)])
         assert rc == EXIT_OK
         cfg = tiny_cfg()
@@ -393,11 +497,9 @@ class TestEval:
         one_batch, four_batches = peak(val), peak(four)
         assert four_batches <= 1.25 * one_batch, (one_batch, four_batches)
 
-    def test_digest_mismatch_refused(self, tmp_path):
-        train_dir = tmp_path / "run"
-        main(["train", *TINY, "--output-dir", str(train_dir)])
+    def test_digest_mismatch_refused(self, tmp_path, tiny_run):
         rc = main(["eval", *TINY, "--seed", "99",
-                   "--checkpoint", str(train_dir / "checkpoint.bin"),
+                   "--checkpoint", str(tiny_run / "checkpoint.bin"),
                    "--output-dir", str(tmp_path / "e")])
         assert rc == EXIT_CONFIG
 
@@ -460,11 +562,9 @@ class TestEval:
         assert rc == EXIT_CONFIG
         assert str(ckpt) in one_line_error(capsys)
 
-    def test_fold_mode_emits_per_fold_and_mean(self, tmp_path):
-        train_dir = tmp_path / "run"
-        main(["train", *TINY, "--output-dir", str(train_dir)])
+    def test_fold_mode_emits_per_fold_and_mean(self, tmp_path, tiny_run):
         eval_dir = tmp_path / "folds"
-        rc = main(["eval", *TINY, "--checkpoint", str(train_dir / "checkpoint.bin"),
+        rc = main(["eval", *TINY, "--checkpoint", str(tiny_run / "checkpoint.bin"),
                    "--folds", "2", "--output-dir", str(eval_dir)])
         assert rc == EXIT_OK
         lines = (eval_dir / "eval_report.csv").read_text().splitlines()
