@@ -162,12 +162,17 @@ class SGD:
     """Momentum SGD with L2 weight decay coupled into the gradient (not
     decoupled, AdamW-style, decay): v <- m*v + g + wd*p; p -= lr*v.
 
-    The parameters live in one flat array: construction copies them into
-    `flat` and rebinds each `p.data` to its view of it, so each pass of a
-    step runs once over the whole buffer instead of once per parameter,
-    with the same elementwise arithmetic.  Code that replaces a
-    parameter's values afterwards must write into `p.data` in place.  The
-    parameters must share one dtype.
+    The state is three aligned arrays in parameter order: `flat` (the
+    parameters), `grad` and `velocity`.  Construction copies the
+    parameters into `flat` and rebinds each `p.data` to its view of it,
+    and binds each `p.grad` to its zeroed view of `grad`, into which
+    `Tensor.backward` accumulates in place.  So each pass of a step runs
+    once over the whole buffer instead of once per parameter, with the
+    same elementwise arithmetic, and a parameter group's gradient is a
+    slice of `grad`.  Code that replaces a parameter's values or gradient
+    afterwards must write into `p.data` or `p.grad` in place: a step
+    refuses a gradient rebound away from its view.  The parameters must
+    share one dtype.
     """
 
     def __init__(self, params: list[Tensor], momentum: float = 0.9, weight_decay: float = 1e-4):
@@ -177,25 +182,25 @@ class SGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.flat = np.concatenate([p.data for p in self.params], axis=None)
-        offset = 0
-        for p in self.params:
-            p.data = self.flat[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
+        self.grad = np.zeros_like(self.flat)
         self.velocity = np.zeros_like(self.flat)
+        cuts = np.cumsum([p.size for p in self.params])[:-1]
+        for p, data, grad in zip(self.params, np.split(self.flat, cuts), np.split(self.grad, cuts)):
+            p.data, p.grad = data.reshape(p.shape), grad.reshape(p.shape)
+        self._grad_views = [p.grad for p in self.params]
 
     def step(self, lr: float) -> None:
-        if any(p.grad is None for p in self.params):
-            raise ConfigError("sgd step with a parameter that has no gradient")
+        if any(p.grad is not g for p, g in zip(self.params, self._grad_views)):
+            raise ConfigError("sgd step with a parameter gradient that is not its buffer view")
         v = self.velocity
         v *= self.momentum
-        v += np.concatenate([p.grad for p in self.params], axis=None)
+        v += self.grad
         if self.weight_decay:
             v += self.weight_decay * self.flat
         self.flat -= lr * v
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        self.grad.fill(0.0)
 
 
 def lr_schedule(epoch: int, task: str, base: float = 0.01) -> float:

@@ -96,10 +96,11 @@ class RunConfig:
             raise ConfigError(f"bad sma_placement {self.sma_placement!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        for name in ("seed", "epochs", "batch_size", "num_labels",
-                     "num_classes", "n_train", "n_val", "n_subjects",
-                     "resample_max_duplication"):
-            if getattr(self, name) < 0 or (name not in ("seed",) and getattr(self, name) == 0):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("epochs", "batch_size", "num_labels", "num_classes", "n_train",
+                     "n_val", "n_subjects", "resample_max_duplication"):
+            if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         backbone_config(self)  # SmaConfig checks the attention settings
         if self.alpha < 0 or self.lam < 0:

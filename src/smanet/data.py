@@ -234,13 +234,6 @@ def _rotate(planes: np.ndarray, theta_deg: float, flip: bool) -> np.ndarray:
     return top.reshape(c, h, w)
 
 
-def rotate_bilinear(img: np.ndarray, theta_deg: float) -> np.ndarray:
-    """Rotate an [H,W,3] image about its center; bilinear sampling,
-    replicated border.  Returns float [H,W,3], a view of a new planar
-    [3,H,W] array."""
-    return _rotate(img.transpose(2, 0, 1), theta_deg, False).transpose(1, 2, 0)
-
-
 def apply_augment(img: np.ndarray, theta_deg: float, flip: bool,
                   brightness: float, contrast: float, saturation: float) -> np.ndarray:
     """Deterministic augmentation core on a float [H,W,3] image in [0,1]:

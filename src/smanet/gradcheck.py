@@ -58,14 +58,14 @@ def grad_check_many(forward, leaves: dict[str, Tensor],
         raise NumericError("non-determinism detected: two forward passes disagree")
 
     for leaf in leaves.values():
-        leaf.grad = None
+        leaf.grad = np.zeros_like(leaf.data)
     loss = forward()
     if loss.requires_grad:
         loss.backward()
 
     worst = 0.0
     for leaf in leaves.values():
-        analytic = (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)).reshape(-1)
+        analytic = leaf.grad.reshape(-1)
         flat = leaf.data.reshape(-1)
         base = flat.copy()
         if rng is None:

@@ -72,13 +72,18 @@ def decode_image(data: bytes) -> np.ndarray:
     return arr.reshape((height, width, 3) if channels == 3 else (height, width))
 
 
-def encode_color(img: np.ndarray, comment: str = "") -> bytes:
+def _encode(kind: str, raw: np.ndarray, comment: str = "") -> bytes:
+    """A binary P5/P6 header for `raw`'s [H,W] (an optional comment line
+    after the magic), then `raw`'s bytes as they are."""
+    note = f"# {comment}\n" if comment else ""
+    return f"P{kind}\n{note}{raw.shape[1]} {raw.shape[0]}\n255\n".encode("ascii") + raw.tobytes()
+
+
+def encode_color(img: np.ndarray) -> bytes:
     """Encode a uint8 [H,W,3] image as binary P6, bytes as they are."""
     if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
         raise DataError(f"encode_color needs uint8 [H,W,3], got {img.dtype} {img.shape}")
-    h, w = img.shape[:2]
-    head = f"P6\n{'# ' + comment + chr(10) if comment else ''}{w} {h}\n255\n"
-    return head.encode("ascii") + img.tobytes()
+    return _encode("6", img)
 
 
 def encode_heatmap(heatmap: np.ndarray, comment: str = "") -> bytes:
@@ -86,8 +91,6 @@ def encode_heatmap(heatmap: np.ndarray, comment: str = "") -> bytes:
 
     A constant map has no range to stretch; it encodes as all zeros.
     """
-    if heatmap.ndim == 3 and heatmap.shape[0] == 1:
-        heatmap = heatmap[0]
     if heatmap.ndim != 2:
         raise DataError(f"encode_heatmap needs a 2-d map, got {heatmap.shape}")
     lo, hi = float(heatmap.min()), float(heatmap.max())
@@ -95,6 +98,4 @@ def encode_heatmap(heatmap: np.ndarray, comment: str = "") -> bytes:
         raw = np.zeros(heatmap.shape, dtype=np.uint8)
     else:
         raw = quantize((heatmap - lo) / (hi - lo))
-    h, w = heatmap.shape
-    head = f"P5\n{'# ' + comment + chr(10) if comment else ''}{w} {h}\n255\n"
-    return head.encode("ascii") + raw.tobytes()
+    return _encode("5", raw, comment)

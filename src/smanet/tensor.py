@@ -14,8 +14,13 @@ task losses their logits; ``add``, ``reshape``, ``sum`` and ``mean`` keep
 shapes, and ``conv2d`` keeps its phase grid and the input's shape and
 flag.  ``backward`` on a scalar replays the nodes in reverse topological
 order, accumulating gradients additively across fan-out, and writes
-``.grad`` only on leaves.  The graph is consumed by the backward pass:
-reusing an already-backpropagated intermediate raises.
+``.grad`` only on leaves.  A node takes its first gradient as it is and
+adds later ones into a new array; a leaf always adds in place into the
+array its ``.grad`` holds, made zero on the first arrival, so it never
+aliases an array a vjp returned.  A leaf's ``.grad`` may be a view of a larger
+buffer: `backbone.SGD` binds each parameter's gradient to its slice of
+one flat array.  The graph is consumed by the backward pass: reusing an
+already-backpropagated intermediate raises.
 
 Every kernel lives in this module, once, on numpy alone, and puts its
 arithmetic on BLAS or on strided slices.  The windowed ops, ``conv2d``,
@@ -143,8 +148,9 @@ class _Node:
 class Tensor:
     """An array, and for a recorded op's output its graph node.
 
-    A leaf holds its gradient in ``grad``; a recorded output's gradient
-    lives on its node (``_node``) only while ``backward`` runs.  The node
+    A leaf holds its gradient in ``grad``, an array that ``backward``
+    adds into in place; a recorded output's gradient lives on its node
+    (``_node``) only while ``backward`` runs.  The node
     never points back to this tensor, so the graph does not keep ``data``
     alive: once the caller drops an output that no vjp reads, it is
     freed."""
@@ -216,15 +222,18 @@ class Tensor:
         Requires a scalar.  Walks the graph nodes, not tensors: a node's
         gradient sits in its slot until its vjp runs, and ``.grad`` is
         written only on leaves (on this tensor only if it is itself a
-        leaf or an unrecorded result).  Consumes the recorded graph, so a
-        second call (or building new ops on consumed intermediates)
-        raises.
+        leaf or an unrecorded result).  A leaf's gradient accumulates in
+        place into the array ``.grad`` holds, a zero array made on the
+        first arrival if it holds none; so a leaf bound to a view of an
+        optimizer's buffer fills that buffer.  Consumes the recorded
+        graph, so a second call (or building new ops on consumed
+        intermediates) raises.
         """
         if self.data.size != 1:
             raise AutogradError(f"backward requires a scalar, got shape {self.shape}")
         root = self._node
         if root is None:
-            self.grad = np.ones_like(self.data)
+            _accumulate_leaf(self, np.ones_like(self.data))
             self._node = _Node(None, ())  # consumed like any graph
             return
         if root.vjp is None:
@@ -253,15 +262,24 @@ class Tensor:
             for entry, g in zip(node.parents, grads):
                 if g is None or entry is None:
                     continue
-                if entry.grad is None:
-                    entry.grad = g
+                if type(entry) is _Node:
+                    entry.grad = g if entry.grad is None else entry.grad + g
                 else:
-                    entry.grad = entry.grad + g
+                    _accumulate_leaf(entry, g)
             # Every consumer of `node` ran before it, so its gradient is
             # final: consume it now, freeing its closure and gradient.
             node.vjp = None
             node.parents = ()
             node.grad = None
+
+
+def _accumulate_leaf(leaf: Tensor, g: np.ndarray) -> None:
+    """Add `g` in place into the array `leaf.grad` holds, made zero on
+    the first arrival if it holds none; never aliases `g`, which a vjp
+    may also have handed to a node."""
+    if leaf.grad is None:
+        leaf.grad = np.zeros_like(leaf.data)
+    leaf.grad += g
 
 
 def _lift(value, dtype) -> Tensor:

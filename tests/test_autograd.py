@@ -36,6 +36,28 @@ def test_fanout_accumulates():
     assert np.allclose(x.grad, [16.0])
 
 
+def test_leaf_accumulates_in_place_without_aliasing_a_node_gradient():
+    """`add`'s vjp hands one array to leaf `a` and to node `b`; `a`'s
+    second arrival (from `a * b`) lands before `b`'s vjp runs, so a leaf
+    that kept that array and added into it would corrupt `b`'s gradient.
+    f = sum((a + b) * (a * b)) with b = 3c."""
+    rng = np.random.default_rng(30)
+    a0, c0 = rng.normal(size=4), rng.normal(size=4)
+    a, c = Tensor(a0.copy(), requires_grad=True), Tensor(c0.copy(), requires_grad=True)
+    b = c * 3.0
+    ((a + b) * (a * b)).sum().backward()
+    b0 = 3.0 * c0
+    assert np.allclose(a.grad, b0 * (2 * a0 + b0), atol=1e-12)
+    assert np.allclose(c.grad, 3.0 * a0 * (a0 + 2 * b0), atol=1e-12)
+
+
+def test_leaf_gradient_adds_into_the_array_it_holds():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    buffer = x.grad = np.array([10.0, 20.0])
+    (x * x).sum().backward()
+    assert x.grad is buffer and np.array_equal(buffer, [12.0, 24.0])
+
+
 def test_nonscalar_backward_rejected():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(AutogradError):

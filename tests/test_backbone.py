@@ -162,10 +162,13 @@ class TestParamCounts:
 
 
 class TestSGD:
+    # Gradients are written in place (`p.grad[...] = g`): construction
+    # binds each `p.grad` to its view of the optimizer's `grad` buffer.
     def test_plain_step(self):
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        p.grad = np.array([0.5, -0.5])
-        SGD([p], momentum=0.0, weight_decay=0.0).step(0.1)
+        opt = SGD([p], momentum=0.0, weight_decay=0.0)
+        p.grad[...] = [0.5, -0.5]
+        opt.step(0.1)
         assert np.allclose(p.data, [0.95, 2.05], atol=1e-15)
 
     def test_momentum_recurrence(self):
@@ -174,7 +177,7 @@ class TestSGD:
         deltas = []
         for _ in range(2):
             before = p.data.copy()
-            p.grad = np.array([1.0])
+            p.grad[...] = 1.0
             opt.step(0.1)
             deltas.append(before - p.data)
         assert np.allclose(deltas[0], [0.1], atol=1e-15)
@@ -188,7 +191,7 @@ class TestSGD:
         opt = SGD([p], momentum=momentum, weight_decay=wd)
         v, x = 0.0, 0.7
         for g in grads:
-            p.grad = np.array([g])
+            p.grad[...] = g
             opt.step(lr)
             v = momentum * v + g + wd * x
             x = x - lr * v
@@ -196,8 +199,14 @@ class TestSGD:
 
     def test_missing_grad_rejected(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
+        opt = SGD([p])
+        p.grad = None
         with pytest.raises(ConfigError):
-            SGD([p]).step(0.1)
+            opt.step(0.1)
+        p.grad = np.ones(1)  # a rebound gradient would step on a stale buffer
+        with pytest.raises(ConfigError):
+            opt.step(0.1)
+        assert np.array_equal(p.data, [1.0])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_per_parameter_recurrence_bit_for_bit(self, dtype):
@@ -209,7 +218,7 @@ class TestSGD:
         opt = SGD(params, momentum=0.9, weight_decay=1e-3)
         for step in grads:
             for p, g in zip(params, step):
-                p.grad = g
+                p.grad[...] = g
             opt.step(0.05)
             opt.zero_grad()
         want = oracles.sgd_loop(start, grads, 0.05, 0.9, 1e-3)
@@ -230,10 +239,34 @@ class TestSGD:
         opt = SGD(params, momentum=0.0, weight_decay=0.0)
         model.load_state_arrays(dict(twin.state_arrays()))
         for p in params:
-            p.grad = np.ones_like(p.data)
+            p.grad[...] = 1.0
         opt.step(0.5)
         for p, (_, loaded) in zip(params, twin.named_parameters()):
             assert np.array_equal(p.data, loaded.data - 0.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_fills_the_flat_buffer_bit_for_bit(self, dtype):
+        """Backward accumulates each gradient into the parameter's view of
+        `opt.grad`; the buffer holds exactly the gradients an unbound twin
+        model gets, and stays bound through `zero_grad`."""
+        rng = np.random.default_rng(26)
+        x = rng.random((2, 3, 16, 16)).astype(dtype)
+        labels = np.array([1, 4])
+        model, twin = (Backbone(toy_config(n_channels=2), np.random.default_rng(27)).cast(dtype)
+                       for _ in range(2))
+        params = list(model.parameters())
+        opt = SGD(params)
+        for net in (model, twin):
+            cross_entropy(net(Tensor(x))[0], labels).backward()
+        for p in params:
+            assert np.shares_memory(p.grad, opt.grad) and p.grad.dtype == dtype
+        want = np.concatenate([p.grad for p in twin.parameters()], axis=None)
+        assert want.dtype == dtype and np.array_equal(opt.grad, want)
+        assert opt.grad.any() and not np.signbit(opt.grad[opt.grad == 0]).any()
+        opt.zero_grad()
+        assert not opt.grad.any()
+        assert all(np.shares_memory(p.grad, opt.grad) for p in params)
+        opt.step(0.1)  # the views are still the ones the step checks
 
 
 class TestSchedule:

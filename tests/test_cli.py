@@ -74,10 +74,12 @@ class TestConfigFile:
                       ["--momentum", "1"], ["--momentum", "-0.1"], ["--weight-decay", "-1"],
                       ["--seed", "x"], ["--augment", "maybe"], ["--lambda", "big"],
                       ["--alpha", "nan"], ["--lambda", "nan"], ["--alpha", "inf"], ["--lr", "inf"],
-                      ["--weight-decay", "inf"], *kernels):
+                      ["--weight-decay", "inf"], ["--seed", "-1"], *kernels):
             rc = main(["train", *flags, "--output-dir", str(tmp_path)])
             assert rc == EXIT_CONFIG, flags
-            one_line_error(capsys)
+            err = one_line_error(capsys)
+            if flags == ["--seed", "-1"]:
+                assert "seed must be >= 0" in err
 
     @pytest.mark.parametrize("case", ["repeated", "repeated_schema", "lam", "lam_after_lambda"])
     def test_each_key_once_in_its_one_spelling(self, tmp_path, capsys, case):
@@ -440,6 +442,21 @@ def tiny_run(tmp_path_factory) -> Path:
     train_dir = tmp_path_factory.mktemp("tiny_run")
     assert main(["train", *TINY, "--output-dir", str(train_dir)]) == EXIT_OK
     return train_dir
+
+
+class TestTrainBytes:
+    # sha256 of the TINY train_log.csv and checkpoint.bin, recorded while
+    # each leaf gradient was still its own array: accumulating gradients
+    # into the optimizer's flat buffer must leave every bit as it was.
+    TINY_TRAIN_SHA256 = {
+        "train_log.csv": "b391e536727977f41ed8380cfd158230d58ce5ac7868e78d9cf541cd9bf01033",
+        "checkpoint.bin": "08ecd7a5f8b4ef3e97226b102ad1672b1a623e0cd438c8ba40071da2fc55960a",
+    }
+
+    def test_artifacts_match_the_recorded_bytes(self, tiny_run):
+        got = {name: hashlib.sha256((tiny_run / name).read_bytes()).hexdigest()
+               for name in self.TINY_TRAIN_SHA256}
+        assert got == self.TINY_TRAIN_SHA256
 
 
 class TestEval:
