@@ -56,8 +56,10 @@ class SmaConfig:
 
 @dataclass
 class AttentionStack:
-    """Per-channel state: mapped features and pre-sigmoid logits, and the
-    masks in (0,1) built from the logits on first read.
+    """Per-channel state: the pre-sigmoid logits, and the masks in (0,1)
+    built from them on first read.  The mapped features the logits are
+    built from are not kept: nothing reads them after `f2a`, and only the
+    mask conv's vjp keeps them alive, inside the graph.
 
     The fused map is built from the logits, so only the training losses
     (`losses.objective`), `combine` under combine_on='masks' and
@@ -69,7 +71,6 @@ class AttentionStack:
     AutogradError instead.
     """
 
-    mapped: Tensor  # [B,N,H,W]
     logits: Tensor  # [B,N,H,W]
 
     @cached_property
@@ -140,7 +141,8 @@ class MultiChannelAttention(Module):
             self.mix_fc = Linear(n, n, rng, INIT_SCALE)
 
     def f2a(self, feature: Tensor) -> AttentionStack:
-        """Map the feature block to N channels and build the mask logits."""
+        """Map the feature block to N channels and build the mask logits;
+        the mapped features are dropped once the logits are built."""
         if feature.ndim != 4 or feature.shape[1] != self.in_channels:
             raise ShapeError(f"f2a: expected [B,{self.in_channels},H,W], got {feature.shape}")
         if self.cfg.mapping_mode == "conv":
@@ -148,8 +150,7 @@ class MultiChannelAttention(Module):
         else:
             ones = Tensor(np.ones((1, self.cfg.n_channels, 1, 1), dtype=feature.dtype))
             mapped = T.mul(feature.mean(axis=1, keepdims=True), ones)
-        logits = self.attn_convs(mapped)
-        return AttentionStack(mapped=mapped, logits=logits)
+        return AttentionStack(logits=self.attn_convs(mapped))
 
     def channel_weights(self, feature: Tensor) -> Tensor:
         """Softmax channel scores from spatially pooled features."""

@@ -40,7 +40,7 @@ def save_checkpoint(path, digest: str, arrays) -> None:
                 arr64 = np.ascontiguousarray(arr, dtype="<f8")
                 f.write(struct.pack("<H", len(nb)) + nb)
                 f.write(struct.pack(f"<B{arr64.ndim}I", arr64.ndim, *arr64.shape))
-                f.write(arr64.tobytes())
+                f.write(arr64.data)  # the buffer itself, no bytes copy
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

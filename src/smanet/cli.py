@@ -10,7 +10,8 @@ Every verb runs with numpy's floating-point warnings silenced, so a
 diverging run also ends in one line: exit 3 at its non-finite loss.
 The SMANET_OUTPUT_DIR environment variable overrides output_dir and
 nothing else.  Exit codes: 0 ok, 2 config/input error (a command line
-argparse rejects included), 3 numeric failure, 4 threshold violation.
+argparse rejects, and an artifact that cannot be written, included),
+3 numeric failure, 4 threshold violation.
 
 The parser is built on the first `main` call and shared by every later
 call in the process, so nothing may mutate it.  Each verb's `cmd_*`
@@ -307,6 +308,13 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        # An artifact that cannot be written (its path is a directory, the
+        # disk is full, ...) is an input error of the run, not a crash.
+        paths = [str(p) for p in (exc.filename, exc.filename2) if p is not None]
+        where = ": " + " -> ".join(paths) if paths else ""
+        print(f"error: {exc.strerror or type(exc).__name__}{where}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -50,7 +50,9 @@ def diversity_loss(masks: Tensor, delta: float) -> Tensor:
     The value needs no index, so it is bit-identical either way.  The vjp
     gives each mask its hinge as the direct term, and routes each active
     hinge's mask value to the channel its max came from: the top channel,
-    or the runner-up for the top channel.
+    or the runner-up for the top channel.  It keeps m1 and m2, not the
+    hinges: it rebuilds those from them with the forward's expression,
+    bit for bit.
     """
     if masks.ndim != 4 or masks.shape[1] == 0:
         raise ShapeError(f"diversity_loss: need [B,N>=1,H,W], got {masks.shape}")
@@ -76,11 +78,16 @@ def diversity_loss(masks: Tensor, delta: float) -> Tensor:
         np.maximum(m2, np.minimum(v, m1), out=m2)
         np.maximum(m1, v, out=m1)
     rest = d.sum(axis=1, keepdims=True) - m1
-    h1, h2 = np.maximum(m1 - delta, 0.0), np.maximum(m2 - delta, 0.0)
+
+    def hinges():
+        return np.maximum(m1 - delta, 0.0), np.maximum(m2 - delta, 0.0)
+
+    h1, h2 = hinges()
     data = np.asarray((rest * h1 + m1 * h2).sum() / d.size)
     size, n = d.size, d.shape[1]
 
     def vjp(g):
+        h1, h2 = hinges()
         s = g / size
         ch = np.arange(n, dtype=i1.dtype)[:, None, None]
         # Per pixel: the top channel's extra term, and what its mask sends
@@ -155,19 +162,23 @@ def bypass_logits(pooled: Tensor, heads) -> Tensor:
     pooled[B,N,C] holds the attended feature of channel n in row n, and
     heads[n] is an affine map C -> K.  Row b*N + n of the [B*N, K] result
     is head n's logits for sample b.  The parents are `pooled` and each
-    head's weight and bias, so the heads stay separate parameters.
+    head's weight and bias, so the heads stay separate parameters.  The
+    forward stacks the heads' weights into one [N,K,C] array and drops
+    it; the vjp keeps the heads' own weight arrays and stacks them again
+    only for pooled's gradient.
     """
     if pooled.ndim != 3 or pooled.shape[1] != len(heads):
         raise ShapeError(f"bypass_logits: {len(heads)} heads for pooled {pooled.shape}")
     b, n = pooled.shape[:2]
-    w = np.stack([h.weight.data for h in heads])  # [N,K,C]
+    ws = [h.weight.data for h in heads]  # the vjp keeps these, not their stack
+    w = np.stack(ws)  # [N,K,C]
     bias = np.stack([h.bias.data for h in heads])  # [N,K]
     data = (np.einsum("bnc,nkc->bnk", pooled.data, w) + bias).reshape(b * n, -1)
     pd, pooled_grad = pooled.data, pooled.requires_grad  # the heads' gradient reads pd
 
     def vjp(g):
         g3 = g.reshape(b, n, -1)
-        gp = np.einsum("bnk,nkc->bnc", g3, w) if pooled_grad else None
+        gp = np.einsum("bnk,nkc->bnc", g3, np.stack(ws)) if pooled_grad else None
         gw = np.einsum("bnk,bnc->nkc", g3, pd)
         gb = g3.sum(axis=0)
         return (gp, *(a for i in range(n) for a in (gw[i], gb[i])))

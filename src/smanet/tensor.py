@@ -7,12 +7,17 @@ node if it has one, the leaf tensor itself if it is a leaf that
 requires a gradient, and None otherwise.  So the graph keeps an op
 output alive only where a vjp reads it.  The capture rule: each vjp
 closes over arrays, shapes and flags, never over a ``Tensor``, and
-keeps an input's data only where a gradient reads it.  ``mul``,
-``linear``, eval-mode ``batch_norm2d``, ``masked_avg_pool`` and
-`losses.bypass_logits` keep one input for another's gradient, and the
-task losses their logits; ``add``, ``reshape``, ``sum`` and ``mean`` keep
-shapes, and ``conv2d`` keeps its phase grid and the input's shape and
-flag.  ``backward`` on a scalar replays the nodes in reverse topological
+keeps an input's data only where a gradient reads it.  Where a
+gradient reads an array that is alive anyway (an input's or a
+parameter's data), the vjp keeps a reference to it, never a copy
+derived from it: a transposed or stacked weight is rebuilt inside the
+vjp, and ``_phase_grid`` on the identity layout (a 1x1 kernel, stride 1,
+no padding) is a view of x.  ``mul``, ``linear``, eval-mode
+``batch_norm2d``, ``masked_avg_pool`` and `losses.bypass_logits` keep
+one input for another's gradient, and the task losses their logits;
+``add``, ``reshape``, ``sum`` and ``mean`` keep shapes.  ``conv2d``
+keeps its phase grid, the weight's data and the input's shape and flag.
+``backward`` on a scalar replays the nodes in reverse topological
 order, accumulating gradients additively across fan-out, and writes
 ``.grad`` only on leaves.  A node takes its first gradient as it is and
 adds later ones into a new array; a leaf always adds in place into the
@@ -547,7 +552,12 @@ def _phase_grid(op: str, x: np.ndarray, k: int, stride: int, padding: int, fill:
     """x[B,C,h,wd] written once into the phase grids of ``_phase_layout``,
     every other grid cell `fill`: ``(flat, layout)``, flat the
     [m*m, B, C, rows*Wq] grids with each phase's rows flattened.  The one
-    padded-input layout of the module."""
+    padded-input layout of the module.
+
+    On the identity layout (one phase with rows = h and Wq = wd, as for
+    k = 1, stride 1, padding 0) the grid is x itself: flat is a view of x
+    (of a contiguous copy, if x is not contiguous), and nothing is
+    filled or written."""
     # Every output pixel must meet at least one pixel of x, which holds
     # for 0 <= padding <= k-1; the depthwise input gradient also
     # re-grids its output gradient with padding k-1-padding, which must
@@ -559,6 +569,8 @@ def _phase_grid(op: str, x: np.ndarray, k: int, stride: int, padding: int, fill:
         raise ShapeError(f"{op}: kernel {k} larger than padded input {x.shape}")
     layout = _phase_layout(h, wd, k, stride, padding)
     phases, rows, wq = layout[2]
+    if phases == 1 and (rows, wq) == (h, wd):
+        return np.ascontiguousarray(x).reshape(1, b, c, h * wd), layout
     shape = (phases, b, c, rows, wq)
     grid = np.full(shape, fill, dtype=x.dtype) if fill else np.zeros(shape, dtype=x.dtype)
     for at_x, at_grid in layout[3]:
@@ -568,8 +580,11 @@ def _phase_grid(op: str, x: np.ndarray, k: int, stride: int, padding: int, fill:
 
 def _phase_gather(gflat: np.ndarray, layout: tuple, shape: tuple) -> np.ndarray:
     """A gradient on flat phase grids (``_phase_grid``) moved back into
-    x's shape; pixels of x that no grid holds get zero."""
+    x's shape; pixels of x that no grid holds get zero.  On the identity
+    layout that is `gflat` reshaped, no copy."""
     phases, rows, wq = layout[2]
+    if phases == 1 and (rows, wq) == shape[2:]:
+        return gflat.reshape(shape)
     ggrid = gflat.reshape(phases, *shape[:2], rows, wq)
     gx = np.zeros(shape, dtype=gflat.dtype)
     for at_x, at_grid in layout[3]:
@@ -584,6 +599,13 @@ def _grid_rows(g: np.ndarray, wq: int) -> np.ndarray:
     gq = np.zeros((b, c, ho, wq), dtype=g.dtype)
     gq[..., :wo] = g
     return gq.reshape(b, c, ho * wq)
+
+
+def _tap_major(w: np.ndarray) -> np.ndarray:
+    """w[Cout,Cin,k,k] as k*k contiguous [Cout,Cin] matrices, tap
+    t = i*k + j holding w[:, :, i, j]."""
+    cout, cin, k, _ = w.shape
+    return np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
 
 
 def conv2d(
@@ -613,8 +635,11 @@ def conv2d(
     gradient times its window, and the input gradient slice-adds
     weight[:, :, i, j].T times that gradient onto the tap's window of a
     phase-shaped buffer, which is gathered back into x's shape
-    (``_phase_gather``).  The vjp keeps only the phase grids, about one
-    copy of x.
+    (``_phase_gather``).  The vjp keeps the phase grids, about one copy of
+    x, and none on the identity layout (k = 1, stride 1, padding 0), where
+    the grid is x itself.  It keeps the weight's own data, not the
+    forward's tap-major [k*k, Cout, Cin] copy: it builds that copy again,
+    and only when x needs a gradient.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d input/weight, got {x.shape} / {weight.shape}")
@@ -629,14 +654,15 @@ def conv2d(
     flat, layout = _phase_grid("conv2d", x.data, k, stride, padding)
     ho, wo, (_, _, wq), _, windows = layout
     views = [flat[at] for at in windows]
-    # Tap-major weight: wt[t] = weight[:, :, i, j], a [Cout, Cin] matrix.
-    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
+    wt = _tap_major(weight.data)
     out = np.matmul(wt[0], views[0])
     for t in range(1, k * k):
         out += np.matmul(wt[t], views[t])
+    del wt  # freed before the output copy; the vjp rebuilds it for dx only
     data = out.reshape(b, cout, ho, wq)[..., :wo]
     data = data + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(data)
     x_shape, x_grad, w_grad = x.shape, x.requires_grad, weight.requires_grad
+    wd = weight.data if x_grad else None
     has_bias = bias is not None
     b_grad = has_bias and bias.requires_grad
 
@@ -650,8 +676,8 @@ def conv2d(
         gb = g.sum(axis=(0, 2, 3)) if b_grad else None
         gx = None
         if x_grad:
-            gflat = np.zeros(flat.shape, dtype=np.result_type(g, wt))
-            for w_t, at in zip(wt, windows):
+            gflat = np.zeros(flat.shape, dtype=np.result_type(g, wd))
+            for w_t, at in zip(_tap_major(wd), windows):
                 gflat[at] += np.matmul(w_t.T, gq)
             gx = _phase_gather(gflat, layout, x_shape)
         ret = (gx, gw)

@@ -69,9 +69,17 @@ class TestF2a:
         mapped = T.conv2d(x, block.mapping.weight, block.mapping.bias)
         logits = T.depthwise_conv2d(mapped, block.attn_convs.weight,
                                     block.attn_convs.bias, padding=3)
-        assert np.allclose(stack.mapped.data, mapped.data, atol=1e-14)
         assert np.allclose(stack.logits.data, logits.data, atol=1e-14)
         assert np.allclose(stack.masks.data, T.sigmoid(logits).data, atol=1e-14)
+
+    def test_stack_keeps_no_mapped_features(self):
+        # Nothing reads the mapping conv's output after f2a, so the stack
+        # does not keep it alive.
+        from dataclasses import fields
+
+        from smanet.attention import AttentionStack
+
+        assert [f.name for f in fields(AttentionStack)] == ["logits"]
 
     def test_masks_built_once_on_first_read(self):
         block = make_block(n=3, c=4, seed=7)
@@ -99,14 +107,16 @@ class TestF2a:
         block = make_block(n=3, c=4, seed=5, mapping_mode="channel_mean")
         x = Tensor(np.random.default_rng(6).normal(size=(2, 4, 5, 5)))
         stack = block.f2a(x)
-        mean = x.data.mean(axis=1, keepdims=True)
-        assert np.allclose(stack.mapped.data, np.repeat(mean, 3, axis=1), atol=1e-15)
+        mapped = Tensor(np.repeat(x.data.mean(axis=1, keepdims=True), 3, axis=1))
+        logits = T.depthwise_conv2d(mapped, block.attn_convs.weight,
+                                    block.attn_convs.bias, padding=3)
+        assert np.allclose(stack.logits.data, logits.data, atol=1e-14)
 
     def test_channel_mean_block_keeps_float32(self):
         block = make_block(n=3, c=4, seed=5, mapping_mode="channel_mean").cast(np.float32)
         x = Tensor(np.random.default_rng(6).normal(size=(2, 4, 5, 5)), dtype=np.float32)
         out, inter = block(x)
-        maps = (inter.stack.mapped, inter.stack.logits, inter.stack.masks, inter.fused, out)
+        maps = (inter.stack.logits, inter.stack.masks, inter.fused, out)
         assert [m.dtype for m in maps] == [np.float32] * len(maps)
 
 
@@ -162,10 +172,7 @@ class TestCombineRefine:
         z = rng.normal(size=(2, 1, 4, 4))
         from smanet.attention import AttentionStack
 
-        stack = AttentionStack(
-            mapped=Tensor(np.zeros((2, 3, 4, 4))),
-            logits=Tensor(np.repeat(z, 3, axis=1)),
-        )
+        stack = AttentionStack(logits=Tensor(np.repeat(z, 3, axis=1)))
         w = T.softmax(Tensor(rng.normal(size=(2, 3))), axis=1)
         fused = combine(stack, w, cfg)
         assert np.allclose(fused.data, 1.0 / (1.0 + np.exp(-z)), atol=1e-12)
@@ -176,7 +183,7 @@ class TestCombineRefine:
         from smanet.attention import AttentionStack
 
         z = rng.normal(size=(2, 4, 3, 3))
-        stack = AttentionStack(Tensor(np.zeros_like(z)), Tensor(z))
+        stack = AttentionStack(Tensor(z))
         w = T.softmax(Tensor(rng.normal(size=(2, 4))), axis=1)
         fused = combine(stack, w, cfg)
         assert np.allclose(fused.data, oracles.combine_loop(z, w.data), atol=1e-12)
@@ -187,7 +194,7 @@ class TestCombineRefine:
         from smanet.attention import AttentionStack
 
         z = rng.normal(size=(1, 2, 3, 3))
-        stack = AttentionStack(Tensor(np.zeros_like(z)), Tensor(z))
+        stack = AttentionStack(Tensor(z))
         w = T.softmax(Tensor(rng.normal(size=(1, 2))), axis=1)
         fused = combine(stack, w, cfg)
         masks = 1.0 / (1.0 + np.exp(-z))
@@ -239,10 +246,7 @@ class TestBlockForward:
         perm = np.array([2, 0, 3, 1])
         from smanet.attention import AttentionStack
 
-        stack_p = AttentionStack(
-            Tensor(stack.mapped.data[:, perm]),
-            Tensor(stack.logits.data[:, perm]),
-        )
+        stack_p = AttentionStack(Tensor(stack.logits.data[:, perm]))
         fused_p = combine(stack_p, Tensor(weights.data[:, perm]), cfg)
         assert np.allclose(fused.data, fused_p.data, atol=1e-12)
 

@@ -307,6 +307,20 @@ def test_refused_call_leaves_no_output_dir(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb, artifact", [("train", "train_log.csv"),
+                                            ("train", "checkpoint.bin"),
+                                            ("gradcheck", "gradcheck.txt"),
+                                            ("synth", "train/manifest.tsv")])
+def test_artifact_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, verb, artifact):
+    # A directory where the verb writes an artifact: one line naming it.
+    (tmp_path / artifact).mkdir(parents=True)
+    suite = cli.build_suite
+    monkeypatch.setattr(cli, "build_suite", lambda seed: [c for c in suite(seed) if c[0] == "add"])
+    assert main([verb, *TINY, "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert str(tmp_path / artifact) in one_line_error(capsys)
+    assert not (tmp_path / "checkpoint.bin.tmp").exists()
+
+
 class TestSynth:
     def test_writes_manifest_and_images(self, tmp_path):
         rc = main(["synth", *TINY, "--output-dir", str(tmp_path)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import oracles
 from smanet import tensor as T
 from smanet.attention import AttentionStack, MultiChannelAttention, SmaConfig
 from smanet.errors import DataError, ShapeError
-from smanet.losses import (LossConfig, compute_pos_weights, cross_entropy,
+from smanet.losses import (LossConfig, bypass_logits, compute_pos_weights, cross_entropy,
                            diversity_loss, multi_attention_loss, task_loss,
                            total_loss, weighted_bce_logits)
 from smanet.nn import Linear
@@ -171,7 +172,7 @@ class TestMultiAttentionLoss:
         rng = np.random.default_rng(5)
         feature = Tensor(rng.normal(size=(2, 4, 5, 5)))
         # sigmoid(40) is exactly 1.0 in float64: all-ones masks.
-        stack = AttentionStack(Tensor(np.zeros((2, 1, 5, 5))), Tensor(np.full((2, 1, 5, 5), 40.0)))
+        stack = AttentionStack(Tensor(np.full((2, 1, 5, 5), 40.0)))
         head = Linear(4, 3, rng, 0.5)
         labels = np.array([0, 2])
         cfg = LossConfig()
@@ -210,6 +211,25 @@ class TestMultiAttentionLoss:
                 pooled = Tensor(gated.mean(axis=(2, 3)))
                 acc += task_loss(head(pooled), labels, cfg).item()
             assert abs(got - acc / 3) < 1e-12
+
+    def test_bypass_vjp_keeps_no_stacked_weight_copy(self):
+        # The vjp keeps the heads' own weight arrays; the forward's [N,K,C]
+        # stack of them is dropped.
+        rng = np.random.default_rng(9)
+        heads = [Linear(256, 12, rng, 0.5) for _ in range(7)]
+        pooled = Tensor(rng.normal(size=(2, 7, 256)), requires_grad=True)
+        stacked = sum(h.weight.data.nbytes for h in heads)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = bypass_logits(pooled, heads)
+            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept <= 0.25 * stacked, kept / stacked
+        out.sum().backward()
+        want = np.stack([h.weight.data.sum(axis=0) for h in heads])
+        assert np.allclose(pooled.grad, np.broadcast_to(want, pooled.shape), atol=1e-12)
 
     def test_head_count_mismatch(self):
         rng = np.random.default_rng(8)

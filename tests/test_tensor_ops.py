@@ -85,18 +85,24 @@ class TestConv2d:
     def test_vjp_keeps_about_one_copy_of_the_input(self):
         # Beyond its output, a 3x3 stride-1 padding-1 conv keeps only its
         # phase grid (the padded input plus one row) alive for the vjp,
-        # not a k*k column buffer.
+        # not a k*k column buffer.  A 1x1 stride-1 conv's grid is x itself,
+        # so it keeps no copy of x.  The vjp keeps the weight's own array,
+        # so a wide conv on a small map keeps no weight-sized copy either.
         rng = rnd(30)
-        x = Tensor(rng.normal(size=(2, 8, 32, 32)), requires_grad=True)
-        w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = T.conv2d(x, w, padding=1)
-            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
-        finally:
-            tracemalloc.stop()
-        assert kept <= 2 * x.data.nbytes, kept / x.data.nbytes
+        for x_shape, w_shape, padding, bound in (
+                ((2, 8, 32, 32), (8, 8, 3, 3), 1, lambda x, w: 2 * x.nbytes),
+                ((2, 8, 32, 32), (8, 8, 1, 1), 0, lambda x, w: 0.1 * x.nbytes),
+                ((2, 64, 4, 4), (64, 64, 3, 3), 1, lambda x, w: 0.25 * w.nbytes)):
+            x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+            w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = T.conv2d(x, w, padding=padding)
+                kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+            finally:
+                tracemalloc.stop()
+            assert kept <= bound(x.data, w.data), (w_shape, kept)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
@@ -146,11 +152,12 @@ class TestDepthwise:
     @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-4)])
     @pytest.mark.parametrize("pad_case", [0, 1, 2])
     def test_vjp_matches_loop_oracle(self, dtype, atol, pad_case):
-        # pad_case picks padding 0, k//2 or k-1 (for k=3: 0, 1, 2).  The
-        # input widths put the output (forward) and the input gradient
-        # below, at and across the 16-wide tiles of the banded GEMMs, 19
-        # and 37 with a narrower last tile; the height differs from each.
-        for k in (3, 7):
+        # pad_case picks padding 0, k//2 or k-1 (for k=3: 0, 1, 2; k=1,
+        # whose grid is x itself, has only padding 0).  The input widths
+        # put the output (forward) and the input gradient below, at and
+        # across the 16-wide tiles of the banded GEMMs, 19 and 37 with a
+        # narrower last tile; the height differs from each.
+        for k in (1, 3, 7):
             padding = (0, k // 2, k - 1)[pad_case]
             for wd in (5, 8, 16, 19, 37):
                 if wd + 2 * padding < k:
