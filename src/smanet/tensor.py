@@ -1,9 +1,9 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
 Every differentiable operation records a small graph node on its output
-tensor: the local vector-Jacobian product, its parents' graph entries
-and a gradient slot, but never tensor data.  A parent's entry is its
-node if it has one, the leaf tensor itself if it is a leaf that
+tensor: the local vector-Jacobian product, its parents' graph entries,
+a gradient slot and a depth, but never tensor data.  A parent's entry
+is its node if it has one, the leaf tensor itself if it is a leaf that
 requires a gradient, and None otherwise.  So the graph keeps an op
 output alive only where a vjp reads it.  The capture rule: each vjp
 closes over arrays, shapes and flags, never over a ``Tensor``, and
@@ -17,14 +17,19 @@ no padding) is a view of x.  ``mul``, ``linear``, eval-mode
 one input for another's gradient, and the task losses their logits;
 ``add``, ``reshape``, ``sum`` and ``mean`` keep shapes.  ``conv2d``
 keeps its phase grid, the weight's data and the input's shape and flag.
-``backward`` on a scalar replays the nodes in reverse topological
-order, accumulating gradients additively across fan-out, and writes
-``.grad`` only on leaves.  A node takes its first gradient as it is and
-adds later ones into a new array; a leaf always adds in place into the
-array its ``.grad`` holds, made zero on the first arrival, so it never
-aliases an array a vjp returned.  A leaf's ``.grad`` may be a view of a larger
-buffer: `backbone.SGD` binds each parameter's gradient to its slice of
-one flat array.  The graph is consumed by the backward pass: reusing an
+``backward`` on a scalar replays the nodes in decreasing depth (a
+node's depth is 1 + its deepest parent node's), accumulating gradients
+additively across fan-out, and writes ``.grad`` only on leaves.  Every
+consumer is deeper than its parents, so that order is topological; and
+a side branch, such as an attention block's loss terms, runs when the
+backward reaches the depth it left the trunk at, so its gradients are
+not made early and held while the rest of the graph is still alive.  A
+node takes its first gradient as it is and adds later ones into a new
+array; a leaf always adds in place into the array its ``.grad`` holds,
+made zero on the first arrival, so it never aliases an array a vjp
+returned.  A leaf's ``.grad`` may be a view of a larger buffer:
+`backbone.SGD` binds each parameter's gradient to its slice of one flat
+array.  The graph is consumed by the backward pass: reusing an
 already-backpropagated intermediate raises.
 
 Every kernel lives in this module, once, on numpy alone, and puts its
@@ -55,7 +60,7 @@ last-axis order, and ``argmax`` over a short last axis still pays per
 row.  So no kernel here calls ``np.where``, ``argmax`` never moves an
 axis (a test in `test_dependencies` keeps both rules), and per-pixel
 selections over channels or window taps are elementwise passes.
-``sigmoid_values`` selects its branch with ``min(x, 0)``,
+``sigmoid_values`` takes one exp and selects its branch with a maximum,
 ``batch_norm2d`` reuses one centred copy and its own parameter
 gradients, `losses.diversity_loss` tracks the top two channels in one
 loop, and ``max_pool2d`` the winning tap in one loop over the taps.
@@ -77,6 +82,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,15 +145,18 @@ def checked_enabled() -> bool:
 class _Node:
     """The graph state of one recorded op, apart from its output's data:
     the vjp, the parents' graph entries (a node, a leaf `Tensor` that
-    requires a gradient, or None) and the gradient slot.  A node whose
-    vjp is None is consumed."""
+    requires a gradient, or None), the gradient slot and the depth.  The
+    depth is 1 + the largest depth among the parents that are nodes,
+    leaves counting 0, so every consumer of a node is deeper than it.  A
+    node whose vjp is None is consumed."""
 
-    __slots__ = ("vjp", "parents", "grad")
+    __slots__ = ("vjp", "parents", "grad", "depth")
 
     def __init__(self, vjp: Callable | None, parents: tuple):
         self.vjp = vjp
         self.parents = parents
         self.grad: np.ndarray | None = None
+        self.depth = 1 + max((e.depth for e in parents if type(e) is _Node), default=0)
 
 
 class Tensor:
@@ -224,7 +233,12 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` on every reachable requires-grad leaf.
 
-        Requires a scalar.  Walks the graph nodes, not tensors: a node's
+        Requires a scalar.  Walks the graph nodes, not tensors: it
+        collects the unconsumed nodes reachable from this one, then runs
+        their vjps in decreasing depth, one stable sort keeping ties in
+        discovery order.  Each consumer of a node is deeper than it, so a
+        node runs after all of them; which node of a fan-in adds first
+        is set by that order, so gradients are deterministic.  A node's
         gradient sits in its slot until its vjp runs, and ``.grad`` is
         written only on leaves (on this tensor only if it is itself a
         leaf or an unrecorded result).  A leaf's gradient accumulates in
@@ -244,25 +258,18 @@ class Tensor:
         if root.vjp is None:
             raise AutogradError("backward already ran on this graph; re-run the forward pass")
 
-        order: list[_Node] = []
-        seen: set[_Node] = set()
-        stack: list[tuple[_Node, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.append((node, True))
+        order = [root]
+        seen = {root}
+        for node in order:
             for entry in node.parents:
                 if type(entry) is _Node and entry.vjp is not None and entry not in seen:
-                    stack.append((entry, False))
+                    seen.add(entry)
+                    order.append(entry)
+        # Stable: nodes of equal depth keep their discovery order.
+        order.sort(key=operator.attrgetter("depth"), reverse=True)
 
         root.grad = np.ones_like(self.data)
-        while order:
-            node = order.pop()
+        for node in order:
             grads = node.vjp(node.grad)
             for entry, g in zip(node.parents, grads):
                 if g is None or entry is None:
@@ -385,21 +392,27 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid_values(arr: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic on a raw array (exp arguments always <= 0).
+    """Numerically stable logistic on a raw array, with one exp whose
+    argument is always <= 0.
 
     The two-branch formula 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) for x < 0
-    as arithmetic: the numerator exp(min(x, 0)) is 1 on the first branch,
-    so the result is bit-identical to selecting between the branches,
-    without a data-dependent ``np.where`` (see the module docstring).
+    as arithmetic on e = exp(-|x|): the numerator max(e, x >= 0) is 1 on
+    the first branch and e on the second, so the result is bit-identical
+    to selecting between the branches, without a data-dependent
+    ``np.where`` (see the module docstring).  -|x| is taken as
+    min(x, -x), which keeps a NaN's sign bit, as the branches do.
     """
-    return np.exp(np.minimum(arr, 0.0)) / (1.0 + np.exp(-np.abs(arr)))
+    e = np.exp(np.minimum(arr, -arr))
+    return np.maximum(e, arr >= 0) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     data = sigmoid_values(a.data)
 
     def vjp(g):
-        return (g * data * (1.0 - data),)
+        out = g * data
+        out *= 1.0 - data
+        return (out,)
 
     return apply_op(data, (a,), vjp)
 

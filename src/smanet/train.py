@@ -25,7 +25,6 @@ from .metrics import accuracy, binarize, count_binary, f1_scores
 from .nn import INIT_SCALE, Linear, Module, ModuleList
 from .tensor import Tensor
 
-STREAM_DATA_TRAIN = 11
 STREAM_DATA_VAL = 12
 STREAM_INIT = 21
 STREAM_SHUFFLE = 31

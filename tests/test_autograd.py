@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -10,11 +11,12 @@ from smanet import gradcheck as G
 from smanet import losses as L
 from smanet import tensor as T
 from smanet.attention import MultiChannelAttention, SmaConfig
-from smanet.config import RunConfig
+from smanet.backbone import SGD
+from smanet.config import RunConfig, loss_config
 from smanet.errors import AutogradError, NumericError
 from smanet.gradcheck import SUITE_TOLERANCE, build_suite, grad_check_many
 from smanet.tensor import Tensor
-from smanet.train import build_splits, run_training
+from smanet.train import TrainState, batch_tensor, build_split, build_splits, run_training
 
 
 def test_sum_gradient_is_ones():
@@ -56,6 +58,26 @@ def test_leaf_gradient_adds_into_the_array_it_holds():
     buffer = x.grad = np.array([10.0, 20.0])
     (x * x).sum().backward()
     assert x.grad is buffer and np.array_equal(buffer, [12.0, 24.0])
+
+
+def test_fan_in_with_consumers_at_different_depths():
+    """a = 2x feeds b = a*a (depth 2), c = b*a (depth 3) and, created
+    last, the short branch s = sum(a) (depth 2).  Every consumer of a is
+    deeper than it, so a runs after all three have added into it:
+    f = sum(a^3) + sum(a), df/dx = 2 * (3a^2 + 1)."""
+    x0 = np.random.default_rng(31).normal(size=5)
+    x = Tensor(x0.copy(), requires_grad=True)
+    a = x * 2.0
+    b = a * a
+    c = b * a
+    long_branch = c.sum()
+    short_branch = a.sum()
+    loss = long_branch + short_branch
+    depths = [t._node.depth for t in (a, b, c, long_branch, short_branch, loss)]
+    assert depths == [1, 2, 3, 4, 2, 5]
+    loss.backward()
+    a0 = 2.0 * x0
+    assert np.allclose(x.grad, 2.0 * (3.0 * a0 * a0 + 1.0), rtol=1e-13, atol=0)
 
 
 def test_nonscalar_backward_rejected():
@@ -282,6 +304,36 @@ def test_no_vjp_of_the_objective_check_holds_a_tensor(monkeypatch):
     forward().backward()
     assert len(vjps) > 100
     assert _tensors_in_closures(vjps) == []
+
+
+def test_backward_holds_each_blocks_loss_gradients_only_for_its_block():
+    """Each attention block's L_div and L_ma nodes hang off the trunk at
+    that block's depth, so a backward in decreasing depth makes their
+    mask, logit and feature gradients only when it reaches the block.
+    One toy float32 batch-2 training step, logits and block outputs kept
+    alive as in `run_training`: the backward peaks at most 3x block 0's
+    feature map above the memory held at its start.  A post-order walk,
+    which runs all 8 blocks' loss vjps before any backbone vjp, peaked at
+    about 7x."""
+    cfg = RunConfig(task="au", profile="toy", seed=7, epochs=1, batch_size=2, n_train=8,
+                    n_val=8, n_subjects=10, n_channels=7, dtype="float32").validate()
+    train = build_split(cfg, "train")
+    state = TrainState(cfg)
+    SGD([p for _, p in state.named_parameters()])  # binds each .grad, as a step does
+    lcfg = loss_config(cfg, L.compute_pos_weights(train.labels))
+    x = batch_tensor(train.images[:2], np.float32)
+    tracemalloc.start()
+    try:
+        logits, inters = state.model(x)
+        l_all = L.objective(logits, inters, train.labels[:2], list(state.heads), lcfg)[3]
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        l_all.backward()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    feature = inters[0].feature.data.nbytes
+    assert peak <= 3 * feature, (peak, feature)
 
 
 def test_graph_releases_outputs_no_vjp_reads():

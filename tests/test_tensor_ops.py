@@ -234,6 +234,22 @@ class TestSigmoid:
         assert got.dtype == dtype
         assert np.array_equal(got, oracles.sigmoid_branches(x), equal_nan=True)
 
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_one_exp_values_and_vjp_match_two_exp_branches_bit_for_bit(self, dtype, bits):
+        """The values against 1/(1+e^-x) and e^x/(1+e^x), each branch with
+        its own exp, and the vjp against g*s*(1-s), compared as integers,
+        so that the sign of a zero or a NaN counts too."""
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+                 100.5, -100.5, 1e4, -1e4]
+        x = np.concatenate([rnd(17).normal(scale=30.0, size=5_000), edges]).astype(dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+        out = T.sigmoid(Tensor(x, requires_grad=True))
+        assert out.dtype == dtype and np.array_equal(out.data.view(bits), want.view(bits))
+        g = rnd(18).normal(size=x.shape).astype(dtype)
+        (grad,) = out._node.vjp(g)
+        assert np.array_equal(grad.view(bits), (g * want * (1.0 - want)).view(bits))
+
 
 class TestSoftmax:
     def test_uniform(self):
