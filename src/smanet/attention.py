@@ -1,10 +1,18 @@
 """Multi-channel spatial attention with learned channel weighting.
 
 A feature block is mapped down to N attention channels; each channel
-runs a 7x7 conv + sigmoid to produce a spatial mask.  A squeeze-style
-two-layer MLP (no hidden nonlinearity) scores the channels with a
-softmax weight vector, the weighted channel combination is squashed to
-a single fused map, and the fused map gates the input feature block.
+runs a 7x7 conv to produce a spatial mask logit, and its sigmoid is that
+channel's mask.  A squeeze-style two-layer MLP (no hidden nonlinearity)
+scores the channels with a softmax weight vector, the weighted channel
+combination is squashed to a single fused map, and the fused map gates
+the input feature block.
+
+The fused map is built from the logits, so only the training losses
+(L_div and L_ma), the combine_on='masks' fusion and `export-attention`
+read the N masks.  `forward` builds them only for that fusion, and
+`channel_masks` hands a reader those, or else a sigmoid of the logits
+run in the reader's grad mode.  So an eval forward that fuses the
+logits never builds them, and no read can change what a step trains.
 
 Every attention layer (mapping conv, mask convs, MLPs) starts uniform in
 +-`nn.INIT_SCALE`, weights and biases alike, and is built in float64 like
@@ -14,12 +22,11 @@ every layer; the owner of the model casts it to the compute dtype.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import tensor as T
-from .errors import AutogradError, ConfigError, ShapeError
+from .errors import ConfigError, ShapeError
 from .nn import INIT_SCALE, Conv2d, DepthwiseConv2d, Linear, Module
 from .tensor import Tensor
 
@@ -55,47 +62,32 @@ class SmaConfig:
 
 
 @dataclass
-class AttentionStack:
-    """Per-channel state: the pre-sigmoid logits, and the masks in (0,1)
-    built from them on first read.  The mapped features the logits are
-    built from are not kept: nothing reads them after `f2a`, and only the
-    mask conv's vjp keeps them alive, inside the graph.
-
-    The fused map is built from the logits, so only the training losses
-    (`losses.objective`), `combine` under combine_on='masks' and
-    `export-attention` read the masks.  The sigmoid runs once, in the grad
-    mode of that first read, and a forward that reads none of them (an
-    eval pass) never runs it.  So on a recorded forward the first read
-    must record too: one under no_grad would cache masks with no graph,
-    and the losses would train nothing through them.  It raises
-    AutogradError instead.
-    """
-
-    logits: Tensor  # [B,N,H,W]
-
-    @cached_property
-    def masks(self) -> Tensor:  # [B,N,H,W]
-        if self.logits.requires_grad and not T.recording(self.logits):
-            raise AutogradError("AttentionStack.masks: first read under no_grad "
-                                "on a recorded forward; read them before no_grad")
-        return T.sigmoid(self.logits)
-
-
-@dataclass
 class SmaIntermediates:
+    """What one attention block's forward leaves for the losses and the
+    export.  The mapped features the logits are built from are not kept:
+    nothing reads them after `f2a`, and only the mask conv's vjp keeps
+    them alive, inside the graph."""
+
     feature: Tensor          # block input the attention was computed from
-    stack: AttentionStack
+    logits: Tensor           # [B,N,H,W] pre-sigmoid channel masks
     weights: Tensor          # [B,N] softmax channel weights
     fused: Tensor            # [B,1,H,W] fused attention map
+    masks: Tensor | None = None  # [B,N,H,W], built only for combine_on='masks'
 
 
-def combine(stack: AttentionStack, weights: Tensor, cfg: SmaConfig) -> Tensor:
+def channel_masks(inter: SmaIntermediates) -> Tensor:
+    """The N channel masks in (0,1): those `forward` built, or else the
+    sigmoid of the logits, run in the caller's grad mode."""
+    return inter.masks if inter.masks is not None else T.sigmoid(inter.logits)
+
+
+def combine(maps: Tensor, weights: Tensor) -> Tensor:
     """Fuse the N channel maps under the channel weights into one map.
 
-    Default fuses pre-sigmoid logits so the final sigmoid spans (0,1);
-    combine_on='masks' fuses the sigmoided masks instead (ablation).
+    `forward` passes the pre-sigmoid logits by default, so the final
+    sigmoid spans (0,1), and the masks under combine_on='masks'
+    (ablation).
     """
-    maps = stack.logits if cfg.combine_on == "logits" else stack.masks
     b, n = weights.shape
     if maps.shape[:2] != (b, n):
         raise ShapeError(f"combine: weights {weights.shape} do not match maps {maps.shape}")
@@ -140,9 +132,9 @@ class MultiChannelAttention(Module):
             self.reduce_fc = Linear(in_channels, n, rng, INIT_SCALE)
             self.mix_fc = Linear(n, n, rng, INIT_SCALE)
 
-    def f2a(self, feature: Tensor) -> AttentionStack:
-        """Map the feature block to N channels and build the mask logits;
-        the mapped features are dropped once the logits are built."""
+    def f2a(self, feature: Tensor) -> Tensor:
+        """Map the feature block to N channels and build the [B,N,H,W] mask
+        logits; the mapped features are dropped once the logits are built."""
         if feature.ndim != 4 or feature.shape[1] != self.in_channels:
             raise ShapeError(f"f2a: expected [B,{self.in_channels},H,W], got {feature.shape}")
         if self.cfg.mapping_mode == "conv":
@@ -150,7 +142,7 @@ class MultiChannelAttention(Module):
         else:
             ones = Tensor(np.ones((1, self.cfg.n_channels, 1, 1), dtype=feature.dtype))
             mapped = T.mul(feature.mean(axis=1, keepdims=True), ones)
-        return AttentionStack(logits=self.attn_convs(mapped))
+        return self.attn_convs(mapped)
 
     def channel_weights(self, feature: Tensor) -> Tensor:
         """Softmax channel scores from spatially pooled features."""
@@ -163,13 +155,12 @@ class MultiChannelAttention(Module):
         return T.softmax(self.mix_fc(self.reduce_fc(pooled)), axis=1)
 
     def forward(self, feature: Tensor) -> tuple[Tensor, SmaIntermediates]:
-        stack = self.f2a(feature)
+        logits = self.f2a(feature)
         weights = self.channel_weights(feature)
-        fused = combine(stack, weights, self.cfg)
+        masks = T.sigmoid(logits) if self.cfg.combine_on == "masks" else None
+        fused = combine(logits if masks is None else masks, weights)
         refined = refine(fused, feature)
-        return refined, SmaIntermediates(
-            feature=feature, stack=stack, weights=weights, fused=fused
-        )
+        return refined, SmaIntermediates(feature, logits, weights, fused, masks)
 
 
 class ChannelGate(Module):

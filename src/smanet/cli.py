@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .attention import channel_masks
 from .backbone import backbone_param_count
 from .checkpoint import load_checkpoint
 from .config import (RunConfig, backbone_config, config_digest, config_keys,
@@ -222,7 +223,7 @@ def cmd_export_attention(cfg: RunConfig, args) -> int:
             (out / f"{stem}_block{bi}_fused.pgm").write_bytes(
                 encode_heatmap(fused, comment=f"config_digest={digest}")
             )
-            masks = inter.stack.masks.data[0]
+            masks = channel_masks(inter).data[0]
             for n in range(masks.shape[0]):
                 (out / f"{stem}_block{bi}_mask{n}.pgm").write_bytes(
                     encode_heatmap(masks[n], comment=f"config_digest={digest}")

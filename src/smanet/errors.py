@@ -23,5 +23,4 @@ class NumericError(RuntimeError):
 
 
 class AutogradError(RuntimeError):
-    """Backward called on a non-scalar, or on an already-consumed graph,
-    or a recorded forward's attention masks first read under no_grad."""
+    """Backward called on a non-scalar, or on an already-consumed graph."""

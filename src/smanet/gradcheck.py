@@ -186,9 +186,8 @@ def _aaa(rng):
 
 
 def _combine(rng):
-    cfg = SmaConfig(n_channels=4)
-    block = MultiChannelAttention(cfg, 3, rng)
-    return _op(lambda x: combine(block.f2a(x), block.channel_weights(x), cfg), 37,
+    block = MultiChannelAttention(SmaConfig(n_channels=4), 3, rng)
+    return _op(lambda x: combine(block.f2a(x), block.channel_weights(x)), 37,
                input=_rand(rng, 2, 3, 5, 5))
 
 
@@ -201,7 +200,7 @@ def _multi_attention(rng):
     heads = [Linear(4, 3, rng, 0.5) for _ in range(2)]
     lcfg = LossConfig()
     labels = rng.integers(0, 3, size=2)
-    return _op(lambda x, *_: multi_attention_loss(block.f2a(x), x, labels, heads, lcfg),
+    return _op(lambda x, *_: multi_attention_loss(T.sigmoid(block.f2a(x)), x, labels, heads, lcfg),
                input=_rand(rng, 2, 4, 5, 5), **_head_params(heads))
 
 

@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionStack
+from .attention import channel_masks
 from .errors import DataError, ShapeError
 from .tensor import Tensor, apply_op, sigmoid_values
 
@@ -188,7 +188,7 @@ def bypass_logits(pooled: Tensor, heads) -> Tensor:
 
 
 def multi_attention_loss(
-    stack: AttentionStack,
+    masks: Tensor,
     feature: Tensor,
     labels: np.ndarray,
     heads,
@@ -196,12 +196,13 @@ def multi_attention_loss(
 ) -> Tensor:
     """Average bypass-classification loss over the attention channels.
 
-    Each channel gates the feature block with its own mask, pools it
-    globally, and must predict the labels through its own affine head.
+    Each channel gates the feature block with its own mask (masks
+    [B,N,H,W], see `attention.channel_masks`), pools it globally, and
+    must predict the labels through its own affine head.
     With the labels repeated once per channel, one task loss over all
     B*N rows is the mean of the N per-head losses.
     """
-    pooled = T.masked_avg_pool(feature, stack.masks)
+    pooled = T.masked_avg_pool(feature, masks)
     logits = bypass_logits(pooled, heads)
     return task_loss(logits, np.repeat(labels, len(heads), axis=0), cfg)
 
@@ -222,24 +223,24 @@ def objective(logits: Tensor, inters, labels: np.ndarray, heads_by_block,
     the forward work only a vjp reads (for L_div of `f2a_aaa`, the
     top-two index tracking).
 
-    Unless `combine` fused them, the masks (`AttentionStack.masks`) are
-    first read here, in the caller's grad mode, before either term: a
-    training step records them once for both terms, even where a weight-0
-    term reads them under no_grad (a first read there raises
-    AutogradError, see `AttentionStack`).
+    Each block's masks (`attention.channel_masks`) are taken once, in the
+    caller's grad mode, before either term, and both terms read that
+    tensor: a training step records one sigmoid per block, even where a
+    weight-0 term reads them under no_grad, and under combine_on='masks'
+    it reuses the ones `forward` built.
     """
     l_cla = task_loss(logits, labels, cfg)
     l_div = l_ma = Tensor(np.zeros((), dtype=logits.dtype))
     if inters:
         scale = 1.0 / len(inters)
-        masks = [it.stack.masks for it in inters]
+        masks = [channel_masks(it) for it in inters]
         with contextlib.nullcontext() if cfg.alpha > 0 else T.no_grad():
             terms = (diversity_loss(m, cfg.delta) for m in masks)
             l_div = reduce(operator.add, terms) * scale
         if heads_by_block:
             with contextlib.nullcontext() if cfg.lam > 0 else T.no_grad():
-                terms = (multi_attention_loss(it.stack, it.feature, labels, heads, cfg)
-                         for it, heads in zip(inters, heads_by_block))
+                terms = (multi_attention_loss(m, it.feature, labels, heads, cfg)
+                         for m, it, heads in zip(masks, inters, heads_by_block))
                 l_ma = reduce(operator.add, terms) * scale
     return l_cla, l_div, l_ma, total_loss(l_cla, l_div, l_ma, cfg)
 

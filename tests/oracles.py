@@ -187,8 +187,9 @@ def sigmoid_scalar(v):
 
 def sigmoid_branches(x):
     """The two-branch logistic as an array select: 1/(1+e^-x) for x >= 0,
-    e^x/(1+e^x) below, with e^-|x| computed once."""
-    z = np.exp(-np.abs(x))
+    e^x/(1+e^x) below, with e^-|x| computed once, as exp(min(x, -x)) so
+    that a NaN keeps its sign bit."""
+    z = np.exp(np.minimum(x, -x))
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 

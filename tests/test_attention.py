@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import oracles
 from smanet import tensor as T
-from smanet.attention import (ChannelGate, MultiChannelAttention, SmaConfig,
-                              combine, param_count, refine)
-from smanet.errors import AutogradError, ConfigError, ShapeError
+from smanet.attention import (ChannelGate, MultiChannelAttention, SmaConfig, SmaIntermediates,
+                              channel_masks, combine, param_count, refine)
+from smanet.errors import ConfigError, ShapeError
 from smanet.tensor import Tensor
 
 
@@ -49,55 +49,44 @@ class TestF2a:
         block = make_block()
         zero_params(block)
         x = Tensor(np.random.default_rng(1).normal(size=(2, 4, 5, 5)))
-        stack = block.f2a(x)
-        assert np.array_equal(stack.logits.data, np.zeros((2, 3, 5, 5)))
-        assert np.array_equal(stack.masks.data, np.full((2, 3, 5, 5), 0.5))
+        _, inter = block(x)
+        assert np.array_equal(inter.logits.data, np.zeros((2, 3, 5, 5)))
+        assert np.array_equal(channel_masks(inter).data, np.full((2, 3, 5, 5), 0.5))
 
     def test_saturated_bias_gives_unit_masks(self):
         block = make_block()
         zero_params(block)
         block.attn_convs.bias.data[...] = 36.0
         x = Tensor(np.random.default_rng(2).normal(size=(1, 4, 6, 6)))
-        stack = block.f2a(x)
-        assert np.all(stack.masks.data < 1.0)
-        assert np.allclose(stack.masks.data, 1.0, atol=1e-12)
+        masks = channel_masks(block(x)[1]).data
+        assert np.all(masks < 1.0)
+        assert np.allclose(masks, 1.0, atol=1e-12)
 
     def test_matches_primitive_composition(self):
         block = make_block(n=3, c=5, seed=3)
         x = Tensor(np.random.default_rng(4).normal(size=(2, 5, 6, 6)))
-        stack = block.f2a(x)
+        logits = block.f2a(x)
         mapped = T.conv2d(x, block.mapping.weight, block.mapping.bias)
-        logits = T.depthwise_conv2d(mapped, block.attn_convs.weight,
-                                    block.attn_convs.bias, padding=3)
-        assert np.allclose(stack.logits.data, logits.data, atol=1e-14)
-        assert np.allclose(stack.masks.data, T.sigmoid(logits).data, atol=1e-14)
+        want = T.depthwise_conv2d(mapped, block.attn_convs.weight,
+                                  block.attn_convs.bias, padding=3)
+        assert np.allclose(logits.data, want.data, atol=1e-14)
 
-    def test_stack_keeps_no_mapped_features(self):
-        # Nothing reads the mapping conv's output after f2a, so the stack
-        # does not keep it alive.
+    def test_intermediates_keep_no_mapped_features(self):
+        # Nothing reads the mapping conv's output after f2a, so the
+        # intermediates do not keep it alive.
         from dataclasses import fields
 
-        from smanet.attention import AttentionStack
+        assert ([f.name for f in fields(SmaIntermediates)]
+                == ["feature", "logits", "weights", "fused", "masks"])
 
-        assert [f.name for f in fields(AttentionStack)] == ["logits"]
-
-    def test_masks_built_once_on_first_read(self):
-        block = make_block(n=3, c=4, seed=7)
-        stack = block.f2a(Tensor(np.random.default_rng(8).normal(size=(2, 4, 5, 5))))
-        assert "masks" not in vars(stack)
-        assert stack.masks is stack.masks
-        assert np.array_equal(stack.masks.data, T.sigmoid(stack.logits).data)
-
-    def test_masks_first_read_under_no_grad_on_a_recorded_forward_refused(self):
-        block = make_block(n=3, c=4, seed=7)
-        x = Tensor(np.random.default_rng(8).normal(size=(2, 4, 5, 5)))
-        stack = block.f2a(x)
-        with T.no_grad(), pytest.raises(AutogradError, match="first read under no_grad"):
-            stack.masks
-        assert stack.masks.requires_grad  # a recording read still builds them
-        with T.no_grad():
-            plain = block.f2a(x)
-            assert not plain.masks.requires_grad  # an unrecorded forward reads freely
+    @pytest.mark.parametrize("combine_on", ["logits", "masks"])
+    def test_forward_builds_masks_only_to_fuse_them(self, combine_on):
+        block = make_block(n=3, c=4, seed=7, combine_on=combine_on)
+        _, inter = block(Tensor(np.random.default_rng(8).normal(size=(2, 4, 5, 5))))
+        masks = channel_masks(inter)
+        assert (inter.masks is None) == (combine_on == "logits")
+        assert (masks is inter.masks) == (combine_on == "masks")
+        assert np.array_equal(masks.data, T.sigmoid(inter.logits).data)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
@@ -106,17 +95,16 @@ class TestF2a:
     def test_channel_mean_mapping_replicates(self):
         block = make_block(n=3, c=4, seed=5, mapping_mode="channel_mean")
         x = Tensor(np.random.default_rng(6).normal(size=(2, 4, 5, 5)))
-        stack = block.f2a(x)
         mapped = Tensor(np.repeat(x.data.mean(axis=1, keepdims=True), 3, axis=1))
         logits = T.depthwise_conv2d(mapped, block.attn_convs.weight,
                                     block.attn_convs.bias, padding=3)
-        assert np.allclose(stack.logits.data, logits.data, atol=1e-14)
+        assert np.allclose(block.f2a(x).data, logits.data, atol=1e-14)
 
     def test_channel_mean_block_keeps_float32(self):
         block = make_block(n=3, c=4, seed=5, mapping_mode="channel_mean").cast(np.float32)
         x = Tensor(np.random.default_rng(6).normal(size=(2, 4, 5, 5)), dtype=np.float32)
         out, inter = block(x)
-        maps = (inter.stack.logits, inter.stack.masks, inter.fused, out)
+        maps = (inter.logits, channel_masks(inter), inter.fused, out)
         assert [m.dtype for m in maps] == [np.float32] * len(maps)
 
 
@@ -160,45 +148,33 @@ class TestCombineRefine:
         cfg = SmaConfig(n_channels=1)
         block = MultiChannelAttention(cfg, 2, np.random.default_rng(12))
         x = Tensor(np.random.default_rng(13).normal(size=(2, 2, 5, 5)))
-        stack = block.f2a(x)
+        logits = block.f2a(x)
         weights = block.channel_weights(x)
         assert np.array_equal(weights.data, np.ones((2, 1)))
-        fused = combine(stack, weights, cfg)
-        assert np.array_equal(fused.data, T.sigmoid(stack.logits).data)
+        fused = combine(logits, weights)
+        assert np.array_equal(fused.data, T.sigmoid(logits).data)
 
     def test_identical_logits_ignore_weights(self):
-        cfg = SmaConfig(n_channels=3)
         rng = np.random.default_rng(14)
         z = rng.normal(size=(2, 1, 4, 4))
-        from smanet.attention import AttentionStack
-
-        stack = AttentionStack(logits=Tensor(np.repeat(z, 3, axis=1)))
         w = T.softmax(Tensor(rng.normal(size=(2, 3))), axis=1)
-        fused = combine(stack, w, cfg)
+        fused = combine(Tensor(np.repeat(z, 3, axis=1)), w)
         assert np.allclose(fused.data, 1.0 / (1.0 + np.exp(-z)), atol=1e-12)
 
     def test_combine_matches_pixel_loop(self):
-        cfg = SmaConfig(n_channels=4)
         rng = np.random.default_rng(15)
-        from smanet.attention import AttentionStack
-
         z = rng.normal(size=(2, 4, 3, 3))
-        stack = AttentionStack(Tensor(z))
         w = T.softmax(Tensor(rng.normal(size=(2, 4))), axis=1)
-        fused = combine(stack, w, cfg)
+        fused = combine(Tensor(z), w)
         assert np.allclose(fused.data, oracles.combine_loop(z, w.data), atol=1e-12)
 
     def test_combine_on_masks_variant(self):
-        cfg = SmaConfig(n_channels=2, combine_on="masks")
-        rng = np.random.default_rng(16)
-        from smanet.attention import AttentionStack
-
-        z = rng.normal(size=(1, 2, 3, 3))
-        stack = AttentionStack(Tensor(z))
-        w = T.softmax(Tensor(rng.normal(size=(1, 2))), axis=1)
-        fused = combine(stack, w, cfg)
-        masks = 1.0 / (1.0 + np.exp(-z))
-        assert np.allclose(fused.data, oracles.combine_loop(masks, w.data), atol=1e-12)
+        block = make_block(n=2, c=3, seed=16, combine_on="masks")
+        x = Tensor(np.random.default_rng(16).normal(size=(1, 3, 3, 3)))
+        _, inter = block(x)
+        masks = 1.0 / (1.0 + np.exp(-inter.logits.data))
+        want = oracles.combine_loop(masks, inter.weights.data)
+        assert np.allclose(inter.fused.data, want, atol=1e-12)
 
     def test_refine_half_map(self):
         x = Tensor(np.random.default_rng(17).normal(size=(2, 3, 4, 4)))
@@ -230,7 +206,7 @@ class TestBlockForward:
         block = make_block(n=4, c=5, seed=20)
         x = Tensor(np.random.default_rng(21).normal(size=(3, 5, 6, 6)) * 3)
         out, inter = block(x)
-        masks = inter.stack.masks.data
+        masks = channel_masks(inter).data
         assert np.all((masks > 0) & (masks < 1))
         assert np.all((inter.fused.data > 0) & (inter.fused.data < 1))
         assert np.allclose(inter.weights.data.sum(axis=1), 1.0, atol=1e-9)
@@ -240,14 +216,11 @@ class TestBlockForward:
         cfg = SmaConfig(n_channels=4)
         block = MultiChannelAttention(cfg, 3, np.random.default_rng(22))
         x = Tensor(np.random.default_rng(23).normal(size=(2, 3, 5, 5)))
-        stack = block.f2a(x)
+        logits = block.f2a(x)
         weights = block.channel_weights(x)
-        fused = combine(stack, weights, cfg)
+        fused = combine(logits, weights)
         perm = np.array([2, 0, 3, 1])
-        from smanet.attention import AttentionStack
-
-        stack_p = AttentionStack(Tensor(stack.logits.data[:, perm]))
-        fused_p = combine(stack_p, Tensor(weights.data[:, perm]), cfg)
+        fused_p = combine(Tensor(logits.data[:, perm]), Tensor(weights.data[:, perm]))
         assert np.allclose(fused.data, fused_p.data, atol=1e-12)
 
 

@@ -106,7 +106,7 @@ class TestModelForward:
         assert logits.shape == (2, 6)
         assert np.all(np.isfinite(logits.data))
         assert len(inters) == 8
-        assert inters[0].stack.masks.shape[1] == 3
+        assert inters[0].logits.shape[1] == 3
 
     def test_batch_permutation_equivariance_in_eval(self):
         cfg = toy_config(sma_placement="none")

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smanet import cli
+from smanet import cli, losses
 from smanet import tensor as T
+from smanet.attention import channel_masks
 from smanet.checkpoint import load_checkpoint, save_checkpoint
 from smanet.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_THRESHOLD, main
 from smanet.config import ABLATIONS, RunConfig, config_digest, load_config, loss_config, to_text
@@ -627,9 +628,23 @@ def record_sigmoid_inputs(monkeypatch) -> list:
     return shapes
 
 
+def record_loss_masks(monkeypatch) -> list:
+    """The masks read by every L_div and L_ma term from now on."""
+    seen, div, pool = [], losses.diversity_loss, T.masked_avg_pool
+    monkeypatch.setattr(losses, "diversity_loss", lambda m, d: seen.append(m) or div(m, d))
+    monkeypatch.setattr(T, "masked_avg_pool", lambda f, m: seen.append(m) or pool(f, m))
+    return seen
+
+
+def tiny_step(cfg, state):
+    """A recorded forward of two training images: (logits, inters, labels)."""
+    train = build_splits(cfg)[0]
+    return (*state.model(batch_tensor(train.images[:2], np.float32)), train.labels[:2])
+
+
 class TestMaskSigmoids:
     """The N channel masks feed only the losses (and the combine_on=masks
-    fusion), so they are built on first read, once."""
+    fusion), so each is built once per block, and only where it is read."""
 
     def test_eval_runs_only_the_fused_map_sigmoid(self, monkeypatch):
         cfg = tiny_cfg()
@@ -648,20 +663,43 @@ class TestMaskSigmoids:
                                                           ablation):
         cfg = tiny_cfg(combine_on=combine_on, ablation=ablation)
         state = TrainState(cfg)
-        train = build_splits(cfg)[0]
-        x = batch_tensor(train.images[:2], np.float32)
         shapes = record_sigmoid_inputs(monkeypatch)
-        logits, inters = state.model(x)
-        l_all = objective(logits, inters, train.labels[:2], list(state.heads),
-                          loss_config(cfg))[-1]
+        seen = record_loss_masks(monkeypatch)
+        logits, inters, labels = tiny_step(cfg, state)
+        l_all = objective(logits, inters, labels, list(state.heads), loss_config(cfg))[-1]
         assert len(inters) == 8
         assert sum(shape[1] == cfg.n_channels for shape in shapes) == 8
         assert len(shapes) == 2 * 8
-        # Recorded even where L_div (weight 0 for f2a_aaa_lma) reads them first.
-        assert all(it.stack.masks is it.stack.masks and it.stack.masks.requires_grad
-                   for it in inters)
+        # Both terms read one recorded tensor per block, even where L_div
+        # (weight 0 for f2a_aaa_lma) reads it under no_grad.
+        assert len(seen) == 2 * 8
+        assert all(a is b and a.requires_grad for a, b in zip(seen[:8], seen[8:]))
         l_all.backward()
         assert len(shapes) == 2 * 8
+
+    def test_combine_on_masks_objective_reuses_the_forward_masks(self, monkeypatch):
+        cfg = tiny_cfg(combine_on="masks")
+        state = TrainState(cfg)
+        logits, inters, labels = tiny_step(cfg, state)
+        seen = record_loss_masks(monkeypatch)
+        objective(logits, inters, labels, list(state.heads), loss_config(cfg))
+        assert len(seen) == 2 * len(inters) == 2 * 8
+        assert all(m is it.masks and m.requires_grad for m, it in zip(seen, inters + inters))
+
+    def test_masks_read_under_no_grad_leave_the_objective_gradients_unchanged(self):
+        # export-attention reads the masks under no_grad; on a recorded
+        # forward that read must change nothing the objective trains.
+        cfg = tiny_cfg()
+        grads = []
+        for read_first in (False, True):
+            state = TrainState(cfg)
+            logits, inters, labels = tiny_step(cfg, state)
+            if read_first:
+                with T.no_grad():
+                    assert not any(channel_masks(it).requires_grad for it in inters)
+            objective(logits, inters, labels, list(state.heads), loss_config(cfg))[-1].backward()
+            grads.append([p.grad.tobytes() for _, p in state.named_parameters()])
+        assert len(grads[0]) > 0 and grads[0] == grads[1]
 
 
 class TestSweep:
@@ -877,7 +915,7 @@ class TestExportAttention:
         state.model.eval()
         with T.no_grad():
             _, inters = state.model(image)
-        want = [m for it in inters for m in (it.fused.data[0, 0], *it.stack.masks.data[0])]
+        want = [m for it in inters for m in (it.fused.data[0, 0], *channel_masks(it).data[0])]
         assert len(exported) == len(want)
         for got, ref in zip(exported, want):
             assert got.dtype == np.float32 and np.array_equal(got, ref)

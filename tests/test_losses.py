@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from smanet import tensor as T
-from smanet.attention import AttentionStack, MultiChannelAttention, SmaConfig
+from smanet.attention import MultiChannelAttention, SmaConfig
 from smanet.errors import DataError, ShapeError
 from smanet.losses import (LossConfig, bypass_logits, compute_pos_weights, cross_entropy,
                            diversity_loss, multi_attention_loss, task_loss,
@@ -172,11 +172,11 @@ class TestMultiAttentionLoss:
         rng = np.random.default_rng(5)
         feature = Tensor(rng.normal(size=(2, 4, 5, 5)))
         # sigmoid(40) is exactly 1.0 in float64: all-ones masks.
-        stack = AttentionStack(Tensor(np.full((2, 1, 5, 5), 40.0)))
+        masks = T.sigmoid(Tensor(np.full((2, 1, 5, 5), 40.0)))
         head = Linear(4, 3, rng, 0.5)
         labels = np.array([0, 2])
         cfg = LossConfig()
-        got = multi_attention_loss(stack, feature, labels, [head], cfg).item()
+        got = multi_attention_loss(masks, feature, labels, [head], cfg).item()
         pooled = Tensor(feature.data.mean(axis=(2, 3)))
         want = cross_entropy(head(pooled), labels).item()
         assert abs(got - want) < 1e-12
@@ -185,29 +185,29 @@ class TestMultiAttentionLoss:
         rng = np.random.default_rng(6)
         feature = Tensor(rng.normal(size=(2, 4, 5, 5)))
         block = MultiChannelAttention(SmaConfig(n_channels=2), 4, rng)
-        stack = block.f2a(feature)
+        masks = T.sigmoid(block.f2a(feature))
         heads = [Linear(4, 5, rng, 0.5) for _ in range(2)]
         for h in heads:
             h.weight.data[...] = 0.0
             h.bias.data[...] = 0.0
         cfg = LossConfig()
-        got = multi_attention_loss(stack, feature, np.array([1, 4]), heads, cfg).item()
+        got = multi_attention_loss(masks, feature, np.array([1, 4]), heads, cfg).item()
         assert abs(got - math.log(5)) < 1e-12
 
     def test_matches_hand_composed_pipeline(self):
         rng = np.random.default_rng(7)
         feature = Tensor(rng.normal(size=(2, 3, 4, 4)))
         block = MultiChannelAttention(SmaConfig(n_channels=3), 3, rng)
-        stack = block.f2a(feature)
+        masks = T.sigmoid(block.f2a(feature))
         heads = [Linear(3, 4, rng, 0.7) for _ in range(3)]
         w = rng.uniform(1.0, 2.0, 4)
         au_labels = (rng.random((2, 4)) > 0.5).astype(float)
         for cfg, labels in ((LossConfig(pos_weights=w), au_labels),
                             (LossConfig(), rng.integers(0, 4, size=2))):
-            got = multi_attention_loss(stack, feature, labels, heads, cfg).item()
+            got = multi_attention_loss(masks, feature, labels, heads, cfg).item()
             acc = 0.0
             for i, head in enumerate(heads):
-                gated = stack.masks.data[:, i : i + 1] * feature.data
+                gated = masks.data[:, i : i + 1] * feature.data
                 pooled = Tensor(gated.mean(axis=(2, 3)))
                 acc += task_loss(head(pooled), labels, cfg).item()
             assert abs(got - acc / 3) < 1e-12
@@ -235,9 +235,9 @@ class TestMultiAttentionLoss:
         rng = np.random.default_rng(8)
         feature = Tensor(rng.normal(size=(1, 3, 4, 4)))
         block = MultiChannelAttention(SmaConfig(n_channels=2), 3, rng)
-        stack = block.f2a(feature)
+        masks = T.sigmoid(block.f2a(feature))
         with pytest.raises(ShapeError):
-            multi_attention_loss(stack, feature, np.zeros((1, 2)), [Linear(3, 2, rng, 0.5)],
+            multi_attention_loss(masks, feature, np.zeros((1, 2)), [Linear(3, 2, rng, 0.5)],
                                  LossConfig())
 
 

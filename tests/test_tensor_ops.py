@@ -226,13 +226,15 @@ class TestSigmoid:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_two_branch_formula(self, dtype):
-        # The float32 and float64 exp under- and overflow edges, and beyond.
+        # The float32 and float64 exp under- and overflow edges, and beyond;
+        # compared as integers, so the sign of a zero or a NaN counts too.
         edges = [0.0, -0.0, 88.7, -88.7, -104.0, 710.0, -710.0, -746.0, 1e4, -1e4,
-                 np.inf, -np.inf, np.nan]
+                 np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0)]
         x = np.concatenate([rnd(16).normal(scale=30.0, size=20_000), edges]).astype(dtype)
         got = T.sigmoid(Tensor(x)).data
+        bits = np.dtype(f"u{got.itemsize}")
         assert got.dtype == dtype
-        assert np.array_equal(got, oracles.sigmoid_branches(x), equal_nan=True)
+        assert np.array_equal(got.view(bits), oracles.sigmoid_branches(x).view(bits))
 
     @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
     def test_one_exp_values_and_vjp_match_two_exp_branches_bit_for_bit(self, dtype, bits):
