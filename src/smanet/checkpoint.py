@@ -10,6 +10,7 @@ model compute dtype, so save -> load -> save round-trips byte-identically.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -23,30 +24,39 @@ MAGIC = b"SMCK"
 VERSION = 1
 
 
-def save_checkpoint(path, digest: str, arrays) -> None:
-    """Write the checkpoint through a sibling temp file that replaces
-    `path` only once complete and synced, so a crash or an error
-    mid-write leaves any previous checkpoint at `path` intact."""
+@contextlib.contextmanager
+def replacing(path):
+    """Open a sibling temp file of `path` for binary writing.  On a clean
+    exit the file is synced and replaces `path`; on any error it is
+    removed.  So `path` holds either its previous bytes or all the new
+    ones, whenever the writer stops."""
     path = Path(path)
-    records = list(arrays)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
-            dig = digest.encode("ascii")
-            f.write(MAGIC + struct.pack("<IH", VERSION, len(dig)) + dig)
-            f.write(struct.pack("<I", len(records)))
-            for name, arr in records:
-                nb = name.encode("utf-8")
-                arr64 = np.ascontiguousarray(arr, dtype="<f8")
-                f.write(struct.pack("<H", len(nb)) + nb)
-                f.write(struct.pack(f"<B{arr64.ndim}I", arr64.ndim, *arr64.shape))
-                f.write(arr64.data)  # the buffer itself, no bytes copy
+            yield f
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_checkpoint(path, digest: str, arrays) -> None:
+    """Write the checkpoint through `replacing`, so a crash or an error
+    mid-write leaves any previous checkpoint at `path` intact."""
+    records = list(arrays)
+    with replacing(path) as f:
+        dig = digest.encode("ascii")
+        f.write(MAGIC + struct.pack("<IH", VERSION, len(dig)) + dig)
+        f.write(struct.pack("<I", len(records)))
+        for name, arr in records:
+            nb = name.encode("utf-8")
+            arr64 = np.ascontiguousarray(arr, dtype="<f8")
+            f.write(struct.pack("<H", len(nb)) + nb)
+            f.write(struct.pack(f"<B{arr64.ndim}I", arr64.ndim, *arr64.shape))
+            f.write(arr64.data)  # the buffer itself, no bytes copy
 
 
 def load_checkpoint(path):

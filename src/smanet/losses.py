@@ -50,9 +50,11 @@ def diversity_loss(masks: Tensor, delta: float) -> Tensor:
     The value needs no index, so it is bit-identical either way.  The vjp
     gives each mask its hinge as the direct term, and routes each active
     hinge's mask value to the channel its max came from: the top channel,
-    or the runner-up for the top channel.  It keeps m1 and m2, not the
-    hinges: it rebuilds those from them with the forward's expression,
-    bit for bit.
+    or the runner-up for the top channel.  It keeps the masks' data,
+    which the graph keeps anyway (the sigmoid's vjp and
+    `tensor.masked_avg_pool` read it), m2 and the two indices.  It
+    rebuilds m1 as the channel max of the masks, and S - m1 and the
+    hinges with the forward's expressions, all bit for bit.
     """
     if masks.ndim != 4 or masks.shape[1] == 0:
         raise ShapeError(f"diversity_loss: need [B,N>=1,H,W], got {masks.shape}")
@@ -77,17 +79,18 @@ def diversity_loss(masks: Tensor, delta: float) -> Tensor:
             i1 += above1 * (c - i1)
         np.maximum(m2, np.minimum(v, m1), out=m2)
         np.maximum(m1, v, out=m1)
-    rest = d.sum(axis=1, keepdims=True) - m1
 
-    def hinges():
-        return np.maximum(m1 - delta, 0.0), np.maximum(m2 - delta, 0.0)
+    def rest_and_hinges(m1):
+        rest = d.sum(axis=1, keepdims=True) - m1
+        return rest, np.maximum(m1 - delta, 0.0), np.maximum(m2 - delta, 0.0)
 
-    h1, h2 = hinges()
+    rest, h1, h2 = rest_and_hinges(m1)
     data = np.asarray((rest * h1 + m1 * h2).sum() / d.size)
     size, n = d.size, d.shape[1]
 
     def vjp(g):
-        h1, h2 = hinges()
+        m1 = d.max(axis=1, keepdims=True)
+        rest, h1, h2 = rest_and_hinges(m1)
         s = g / size
         ch = np.arange(n, dtype=i1.dtype)[:, None, None]
         # Per pixel: the top channel's extra term, and what its mask sends

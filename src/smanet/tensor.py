@@ -1,36 +1,38 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
 Every differentiable operation records a small graph node on its output
-tensor: the local vector-Jacobian product, its parents' graph entries,
-a gradient slot and a depth, but never tensor data.  A parent's entry
-is its node if it has one, the leaf tensor itself if it is a leaf that
+tensor: the local vector-Jacobian product, its parents' graph entries, a
+gradient slot and a depth, but never tensor data.  A parent's entry is
+its node if it has one, the leaf tensor itself if it is a leaf that
 requires a gradient, and None otherwise.  So the graph keeps an op
 output alive only where a vjp reads it.  The capture rule: each vjp
-closes over arrays, shapes and flags, never over a ``Tensor``, and
-keeps an input's data only where a gradient reads it.  Where a
-gradient reads an array that is alive anyway (an input's or a
-parameter's data), the vjp keeps a reference to it, never a copy
-derived from it: a transposed or stacked weight is rebuilt inside the
-vjp, and ``_phase_grid`` on the identity layout (a 1x1 kernel, stride 1,
-no padding) is a view of x.  ``mul``, ``linear``, eval-mode
+closes over arrays, shapes and flags, never over a ``Tensor``, and keeps
+an input's data only where a gradient reads it.  Where a gradient reads
+an array that is alive anyway (an input's or a parameter's data, or the
+op's own output), the vjp keeps a reference to it, never a copy derived
+from it, and rebuilds what it derives in the backward: a transposed or
+stacked weight, a windowed op's padded phase grid, relu's mask, and
+L_div's top channel.  So the graph keeps each activation once: a relu
+output that feeds a conv is kept by both vjps, as one array.  ``mul``,
+``linear``, ``conv2d``, ``depthwise_conv2d``, eval-mode
 ``batch_norm2d``, ``masked_avg_pool`` and `losses.bypass_logits` keep
 one input for another's gradient, and the task losses their logits;
-``add``, ``reshape``, ``sum`` and ``mean`` keep shapes.  ``conv2d``
-keeps its phase grid, the weight's data and the input's shape and flag.
-``backward`` on a scalar replays the nodes in decreasing depth (a
-node's depth is 1 + its deepest parent node's), accumulating gradients
-additively across fan-out, and writes ``.grad`` only on leaves.  Every
-consumer is deeper than its parents, so that order is topological; and
-a side branch, such as an attention block's loss terms, runs when the
-backward reaches the depth it left the trunk at, so its gradients are
-not made early and held while the rest of the graph is still alive.  A
-node takes its first gradient as it is and adds later ones into a new
-array; a leaf always adds in place into the array its ``.grad`` holds,
-made zero on the first arrival, so it never aliases an array a vjp
-returned.  A leaf's ``.grad`` may be a view of a larger buffer:
-`backbone.SGD` binds each parameter's gradient to its slice of one flat
-array.  The graph is consumed by the backward pass: reusing an
-already-backpropagated intermediate raises.
+``relu``, ``sigmoid`` and ``softmax`` keep their outputs; ``add``,
+``reshape``, ``sum`` and ``mean`` keep shapes.  ``backward`` on a scalar
+replays the nodes in decreasing depth (a node's depth is 1 + its deepest
+parent node's), accumulating gradients additively across fan-out, and
+writes ``.grad`` only on leaves.  Every consumer is deeper than its
+parents, so that order is topological; and a side branch, such as an
+attention block's loss terms, runs when the backward reaches the depth
+it left the trunk at, so its gradients are not made early and held while
+the rest of the graph is still alive.  A node takes its first gradient
+as it is and adds later ones into a new array; a leaf always adds in
+place into the array its ``.grad`` holds, made zero on the first
+arrival, so it never aliases an array a vjp returned.  A leaf's
+``.grad`` may be a view of a larger buffer: `backbone.SGD` binds each
+parameter's gradient to its slice of one flat array.  The graph is
+consumed by the backward pass: reusing an already-backpropagated
+intermediate raises.
 
 Every kernel lives in this module, once, on numpy alone, and puts its
 arithmetic on BLAS or on strided slices.  The windowed ops, ``conv2d``,
@@ -38,17 +40,20 @@ arithmetic on BLAS or on strided slices.  The windowed ops, ``conv2d``,
 ``_phase_grid`` writes the input once into the stride's padded phase
 grids (``_phase_layout``), and kernel tap t reads one contiguous window
 of a flattened grid, ``windows[t]``, in place; ``_phase_gather`` moves a
-gradient on those grids back into the input's shape (a rule in
-`test_dependencies` keeps this the only padding path).  ``conv2d`` is an
-implicit GEMM: each tap is one batched GEMM on its window, and so are
-its gradients, so no column buffer is built.  ``depthwise_conv2d`` uses
-the stride-1 grid.  Its forward and input gradient cut the output width
-into tiles and run k banded GEMMs, with the tiles as one more batch axis
+gradient on those grids back into the input's shape (rules in
+`test_dependencies` keep this the only padding path, and keep every vjp
+from capturing a grid).  ``conv2d`` is an implicit GEMM: each tap is one
+batched GEMM on its window, and so is each tap's input gradient, so no
+column buffer is built; its weight gradient is one GEMM per phase and
+image, over all of the phase's taps.  ``depthwise_conv2d`` uses the
+stride-1 grid.  Its forward and input gradient cut the output width into
+tiles and run k banded GEMMs, with the tiles as one more batch axis
 (``_depthwise_correlate``); its weight gradient is one dot product per
-tap, on the tap's window.  ``max_pool2d`` keeps a running maximum over
-the windows of a -inf-filled grid.  ``masked_avg_pool`` is batched
-GEMMs on the flattened maps.  All math uses a fixed reduction order, so
-identical inputs give bit-identical outputs run to run.
+tap and image, on the tap's window, in one call.  ``max_pool2d`` keeps a
+running maximum over the windows of a -inf-filled grid.
+``masked_avg_pool`` is batched GEMMs on the flattened maps.  All math
+uses a fixed reduction order, so identical inputs give bit-identical
+outputs run to run.
 
 The other kernels count numpy passes.  Two primitives are slow out of
 proportion on numpy 2.x.  On a [2,7,64,64] float32 array, ``np.where``
@@ -68,11 +73,11 @@ loop, and ``max_pool2d`` the winning tap in one loop over the taps.
 Work that only a vjp reads is done only when the op records a graph:
 ``recording(*parents)`` is true when grad mode is on and some parent
 requires a gradient, and it is the one place that reads grad mode
-(``apply_op`` asks it too).  Two ops ask it before their forward work:
-``relu`` keeps its one-byte mask and `losses.diversity_loss` its
-top-two channel indices only when recording; their outputs are
-bit-identical either way.  So a forward under ``no_grad`` (eval,
-logging, the gradient checks' probes) pays for neither.
+(``apply_op`` asks it too).  One op asks it before its forward work:
+`losses.diversity_loss` tracks its top-two channel indices only when
+recording, and its output is bit-identical either way.  So a forward
+under ``no_grad`` (eval, logging, the gradient checks' probes) does
+not pay for them.
 
 `PRIMITIVES` names the ops the model is built from.  The loss terms are
 single ops of their own in `losses`, built on the same `apply_op` seam.
@@ -379,14 +384,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    """max(x, 0) in one pass; the one-byte mask out > 0 that the vjp
-    reads is a second pass, taken only when recording.  A negative input
-    gives +0.0 (not -0.0), and NaN gives NaN with a zero gradient."""
+    """max(x, 0) in one pass.  The vjp keeps the output, which the next
+    op usually keeps anyway, and takes the mask out > 0 from it in the
+    backward.  A negative input gives +0.0 (not -0.0), and NaN gives NaN
+    with a zero gradient."""
     data = np.maximum(a.data, 0.0)
-    mask = data > 0.0 if recording(a) else None
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (data > 0.0),)
 
     return apply_op(data, (a,), vjp)
 
@@ -570,7 +575,9 @@ def _phase_grid(op: str, x: np.ndarray, k: int, stride: int, padding: int, fill:
     On the identity layout (one phase with rows = h and Wq = wd, as for
     k = 1, stride 1, padding 0) the grid is x itself: flat is a view of x
     (of a contiguous copy, if x is not contiguous), and nothing is
-    filled or written."""
+    filled or written.  A grid is a padded copy of x, so no vjp keeps
+    one: a vjp that reads the grid keeps x's data and calls this again
+    in the backward."""
     # Every output pixel must meet at least one pixel of x, which holds
     # for 0 <= padding <= k-1; the depthwise input gradient also
     # re-grids its output gradient with padding k-1-padding, which must
@@ -621,6 +628,15 @@ def _tap_major(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
 
 
+def _window_view(flat: np.ndarray, shape: tuple, steps: tuple) -> np.ndarray:
+    """Read-only view of the contiguous array `flat`, `steps` in elements.
+    numpy refuses a view that would reach past `flat`'s buffer."""
+    strides = tuple(step * flat.itemsize for step in steps)
+    view = np.ndarray(shape, flat.dtype, flat, 0, strides)
+    view.flags.writeable = False
+    return view
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -644,15 +660,23 @@ def conv2d(
     output is the sum over taps of weight[:, :, i, j] times the tap's
     window, on a [B, Cout, Ho*Wq] grid whose columns from Wo on wrap into
     the next row and are cropped.  Backward, the output gradient is
-    zero-extended onto the same grid; a tap's weight gradient is that
-    gradient times its window, and the input gradient slice-adds
+    zero-extended onto the same grid.  The input gradient slice-adds
     weight[:, :, i, j].T times that gradient onto the tap's window of a
     phase-shaped buffer, which is gathered back into x's shape
-    (``_phase_gather``).  The vjp keeps the phase grids, about one copy of
-    x, and none on the identity layout (k = 1, stride 1, padding 0), where
-    the grid is x itself.  It keeps the weight's own data, not the
-    forward's tap-major [k*k, Cout, Cin] copy: it builds that copy again,
-    and only when x needs a gradient.
+    (``_phase_gather``).  A tap's weight gradient is that gradient times
+    its window, summed over the batch: per phase and image, one GEMM of
+    the image's gradient with a read-only view of all of the phase's tap
+    windows (``_window_view``), and the images added in order into a
+    tap-major [k, k, Cout, Cin] buffer, returned as a [Cout, Cin, k, k]
+    view.  Those are the per-(tap, image) GEMMs and batch sums of one
+    GEMM per tap, so the result is the same bit for bit; one GEMM per
+    phase over the whole batch would hold B weight-sized products per
+    tap at once.
+
+    The vjp keeps x's own data, only when the weight needs a gradient,
+    and writes the phase grids again from it; and the weight's own data,
+    only when x needs a gradient, from which it builds the tap-major
+    [k*k, Cout, Cin] copy again.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d input/weight, got {x.shape} / {weight.shape}")
@@ -665,16 +689,16 @@ def conv2d(
     _same_dtype("conv2d", x, weight, bias)
 
     flat, layout = _phase_grid("conv2d", x.data, k, stride, padding)
-    ho, wo, (_, _, wq), _, windows = layout
-    views = [flat[at] for at in windows]
+    ho, wo, (phases, rows, wq), _, windows = layout
     wt = _tap_major(weight.data)
-    out = np.matmul(wt[0], views[0])
+    out = np.matmul(wt[0], flat[windows[0]])
     for t in range(1, k * k):
-        out += np.matmul(wt[t], views[t])
-    del wt  # freed before the output copy; the vjp rebuilds it for dx only
+        out += np.matmul(wt[t], flat[windows[t]])
+    del flat, wt  # the vjp rebuilds each, and only for the gradient that reads it
     data = out.reshape(b, cout, ho, wq)[..., :wo]
     data = data + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(data)
-    x_shape, x_grad, w_grad = x.shape, x.requires_grad, weight.requires_grad
+    x_shape, x_grad = x.shape, x.requires_grad
+    xd = x.data if weight.requires_grad else None
     wd = weight.data if x_grad else None
     has_bias = bias is not None
     b_grad = has_bias and bias.requires_grad
@@ -682,14 +706,25 @@ def conv2d(
     def vjp(g):
         gq = _grid_rows(g, wq)
         gw = None
-        if w_grad:
-            gw = np.empty((cout, cin, k, k), dtype=np.result_type(g, flat))
-            for t, view in enumerate(views):
-                gw[:, :, t // k, t % k] = np.matmul(gq, view.transpose(0, 2, 1)).sum(axis=0)
+        if xd is not None:
+            grid, _ = _phase_grid("conv2d", xd, k, stride, padding)
+            size, n, m = grid.shape[3], ho * wq, min(k, stride)
+            gw = np.empty((k, k, cout, cin), dtype=np.result_type(g, xd))
+            for p in range(phases):
+                a, c = divmod(p, m)
+                ci, cj = len(range(a, k, stride)), len(range(c, k, stride))
+                # taps[im, ii, jj] is tap (a + stride*ii, c + stride*jj)'s
+                # window of image im, transposed to [Ho*Wq, Cin].
+                taps = _window_view(grid[p], (b, ci, cj, n, cin), (cin * size, wq, 1, 1, size))
+                at = gw[a::stride, c::stride]
+                np.matmul(gq[0], taps[0], out=at)
+                for im in range(1, b):
+                    at += np.matmul(gq[im], taps[im])
+            gw = gw.transpose(2, 3, 0, 1)
         gb = g.sum(axis=(0, 2, 3)) if b_grad else None
         gx = None
         if x_grad:
-            gflat = np.zeros(flat.shape, dtype=np.result_type(g, wd))
+            gflat = np.zeros((phases, b, cin, rows * wq), dtype=np.result_type(g, wd))
             for w_t, at in zip(_tap_major(wd), windows):
                 gflat[at] += np.matmul(w_t.T, gq)
             gx = _phase_gather(gflat, layout, x_shape)
@@ -698,15 +733,6 @@ def conv2d(
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return apply_op(data, parents, vjp)
-
-
-def _window_view(flat: np.ndarray, shape: tuple, steps: tuple) -> np.ndarray:
-    """Read-only view of the contiguous array `flat`, `steps` in elements.
-    numpy refuses a view that would reach past `flat`'s buffer."""
-    strides = tuple(step * flat.itemsize for step in steps)
-    view = np.ndarray(shape, flat.dtype, flat, 0, strides)
-    view.flags.writeable = False
-    return view
 
 
 def _depthwise_correlate(flat: np.ndarray, layout: tuple, w: np.ndarray) -> np.ndarray:
@@ -753,7 +779,9 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) 
     The weight gradient is k*k dot products on the flat grid, as in
     ``conv2d``: tap (i, j) reads the window of length Ho*Wq that starts
     at i*Wq + j, and dots it with the output gradient zero-extended to
-    [B,N,Ho,Wq], summed over the batch.  The vjp keeps only the grid.
+    [B,N,Ho,Wq], summed over the batch.  The vjp keeps x's own data,
+    only when the weight needs a gradient, and writes the grid again
+    from it for dw; and the weight's data, for dx.
     """
     if x.ndim != 4 or weight.ndim != 3 or x.shape[1] != weight.shape[0]:
         raise ShapeError(f"depthwise_conv2d: x{x.shape} incompatible with weight{weight.shape}")
@@ -768,12 +796,15 @@ def depthwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) 
     ho, _, (_, _, wq), _, _ = layout
     data = _depthwise_correlate(flat, layout, weight.data)
     data = data + bias.data[:, None, None]
-    x_grad, w_grad, b_grad = x.requires_grad, weight.requires_grad, bias.requires_grad
+    del flat  # the vjp rebuilds it, and only for dw
+    x_grad, b_grad = x.requires_grad, bias.requires_grad
+    xd = x.data if weight.requires_grad else None
     wd = weight.data
 
     def vjp(g):
         gw = None
-        if w_grad:
+        if xd is not None:
+            flat, _ = _phase_grid("depthwise_conv2d", xd, k, 1, padding)
             b, size = g.shape[0], flat.shape[3]
             gq = _grid_rows(g, wq)[:, :, None, None, :, None]
             # windows[b, n, i, j, 0, :] is tap (i, j)'s window.

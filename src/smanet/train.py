@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .attention import MultiChannelAttention
 from .backbone import SGD, Backbone, lr_schedule
-from .checkpoint import save_checkpoint
+from .checkpoint import replacing, save_checkpoint
 from .config import RunConfig, backbone_config, config_digest, input_size, loss_config, np_dtype
 from .data import (DEFAULT_LABEL_PAIRS, DEFAULT_LABEL_RATES, Dataset, SyntheticSpec,
                    augment, generate_synthetic, load_dataset, selective_oversample)
@@ -176,7 +176,9 @@ def format_log(rows: list[dict], digest: str) -> str:
 def run_training(cfg: RunConfig, splits: tuple[Dataset, Dataset],
                  out_dir: Path | None = None, log=None) -> TrainResult:
     """Full training run; writes train_log.csv and checkpoint.bin when
-    out_dir is given, keeping the best-validation-metric checkpoint.  The
+    out_dir is given, keeping the best-validation-metric checkpoint.  Each
+    epoch rewrites the whole log through `checkpoint.replacing`, so a run
+    that stops early leaves every finished epoch's row on disk.  The
     (train, val) splits are `build_splits(cfg)`, built by the caller
     before out_dir is created.
 
@@ -268,7 +270,8 @@ def run_training(cfg: RunConfig, splits: tuple[Dataset, Dataset],
             best_val, best_epoch = val_metric, epoch
             if ckpt_path is not None:
                 save_checkpoint(ckpt_path, digest, state.state_arrays())
+        if log_path is not None:
+            with replacing(log_path) as f:
+                f.write(format_log(rows, digest).encode("ascii"))
 
-    if log_path is not None:
-        log_path.write_text(format_log(rows, digest))
     return TrainResult(rows, best_epoch, best_val, digest, log_path, ckpt_path)

@@ -48,6 +48,38 @@ def conv2d_vjp_loop(x, w, g, stride=1, padding=0):
     return gxp[:, :, padding : padding + h, padding : padding + wd], gw
 
 
+def conv2d_weight_grad_per_tap(x, g, k, stride, padding):
+    """conv2d's weight gradient as one batched GEMM per tap: x written
+    into zero-filled polyphase grids, phase (a, c) holding padded pixel
+    (a + stride*r, c + stride*q) on a [rows, Wq] grid; each tap one
+    batched GEMM of the output gradient, zero-extended to Wq columns,
+    with its flat window of length Ho*Wq, then summed over the batch.
+    The package runs the same per-(tap, image) GEMMs, grouped per phase
+    and image, and adds the images in the same order, so the two agree
+    bit for bit."""
+    bsz, cin, h, wd = x.shape
+    cout, ho, wo = g.shape[1:]
+    e, m = (k - 1) // stride, min(k, stride)
+    rows, wq = ho + e + (e > 0), wo + e
+    xp = np.zeros((bsz, cin, padding + h + stride * rows, padding + wd + stride * wq), x.dtype)
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    grid = np.zeros((m * m, bsz, cin, rows, wq), x.dtype)
+    for a in range(m):
+        for c in range(m):
+            grid[a * m + c] = xp[:, :, a : a + stride * rows : stride, c : c + stride * wq : stride]
+    flat = grid.reshape(m * m, bsz, cin, rows * wq)
+    gq = np.zeros((bsz, cout, ho, wq), g.dtype)
+    gq[..., :wo] = g
+    gq = gq.reshape(bsz, cout, ho * wq)
+    gw = np.empty((cout, cin, k, k), np.result_type(g, x))
+    for i in range(k):
+        for j in range(k):
+            start = (i // stride) * wq + j // stride
+            window = flat[(i % stride) * m + j % stride, :, :, start : start + ho * wq]
+            gw[:, :, i, j] = np.matmul(gq, window.transpose(0, 2, 1)).sum(axis=0)
+    return gw
+
+
 def x_val(xp, bi, c, i, j):
     return xp[bi, c, i, j]
 

@@ -306,15 +306,11 @@ def test_no_vjp_of_the_objective_check_holds_a_tensor(monkeypatch):
     assert _tensors_in_closures(vjps) == []
 
 
-def test_backward_holds_each_blocks_loss_gradients_only_for_its_block():
-    """Each attention block's L_div and L_ma nodes hang off the trunk at
-    that block's depth, so a backward in decreasing depth makes their
-    mask, logit and feature gradients only when it reaches the block.
-    One toy float32 batch-2 training step, logits and block outputs kept
-    alive as in `run_training`: the backward peaks at most 3x block 0's
-    feature map above the memory held at its start.  A post-order walk,
-    which runs all 8 blocks' loss vjps before any backbone vjp, peaked at
-    about 7x."""
+def _toy_step_memory() -> tuple[int, int, int]:
+    """One toy float32 batch-2 training step, logits and block outputs
+    kept alive as in `run_training`, under tracemalloc: the memory held
+    after the objective, the backward's peak above that, and block 0's
+    feature-map bytes."""
     cfg = RunConfig(task="au", profile="toy", seed=7, epochs=1, batch_size=2, n_train=8,
                     n_val=8, n_subjects=10, n_channels=7, dtype="float32").validate()
     train = build_split(cfg, "train")
@@ -324,6 +320,7 @@ def test_backward_holds_each_blocks_loss_gradients_only_for_its_block():
     x = batch_tensor(train.images[:2], np.float32)
     tracemalloc.start()
     try:
+        before = tracemalloc.get_traced_memory()[0]
         logits, inters = state.model(x)
         l_all = L.objective(logits, inters, train.labels[:2], list(state.heads), lcfg)[3]
         start = tracemalloc.get_traced_memory()[0]
@@ -332,15 +329,59 @@ def test_backward_holds_each_blocks_loss_gradients_only_for_its_block():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    feature = inters[0].feature.data.nbytes
+    return start - before, peak, inters[0].feature.data.nbytes
+
+
+def test_backward_holds_each_blocks_loss_gradients_only_for_its_block():
+    """Each attention block's L_div and L_ma nodes hang off the trunk at
+    that block's depth, so a backward in decreasing depth makes their
+    mask, logit and feature gradients only when it reaches the block.
+    On one toy step the backward peaks at most 3x block 0's feature map
+    above the memory held at its start.  A post-order walk, which runs
+    all 8 blocks' loss vjps before any backbone vjp, peaked at about
+    7x."""
+    _, peak, feature = _toy_step_memory()
     assert peak <= 3 * feature, (peak, feature)
+
+
+def test_graph_after_the_objective_fits_the_toy_budget():
+    """The graph of one toy step holds each activation once: a conv
+    keeps its input's own array, not its padded phase grid, and so does
+    a depthwise conv; a relu keeps its output, which the next conv keeps
+    anyway, not a mask beside it; and L_div rebuilds m1 and the channel
+    sum from the masks.  Held after the objective: at most 32x block 0's
+    feature map (8 MiB), against about 36x when each of those kept its
+    own copy."""
+    held, _, feature = _toy_step_memory()
+    assert held <= 32 * feature, held / feature
+
+
+def test_relu_conv_chain_keeps_one_copy_of_the_activation():
+    """relu then a 3x3 conv, as in every BasicBlock: beyond the conv
+    output the two vjps keep the relu output once, shared, and nothing
+    the size of it beside it.  With a relu mask and the conv's phase
+    grid they kept about 1.46x the relu output at 32 px."""
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(2, 8, 32, 32)), requires_grad=True, dtype=np.float32)
+    w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h = T.relu(x)
+        out = T.conv2d(h, w, padding=1)
+        relu_bytes = h.data.nbytes
+        del h
+        kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1.1 * relu_bytes, kept / relu_bytes
 
 
 def test_graph_releases_outputs_no_vjp_reads():
     """relu(bn(conv(x))): neither the conv output (the batch norm keeps
-    its own centred copy) nor the batch-norm output (relu keeps a mask)
-    is read by a vjp, so dropping them frees them, with the gradients
-    unchanged bit for bit."""
+    its own centred copy) nor the batch-norm output (relu keeps its own
+    output) is read by a vjp, so dropping them frees them, with the
+    gradients unchanged bit for bit."""
     def run(keep: bool):
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)

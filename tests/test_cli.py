@@ -13,6 +13,7 @@ import pytest
 from smanet import cli, losses
 from smanet import tensor as T
 from smanet.attention import channel_masks
+from smanet.backbone import lr_schedule
 from smanet.checkpoint import load_checkpoint, save_checkpoint
 from smanet.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_THRESHOLD, main
 from smanet.config import ABLATIONS, RunConfig, config_digest, load_config, loss_config, to_text
@@ -319,7 +320,7 @@ def test_artifact_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(cli, "build_suite", lambda seed: [c for c in suite(seed) if c[0] == "add"])
     assert main([verb, *TINY, "--output-dir", str(tmp_path)]) == EXIT_CONFIG
     assert str(tmp_path / artifact) in one_line_error(capsys)
-    assert not (tmp_path / "checkpoint.bin.tmp").exists()
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestSynth:
@@ -430,6 +431,17 @@ class TestTrain:
         rc = main(["train", *TINY, "--lr", "1e9", "--output-dir", str(tmp_path)])
         assert rc == EXIT_NUMERIC
         assert "non-finite loss" in one_line_error(capsys)
+
+    def test_nonfinite_second_epoch_keeps_the_first_epochs_row(self, tmp_path, capsys,
+                                                                monkeypatch, tiny_run):
+        # A NaN learning rate in epoch 1 makes its second step's loss NaN.
+        monkeypatch.setattr("smanet.train.lr_schedule", lambda epoch, task, base:
+                            float("nan") if epoch == 1 else lr_schedule(epoch, task, base=base))
+        assert main(["train", *TINY, "--output-dir", str(tmp_path)]) == EXIT_NUMERIC
+        assert "non-finite loss" in one_line_error(capsys)
+        full = (tiny_run / "train_log.csv").read_text().splitlines()
+        assert (tmp_path / "train_log.csv").read_text().splitlines() == full[:3]
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_checked_run_writes_the_same_bytes(self, tmp_path):
         main(["train", *TINY, "--output-dir", str(tmp_path / "plain")])

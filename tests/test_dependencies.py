@@ -89,6 +89,38 @@ def test_windowed_ops_share_one_grid_builder():
         assert _calls(functions[op], "_phase_grid"), op
 
 
+def test_no_vjp_keeps_a_phase_grid():
+    """A vjp keeps an input's own array and rebuilds its phase grid from
+    it: no function nested in a `tensor.py` op reads a name that the op
+    bound to a `_phase_grid(...)` grid, so no grid, a padded copy of an
+    input, lives in the graph until the backward.  The layout tuple is
+    read freely."""
+    path = Path(smanet.__file__).parent / "tensor.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    gridded, captured = set(), []
+    for op in (f for f in tree.body if isinstance(f, ast.FunctionDef)):
+        inner = [f for f in ast.walk(op) if isinstance(f, ast.FunctionDef) and f is not op]
+        in_inner = {id(n) for f in inner for n in ast.walk(f)}
+        grids = set()
+        for node in ast.walk(op):
+            if isinstance(node, ast.Assign) and id(node) not in in_inner \
+                    and _calls(node.value, "_phase_grid"):
+                # `flat, layout = _phase_grid(...)`: the first name is the grid.
+                for target in node.targets:
+                    grid = target.elts[0] if isinstance(target, ast.Tuple) else target
+                    grids |= {n.id for n in ast.walk(grid) if isinstance(n, ast.Name)}
+        if grids:
+            gridded.add(op.name)
+        for f in inner:
+            names = [n for n in ast.walk(f) if isinstance(n, ast.Name)]
+            local = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+            local |= {a.arg for a in ast.walk(f.args) if isinstance(a, ast.arg)}
+            captured += [f"{op.name}.{f.name}: {n.id}" for n in names
+                         if isinstance(n.ctx, ast.Load) and n.id in grids - local]
+    assert gridded == {"conv2d", "depthwise_conv2d", "max_pool2d"}
+    assert not captured
+
+
 def test_one_function_decides_whether_a_graph_is_recorded():
     """Only `tensor.recording` reads grad mode, and only `no_grad` sets
     it: every op, `apply_op` included, asks `recording`."""

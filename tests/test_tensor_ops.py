@@ -82,15 +82,33 @@ class TestConv2d:
         last_col = stride * (out.shape[3] - 1) + k - padding
         assert not xt.grad[:, :, last_row:].any() and not xt.grad[:, :, :, last_col:].any()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("batch", [2, 16])
+    def test_weight_gradient_equals_the_per_tap_loop(self, batch, stride, k, dtype):
+        # Bit for bit, not to a tolerance: the artifacts' bytes rest on it.
+        rng = rnd(100 * k + 10 * stride + batch)
+        x = rng.normal(size=(batch, 5, 11, 10)).astype(dtype)
+        w = Tensor(rng.normal(size=(6, 5, k, k)), requires_grad=True, dtype=dtype)
+        out = T.conv2d(Tensor(x), w, stride=stride, padding=k // 2)
+        g = rng.normal(size=out.shape).astype(dtype)
+        T.mul(out, Tensor(g)).sum().backward()
+        want = oracles.conv2d_weight_grad_per_tap(x, g, k, stride, k // 2)
+        assert w.grad.dtype == want.dtype == dtype
+        assert np.array_equal(w.grad, want)
+
     def test_vjp_keeps_about_one_copy_of_the_input(self):
-        # Beyond its output, a 3x3 stride-1 padding-1 conv keeps only its
-        # phase grid (the padded input plus one row) alive for the vjp,
-        # not a k*k column buffer.  A 1x1 stride-1 conv's grid is x itself,
-        # so it keeps no copy of x.  The vjp keeps the weight's own array,
-        # so a wide conv on a small map keeps no weight-sized copy either.
+        # Beyond its output, a conv keeps x's own array, not its phase
+        # grid (the padded input plus one row, about 1.16 x.nbytes here),
+        # and rebuilds the grid in the backward: a 3x3 stride-1 padding-1
+        # conv on a leaf adds almost nothing, and neither does a 1x1
+        # stride-1 conv, whose grid is x itself.  The vjp keeps the
+        # weight's own array, so a wide conv on a small map keeps no
+        # weight-sized copy either.
         rng = rnd(30)
         for x_shape, w_shape, padding, bound in (
-                ((2, 8, 32, 32), (8, 8, 3, 3), 1, lambda x, w: 2 * x.nbytes),
+                ((2, 8, 32, 32), (8, 8, 3, 3), 1, lambda x, w: 0.1 * x.nbytes),
                 ((2, 8, 32, 32), (8, 8, 1, 1), 0, lambda x, w: 0.1 * x.nbytes),
                 ((2, 64, 4, 4), (64, 64, 3, 3), 1, lambda x, w: 0.25 * w.nbytes)):
             x = Tensor(rng.normal(size=x_shape), requires_grad=True)
@@ -194,6 +212,23 @@ class TestDepthwise:
             assert np.allclose(got, ref, atol=1e-4)
         for first, second in zip(*runs):
             assert np.array_equal(first, second)
+
+    def test_vjp_keeps_no_padded_grid(self):
+        # Beyond its output, a 7x7 padding-3 depthwise conv on a leaf keeps
+        # x's own array and rebuilds its stride-1 grid (about 1.45 x.nbytes
+        # at 32 px) for the weight gradient.
+        rng = rnd(32)
+        x = Tensor(rng.normal(size=(2, 7, 32, 32)), requires_grad=True)
+        w = Tensor(rng.normal(size=(7, 7, 7)), requires_grad=True)
+        b = Tensor(np.zeros(7), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.depthwise_conv2d(x, w, b, padding=3)
+            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept <= 0.1 * x.data.nbytes, kept / x.data.nbytes
 
     def test_padding_bound(self):
         x, w, b = Tensor(np.ones((1, 2, 6, 6))), Tensor(np.ones((2, 3, 3))), Tensor(np.zeros(2))
@@ -494,8 +529,8 @@ class TestRelu:
 
 
 class TestNoGradForwards:
-    """An op that skips its vjp-only work when not recording gives the
-    recording forward's output bit for bit."""
+    """An op under ``no_grad`` gives the recording forward's output bit
+    for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_relu_output_matches_the_recording_forward(self, dtype):
