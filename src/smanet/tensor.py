@@ -853,6 +853,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
         gflat = np.zeros(grid_shape, dtype=dtype)
         for t, at in enumerate(windows):
             gflat[at] += gq * (arg == t)
+        del gq  # not alive beside the gathered gradient
         return (_phase_gather(gflat, layout, x_shape),)
 
     return apply_op(data, (x,), vjp)

@@ -377,6 +377,27 @@ def test_relu_conv_chain_keeps_one_copy_of_the_activation():
     assert kept <= 1.1 * relu_bytes, kept / relu_bytes
 
 
+def test_max_pool_vjp_keeps_no_output_gradient_rows_to_the_end():
+    """The max-pool vjp (the imagenet stem's 3x3 stride-2 pool) drops the
+    output gradient's [Ho, Wq] rows once they are added onto the grid, so
+    its peak above the memory held when it starts is the zeroed grid, the
+    gathered gradient and one tap's temporaries: at most 2.2x its input,
+    against 2.36x while the rows lived until the gather."""
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(2, 8, 64, 64)), requires_grad=True, dtype=np.float32)
+    out = T.max_pool2d(x, 3, 2, 1)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        (gx,) = out._node.vjp(g)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert gx.shape == x.shape
+    assert peak <= 2.2 * x.data.nbytes, peak / x.data.nbytes
+
+
 def test_graph_releases_outputs_no_vjp_reads():
     """relu(bn(conv(x))): neither the conv output (the batch norm keeps
     its own centred copy) nor the batch-norm output (relu keeps its own

@@ -1,7 +1,10 @@
 import argparse
 import ast
+import ctypes
 import hashlib
 import os
+import resource
+import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +16,7 @@ import pytest
 from smanet import cli, losses
 from smanet import tensor as T
 from smanet.attention import channel_masks
-from smanet.backbone import lr_schedule
+from smanet.backbone import SGD, lr_schedule
 from smanet.checkpoint import load_checkpoint, save_checkpoint
 from smanet.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_THRESHOLD, main
 from smanet.config import ABLATIONS, RunConfig, config_digest, load_config, loss_config, to_text
@@ -265,6 +268,129 @@ class TestSharedParser:
             assert exc.value.code == 0
             got[verb] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert got == self.HELP_SHA256
+
+
+def has_glibc() -> bool:
+    try:
+        return sys.platform == "linux" and bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+# glibc's ceiling for its mmap threshold: 32 MiB on 64-bit.
+MMAP_CEILING = (4 << 20) * ctypes.sizeof(ctypes.c_long)
+
+
+class FakeLibc:
+    """A C library whose mallopt records its calls and answers `result`."""
+
+    def __init__(self, result=1):
+        self.calls = []
+
+        def mallopt(param, value):  # a function, so it takes argtypes
+            self.calls.append((param, value))
+            return result
+
+        self.mallopt = mallopt
+
+
+class TestHeapTop:
+    """The first `main` call keeps the freed heap top mapped (glibc only),
+    once per process; where that cannot be done, nothing else changes."""
+
+    @pytest.fixture(autouse=True)
+    def unset(self):
+        # Each test sees a process whose first `main` call is still ahead,
+        # and leaves one behind whose next call sets the real allocator.
+        cli.keep_heap_top.cache_clear()
+        yield
+        cli.keep_heap_top.cache_clear()
+
+    @pytest.mark.skipif(not has_glibc(), reason="glibc's allocator only")
+    def test_training_steps_fault_in_no_heap(self):
+        """Ten toy float32 batch-2 steps in this process: the last five
+        fault in at most 50 pages each (median).  With glibc's default
+        trim of the heap top they faulted in 400 to 1,400."""
+        cli.keep_heap_top()
+        cfg = RunConfig(task="au", profile="toy", seed=7, epochs=1, batch_size=2, n_train=8,
+                        n_val=8, n_subjects=10, n_channels=7, dtype="float32").validate()
+        train = build_split(cfg, "train")
+        state = TrainState(cfg)
+        opt = SGD([p for _, p in state.named_parameters()])
+        lcfg = loss_config(cfg, losses.compute_pos_weights(train.labels))
+        heads = list(state.heads)
+        faults = []
+        for _ in range(10):
+            before = minor_faults()
+            logits, inters = state.model(batch_tensor(train.images[:2], np.float32))
+            objective(logits, inters, train.labels[:2], heads, lcfg)[3].backward()
+            opt.step(0.01)
+            opt.zero_grad()
+            del logits, inters
+            faults.append(minor_faults() - before)
+        assert statistics.median(faults[5:]) <= 50, faults
+
+    @pytest.mark.skipif(not has_glibc(), reason="glibc's allocator only")
+    def test_batch16_activations_stay_on_the_heap(self):
+        """Setting the pad freezes glibc's mmap threshold, and in a fresh
+        process it stands at 1 to 2 MiB, below a toy batch-16 activation
+        ([16, 8, 64, 64] float32, 2 MiB).  With the threshold pinned at
+        32 MiB, a 2 MiB array made and freed again faults in nothing; with
+        the pad alone each one was a fresh mmap of 513 pages."""
+        script = (
+            "import resource, numpy as np\n"
+            "from smanet.cli import keep_heap_top\n"
+            "keep_heap_top()\n"
+            "faults = []\n"
+            "for _ in range(6):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    np.ones(1 << 18)\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(faults)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        faults = ast.literal_eval(done.stdout)
+        assert max(faults[2:]) <= 50, faults
+
+    @pytest.mark.skipif(not has_glibc(), reason="glibc's allocator only")
+    def test_set_on_the_first_main_call_only(self, tmp_path, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        assert main(["params", *TINY, "--output-dir", str(tmp_path / "a")]) == EXIT_OK
+        first = list(libc.calls)
+        assert main(["params", *TINY, "--output-dir", str(tmp_path / "b")]) == EXIT_OK
+        assert libc.calls == first == [(cli._M_MMAP_THRESHOLD, MMAP_CEILING),
+                                       (cli._M_TOP_PAD, 64 << 20)]
+
+    @pytest.mark.parametrize("missing", ["glibc", "library", "mallopt", "call"])
+    def test_runs_unchanged_without_it(self, tmp_path, monkeypatch, capsys, missing):
+        assert main(["params", *TINY, "--output-dir", str(tmp_path / "a")]) == EXIT_OK
+        expected = capsys.readouterr()
+        cli.keep_heap_top.cache_clear()
+
+        def refuse(*args):
+            raise {"glibc": ValueError, "library": OSError}[missing]("unavailable")
+
+        libc = object() if missing == "mallopt" else FakeLibc(result=0)
+        if missing == "glibc":
+            monkeypatch.setattr(cli.os, "confstr", refuse)
+        elif missing == "library":
+            monkeypatch.setattr(cli.ctypes, "CDLL", refuse)
+        else:
+            monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        assert main(["params", *TINY, "--output-dir", str(tmp_path / "b")]) == EXIT_OK
+        assert capsys.readouterr() == expected
+        assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
+        if missing == "call" and has_glibc():
+            # A refused threshold sets no pad: alone it would freeze the
+            # threshold where it stands.
+            assert libc.calls == [(cli._M_MMAP_THRESHOLD, MMAP_CEILING)]
 
 
 @pytest.mark.parametrize("verb", ["synth", "train", "gradcheck", "sweep-n"])

@@ -12,9 +12,10 @@ from smanet.backbone import BackboneConfig
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "smanet"}
 
 
-def test_package_imports_only_stdlib_and_numpy():
+def absolute_imports() -> list[tuple[str, str]]:
+    """(file name, top-level module) for every absolute import in the package."""
     root = Path(smanet.__file__).parent
-    bad = []
+    found = []
     for path in sorted(root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
@@ -23,8 +24,19 @@ def test_package_imports_only_stdlib_and_numpy():
                 names = [node.module]
             else:
                 continue
-            bad += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in ALLOWED]
-    assert not bad
+            found += [(path.name, n.split(".")[0]) for n in names]
+    return found
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    assert not [f"{file}: {module}" for file, module in absolute_imports()
+                if module not in ALLOWED]
+
+
+def test_only_the_cli_sets_the_allocator():
+    """`ctypes` reaches glibc's allocator; only `cli.py` imports it, so
+    one module alone holds the process's allocator policy."""
+    assert {file for file, module in absolute_imports() if module == "ctypes"} == {"cli.py"}
 
 
 def test_every_import_is_used():
