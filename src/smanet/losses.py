@@ -61,7 +61,8 @@ def diversity_loss(masks: Tensor, delta: float) -> Tensor:
     if masks.shape[1] == 1:
         return Tensor(np.zeros((), dtype=masks.dtype))
     d = masks.data
-    m1, m2 = d[:, :1].copy(), np.full_like(d[:, :1], -np.inf)
+    m1, m2 = d[:, :1].copy(), np.empty_like(d[:, :1])
+    m2.fill(-np.inf)
     track = T.recording(masks)
     if track:
         # The smallest signed type that holds the indices (int8 passes cost
@@ -89,7 +90,7 @@ def diversity_loss(masks: Tensor, delta: float) -> Tensor:
     size, n = d.size, d.shape[1]
 
     def vjp(g):
-        m1 = d.max(axis=1, keepdims=True)
+        m1 = np.maximum.reduce(d, 1, keepdims=True)
         rest, h1, h2 = rest_and_hinges(m1)
         s = g / size
         ch = np.arange(n, dtype=i1.dtype)[:, None, None]
@@ -116,7 +117,7 @@ def weighted_bce_logits(logits: Tensor, targets: np.ndarray, weights: np.ndarray
         raise DataError("bce targets must be binary")
     x = logits.data
     terms = w * (np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x))))
-    data = np.asarray(terms.mean())
+    data = np.asarray(np.add.reduce(terms, None) / terms.size)
 
     def vjp(g):
         return (g * w * (sigmoid_values(x) - y) / x.size,)
@@ -131,13 +132,13 @@ def cross_entropy(logits: Tensor, classes: np.ndarray) -> Tensor:
     if logits.ndim != 2 or cls.shape != (logits.shape[0],):
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs classes {cls.shape}")
     k = logits.shape[1]
-    if cls.min() < 0 or cls.max() >= k:
+    if np.minimum.reduce(cls, None) < 0 or np.maximum.reduce(cls, None) >= k:
         raise DataError(f"class index out of range [0,{k})")
     x = logits.data
-    m = x.max(axis=1, keepdims=True)
+    m = np.maximum.reduce(x, 1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
     picked = x[np.arange(x.shape[0]), cls]
-    data = np.asarray((lse - picked).mean())
+    data = np.asarray(np.add.reduce(lse - picked, None) / x.shape[0])
 
     def vjp(g):
         p = np.exp(x - m)
@@ -174,14 +175,14 @@ def bypass_logits(pooled: Tensor, heads) -> Tensor:
         raise ShapeError(f"bypass_logits: {len(heads)} heads for pooled {pooled.shape}")
     b, n = pooled.shape[:2]
     ws = [h.weight.data for h in heads]  # the vjp keeps these, not their stack
-    w = np.stack(ws)  # [N,K,C]
-    bias = np.stack([h.bias.data for h in heads])  # [N,K]
+    w = np.array(ws)  # [N,K,C]
+    bias = np.array([h.bias.data for h in heads])  # [N,K]
     data = (np.einsum("bnc,nkc->bnk", pooled.data, w) + bias).reshape(b * n, -1)
     pd, pooled_grad = pooled.data, pooled.requires_grad  # the heads' gradient reads pd
 
     def vjp(g):
         g3 = g.reshape(b, n, -1)
-        gp = np.einsum("bnk,nkc->bnc", g3, np.stack(ws)) if pooled_grad else None
+        gp = np.einsum("bnk,nkc->bnc", g3, np.array(ws)) if pooled_grad else None
         gw = np.einsum("bnk,bnc->nkc", g3, pd)
         gb = g3.sum(axis=0)
         return (gp, *(a for i in range(n) for a in (gw[i], gb[i])))
@@ -207,7 +208,7 @@ def multi_attention_loss(
     """
     pooled = T.masked_avg_pool(feature, masks)
     logits = bypass_logits(pooled, heads)
-    return task_loss(logits, np.repeat(labels, len(heads), axis=0), cfg)
+    return task_loss(logits, labels.repeat(len(heads), axis=0), cfg)
 
 
 def total_loss(l_cla: Tensor, l_div: Tensor, l_ma: Tensor, cfg: LossConfig) -> Tensor:

@@ -70,6 +70,25 @@ selections over channels or window taps are elementwise passes.
 gradients, `losses.diversity_loss` tracks the top two channels in one
 loop, and ``max_pool2d`` the winning tap in one loop over the taps.
 
+Every op, forward and vjp, calls numpy's C entry points, not the numpy
+functions written in Python around them.  ``ndarray.mean`` counts the
+reduced items in Python before its sum and division, and ``np.stack``,
+``np.broadcast_to``, ``np.expand_dims``, ``np.full`` and the ``*_like``
+makers normalise their arguments in Python first.  On the small arrays
+of the gradient checks' 32 px model that fixed cost is a large share of
+the call (numpy 2.4, one core of a 2-core Xeon): ``mean`` over (0, 2, 3)
+of a [2,16,8,8] float64 array takes 4.3 us against 2.8 us for
+``np.add.reduce`` and a division, ``np.stack`` of three such arrays
+4.7 us against 2.2 us for ``np.array``, and ``zeros_like`` 1.8 us against
+0.5 us for ``np.zeros``; with all of them replaced, that model's no-grad
+objective forward went from 7.5 to 6.8 ms.  So reductions call a ufunc's
+``reduce`` (a mean divides the sum by its count, with the bits
+``ndarray.mean`` returns; see ``tensor_mean``), arrays are made by
+``empty``, ``zeros`` or ``array``, and the shape-only set-up of a
+reduction and of the depthwise band is memoised; a test in
+`test_dependencies` keeps the rule.  ``ndarray.sum`` stays: its wrapper
+is one Python call, 0.1 us.
+
 Work that only a vjp reads is done only when the op records a graph:
 ``recording(*parents)`` is true when grad mode is on and some parent
 requires a gradient, and it is the one place that reads grad mode
@@ -87,6 +106,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import operator
 from typing import Callable, Sequence
 
@@ -95,6 +115,9 @@ import numpy as np
 from .errors import AutogradError, NumericError, ShapeError
 
 DEFAULT_DTYPE = np.float64
+# Dtypes, not scalar types, so `in` does not convert a type per test; a
+# non-native byte order still fails it, as ``dtype.char`` would not.
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 # Differentiable primitives the gradient-check harness must cover.
 PRIMITIVES = (
@@ -180,7 +203,7 @@ class Tensor:
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        elif arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -256,8 +279,10 @@ class Tensor:
         if self.data.size != 1:
             raise AutogradError(f"backward requires a scalar, got shape {self.shape}")
         root = self._node
+        seed = np.empty_like(self.data)
+        seed.fill(1.0)
         if root is None:
-            _accumulate_leaf(self, np.ones_like(self.data))
+            _accumulate_leaf(self, seed)
             self._node = _Node(None, ())  # consumed like any graph
             return
         if root.vjp is None:
@@ -273,7 +298,7 @@ class Tensor:
         # Stable: nodes of equal depth keep their discovery order.
         order.sort(key=operator.attrgetter("depth"), reverse=True)
 
-        root.grad = np.ones_like(self.data)
+        root.grad = seed
         for node in order:
             grads = node.vjp(node.grad)
             for entry, g in zip(node.parents, grads):
@@ -295,7 +320,7 @@ def _accumulate_leaf(leaf: Tensor, g: np.ndarray) -> None:
     the first arrival if it holds none; never aliases `g`, which a vjp
     may also have handed to a node."""
     if leaf.grad is None:
-        leaf.grad = np.zeros_like(leaf.data)
+        leaf.grad = np.zeros(leaf.data.shape, leaf.data.dtype)
     leaf.grad += g
 
 
@@ -425,51 +450,64 @@ def sigmoid(a: Tensor) -> Tensor:
 # -- reductions --------------------------------------------------------------
 
 
-def _norm_axes(axis, ndim) -> tuple[int, ...] | None:
-    if axis is None:
-        return None
-    if isinstance(axis, (int, np.integer)):
-        axis = (int(axis),)
-    axes = tuple(sorted(a % ndim for a in axis))
-    if len(set(axes)) != len(axes):
-        raise ShapeError(f"duplicate reduction axes {axis}")
-    return axes
+def _reduction(shape: tuple, axis) -> tuple:
+    """``(axes, kept, count)`` of a reduction over `axis` (None, an int or
+    a sequence of ints) of an array of `shape`: the sorted non-negative
+    axes (None for all), `shape` with each reduced axis set to 1, and how
+    many elements each output reduces.  The axes are made sorted
+    non-negative ints before the memoised lookup, so a list, a numpy
+    integer or a negative axis finds the entry of the same reduction."""
+    if axis is not None:
+        if isinstance(axis, (int, np.integer)):
+            axis = (axis,)
+        ndim = len(shape)
+        axis = tuple(sorted(a + ndim if a < 0 else a for a in map(operator.index, axis)))
+    return _reduction_layout(shape, axis)
 
 
-def _expand_reduced(g: np.ndarray, shape, axes, keepdims) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def _reduction_layout(shape: tuple, axes: tuple | None) -> tuple:
     if axes is None:
-        return np.broadcast_to(g, shape)
-    if not keepdims:
-        g = np.expand_dims(g, axes)
-    return np.broadcast_to(g, shape)
+        return None, (1,) * len(shape), math.prod(shape)
+    if len(set(axes)) != len(axes):
+        raise ShapeError(f"duplicate reduction axes {axes}")
+    if axes and not 0 <= axes[0] <= axes[-1] < len(shape):
+        raise ShapeError(f"reduction axes {axes} out of range for shape {shape}")
+    kept = tuple(1 if i in axes else n for i, n in enumerate(shape))
+    return axes, kept, math.prod(shape[i] for i in axes)
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _norm_axes(axis, a.ndim)
-    data = a.data.sum(axis=axes, keepdims=keepdims)
     shape = a.shape
+    axes, kept, _ = _reduction(shape, axis)
+    data = np.add.reduce(a.data, axes, keepdims=keepdims)
 
     def vjp(g):
-        return (_expand_reduced(g, shape, axes, keepdims).copy(),)
+        gx = np.empty(shape, g.dtype)
+        gx[...] = g.reshape(kept)
+        return (gx,)
 
     return apply_op(np.asarray(data), (a,), vjp)
 
 
 def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _norm_axes(axis, a.ndim)
-    data = a.data.mean(axis=axes, keepdims=keepdims)
-    count = a.size if axes is None else int(np.prod([a.shape[i] for i in axes]))
+    """The sum over `axis` divided by the element count.  The count is a
+    Python int, so a float32 sum is divided in float32; ``ndarray.mean``
+    divides by an intp in float64 and rounds once, which gives the same
+    bits for any count float32 holds exactly (every count up to 2**24)."""
     shape = a.shape
+    axes, kept, count = _reduction(shape, axis)
+    data = np.add.reduce(a.data, axes, keepdims=keepdims) / count
 
     def vjp(g):
-        return (_expand_reduced(g, shape, axes, keepdims) / count,)
+        return (np.divide(g.reshape(kept), count, out=np.empty(shape, g.dtype)),)
 
     return apply_op(np.asarray(data), (a,), vjp)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
     axis = int(axis) % a.ndim
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - np.maximum.reduce(a.data, axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
 
@@ -592,7 +630,11 @@ def _phase_grid(op: str, x: np.ndarray, k: int, stride: int, padding: int, fill:
     if phases == 1 and (rows, wq) == (h, wd):
         return np.ascontiguousarray(x).reshape(1, b, c, h * wd), layout
     shape = (phases, b, c, rows, wq)
-    grid = np.full(shape, fill, dtype=x.dtype) if fill else np.zeros(shape, dtype=x.dtype)
+    if fill:
+        grid = np.empty(shape, dtype=x.dtype)
+        grid.fill(fill)
+    else:
+        grid = np.zeros(shape, dtype=x.dtype)
     for at_x, at_grid in layout[3]:
         grid[at_grid] = x[at_x]
     return grid.reshape(phases, b, c, rows * wq), layout
@@ -735,6 +777,16 @@ def conv2d(
     return apply_op(data, parents, vjp)
 
 
+@functools.lru_cache(maxsize=64)
+def _band_index(k: int, tile: int) -> np.ndarray:
+    """Where a flattened [tile+k-1, tile] band of ``_depthwise_correlate``
+    holds kernel tap j for output column q: entry (q + j, q), at
+    j*tile + q*(tile+1); a read-only [k, tile] index."""
+    index = np.arange(k)[:, None] * tile + np.arange(tile) * (tile + 1)
+    index.flags.writeable = False
+    return index
+
+
 def _depthwise_correlate(flat: np.ndarray, layout: tuple, w: np.ndarray) -> np.ndarray:
     """Valid per-channel correlation of a flat stride-1 grid
     (``_phase_grid``, [1,B,N,rows*Wq]) with w[N,k,k]: the [B,N,ho,wo]
@@ -756,9 +808,8 @@ def _depthwise_correlate(flat: np.ndarray, layout: tuple, w: np.ndarray) -> np.n
     tiles = -(-wo // 16) if k > 1 else 1
     tile = -(-wo // tiles)
     view = _window_view(flat, (b, n, tiles, ho + k - 1, tile + k - 1), (n * size, size, tile, wq, 1))
-    # band[i, n] flattened: entry (q + j, q) sits at j*tile + q*(tile+1).
     band = np.zeros((k, n, (tile + k - 1) * tile), dtype=np.result_type(flat, w))
-    band[:, :, np.arange(k)[:, None] * tile + np.arange(tile) * (tile + 1)] = w.transpose(1, 0, 2)[..., None]
+    band[:, :, _band_index(k, tile)] = w.transpose(1, 0, 2)[..., None]
     band = band.reshape(k, n, 1, tile + k - 1, tile)
     out = np.matmul(view[..., :ho, :], band[0])
     for i in range(1, k):
@@ -875,10 +926,11 @@ def batch_norm2d(
     updates the running buffers in place (unbiased variance, torch
     convention); eval mode normalizes with the running buffers.
 
-    The training forward takes one mean and one centred copy x - mean.
-    That copy gives the variance as sum((x - mean)^2) / m, bit for bit
-    what ``np.var`` returns without its second mean, and is then scaled
-    in place into xhat.  The gradient reuses the beta and gamma
+    The training forward takes one mean, each channel's sum divided by m
+    as in ``tensor_mean``, and one centred copy x - mean.  That copy
+    gives the variance as sum((x - mean)^2) / m, bit for bit what
+    ``np.var`` returns without its second mean, and is then scaled in
+    place into xhat.  The gradient reuses the beta and gamma
     gradients sum(g) and sum(g*xhat):
     gx = gamma*invstd * (g - sum(g)/m - xhat*sum(g*xhat)/m).  Eval mode
     folds the running statistics into one per-channel x*scale + shift.
@@ -890,7 +942,7 @@ def batch_norm2d(
     m = b * h * wd
     axes = (0, 2, 3)
     if training:
-        mu = x.data.mean(axis=axes)
+        mu = np.add.reduce(x.data, axes) / m
         xhat = x.data - mu[:, None, None]
         var = (xhat * xhat).sum(axis=axes) / m
         invstd = 1.0 / np.sqrt(var + eps)

@@ -315,3 +315,12 @@ def fd_grad(f, x, eps=1e-6):
         xm[idx] -= eps
         g[idx] = (f(xp) - f(xm)) / (2 * eps)
     return g
+
+
+def same_bits(got, want):
+    """Same dtype, shape and bits: compared as unsigned integers, so a
+    changed rounding or the sign of a zero or a NaN counts."""
+    got, want = np.asarray(got), np.asarray(want)
+    bits = f"u{got.itemsize}"
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and np.array_equal(got.view(bits), want.view(bits))

@@ -61,6 +61,16 @@ def _calls(tree, attr):
             and getattr(node.func, "attr", getattr(node.func, "id", None)) == attr]
 
 
+def _op_scopes(path, tree):
+    """The code that runs in an op: all of `tensor.py`, and each function
+    of `losses.py` that calls `apply_op` (its vjp included)."""
+    if path.name == "tensor.py":
+        return [tree]
+    if path.name == "losses.py":
+        return [f for f in tree.body if isinstance(f, ast.FunctionDef) and _calls(f, "apply_op")]
+    return []
+
+
 def test_no_slow_selects():
     """On numpy 2.x `np.where` on a data-dependent mask mispredicts its
     branches, and `argmax` over a non-last axis first copies the array
@@ -76,13 +86,36 @@ def test_no_slow_selects():
             axis = [k.value for k in node.keywords if k.arg == "axis"]
             if not axis or ast.unparse(axis[0]) != "-1":
                 slow.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
-        scopes = [tree] if path.name == "tensor.py" else []
-        if path.name == "losses.py":
-            scopes = [f for f in tree.body
-                      if isinstance(f, ast.FunctionDef) and _calls(f, "apply_op")]
-        for scope in scopes:
+        for scope in _op_scopes(path, tree):
             slow += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
                      for node in _calls(scope, "where")]
+    assert not slow
+
+
+# numpy functions written in Python around a C entry point (see `tensor`).
+PYTHON_WRAPPERS = {"prod", "stack", "broadcast_to", "expand_dims", "full", "full_like",
+                   "zeros_like", "ones_like", "repeat"}
+
+
+def test_ops_call_numpy_c_entry_points():
+    """The `.mean`, `.max` and `.min` methods and the numpy functions in
+    `PYTHON_WRAPPERS` run Python code of numpy's before they reach C; on
+    the small arrays of most ops that fixed cost is a large share of the
+    call.  No op scope (`_op_scopes`) calls one: reductions call the
+    ufunc's ``reduce``, and arrays are made by ``empty``, ``zeros`` or
+    ``array``.  The builtin ``max`` is no array method and stays."""
+    root = Path(smanet.__file__).parent
+    slow = []
+    for path in (root / "tensor.py", root / "losses.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope in _op_scopes(path, tree):
+            for node in ast.walk(scope):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                    continue
+                name, owner = node.func.attr, node.func.value
+                if name in ("mean", "max", "min") or (
+                        isinstance(owner, ast.Name) and owner.id == "np" and name in PYTHON_WRAPPERS):
+                    slow.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not slow
 
 

@@ -140,8 +140,35 @@ class TestWeightedBce:
         want = (-w * (y * np.log(sig) + (1 - y) * np.log(1 - sig))).mean()
         assert abs(weighted_bce_logits(Tensor(x), y, w).item() - want) < 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_value_matches_the_mean_method(self, dtype):
+        rng = np.random.default_rng(5)
+        x = rng.normal(scale=4.0, size=(6, 7)).astype(dtype)
+        y = (rng.random((6, 7)) > 0.5).astype(dtype)
+        w = rng.uniform(0.5, 3.0, 7).astype(dtype)
+        out = weighted_bce_logits(Tensor(x), y, w)
+        terms = w * (np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x))))
+        assert oracles.same_bits(out.data, np.asarray(terms.mean()))
+
 
 class TestCrossEntropy:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_value_and_vjp_match_the_max_and_mean_methods(self, dtype):
+        rng = np.random.default_rng(6)
+        x = rng.normal(scale=4.0, size=(10, 7)).astype(dtype)
+        cls = rng.integers(0, 7, 10)
+        out = cross_entropy(Tensor(x, requires_grad=True), cls)
+        m = x.max(axis=1, keepdims=True)
+        lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
+        rows = np.arange(10)
+        assert oracles.same_bits(out.data, np.asarray((lse - x[rows, cls]).mean()))
+        g = np.asarray(-0.75, dtype=dtype)
+        (grad,) = out._node.vjp(g)
+        p = np.exp(x - m)
+        p /= p.sum(axis=1, keepdims=True)
+        p[rows, cls] -= 1.0
+        assert oracles.same_bits(grad, g * p / 10)
+
     def test_uniform_logits(self):
         got = cross_entropy(Tensor(np.zeros((2, 4))), np.array([0, 3]))
         assert abs(got.item() - math.log(4)) < 1e-12

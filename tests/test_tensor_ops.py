@@ -308,6 +308,64 @@ class TestSoftmax:
         assert abs(a.sum() - 1.0) < 1e-9
 
 
+# Axis arguments as callers pass them, with the tuple numpy takes.
+AXES = [(None, None), (1, 1), (-1, -1), ((0, 2), (0, 2)), ((-1, 0), (0, 2)),
+        ([0, -1], (0, 2)), (np.int64(1), 1)]
+
+
+class TestReductionBits:
+    """The reductions call numpy's ufunc reduce directly; each result is
+    the same bits as the ``ndarray`` method or broadcast it replaced."""
+
+    @staticmethod
+    def case(dtype):
+        rng = rnd(19)
+        x = (rng.normal(scale=1e3, size=(3, 5, 7)) + 0.1).astype(dtype)
+        g = rng.normal(size=(3, 5, 7)).astype(dtype)
+        g[0, 0, 0] = -0.0
+        return x, g
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis, np_axis", AXES)
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_sum_and_mean_match_the_numpy_methods(self, dtype, axis, np_axis, keepdims):
+        x, g_full = self.case(dtype)
+        axes = range(3) if np_axis is None else np.atleast_1d(np_axis) % 3
+        count = int(np.prod([x.shape[i] for i in axes]))
+        for op, want, scale in ((T.tensor_sum, x.sum, 1), (T.tensor_mean, x.mean, count)):
+            out = op(Tensor(x, requires_grad=True), axis=axis, keepdims=keepdims)
+            assert oracles.same_bits(out.data, want(axis=np_axis, keepdims=keepdims))
+            g = np.asarray(g_full.sum(axis=np_axis, keepdims=keepdims))
+            g.flat[0] = -0.0
+            expanded = g if keepdims or np_axis is None else np.expand_dims(g, np_axis)
+            (grad,) = out._node.vjp(g)
+            assert oracles.same_bits(grad, np.broadcast_to(expanded, x.shape) / scale)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_softmax_matches_the_max_method(self, dtype, axis):
+        x = rnd(20).normal(scale=30.0, size=(4, 6)).astype(dtype)
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        assert oracles.same_bits(T.softmax(Tensor(x), axis).data, e / e.sum(axis=axis, keepdims=True))
+
+    def test_list_numpy_and_negative_axes_share_one_entry(self):
+        x = Tensor(rnd(21).normal(size=(2, 3, 4)))
+        T._reduction_layout.cache_clear()
+        results = [x.sum(axis=a).data for a in ((0, 2), [0, -1], (-1, np.int64(0)))]
+        results += [x.mean(axis=a).data for a in (1, np.int64(1), [-2])]
+        assert T._reduction_layout.cache_info().currsize == 2
+        for got in results[1:3]:
+            assert oracles.same_bits(got, results[0])
+        for got in results[4:]:
+            assert oracles.same_bits(got, results[3])
+
+    @pytest.mark.parametrize("axis", [(1, -2), [0, 0], 3, (-4,)])
+    def test_duplicate_or_out_of_range_axes_raise(self, axis):
+        for op in (T.tensor_sum, T.tensor_mean):
+            with pytest.raises(ShapeError):
+                op(Tensor(np.ones((2, 3, 4))), axis=axis)
+
+
 class TestAvgPool:
     def test_constant(self):
         out = Tensor(np.full((2, 3, 4, 4), 2.5)).mean(axis=(2, 3))
@@ -493,9 +551,9 @@ class TestBatchNorm:
         m = x.size // 6
         c = (slice(None), None, None)
         xhat = (x - mean[c]) * (1.0 / np.sqrt(var + 1e-5))[c]
-        assert np.array_equal(out.data, gamma[c] * xhat + beta[c])
-        assert np.array_equal(rm, rm0 * (1.0 - 0.1) + 0.1 * mean)
-        assert np.array_equal(rv, rv0 * (1.0 - 0.1) + 0.1 * (var * (m / (m - 1))))
+        assert oracles.same_bits(out.data, gamma[c] * xhat + beta[c])
+        assert oracles.same_bits(rm, rm0 * (1.0 - 0.1) + 0.1 * mean)
+        assert oracles.same_bits(rv, rv0 * (1.0 - 0.1) + 0.1 * (var * (m / (m - 1))))
 
     def test_eval_mode_gradients(self):
         rng = rnd(18)
@@ -583,6 +641,14 @@ class TestMixedDtypes:
                     fn(x, *params)
             params = [Tensor(rng.normal(size=s), dtype=x_dtype) for s in shapes]
             assert fn(x, *params).dtype == x_dtype
+
+    def test_tensor_keeps_native_floats_and_converts_the_rest(self):
+        for dtype in (np.float32, np.float64):
+            arr = np.arange(3, dtype=dtype)
+            assert Tensor(arr).data is arr
+        for dtype in (np.int64, np.float16, ">f8", ">f4"):
+            data = Tensor(np.arange(3, dtype=dtype)).data
+            assert data.dtype == np.dtype(np.float64) and data.dtype.isnative
 
 
 class TestDeterminismAndChecks:
