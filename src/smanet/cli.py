@@ -22,8 +22,10 @@ The first `main` call also keeps the heap's freed top mapped for the
 rest of the process (`keep_heap_top`, glibc only).  A training step
 frees its whole graph at its end; glibc would trim the heap top it
 leaves and unmap it, and the next forward would fault every page in
-again: 400 to 1,400 minor faults per toy batch-2 step.  Only this
-process's allocator is set; no number, and no artifact, changes.
+again: 400 to 1,400 minor faults per toy batch-2 step.  Each verb also
+runs at a ufunc buffer of `UFUNC_BUFSIZE` elements, and `main` restores
+the caller's size when it returns.  Only this process's allocator and
+numpy's buffer size are set; no number, and no artifact, changes.
 """
 
 from __future__ import annotations
@@ -57,6 +59,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_THRESHOLD = 4
+
+# numpy's ufunc buffer, in elements, while a verb runs.  numpy copies a
+# broadcast [C,1,1] or [B,1,H,W] operand, or a window of a phase grid,
+# through its buffer: `x * v[:, None, None]` on float32 [2,8,64,64] took
+# 31.4 us at numpy's 8,192 and 10.2 us at 1,024.  Fastest toy float32
+# training step, two rounds, at 8,192 / 2,048 / 1,024 / 256 elements:
+# 32.8-33.3 / 31.1-31.2 / 31.3-31.4 / 31.0 ms at batch 2, and 236-244 /
+# 220-225 / 225-226 / 231-233 ms at batch 16, where a smaller buffer slows
+# the float-times-bool passes.  No bit depends on the size (see `tensor`).
+UFUNC_BUFSIZE = 1024
 
 # glibc's mallopt parameters (<malloc.h>) and the heap top kept mapped.
 _M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
@@ -336,7 +348,12 @@ def main(argv=None) -> int:
             # loss, or the --checked trap), so numpy's own floating-point
             # warnings would only repeat it on stderr.
             with np.errstate(all="ignore"):
-                return args.run(cfg, args)
+                bufsize = np.setbufsize(UFUNC_BUFSIZE)
+                try:
+                    return args.run(cfg, args)
+                finally:
+                    # numpy 1.x's errstate restores only the error modes.
+                    np.setbufsize(bufsize)
         finally:
             T.set_checked(was_checked)
     except (ConfigError, DataError) as exc:

@@ -70,6 +70,29 @@ selections over channels or window taps are elementwise passes.
 gradients, `losses.diversity_loss` tracks the top two channels in one
 loop, and ``max_pool2d`` the winning tap in one loop over the taps.
 
+numpy also copies a ufunc call through its buffer whenever the operands'
+unbuffered rows are shorter than the buffer: a [C,1,1] or [B,1,H,W]
+operand broadcast over a map, or a window of a phase grid.  At numpy's
+default of 8,192 elements, ``x * v[:, None, None]`` on a float32
+[2,8,64,64] array took 31.4 us, against 17.9 us for a same-shape
+``x * x``; at 1,024 elements it took 10.2 us (at [16,8,64,64], 357
+against 202 us), and one window add of ``conv2d``'s input gradient (32
+rows of 1,088) 7.7 against 21.1 us (numpy 2.4.6, one core of a 2-core
+Xeon, one BLAS thread).  A smaller buffer costs rows of 64 a little
+([2,64,8,8], 5.4 to 5.7 us) and a batch-16 float-times-bool pass more
+(relu's vjp, 340 to 563 us).  A toy training step at 1,024 was as fast
+as at the fastest size tried, within its spread, at batch 2 and at batch
+16 (`cli.UFUNC_BUFSIZE`), so every verb runs at that size, which
+`cli.main` sets.  The size changes no bit while every float reduction
+reads a contiguous array of its own dtype: an elementwise loop computes
+each element on its own, and such a reduction is never buffered.  A
+reduction over a strided view is: ``np.add.reduce`` over (0, 2, 3) of a
+cropped ``[..., :wo]`` view gave other bits at buffers of 8,192, 1,024
+and 256 in 24 of 60 shapes tried (float32 and float64, batch 2 and 16, 8
+to 32 channels, 4 to 64 px), its contiguous copy in none.  So ``conv2d``
+copies its cropped output, and a test in `test_cli` compares a training
+step's bits at three buffer sizes.
+
 Every op, forward and vjp, calls numpy's C entry points, not the numpy
 functions written in Python around them.  ``ndarray.mean`` counts the
 reduced items in Python before its sum and division, and ``np.stack``,
@@ -667,6 +690,9 @@ def _tap_major(w: np.ndarray) -> np.ndarray:
     """w[Cout,Cin,k,k] as k*k contiguous [Cout,Cin] matrices, tap
     t = i*k + j holding w[:, :, i, j]."""
     cout, cin, k, _ = w.shape
+    # One copy per call: a strided w[:, :, i, j] gives the same bits, but
+    # matmul copies it inside every call (one 64->64 tap at 4 px, float64:
+    # 16.6 against 9.5 us; this whole copy takes 24.6 us).
     return np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, cout, cin)
 
 
@@ -738,6 +764,9 @@ def conv2d(
         out += np.matmul(wt[t], flat[windows[t]])
     del flat, wt  # the vjp rebuilds each, and only for the gradient that reads it
     data = out.reshape(b, cout, ho, wq)[..., :wo]
+    # Without a bias, copy the crop: the batch norm after it reduces over
+    # (0, 2, 3), and over the strided crop its bits would depend on numpy's
+    # ufunc buffer size (see the module docstring).
     data = data + bias.data[:, None, None] if bias is not None else np.ascontiguousarray(data)
     x_shape, x_grad = x.shape, x.requires_grad
     xd = x.data if weight.requires_grad else None

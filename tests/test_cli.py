@@ -1,5 +1,6 @@
 import argparse
 import ast
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -13,14 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import same_bits
 from smanet import cli, losses
 from smanet import tensor as T
 from smanet.attention import channel_masks
 from smanet.backbone import SGD, lr_schedule
 from smanet.checkpoint import load_checkpoint, save_checkpoint
 from smanet.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_THRESHOLD, main
-from smanet.config import ABLATIONS, RunConfig, config_digest, load_config, loss_config, to_text
+from smanet.config import (ABLATIONS, RunConfig, config_digest, load_config, loss_config,
+                           np_dtype, to_text)
 from smanet.errors import ConfigError, DataError
+from smanet.gradcheck import _objective as gradcheck_objective
 from smanet.ppm import encode_color, encode_heatmap
 from smanet.tensor import PRIMITIVES
 from smanet.losses import objective
@@ -391,6 +395,71 @@ class TestHeapTop:
             # A refused threshold sets no pad: alone it would freeze the
             # threshold where it stands.
             assert libc.calls == [(cli._M_MMAP_THRESHOLD, MMAP_CEILING)]
+
+
+@contextlib.contextmanager
+def ufunc_buffer(size):
+    before = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(before)
+
+
+def one_tiny_step(dtype) -> list[np.ndarray]:
+    """l_all, every SGD gradient entry and the eval logits after the
+    update, of one TINY training step on two images."""
+    cfg = tiny_cfg(dtype=dtype)
+    train, val = build_splits(cfg)
+    state = TrainState(cfg)
+    opt = SGD([p for _, p in state.named_parameters()])
+    lcfg = loss_config(cfg, losses.compute_pos_weights(train.labels))
+    logits, inters = state.model(batch_tensor(train.images[:2], np_dtype(cfg)))
+    l_all = objective(logits, inters, train.labels[:2], list(state.heads), lcfg)[-1]
+    l_all.backward()
+    grad = opt.grad.copy()
+    opt.step(0.01)
+    return [l_all.data, grad, evaluate_model(state, val, cfg)["logits"]]
+
+
+class TestUfuncBuffer:
+    """Each verb runs at a 1,024-element ufunc buffer (`cli.UFUNC_BUFSIZE`),
+    and no number depends on the buffer's size."""
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["ok", "error_exit"])
+    def test_verb_runs_at_it_and_the_callers_size_comes_back(self, tmp_path, monkeypatch, fail):
+        seen, count = [], cli.backbone_param_count
+
+        def recorded(bcfg):
+            seen.append(np.getbufsize())
+            if fail:
+                raise ConfigError("refused")
+            return count(bcfg)
+
+        monkeypatch.setattr(cli, "backbone_param_count", recorded)
+        with ufunc_buffer(4096):  # the caller's own size, not numpy's default
+            rc = main(["params", *TINY, "--output-dir", str(tmp_path)])
+            after = np.getbufsize()
+        assert rc == (EXIT_CONFIG if fail else EXIT_OK)
+        assert seen == [1024] * (1 if fail else 2)
+        assert after == 4096
+
+    def test_no_number_depends_on_its_size(self):
+        """At numpy's default 8,192, at 1,024 and at 16 elements.  The
+        elementwise loops compute each element on its own, and every float
+        reduction reads a contiguous same-dtype array, which numpy never
+        buffers; a reduction over a strided view would fail here."""
+        runs = []
+        for size in (8192, 1024, 16):
+            with ufunc_buffer(size):
+                values = one_tiny_step("float32") + one_tiny_step("float64")
+                forward, _ = gradcheck_objective(0, np.random.default_rng(50))
+                with T.no_grad():
+                    values.append(forward().data)
+            runs.append(values)
+        for values in runs[1:]:
+            assert len(values) == len(runs[0]) == 7
+            assert all(same_bits(got, want) for got, want in zip(values, runs[0]))
 
 
 @pytest.mark.parametrize("verb", ["synth", "train", "gradcheck", "sweep-n"])

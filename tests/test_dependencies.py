@@ -39,6 +39,14 @@ def test_only_the_cli_sets_the_allocator():
     assert {file for file, module in absolute_imports() if module == "ctypes"} == {"cli.py"}
 
 
+def test_only_the_cli_sets_the_ufunc_buffer():
+    """numpy's ufunc buffer size is process state; only `cli.py` calls
+    `setbufsize`, so one module owns it."""
+    root = Path(smanet.__file__).parent
+    assert {path.name for path in root.rglob("*.py")
+            if _calls(ast.parse(path.read_text(), filename=str(path)), "setbufsize")} == {"cli.py"}
+
+
 def test_every_import_is_used():
     """The project's unused-import check (it declares no linter)."""
     root = Path(smanet.__file__).parent
