@@ -6,6 +6,10 @@ Layout (all integers little-endian):
 Record: u16 name length | name (utf-8) | u8 ndim | u32 dims | payload as
 raw little-endian float64.  Values are stored in 64-bit regardless of the
 model compute dtype, so save -> load -> save round-trips byte-identically.
+Version 2 has version 1's layout; its records hold each attention block's
+bypass heads as one weight and one bias (``heads.<b>.weight`` [N*K,C],
+``heads.<b>.bias`` [N*K]) where version 1 held a pair per head.  A file
+of another version is refused.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from .errors import DataError
 
 MAGIC = b"SMCK"
-VERSION = 1
+VERSION = 2
 
 
 @contextlib.contextmanager
@@ -88,7 +92,7 @@ def load_checkpoint(path):
         raise DataError(f"{path} is not a checkpoint (bad magic)")
     (version,) = struct.unpack("<I", take(4))
     if version != VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
+        raise DataError(f"unsupported checkpoint version {version} (want {VERSION})")
     (dlen,) = struct.unpack("<H", take(2))
     digest = text(dlen, "ascii", "digest")
     (count,) = struct.unpack("<I", take(4))

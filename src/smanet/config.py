@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import SmaConfig
-from .backbone import BackboneConfig
+from .backbone import PLACEMENTS, BackboneConfig
 from .errors import ConfigError
 from .losses import LossConfig
 
@@ -92,7 +92,7 @@ class RunConfig:
             raise ConfigError(f"profile must be toy or paper, got {self.profile!r}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {list(ABLATIONS)}, got {self.ablation!r}")
-        if self.sma_placement not in ("auto", "all_blocks", "first_two_blocks", "none"):
+        if self.sma_placement not in ("auto",) + PLACEMENTS:
             raise ConfigError(f"bad sma_placement {self.sma_placement!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")

@@ -335,7 +335,7 @@ def selective_oversample(labels: np.ndarray, threshold: float,
             if len(pos) == 0:
                 continue
             while counts[l] < p * total - 1e-12:
-                need = math.ceil((p * total - counts[l]) / (1.0 - p)) if p < 1.0 else 0
+                need = math.ceil((p * total - counts[l]) / (1.0 - p)) if p < 1.0 else math.inf
                 if need <= 0:
                     break
                 appended = 0

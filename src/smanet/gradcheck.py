@@ -16,8 +16,8 @@ returns a (forward, leaves) pair; the check's thunk hands that pair to
 `grad_check_many` (conv2d checks three stride/padding cases and keeps the
 worst).  The CLI gradcheck command runs every thunk and fails on any error
 at or above `SUITE_TOLERANCE`.  Primitives, blocks and losses are checked
-coordinate by coordinate; the composed objective, with about 190 leaves on
-the toy model, is checked along one random direction per leaf.
+coordinate by coordinate; the composed objective, with 143 leaves on the
+toy model, is checked along one random direction per leaf.
 """
 
 from __future__ import annotations
@@ -127,10 +127,6 @@ def _op(fn, proj_seed: int = 0, /, **leaves: Tensor):
     return forward, leaves
 
 
-def _head_params(heads) -> dict[str, Tensor]:
-    return {f"head{i}.{n}": p for i, h in enumerate(heads) for n, p in h.named_parameters()}
-
-
 def _linear(rng):
     return _op(T.linear, x=_rand(rng, 5, 4), w=_rand(rng, 3, 4), b=_rand(rng, 3))
 
@@ -168,9 +164,7 @@ def _cross_entropy(rng):
 
 
 def _bypass(rng):
-    heads = [Linear(4, 3, rng, 0.5) for _ in range(3)]
-    return _op(lambda pooled, *_: bypass_logits(pooled, heads), 41,
-               pooled=_rand(rng, 2, 3, 4), **_head_params(heads))
+    return _op(bypass_logits, 41, pooled=_rand(rng, 2, 3, 4), w=_rand(rng, 9, 4), b=_rand(rng, 9))
 
 
 def _sma_block(rng):
@@ -197,11 +191,11 @@ def _refine(rng):
 
 def _multi_attention(rng):
     block = MultiChannelAttention(SmaConfig(n_channels=2), 4, rng)
-    heads = [Linear(4, 3, rng, 0.5) for _ in range(2)]
+    heads = Linear(4, 2 * 3, rng, 0.5)
     lcfg = LossConfig()
     labels = rng.integers(0, 3, size=2)
     return _op(lambda x, *_: multi_attention_loss(T.sigmoid(block.f2a(x)), x, labels, heads, lcfg),
-               input=_rand(rng, 2, 4, 5, 5), **_head_params(heads))
+               input=_rand(rng, 2, 4, 5, 5), **dict(heads.named_parameters()))
 
 
 def _objective(seed, rng):

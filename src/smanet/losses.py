@@ -160,35 +160,31 @@ def task_loss(logits: Tensor, labels: np.ndarray, cfg: LossConfig) -> Tensor:
     return cross_entropy(logits, labels)
 
 
-def bypass_logits(pooled: Tensor, heads) -> Tensor:
+def bypass_logits(pooled: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Every bypass head applied to its own channel's pooled feature.
 
-    pooled[B,N,C] holds the attended feature of channel n in row n, and
-    heads[n] is an affine map C -> K.  Row b*N + n of the [B*N, K] result
-    is head n's logits for sample b.  The parents are `pooled` and each
-    head's weight and bias, so the heads stay separate parameters.  The
-    forward stacks the heads' weights into one [N,K,C] array and drops
-    it; the vjp keeps the heads' own weight arrays and stacks them again
-    only for pooled's gradient.
+    pooled[B,N,C] holds the attended feature of channel n in row n.  The
+    N heads are one layer, weight [N*K,C] and bias [N*K]: row block n of
+    it is head n, an affine map C -> K.  Row b*N + n of the [B*N, K]
+    result is head n's logits for sample b.  Both passes read the weight
+    through an [N,K,C] view, so the vjp keeps the weight array itself,
+    and the op has three parents whatever N is.
     """
-    if pooled.ndim != 3 or pooled.shape[1] != len(heads):
-        raise ShapeError(f"bypass_logits: {len(heads)} heads for pooled {pooled.shape}")
-    b, n = pooled.shape[:2]
-    ws = [h.weight.data for h in heads]  # the vjp keeps these, not their stack
-    w = np.array(ws)  # [N,K,C]
-    bias = np.array([h.bias.data for h in heads])  # [N,K]
-    data = (np.einsum("bnc,nkc->bnk", pooled.data, w) + bias).reshape(b * n, -1)
+    b, n, c = pooled.shape if pooled.ndim == 3 else (0, 0, 0)
+    if not n or weight.shape[0] % n or weight.shape[1:] != (c,) or bias.shape != weight.shape[:1]:
+        raise ShapeError(f"bypass_logits: heads {weight.shape}, {bias.shape} for {pooled.shape}")
+    k = weight.shape[0] // n
+    w = weight.data.reshape(n, k, c)
+    data = np.einsum("bnc,nkc->bnk", pooled.data, w) + bias.data.reshape(n, k)
     pd, pooled_grad = pooled.data, pooled.requires_grad  # the heads' gradient reads pd
 
     def vjp(g):
-        g3 = g.reshape(b, n, -1)
-        gp = np.einsum("bnk,nkc->bnc", g3, np.array(ws)) if pooled_grad else None
-        gw = np.einsum("bnk,bnc->nkc", g3, pd)
-        gb = g3.sum(axis=0)
-        return (gp, *(a for i in range(n) for a in (gw[i], gb[i])))
+        g3 = g.reshape(b, n, k)
+        gp = np.einsum("bnk,nkc->bnc", g3, w) if pooled_grad else None
+        gw = np.einsum("bnk,bnc->nkc", g3, pd).reshape(n * k, c)
+        return gp, gw, g3.sum(axis=0).reshape(n * k)
 
-    parents = (pooled, *(p for h in heads for p in (h.weight, h.bias)))
-    return apply_op(data, parents, vjp)
+    return apply_op(data.reshape(b * n, k), (pooled, weight, bias), vjp)
 
 
 def multi_attention_loss(
@@ -202,13 +198,14 @@ def multi_attention_loss(
 
     Each channel gates the feature block with its own mask (masks
     [B,N,H,W], see `attention.channel_masks`), pools it globally, and
-    must predict the labels through its own affine head.
+    must predict the labels through its own affine head: row block n of
+    `heads`, one `nn.Linear` with N*K outputs (see `bypass_logits`).
     With the labels repeated once per channel, one task loss over all
     B*N rows is the mean of the N per-head losses.
     """
     pooled = T.masked_avg_pool(feature, masks)
-    logits = bypass_logits(pooled, heads)
-    return task_loss(logits, labels.repeat(len(heads), axis=0), cfg)
+    logits = bypass_logits(pooled, heads.weight, heads.bias)
+    return task_loss(logits, labels.repeat(masks.shape[1], axis=0), cfg)
 
 
 def total_loss(l_cla: Tensor, l_div: Tensor, l_ma: Tensor, cfg: LossConfig) -> Tensor:

@@ -10,15 +10,16 @@ closes over arrays, shapes and flags, never over a ``Tensor``, and keeps
 an input's data only where a gradient reads it.  Where a gradient reads
 an array that is alive anyway (an input's or a parameter's data, or the
 op's own output), the vjp keeps a reference to it, never a copy derived
-from it, and rebuilds what it derives in the backward: a transposed or
-stacked weight, a windowed op's padded phase grid, relu's mask, and
-L_div's top channel.  So the graph keeps each activation once: a relu
-output that feeds a conv is kept by both vjps, as one array.  ``mul``,
-``linear``, ``conv2d``, ``depthwise_conv2d``, eval-mode
-``batch_norm2d``, ``masked_avg_pool`` and `losses.bypass_logits` keep
-one input for another's gradient, and the task losses their logits;
-``relu``, ``sigmoid`` and ``softmax`` keep their outputs; ``add``,
-``reshape``, ``sum`` and ``mean`` keep shapes.  ``backward`` on a scalar
+from it, and rebuilds what it derives in the backward: a transposed
+weight, a windowed op's padded phase grid, relu's mask, and L_div's top
+channel.  So the graph keeps each activation once: a relu output that
+feeds a conv is kept by both vjps, as one array.  ``mul``, ``linear``,
+``conv2d``, ``depthwise_conv2d``, eval-mode ``batch_norm2d``,
+``masked_avg_pool`` and `losses.bypass_logits` keep one input for
+another's gradient (`losses.bypass_logits` keeps its heads' weight
+array itself, read through an [N,K,C] view), and the task losses their
+logits; ``relu``, ``sigmoid`` and ``softmax`` keep their outputs;
+``add``, ``reshape``, ``sum`` and ``mean`` keep shapes.  ``backward`` on a scalar
 replays the nodes in decreasing depth (a node's depth is 1 + its deepest
 parent node's), accumulating gradients additively across fan-out, and
 writes ``.grad`` only on leaves.  Every consumer is deeper than its

@@ -81,9 +81,11 @@ def build_splits(cfg: RunConfig) -> tuple[Dataset, Dataset]:
 
 
 class TrainState(Module):
-    """Backbone plus the per-channel bypass heads, checkpointed together:
-    N heads for each block whose attention is a MultiChannelAttention.
-    Built in float64, then cast once to the configured compute dtype."""
+    """Backbone plus the per-channel bypass heads, checkpointed together.
+    Each block whose attention is a MultiChannelAttention gets its N heads
+    as one `Linear` with N*K outputs, registered as ``heads.<b>``: row
+    block n of it is head n (see `losses.bypass_logits`).  Built in
+    float64, then cast once to the configured compute dtype."""
 
     def __init__(self, cfg: RunConfig):
         super().__init__()
@@ -93,10 +95,9 @@ class TrainState(Module):
         for block in self.model.blocks:
             attn = block.attention
             if isinstance(attn, MultiChannelAttention):
-                self.heads.append(ModuleList(
-                    Linear(attn.in_channels, self.model.cfg.num_outputs, rng, INIT_SCALE,
-                           zero_bias=True)
-                    for _ in range(attn.cfg.n_channels)))
+                self.heads.append(Linear(attn.in_channels,
+                                         attn.cfg.n_channels * self.model.cfg.num_outputs,
+                                         rng, INIT_SCALE, zero_bias=True))
         self.cast(np_dtype(cfg))
 
 

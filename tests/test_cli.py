@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from oracles import same_bits
-from smanet import cli, losses
+from smanet import checkpoint, cli, losses
 from smanet import tensor as T
-from smanet.attention import channel_masks
+from smanet.attention import MultiChannelAttention, channel_masks
 from smanet.backbone import SGD, lr_schedule
 from smanet.checkpoint import load_checkpoint, save_checkpoint
 from smanet.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_THRESHOLD, main
@@ -574,6 +574,13 @@ class TestTrain:
                    "--output-dir", str(tmp_path / "five")])
         assert rc == EXIT_OK
 
+    def test_unknown_placement_refused(self, tmp_path, capsys):
+        rc = main(["train", *TINY, "--sma-placement", "everywhere",
+                   "--output-dir", str(tmp_path / "run")])
+        assert rc == EXIT_CONFIG
+        assert "everywhere" in one_line_error(capsys)
+        assert not (tmp_path / "run").exists()
+
     def test_writes_log_and_checkpoint(self, tmp_path):
         rc = main(["train", *TINY, "--output-dir", str(tmp_path)])
         assert rc == EXIT_OK
@@ -671,10 +678,12 @@ class TestTrainBytes:
     # was re-recorded when the backward began to run nodes in decreasing
     # depth: a fan-in node now adds its incoming gradients in depth order,
     # which moves the weights by rounding only.  The log's printed losses
-    # kept their bytes.
+    # kept their bytes.  It was re-recorded again at checkpoint version 2,
+    # which holds each block's bypass heads as one weight and one bias
+    # record: the records were regrouped, and every value stayed the same.
     TINY_TRAIN_SHA256 = {
         "train_log.csv": "b391e536727977f41ed8380cfd158230d58ce5ac7868e78d9cf541cd9bf01033",
-        "checkpoint.bin": "73577d2a2b477dc6b58454fb5850ac5e8860959878c34c603a1e4eff206eb443",
+        "checkpoint.bin": "aaf8e0329ab8d12f640ae06acaf5df4544a953b27420659d07e7b3ac5c667320",
     }
 
     def test_artifacts_match_the_recorded_bytes(self, tiny_run):
@@ -796,6 +805,25 @@ class TestEval:
         ckpt.write_bytes(blob[:-13] + bytes([65]) + (1).to_bytes(4, "little") * 65 + blob[-8:])
         with pytest.raises(DataError, match="65 dims"):
             load_checkpoint(ckpt)
+
+    def test_version_1_checkpoint_refused(self, tmp_path, capsys, monkeypatch):
+        # Version 1 held one weight and one bias record per bypass head.
+        cfg = tiny_cfg()
+        arrays = []
+        for name, arr in TrainState(cfg).state_arrays():
+            if not name.startswith("heads."):
+                arrays.append((name, arr))
+                continue
+            block, kind = name.split(".")[1:]
+            for n, head in enumerate(np.split(arr, cfg.n_channels)):
+                arrays.append((f"heads.{block}.{n}.{kind}", head))
+        ckpt = tmp_path / "v1.bin"
+        with monkeypatch.context() as m:
+            m.setattr(checkpoint, "VERSION", 1)
+            save_checkpoint(ckpt, config_digest(cfg), arrays)
+        rc = main(["eval", *TINY, "--checkpoint", str(ckpt), "--output-dir", str(tmp_path / "e")])
+        assert rc == EXIT_CONFIG
+        assert "checkpoint version 1" in one_line_error(capsys)
 
     def test_missing_checkpoint_refused(self, tmp_path, capsys):
         ckpt = tmp_path / "absent.bin"
@@ -1038,6 +1066,20 @@ class TestAblations:
         assert (int(lines["model_params"]), int(lines["bypass_head_params"])) == self.PINNED[ablation]
         lcfg = loss_config(tiny_cfg(ablation=ablation, alpha=0.25, lam=0.05))
         assert (lcfg.alpha, lcfg.lam) == self.BALANCE.get(ablation, (0.0, 0.0))
+
+    @pytest.mark.parametrize("placement", ["all_blocks", "first_two_blocks", "none"])
+    def test_one_weight_and_one_bias_per_sma_block(self, placement):
+        cfg = tiny_cfg(sma_placement=placement)
+        state = TrainState(cfg)
+        sma = [blk.attention for blk in state.model.blocks
+               if isinstance(blk.attention, MultiChannelAttention)]
+        assert len(sma) == {"all_blocks": 8, "first_two_blocks": 2, "none": 0}[placement]
+        rows = cfg.n_channels * cfg.num_labels
+        want = {}
+        for b, attn in enumerate(sma):
+            want |= {f"heads.{b}.weight": (rows, attn.in_channels), f"heads.{b}.bias": (rows,)}
+        got = {name: p.shape for name, p in state.named_parameters() if name.startswith("heads.")}
+        assert got == want
 
     @pytest.mark.parametrize("ablation", list(PINNED))
     def test_float32_state_is_the_float64_state_cast_down(self, ablation):

@@ -249,6 +249,20 @@ class TestOversample:
         out = selective_oversample(labels, 0.9, 3)
         assert np.bincount(out).max() <= 1 + 3
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_higher_threshold_never_duplicates_less(self, seed):
+        labels = self._labels(n=40, seed=seed)
+        dups = [len(selective_oversample(labels, p, 3)) - 40 for p in (0.9, 0.99, 1.0)]
+        assert dups == sorted(dups) and dups[0] > 0, dups
+
+    def test_full_threshold_duplicates_every_positive_up_to_the_cap(self):
+        # No duplicate brings a frequency to 1, so p = 1 stops at the cap.
+        labels = np.zeros((10, 2), dtype=np.int8)
+        labels[0, 0] = 1
+        labels[:5, 1] = 1
+        out = selective_oversample(labels, 1.0, 3)
+        assert np.bincount(out[10:], minlength=10).tolist() == [3] * 5 + [0] * 5
+
     def test_deterministic(self):
         labels = self._labels()
         a = selective_oversample(labels, 0.3, 20)

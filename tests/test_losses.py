@@ -194,6 +194,12 @@ class TestCrossEntropy:
             cross_entropy(Tensor(np.zeros((1, 3))), np.array([3]))
 
 
+def head_slice(heads: Linear, n: int, k: int) -> tuple[Tensor, Tensor]:
+    """Head n of a stacked bypass layer: its row block as a weight and bias."""
+    rows = slice(n * k, (n + 1) * k)
+    return Tensor(heads.weight.data[rows]), Tensor(heads.bias.data[rows])
+
+
 class TestMultiAttentionLoss:
     def test_degenerate_single_channel_equals_main_loss(self):
         rng = np.random.default_rng(5)
@@ -203,7 +209,7 @@ class TestMultiAttentionLoss:
         head = Linear(4, 3, rng, 0.5)
         labels = np.array([0, 2])
         cfg = LossConfig()
-        got = multi_attention_loss(masks, feature, labels, [head], cfg).item()
+        got = multi_attention_loss(masks, feature, labels, head, cfg).item()
         pooled = Tensor(feature.data.mean(axis=(2, 3)))
         want = cross_entropy(head(pooled), labels).item()
         assert abs(got - want) < 1e-12
@@ -213,10 +219,9 @@ class TestMultiAttentionLoss:
         feature = Tensor(rng.normal(size=(2, 4, 5, 5)))
         block = MultiChannelAttention(SmaConfig(n_channels=2), 4, rng)
         masks = T.sigmoid(block.f2a(feature))
-        heads = [Linear(4, 5, rng, 0.5) for _ in range(2)]
-        for h in heads:
-            h.weight.data[...] = 0.0
-            h.bias.data[...] = 0.0
+        heads = Linear(4, 2 * 5, rng, 0.5)
+        heads.weight.data[...] = 0.0
+        heads.bias.data[...] = 0.0
         cfg = LossConfig()
         got = multi_attention_loss(masks, feature, np.array([1, 4]), heads, cfg).item()
         assert abs(got - math.log(5)) < 1e-12
@@ -226,46 +231,49 @@ class TestMultiAttentionLoss:
         feature = Tensor(rng.normal(size=(2, 3, 4, 4)))
         block = MultiChannelAttention(SmaConfig(n_channels=3), 3, rng)
         masks = T.sigmoid(block.f2a(feature))
-        heads = [Linear(3, 4, rng, 0.7) for _ in range(3)]
+        heads = Linear(3, 3 * 4, rng, 0.7)
         w = rng.uniform(1.0, 2.0, 4)
         au_labels = (rng.random((2, 4)) > 0.5).astype(float)
         for cfg, labels in ((LossConfig(pos_weights=w), au_labels),
                             (LossConfig(), rng.integers(0, 4, size=2))):
             got = multi_attention_loss(masks, feature, labels, heads, cfg).item()
             acc = 0.0
-            for i, head in enumerate(heads):
-                gated = masks.data[:, i : i + 1] * feature.data
+            for n in range(3):
+                gated = masks.data[:, n : n + 1] * feature.data
                 pooled = Tensor(gated.mean(axis=(2, 3)))
-                acc += task_loss(head(pooled), labels, cfg).item()
+                acc += task_loss(T.linear(pooled, *head_slice(heads, n, 4)), labels, cfg).item()
             assert abs(got - acc / 3) < 1e-12
 
-    def test_bypass_vjp_keeps_no_stacked_weight_copy(self):
-        # The vjp keeps the heads' own weight arrays; the forward's [N,K,C]
-        # stack of them is dropped.
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_bypass_vjp_keeps_the_weight_itself(self, n):
+        # Both passes read the heads' weight through a view: the vjp keeps
+        # no copy of it, and the op has three parents whatever N is.
         rng = np.random.default_rng(9)
-        heads = [Linear(256, 12, rng, 0.5) for _ in range(7)]
-        pooled = Tensor(rng.normal(size=(2, 7, 256)), requires_grad=True)
-        stacked = sum(h.weight.data.nbytes for h in heads)
+        heads = Linear(256, n * 12, rng, 0.5)
+        pooled = Tensor(rng.normal(size=(2, n, 256)), requires_grad=True)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = bypass_logits(pooled, heads)
+            out = bypass_logits(pooled, heads.weight, heads.bias)
             kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
         finally:
             tracemalloc.stop()
-        assert kept <= 0.25 * stacked, kept / stacked
+        assert kept <= 0.25 * heads.weight.data.nbytes, kept / heads.weight.data.nbytes
+        assert out._node.parents == (pooled, heads.weight, heads.bias)
+        arrays = [c.cell_contents for c in out._node.vjp.__closure__
+                  if isinstance(c.cell_contents, np.ndarray)]
+        assert any(a.base is heads.weight.data for a in arrays)
         out.sum().backward()
-        want = np.stack([h.weight.data.sum(axis=0) for h in heads])
+        want = heads.weight.data.reshape(n, 12, 256).sum(axis=1)
         assert np.allclose(pooled.grad, np.broadcast_to(want, pooled.shape), atol=1e-12)
 
-    def test_head_count_mismatch(self):
+    @pytest.mark.parametrize("din,dout", [(3, 3), (4, 2 * 3)])
+    def test_head_shape_mismatch(self, din, dout):
+        # 3 rows do not split into 2 heads; 4 inputs do not match C = 3.
         rng = np.random.default_rng(8)
-        feature = Tensor(rng.normal(size=(1, 3, 4, 4)))
-        block = MultiChannelAttention(SmaConfig(n_channels=2), 3, rng)
-        masks = T.sigmoid(block.f2a(feature))
+        heads = Linear(din, dout, rng, 0.5)
         with pytest.raises(ShapeError):
-            multi_attention_loss(masks, feature, np.zeros((1, 2)), [Linear(3, 2, rng, 0.5)],
-                                 LossConfig())
+            bypass_logits(Tensor(rng.normal(size=(1, 2, 3))), heads.weight, heads.bias)
 
 
 class TestTotalLoss:
