@@ -11,6 +11,11 @@ Each conv is He-initialised without a bias, since a batch norm follows
 it; the head is uniform in +-`nn.INIT_SCALE` with a zero bias.  The
 network is built in float64; `train.TrainState` casts it to the compute
 dtype.
+
+`BackboneConfig` checks nothing itself.  `config.backbone_config` builds
+it from a validated `RunConfig`: the profile's widths and stem, the
+checked placement, and the ablation row's attention kind; `SmaConfig`
+checks the attention settings.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .tensor import Tensor
 
 IN_CHANNELS = 3  # RGB input
 PLACEMENTS = ("all_blocks", "first_two_blocks", "none")
-ATTENTION_KINDS = ("sma", "channel_gate")
 
 
 @dataclass(frozen=True)
@@ -40,18 +44,6 @@ class BackboneConfig:
     stem: str = "compact"  # compact: 3x3 stride 1; imagenet: 7x7 stride 2 + maxpool
     attention_kind: str = "sma"
     sma: SmaConfig = SmaConfig(n_channels=7)  # channel_gate reads n_channels only
-
-    def __post_init__(self):
-        if len(self.stage_widths) != 4 or any(w <= 0 for w in self.stage_widths):
-            raise ConfigError(f"stage_widths must be 4 positive ints, got {self.stage_widths}")
-        if any(a > b for a, b in zip(self.stage_widths, self.stage_widths[1:])):
-            raise ConfigError("stage_widths must be nondecreasing")
-        if self.sma_placement not in PLACEMENTS:
-            raise ConfigError(f"sma_placement must be one of {PLACEMENTS}")
-        if self.stem not in ("compact", "imagenet"):
-            raise ConfigError(f"unknown stem {self.stem!r}")
-        if self.attention_kind not in ATTENTION_KINDS:
-            raise ConfigError(f"attention_kind must be one of {ATTENTION_KINDS}")
 
     def block_positions(self):
         """(stage, block, cin, cout, stride) for every basic block in order."""
@@ -204,12 +196,10 @@ class SGD:
 
 
 def lr_schedule(epoch: int, task: str, base: float = 0.01) -> float:
-    """AU runs: base for two epochs, then base/10.  Expression runs:
-    multiplicative 0.99 decay every 10 epochs over a 100-epoch budget."""
-    if epoch < 0:
-        raise ConfigError("epoch must be >= 0")
+    """AU runs: base for two epochs, then base/10.  Expression runs (any
+    other task; `RunConfig.validate` admits only au and fer):
+    multiplicative 0.99 decay every 10 epochs over a 100-epoch budget.
+    The epoch counts from 0."""
     if task == "au":
         return base if epoch < 2 else base * 0.1
-    if task == "fer":
-        return base * 0.99 ** (epoch // 10)
-    raise ConfigError(f"task must be au or fer, got {task!r}")
+    return base * 0.99 ** (epoch // 10)

@@ -44,7 +44,7 @@ from . import tensor as T
 from .attention import channel_masks
 from .backbone import backbone_param_count
 from .checkpoint import load_checkpoint
-from .config import (RunConfig, backbone_config, config_digest, config_keys,
+from .config import (RunConfig, _cast, backbone_config, config_digest, config_keys,
                      input_size, load_config, np_dtype)
 from .data import make_folds, write_dataset
 from .errors import ConfigError, DataError, NumericError
@@ -171,10 +171,8 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep_n(cfg: RunConfig, args) -> int:
-    try:
-        n_values = [int(v) for v in args.n_values.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"n-values must be integers, got {args.n_values!r}") from None
+    # Each count is read exactly as an `n_channels` value.
+    n_values = [_cast("n_channels", v)[1] for v in args.n_values.split(",") if v.strip()]
     if not n_values:
         raise ConfigError("sweep-n needs at least one channel count")
     # Each count trains into its own n<count>/ directory and csv row.

@@ -62,7 +62,10 @@ class Dataset:
 class SyntheticSpec:
     """What `generate_synthetic` draws: au samples carry `num_labels`
     coupled 0/1 labels at `rates`, fer samples one of `num_classes`
-    class ids."""
+    class ids.  Nothing here is checked: `RunConfig.validate` checks the
+    task, and `train.synthetic_spec` builds `rates` (one per label) and
+    disjoint `pairs` whose conditional rates lie in [0,1] (see
+    `sample_labels`)."""
 
     task: str = "au"
     num_labels: int = 12
@@ -76,22 +79,6 @@ class SyntheticSpec:
     blob_sigma: float = 4.0
     blob_amplitude: float = 0.75
     distractors: int = 2
-
-    def __post_init__(self):
-        if self.task not in ("au", "fer"):
-            raise ConfigError(f"task must be au or fer, got {self.task!r}")
-        if self.task == "au" and len(self.rates) != self.num_labels:
-            raise ConfigError("rates length must equal num_labels")
-        seen = set()
-        for a, b, q in self.pairs:
-            if a in seen or b in seen or a == b:
-                raise ConfigError("coupled label pairs must be disjoint")
-            seen.update((a, b))
-            cond = (self.rates[b] - q * self.rates[a]) / (1.0 - self.rates[a])
-            if not 0.0 <= cond <= 1.0:
-                raise ConfigError(
-                    f"pair ({a},{b}) with co-occurrence {q} is infeasible for the marginals"
-                )
 
     def pool(self) -> tuple:
         return self.subject_pool if self.subject_pool else tuple(range(self.n_subjects))
@@ -173,8 +160,6 @@ def generate_synthetic(seed: int, n: int, spec: SyntheticSpec | None = None) -> 
     each distractor's center and width.  Images are rendered one at a
     time into one planar float buffer, so the transient memory does not
     grow with `n`."""
-    if n <= 0:
-        raise ConfigError(f"sample count must be positive, got {n}")
     spec = spec or SyntheticSpec()
     rng = np.random.default_rng((seed, 101))
     pool = np.asarray(spec.pool())
@@ -280,8 +265,6 @@ def augment(image: np.ndarray, seed, task: str) -> np.ndarray:
     flip, then brightness, contrast and saturation.  AU runs rotate
     within +-45 degrees, expression runs within +-15.
     """
-    if task not in ("au", "fer"):
-        raise ConfigError(f"task must be au or fer, got {task!r}")
     rng = np.random.default_rng(seed)
     limit = 45.0 if task == "au" else 15.0
     theta = rng.uniform(-limit, limit)
@@ -301,43 +284,34 @@ def selective_oversample(labels: np.ndarray, threshold: float,
                          max_duplication: int) -> np.ndarray:
     """Sample indices that duplicate minority-positive samples of the
     [N,L] 0/1 `labels` until each label's positive frequency reaches
-    `threshold` in [0,1] (or each positive sample is duplicated
-    `max_duplication` >= 1 times).
+    `threshold` (or each positive sample is duplicated `max_duplication`
+    times).  `RunConfig.validate` holds the threshold in [0,1] and the
+    cap at >= 1.
 
     Labels are processed in ascending original-frequency order; appended
     duplicates count toward every label they carry.  The input is never
     shrunk: the result is arange(N) followed by the duplicates' indices in
     the order they were appended.
     """
-    if len(labels) == 0:
-        raise DataError("selective_oversample: empty dataset")
-    if labels.ndim != 2:
-        raise DataError("selective_oversample requires [N,L] au labels")
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"resample threshold must be in [0,1], got {threshold}")
-    if max_duplication < 1:
-        raise ConfigError("max_duplication must be >= 1")
     p = threshold
     n = len(labels)
     dups = []
     counts = labels.sum(axis=0).astype(np.int64)
     total = n
     dup_used = np.zeros(n, dtype=np.int64)
-    order = np.argsort(counts, kind="stable")
-    positives = {int(l): np.flatnonzero(labels[:, l]) for l in order}
-    cursor = {int(l): 0 for l in order}
+    order = np.argsort(counts, kind="stable").tolist()
+    positives = {l: np.flatnonzero(labels[:, l]) for l in order}
+    cursor = dict.fromkeys(order, 0)
 
     for _ in range(max_duplication):
         progressed = False
         for l in order:
-            l = int(l)
             pos = positives[l]
             if len(pos) == 0:
                 continue
             while counts[l] < p * total - 1e-12:
+                # At least 1: the loop condition keeps p * total above counts[l].
                 need = math.ceil((p * total - counts[l]) / (1.0 - p)) if p < 1.0 else math.inf
-                if need <= 0:
-                    break
                 appended = 0
                 scanned = 0
                 while appended < need and scanned < len(pos) * max_duplication:
@@ -354,8 +328,8 @@ def selective_oversample(labels: np.ndarray, threshold: float,
                     progressed = True
                 if appended < need:
                     break  # every positive is at the duplication cap
-        below = [int(l) for l in order if len(positives[int(l)]) and counts[int(l)] < p * total - 1e-12]
-        if not below or not progressed:
+        # A round that appends nothing leaves every label where it was.
+        if not progressed:
             break
     return np.concatenate([np.arange(n), np.array(dups, dtype=np.int64)])
 

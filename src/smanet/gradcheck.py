@@ -7,12 +7,12 @@ each probe compares a directional derivative with the central difference
 (f(x+eps*u) - f(x-eps*u)) / 2eps under the relative error
 |a - n| / max(1, |a|, |n|).
 
-`build_suite` names one check for every primitive in `tensor.PRIMITIVES`,
-the attention block pieces, every loss op in `losses`
-(`weighted_bce_logits`, `cross_entropy`, `diversity_loss`,
-`bypass_logits`), the composed L_ma, and the training objective.  Each op
-check is named after its op.  A check's builder draws its inputs and
-returns a (forward, leaves) pair; the check's thunk hands that pair to
+`build_suite` names one check for every op, each function of `tensor`
+and `losses` that records its vjp through `apply_op`, plus the attention
+block pieces, the composed L_ma, and the training objective.  Each op
+check is named after its op (`sum` and `mean` for `tensor_sum` and
+`tensor_mean`).  A check's builder draws its inputs and returns a
+(forward, leaves) pair; the check's thunk hands that pair to
 `grad_check_many` (conv2d checks three stride/padding cases and keeps the
 worst).  The CLI gradcheck command runs every thunk and fails on any error
 at or above `SUITE_TOLERANCE`.  Primitives, blocks and losses are checked

@@ -122,8 +122,10 @@ recording, and its output is bit-identical either way.  So a forward
 under ``no_grad`` (eval, logging, the gradient checks' probes) does
 not pay for them.
 
-`PRIMITIVES` names the ops the model is built from.  The loss terms are
-single ops of their own in `losses`, built on the same `apply_op` seam.
+The ops are the functions here and in `losses` that record a vjp
+through `apply_op`; the loss terms are single ops of their own.  The
+tests find them by that call, and the gradient-check suite has one check
+named after each.
 """
 
 from __future__ import annotations
@@ -142,24 +144,6 @@ DEFAULT_DTYPE = np.float64
 # Dtypes, not scalar types, so `in` does not convert a type per test; a
 # non-native byte order still fails it, as ``dtype.char`` would not.
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
-# Differentiable primitives the gradient-check harness must cover.
-PRIMITIVES = (
-    "add",
-    "mul",
-    "relu",
-    "sigmoid",
-    "sum",
-    "mean",
-    "softmax",
-    "reshape",
-    "linear",
-    "conv2d",
-    "depthwise_conv2d",
-    "max_pool2d",
-    "batch_norm2d",
-    "masked_avg_pool",
-)
 
 _grad_enabled = True
 _checked = False

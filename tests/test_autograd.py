@@ -1,12 +1,11 @@
-import ast
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+from test_dependencies import op_functions
 from smanet import gradcheck as G
 from smanet import losses as L
 from smanet import tensor as T
@@ -188,16 +187,13 @@ def test_grad_check_many_directional_probe_flags_scaled_gradient():
     assert err >= SUITE_TOLERANCE
 
 
-# Primitives whose function in `tensor` has another name.
-_PRIMITIVE_FUNCTIONS = {"sum": "tensor_sum", "mean": "tensor_mean"}
-_LOSS_OPS = ("weighted_bce_logits", "cross_entropy", "diversity_loss", "bypass_logits")
-_MUTATED_OPS = T.PRIMITIVES + _LOSS_OPS
+_MUTATED_OPS = op_functions()
 
 
-@pytest.mark.parametrize("name", _MUTATED_OPS)
+@pytest.mark.parametrize("name", list(_MUTATED_OPS))
 def test_suite_check_flags_scaled_vjp(name, monkeypatch):
-    attr = _PRIMITIVE_FUNCTIONS.get(name, name)
-    orig = getattr(T if name in T.PRIMITIVES else L, attr)
+    owner, attr = _MUTATED_OPS[name]
+    orig = getattr(owner, attr)
     # Rebind every module-level name of the op: `gradcheck` imports the
     # loss ops by name.
     for module in (T, L, G):
@@ -232,15 +228,10 @@ def test_every_suite_thunk_looks_up_the_checker_when_it_runs(monkeypatch):
 
 def test_every_op_is_mutation_tested():
     """Each function of `tensor` and `losses` that records a vjp through
-    `apply_op` has a suite check that the scaled-vjp test above mutates."""
-    ops = set()
-    for module in (T, L):
-        for node in ast.parse(Path(module.__file__).read_text()).body:
-            if isinstance(node, ast.FunctionDef) and any(
-                    isinstance(call, ast.Call) and getattr(call.func, "id", None) == "apply_op"
-                    for call in ast.walk(node)):
-                ops.add(node.name)
-    assert ops == {_PRIMITIVE_FUNCTIONS.get(n, n) for n in _MUTATED_OPS}
+    `apply_op` has a suite check, named after it, that the scaled-vjp test
+    above mutates."""
+    assert _MUTATED_OPS
+    assert not _MUTATED_OPS.keys() - {name for name, _ in build_suite(0)}
 
 
 def test_no_grad_blocks_recording():

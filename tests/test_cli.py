@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import same_bits
+from test_dependencies import op_functions
 from smanet import checkpoint, cli, losses
 from smanet import tensor as T
 from smanet.attention import MultiChannelAttention, channel_masks
@@ -26,7 +27,6 @@ from smanet.config import (ABLATIONS, RunConfig, config_digest, load_config, los
 from smanet.errors import ConfigError, DataError
 from smanet.gradcheck import _objective as gradcheck_objective
 from smanet.ppm import encode_color, encode_heatmap
-from smanet.tensor import PRIMITIVES
 from smanet.losses import objective
 from smanet.train import TrainState, batch_tensor, build_split, build_splits, evaluate_model
 
@@ -83,7 +83,9 @@ class TestConfigFile:
                       ["--momentum", "1"], ["--momentum", "-0.1"], ["--weight-decay", "-1"],
                       ["--seed", "x"], ["--augment", "maybe"], ["--lambda", "big"],
                       ["--alpha", "nan"], ["--lambda", "nan"], ["--alpha", "inf"], ["--lr", "inf"],
-                      ["--weight-decay", "inf"], ["--seed", "-1"], *kernels):
+                      ["--weight-decay", "inf"], ["--seed", "-1"], ["--n-train", "0"],
+                      ["--n-val", "0"], ["--resample-p", "1.5"], ["--resample-p", "-0.1"],
+                      ["--resample-max-duplication", "0"], *kernels):
             rc = main(["train", *flags, "--output-dir", str(tmp_path)])
             assert rc == EXIT_CONFIG, flags
             err = one_line_error(capsys)
@@ -984,10 +986,9 @@ class TestGradcheckCommand:
         assert rc == EXIT_OK
         report = (tmp_path / "gradcheck.txt").read_text()
         names = {line.split(",")[0] for line in report.splitlines()[2:]}
-        missing = set(PRIMITIVES) - names
+        missing = set(op_functions()) - names
         assert not missing
-        for extra in ("sma_block", "diversity_loss", "bypass_logits", "weighted_bce_logits",
-                      "cross_entropy", "total_objective"):
+        for extra in ("sma_block", "total_objective"):
             assert extra in names
 
     def test_corrupted_gradient_rule_detected(self, tmp_path, monkeypatch):

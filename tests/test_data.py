@@ -78,10 +78,6 @@ class TestGenerator:
             got = labels[labels[:, a] == 1, b].mean()
             assert abs(got - q) < 0.03
 
-    def test_infeasible_pair_rejected(self):
-        with pytest.raises(ConfigError):
-            SyntheticSpec(rates=(0.4, 0.1) + (0.1,) * 10, pairs=((0, 1, 0.9),))
-
     def test_zero_rates_give_blob_free_backgrounds(self):
         spec = SyntheticSpec(rates=(0.0,) * 12, pairs=(), distractors=0, noise=0.0)
         data = generate_synthetic(3, 5, spec)
@@ -101,10 +97,6 @@ class TestGenerator:
         assert data.labels.shape == (40,)
         classes = set(data.labels.tolist())
         assert classes <= set(range(6)) and len(classes) > 1
-
-    def test_rejects_nonpositive_count(self):
-        with pytest.raises(ConfigError):
-            generate_synthetic(0, 0)
 
     def test_subject_pool_respected(self):
         spec = SyntheticSpec(subject_pool=(4, 9))
@@ -193,10 +185,6 @@ class TestAugment:
         b = augment(img, (1, 2), "fer")
         assert np.array_equal(a, b)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            augment(generate_synthetic(11, 1).images[0], 0, "video")
-
 
 class TestOversample:
     def _labels(self, n=200, rare_rate=0.05, seed=0):
@@ -268,19 +256,6 @@ class TestOversample:
         a = selective_oversample(labels, 0.3, 20)
         b = selective_oversample(labels, 0.3, 20)
         assert np.array_equal(a, b)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            selective_oversample(np.zeros((0, 3), dtype=np.int8), 0.3, 20)
-
-    def test_class_ids_rejected(self):
-        with pytest.raises(DataError):
-            selective_oversample(np.arange(5), 0.3, 20)
-
-    @pytest.mark.parametrize("threshold,max_duplication", [(-0.1, 20), (1.5, 20), (0.3, 0)])
-    def test_out_of_range_settings_rejected(self, threshold, max_duplication):
-        with pytest.raises(ConfigError):
-            selective_oversample(self._labels(), threshold, max_duplication)
 
 
 class TestPpm:

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import smanet
-from smanet import attention, backbone, nn
+from smanet import attention, backbone, losses, nn, tensor
 from smanet.attention import SmaConfig
 from smanet.backbone import BackboneConfig
 
@@ -69,13 +69,30 @@ def _calls(tree, attr):
             and getattr(node.func, "attr", getattr(node.func, "id", None)) == attr]
 
 
+def _op_defs(tree):
+    """The top-level functions of `tree` that call `apply_op`."""
+    return [f for f in tree.body if isinstance(f, ast.FunctionDef) and _calls(f, "apply_op")]
+
+
+# Ops named otherwise than their function: after the `Tensor` methods.
+_OP_OF_FUNCTION = {"tensor_sum": "sum", "tensor_mean": "mean"}
+
+
+def op_functions() -> dict:
+    """{op name: (module, function name)} of every op: each function of
+    `tensor.py` and `losses.py` that records its vjp through `apply_op`.
+    The gradient-check suite names its op checks by the op names."""
+    return {_OP_OF_FUNCTION.get(f.name, f.name): (module, f.name) for module in (tensor, losses)
+            for f in _op_defs(ast.parse(Path(module.__file__).read_text()))}
+
+
 def _op_scopes(path, tree):
     """The code that runs in an op: all of `tensor.py`, and each function
     of `losses.py` that calls `apply_op` (its vjp included)."""
     if path.name == "tensor.py":
         return [tree]
     if path.name == "losses.py":
-        return [f for f in tree.body if isinstance(f, ast.FunctionDef) and _calls(f, "apply_op")]
+        return _op_defs(tree)
     return []
 
 
@@ -125,6 +142,48 @@ def test_ops_call_numpy_c_entry_points():
                         isinstance(owner, ast.Name) and owner.id == "np" and name in PYTHON_WRAPPERS):
                     slow.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not slow
+
+
+# Where a setting or an input enters, and so where it may be refused.
+ENTRY_CHECK_FILES = {"config.py", "cli.py", "checkpoint.py", "ppm.py"}
+ENTRY_CHECK_FUNCTIONS = {
+    "attention.py:SmaConfig.__post_init__", "nn.py:Module.load_state_arrays",
+    "data.py:load_dataset", "data.py:make_folds",
+    "train.py:subject_pools", "train.py:make_out_dir",
+    "backbone.py:SGD.__init__", "backbone.py:SGD.step",
+}
+
+
+def _defs(tree):
+    """(name, node) of each top-level function and each method of a
+    top-level class, as `function` or `Class.method`."""
+    out = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    out += [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+            for f in c.body if isinstance(f, ast.FunctionDef)]
+    return out
+
+
+def test_settings_and_inputs_are_checked_where_they_enter():
+    """Only the entry points raise `ConfigError` or `DataError`: the
+    config, the CLI, the checkpoint and PPM readers, and the functions in
+    `ENTRY_CHECK_FUNCTIONS`.  Code past them trusts what they let
+    through, so a second check of a setting or a label fails here
+    instead of coming back unnoticed."""
+    root = Path(smanet.__file__).parent
+    extra = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name in ENTRY_CHECK_FILES:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(node) for name, f in _defs(tree)
+                   if f"{path.name}:{name}" in ENTRY_CHECK_FUNCTIONS for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or id(node) in allowed:
+                continue
+            exc = getattr(node.exc, "func", node.exc)  # `raise E(...)` or `raise E`
+            if getattr(exc, "attr", getattr(exc, "id", None)) in ("ConfigError", "DataError"):
+                extra.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not extra
 
 
 def test_windowed_ops_share_one_grid_builder():

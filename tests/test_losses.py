@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from smanet import tensor as T
 from smanet.attention import MultiChannelAttention, SmaConfig
-from smanet.errors import DataError, ShapeError
+from smanet.errors import ShapeError
 from smanet.losses import (LossConfig, bypass_logits, compute_pos_weights, cross_entropy,
                            diversity_loss, multi_attention_loss, task_loss,
                            total_loss, weighted_bce_logits)
@@ -123,14 +123,6 @@ class TestWeightedBce:
         y = np.array([[0.0, 1.0]])
         assert np.isfinite(weighted_bce_logits(x, y, np.ones(2)).item())
 
-    def test_checked_mode_rejects_nonbinary(self):
-        T.set_checked(True)
-        try:
-            with pytest.raises(DataError):
-                weighted_bce_logits(Tensor(np.zeros((1, 1))), np.array([[0.5]]), np.ones(1))
-        finally:
-            T.set_checked(False)
-
     def test_matches_naive_formula(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 3))
@@ -188,10 +180,6 @@ class TestCrossEntropy:
     def test_finite_at_700(self):
         x = np.array([[700.0, -700.0]])
         assert np.isfinite(cross_entropy(Tensor(x), np.array([1])).item())
-
-    def test_out_of_range_class(self):
-        with pytest.raises(DataError):
-            cross_entropy(Tensor(np.zeros((1, 3))), np.array([3]))
 
 
 def head_slice(heads: Linear, n: int, k: int) -> tuple[Tensor, Tensor]:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smanet.errors import DataError, ShapeError
+from smanet.errors import ShapeError
 from smanet.metrics import (LabelCounts, accuracy, binarize, confusion_matrix,
                             confusion_report, count_binary, f1_scores,
                             metrics_report)
@@ -98,10 +98,6 @@ class TestCountsAndConfusion:
         m2 = confusion_matrix(perm[preds], perm[truth], 4)
         inv = np.argsort(perm)
         assert np.array_equal(m2[np.ix_(perm, perm)], m)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DataError):
-            confusion_matrix(np.array([4]), np.array([0]), 4)
 
 
 class TestReports:
