@@ -7,6 +7,7 @@ from smanet.attention import ChannelGate, SmaConfig
 from smanet.backbone import (SGD, Backbone, BackboneConfig, BasicBlock,
                              attention_param_count, backbone_param_count, lr_schedule)
 from smanet.checkpoint import load_checkpoint, save_checkpoint
+from smanet.config import RunConfig, backbone_config
 from smanet.errors import ConfigError, DataError, ShapeError
 from smanet.gradcheck import grad_check_many
 from smanet.losses import cross_entropy
@@ -22,6 +23,18 @@ def toy_config(n_channels=3, **kwargs):
 
 
 class TestConfig:
+    # BackboneConfig checks nothing itself: these pin that the settings it
+    # is built from are refused, or cannot be bad, where they enter.
+    def test_rejects_decreasing_widths(self):
+        for profile in ("toy", "paper"):
+            widths = backbone_config(RunConfig(profile=profile).validate()).stage_widths
+            assert len(widths) == 4 and min(widths) > 0
+            assert list(widths) == sorted(widths)
+
+    def test_rejects_unknown_placement(self):
+        with pytest.raises(ConfigError, match="sma_placement"):
+            RunConfig(sma_placement="everywhere").validate()
+
     def test_block_positions_strides(self):
         cfg = toy_config()
         strides = [p[4] for p in cfg.block_positions()]
@@ -272,6 +285,13 @@ class TestSchedule:
         assert lr_schedule(25, "fer") == pytest.approx(0.009801, abs=1e-12)
         assert lr_schedule(0, "fer") == 0.01
         assert lr_schedule(99, "fer") == pytest.approx(0.01 * 0.99 ** 9, abs=1e-15)
+
+    def test_rejects_bad_input(self):
+        # lr_schedule reads epochs from range(cfg.epochs) and a validated task.
+        with pytest.raises(ConfigError, match="epochs"):
+            RunConfig(epochs=0).validate()
+        with pytest.raises(ConfigError, match="task"):
+            RunConfig(task="imagenet").validate()
 
 
 class TestDescentSanity:

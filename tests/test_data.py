@@ -11,8 +11,10 @@ from smanet.data import (DEFAULT_LABEL_PAIRS, DEFAULT_LABEL_RATES,
                          generate_synthetic, label_centers, load_dataset,
                          make_folds, sample_labels,
                          selective_oversample, write_dataset)
+from smanet.config import RunConfig
 from smanet.errors import ConfigError, DataError
 from smanet.ppm import decode_image, encode_color, encode_heatmap, quantize
+from smanet.train import synthetic_spec
 
 
 def sha256(arr) -> str:
@@ -78,6 +80,18 @@ class TestGenerator:
             got = labels[labels[:, a] == 1, b].mean()
             assert abs(got - q) < 0.03
 
+    def test_infeasible_pair_rejected(self):
+        # SyntheticSpec checks nothing: every spec a run builds has one rate
+        # per label and disjoint pairs whose conditional rates lie in [0,1].
+        for num_labels in range(1, 41):
+            spec = synthetic_spec(RunConfig(num_labels=num_labels).validate(), ())
+            assert len(spec.rates) == num_labels
+            ends = [i for a, b, _ in spec.pairs for i in (a, b)]
+            assert len(ends) == len(set(ends))
+            for a, b, q in spec.pairs:
+                cond = (spec.rates[b] - q * spec.rates[a]) / (1.0 - spec.rates[a])
+                assert 0.0 <= q <= 1.0 and 0.0 <= cond <= 1.0
+
     def test_zero_rates_give_blob_free_backgrounds(self):
         spec = SyntheticSpec(rates=(0.0,) * 12, pairs=(), distractors=0, noise=0.0)
         data = generate_synthetic(3, 5, spec)
@@ -97,6 +111,11 @@ class TestGenerator:
         assert data.labels.shape == (40,)
         classes = set(data.labels.tolist())
         assert classes <= set(range(6)) and len(classes) > 1
+
+    def test_rejects_nonpositive_count(self):
+        for field in ("n_train", "n_val"):
+            with pytest.raises(ConfigError, match=field):
+                RunConfig(**{field: 0}).validate()
 
     def test_subject_pool_respected(self):
         spec = SyntheticSpec(subject_pool=(4, 9))
@@ -185,6 +204,10 @@ class TestAugment:
         b = augment(img, (1, 2), "fer")
         assert np.array_equal(a, b)
 
+    def test_unknown_mode(self):
+        with pytest.raises(ConfigError, match="task"):
+            RunConfig(task="video").validate()
+
 
 class TestOversample:
     def _labels(self, n=200, rare_rate=0.05, seed=0):
@@ -256,6 +279,23 @@ class TestOversample:
         a = selective_oversample(labels, 0.3, 20)
         b = selective_oversample(labels, 0.3, 20)
         assert np.array_equal(a, b)
+
+    # selective_oversample checks nothing: these pin that its inputs are
+    # refused where they enter, by the manifest reader and by validate.
+    def test_empty_rejected(self, tmp_path):
+        (tmp_path / "manifest.tsv").write_text("# header\n")
+        with pytest.raises(DataError, match="empty manifest"):
+            load_dataset(tmp_path, "au", 12, 64)
+
+    def test_class_ids_rejected(self, tmp_path):
+        write_dataset(tmp_path, generate_synthetic(17, 4, SyntheticSpec(task="fer")))
+        with pytest.raises(DataError, match="want 12 comma-joined 0/1 labels"):
+            load_dataset(tmp_path, "au", 12, 64)
+
+    @pytest.mark.parametrize("threshold,max_duplication", [(-0.1, 20), (1.5, 20), (0.3, 0)])
+    def test_out_of_range_settings_rejected(self, threshold, max_duplication):
+        with pytest.raises(ConfigError):
+            RunConfig(resample_p=threshold, resample_max_duplication=max_duplication).validate()
 
 
 class TestPpm:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import oracles
 from smanet import tensor as T
 from smanet.attention import MultiChannelAttention, SmaConfig
-from smanet.errors import ShapeError
+from smanet.data import SyntheticSpec, generate_synthetic, load_dataset, write_dataset
+from smanet.errors import DataError, ShapeError
 from smanet.losses import (LossConfig, bypass_logits, compute_pos_weights, cross_entropy,
                            diversity_loss, multi_attention_loss, task_loss,
                            total_loss, weighted_bce_logits)
@@ -123,6 +124,16 @@ class TestWeightedBce:
         y = np.array([[0.0, 1.0]])
         assert np.isfinite(weighted_bce_logits(x, y, np.ones(2)).item())
 
+    def test_checked_mode_rejects_nonbinary(self, tmp_path):
+        # The loss takes its targets unchecked; a soft label is refused by
+        # the manifest reader before any loss sees it.
+        write_dataset(tmp_path, generate_synthetic(18, 1))
+        rel, _, subject = (tmp_path / "manifest.tsv").read_text().splitlines()[0].split("\t")
+        soft = ",".join(["0.5"] + ["0"] * 11)
+        (tmp_path / "manifest.tsv").write_text(f"{rel}\t{soft}\t{subject}\n")
+        with pytest.raises(DataError, match=r"manifest\.tsv:1: non-integer field"):
+            load_dataset(tmp_path, "au", 12, 64)
+
     def test_matches_naive_formula(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 3))
@@ -180,6 +191,15 @@ class TestCrossEntropy:
     def test_finite_at_700(self):
         x = np.array([[700.0, -700.0]])
         assert np.isfinite(cross_entropy(Tensor(x), np.array([1])).item())
+
+    def test_out_of_range_class(self, tmp_path):
+        # The loss takes class ids unchecked; data written for more classes
+        # than the run has is refused by the manifest reader.
+        data = generate_synthetic(19, 8, SyntheticSpec(task="fer"))
+        assert data.labels.max() >= 3
+        write_dataset(tmp_path, data)
+        with pytest.raises(DataError, match=r"want one class id in \[0,3\)"):
+            load_dataset(tmp_path, "fer", 3, 64)
 
 
 def head_slice(heads: Linear, n: int, k: int) -> tuple[Tensor, Tensor]:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smanet.errors import ShapeError
+from smanet.data import SyntheticSpec, generate_synthetic, load_dataset, write_dataset
+from smanet.errors import DataError, ShapeError
 from smanet.metrics import (LabelCounts, accuracy, binarize, confusion_matrix,
                             confusion_report, count_binary, f1_scores,
                             metrics_report)
@@ -98,6 +99,15 @@ class TestCountsAndConfusion:
         m2 = confusion_matrix(perm[preds], perm[truth], 4)
         inv = np.argsort(perm)
         assert np.array_equal(m2[np.ix_(perm, perm)], m)
+
+    def test_out_of_range_rejected(self, tmp_path):
+        # confusion_matrix takes class ids unchecked: predictions come from
+        # argmax, and the manifest reader refuses a truth id outside [0,k).
+        write_dataset(tmp_path, generate_synthetic(20, 1, SyntheticSpec(task="fer")))
+        rel, _, subject = (tmp_path / "manifest.tsv").read_text().splitlines()[0].split("\t")
+        (tmp_path / "manifest.tsv").write_text(f"{rel}\t4\t{subject}\n")
+        with pytest.raises(DataError, match=r"want one class id in \[0,4\)"):
+            load_dataset(tmp_path, "fer", 4, 64)
 
 
 class TestReports:
