@@ -42,11 +42,11 @@ class SmaConfig:
     """
 
     n_channels: int
-    mapping_kernel: int = 1
-    attn_kernel: int = 7
-    combine_on: str = "logits"
-    mapping_mode: str = "conv"
-    use_aaa: bool = True
+    mapping_kernel: int
+    attn_kernel: int
+    combine_on: str
+    mapping_mode: str
+    use_aaa: bool
 
     def __post_init__(self):
         if self.n_channels < 1:

@@ -38,12 +38,12 @@ PLACEMENTS = ("all_blocks", "first_two_blocks", "none")
 @dataclass(frozen=True)
 class BackboneConfig:
     num_outputs: int
-    stage_widths: tuple = (64, 128, 256, 512)
+    stage_widths: tuple
     blocks_per_stage: ClassVar[int] = 2
-    sma_placement: str = "all_blocks"
-    stem: str = "compact"  # compact: 3x3 stride 1; imagenet: 7x7 stride 2 + maxpool
-    attention_kind: str = "sma"
-    sma: SmaConfig = SmaConfig(n_channels=7)  # channel_gate reads n_channels only
+    sma_placement: str
+    stem: str  # compact: 3x3 stride 1; imagenet: 7x7 stride 2 + maxpool
+    attention_kind: str
+    sma: SmaConfig  # channel_gate reads n_channels only
 
     def block_positions(self):
         """(stage, block, cin, cout, stride) for every basic block in order."""
@@ -167,7 +167,7 @@ class SGD:
     share one dtype.
     """
 
-    def __init__(self, params: list[Tensor], momentum: float = 0.9, weight_decay: float = 1e-4):
+    def __init__(self, params: list[Tensor], momentum: float, weight_decay: float):
         self.params = list(params)
         if len({p.dtype for p in self.params}) != 1:
             raise ConfigError("sgd needs a non-empty parameter list of one dtype")
@@ -195,7 +195,7 @@ class SGD:
         self.grad.fill(0.0)
 
 
-def lr_schedule(epoch: int, task: str, base: float = 0.01) -> float:
+def lr_schedule(epoch: int, task: str, base: float) -> float:
     """AU runs: base for two epochs, then base/10.  Expression runs (any
     other task; `RunConfig.validate` admits only au and fer):
     multiplicative 0.99 decay every 10 epochs over a 100-epoch budget.

@@ -13,6 +13,20 @@ nothing else.  Exit codes: 0 ok, 2 config/input error (a command line
 argparse rejects, and an artifact that cannot be written, included),
 3 numeric failure, 4 threshold violation.
 
+Determinism: the same config gives the same artifact bytes, and this
+holds as measured, on a 2-core x86-64 host with numpy 2.4 on OpenBLAS
+0.3.31 (its SkylakeX kernels) and numpy's AVX-512 loops:
+- it holds across BLAS thread counts (a small au run trains to the
+  same bytes at `OPENBLAS_NUM_THREADS` 1 and 2, which a test checks)
+  and across ufunc buffer sizes (see `UFUNC_BUFSIZE`);
+- it does not hold across numpy SIMD targets (with the AVX-512 loops
+  off, a `train_log.csv` loss moves in its last printed digit) nor
+  across OpenBLAS core types (`OPENBLAS_CORETYPE=Haswell` moves
+  `checkpoint.bin`), so the sha256 pins hold only on a host like that;
+- an image's eval logits depend on the composition of its batch:
+  `tensor.linear` runs BLAS's matrix-vector routine for a one-row batch,
+  which sums in another order than its matrix product.
+
 The parser is built on the first `main` call and shared by every later
 call in the process, so nothing may mutate it.  Each verb's `cmd_*`
 function is bound into it when it is built: patch the globals those
@@ -51,7 +65,7 @@ from .errors import ConfigError, DataError, NumericError
 from .gradcheck import SUITE_TOLERANCE, build_suite
 from .metrics import (accuracy, binarize, confusion_matrix, confusion_report,
                       count_binary, metrics_report)
-from .ppm import decode_image, encode_heatmap
+from .ppm import encode_heatmap, read_color_image
 from .train import (TrainState, batch_tensor, build_split, build_splits, evaluate_model,
                     make_out_dir, run_training)
 
@@ -131,7 +145,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    result = run_training(cfg, build_splits(cfg), out_dir=cfg.output_dir, log=print)
+    result = run_training(cfg, build_splits(cfg), log=print)
     print(f"best val metric {result.best_val:.6f} at epoch {result.best_epoch}")
     print(f"log: {result.log_path}  checkpoint: {result.checkpoint_path}")
     return EXIT_OK
@@ -187,7 +201,7 @@ def cmd_sweep_n(cfg: RunConfig, args) -> int:
     splits = build_splits(cfg)
     rows = ["n_channels,best_val_metric"]
     for sub in subs:
-        result = run_training(sub, splits, out_dir=sub.output_dir)
+        result = run_training(sub, splits)
         rows.append(f"{sub.n_channels},{result.best_val:.6f}")
         print(rows[-1])
     (make_out_dir(cfg.output_dir) / "sweep.csv").write_text("\n".join(rows) + "\n")
@@ -251,13 +265,7 @@ def cmd_export_attention(cfg: RunConfig, args) -> int:
         if stem in images:
             raise ConfigError(f"two images share the stem {stem!r}, so their maps would "
                               "overwrite each other")
-        try:
-            img = decode_image(Path(path).read_bytes())
-        except OSError as exc:
-            raise DataError(f"cannot read image {path}: {type(exc).__name__}") from None
-        if img.ndim != 3 or img.shape != (size, size, 3):
-            raise DataError(f"{path}: expected {size}x{size} color image, got {img.shape}")
-        images[stem] = img
+        images[stem] = read_color_image(path, size)
     out = make_out_dir(cfg.output_dir)
     for stem, img in images.items():
         x = batch_tensor([img], np_dtype(cfg))

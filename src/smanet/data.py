@@ -33,11 +33,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ppm import decode_image, encode_color, quantize
+from .ppm import encode_color, quantize, read_color_image
 
 DEFAULT_LABEL_RATES = (0.30, 0.30, 0.25, 0.20, 0.20, 0.20, 0.15, 0.15, 0.10, 0.10, 0.05, 0.05)
 # (first label, second label, P(second | first)); marginals stay as configured.
 DEFAULT_LABEL_PAIRS = ((0, 1, 0.8), (4, 5, 0.8))
+# How an image is rendered: the std of the per-pixel noise, each label
+# blob's width and height, and the number of faint distractor bumps.
+NOISE = 0.04
+BLOB_SIGMA = 4.0
+BLOB_AMPLITUDE = 0.75
+DISTRACTORS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,25 +69,19 @@ class SyntheticSpec:
     """What `generate_synthetic` draws: au samples carry `num_labels`
     coupled 0/1 labels at `rates`, fer samples one of `num_classes`
     class ids.  Nothing here is checked: `RunConfig.validate` checks the
-    task, and `train.synthetic_spec` builds `rates` (one per label) and
+    task, and `train.synthetic_spec` builds `rates` (one per label),
     disjoint `pairs` whose conditional rates lie in [0,1] (see
-    `sample_labels`)."""
+    `sample_labels`) and a non-empty `subject_pool`.  How an image is
+    rendered is fixed by this module's constants, `NOISE` to
+    `DISTRACTORS`."""
 
-    task: str = "au"
-    num_labels: int = 12
-    num_classes: int = 6
-    image_size: int = 64
-    n_subjects: int = 30
-    subject_pool: tuple = ()             # empty -> range(n_subjects)
-    rates: tuple = DEFAULT_LABEL_RATES
-    pairs: tuple = DEFAULT_LABEL_PAIRS
-    noise: float = 0.04
-    blob_sigma: float = 4.0
-    blob_amplitude: float = 0.75
-    distractors: int = 2
-
-    def pool(self) -> tuple:
-        return self.subject_pool if self.subject_pool else tuple(range(self.n_subjects))
+    task: str
+    num_labels: int
+    num_classes: int
+    image_size: int
+    subject_pool: tuple                  # the subject ids samples are drawn from
+    rates: tuple
+    pairs: tuple
 
 
 def label_colors(count: int) -> np.ndarray:
@@ -136,9 +136,9 @@ def _render(rng: np.random.Generator, active: np.ndarray, base: np.ndarray,
     size = spec.image_size
     # Drawn in [H,W,3] order, which the pinned bytes fix, and read through
     # a transposed view.
-    noise = rng.normal(0.0, spec.noise, size=(size, size, 3))
+    noise = rng.normal(0.0, NOISE, size=(size, size, 3))
     np.add(noise.transpose(2, 0, 1), base[:, None, None], out=out)
-    for _ in range(spec.distractors):
+    for _ in range(DISTRACTORS):
         dy, dx = rng.uniform(8, size - 8, 2)
         dsig = rng.uniform(2.0, 5.0)
         bump = _gaussian(grid, dy, dx, dsig)
@@ -149,7 +149,7 @@ def _render(rng: np.random.Generator, active: np.ndarray, base: np.ndarray,
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def generate_synthetic(seed: int, n: int, spec: SyntheticSpec | None = None) -> Dataset:
+def generate_synthetic(seed: int, n: int, spec: SyntheticSpec) -> Dataset:
     """Deterministic synthetic dataset: same seed, same bytes.
 
     Draws the subjects, then the au labels or fer classes, then renders
@@ -160,9 +160,8 @@ def generate_synthetic(seed: int, n: int, spec: SyntheticSpec | None = None) -> 
     each distractor's center and width.  Images are rendered one at a
     time into one planar float buffer, so the transient memory does not
     grow with `n`."""
-    spec = spec or SyntheticSpec()
     rng = np.random.default_rng((seed, 101))
-    pool = np.asarray(spec.pool())
+    pool = np.asarray(spec.subject_pool)
     subjects = pool[rng.integers(0, len(pool), size=n)]
     if spec.task == "au":
         labels, count = sample_labels(rng, n, spec), spec.num_labels
@@ -172,7 +171,7 @@ def generate_synthetic(seed: int, n: int, spec: SyntheticSpec | None = None) -> 
         active = labels[:, None]
     size = spec.image_size
     grid = np.arange(size, dtype=np.float64)
-    blobs = [spec.blob_amplitude * _gaussian(grid, cy, cx, spec.blob_sigma)
+    blobs = [BLOB_AMPLITUDE * _gaussian(grid, cy, cx, BLOB_SIGMA)
              * color[:, None, None]
              for (cy, cx), color in zip(label_centers(count, size), label_colors(count))]
     bases = {s: 0.18 + _subject_tint(s) for s in set(subjects.tolist())}
@@ -337,7 +336,7 @@ def selective_oversample(labels: np.ndarray, threshold: float,
 # -- folds ------------------------------------------------------------------
 
 
-def make_folds(subjects: np.ndarray, k: int, seed: int = 0) -> list[np.ndarray]:
+def make_folds(subjects: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     """Deterministic k-way partition of sample indices by the samples'
     subject ids: no subject appears in two folds.  Each fold is an
     ascending index array; a seeded shuffle of the sorted distinct
@@ -356,8 +355,9 @@ def make_folds(subjects: np.ndarray, k: int, seed: int = 0) -> list[np.ndarray]:
 # -- manifest ----------------------------------------------------------------
 
 
-def write_dataset(out_dir, data: Dataset, digest: str = "") -> Path:
-    """Write the uint8 images as P6 files plus a tab-separated manifest.
+def write_dataset(out_dir, data: Dataset, digest: str) -> Path:
+    """Write the uint8 images as P6 files plus a tab-separated manifest
+    whose first line is the `# config_digest=` comment.
 
     Manifest fields, in order: image path, labels, subject id.  A label
     row of [N,L] labels is written comma-joined 0/1, a class id of [N]
@@ -365,9 +365,7 @@ def write_dataset(out_dir, data: Dataset, digest: str = "") -> Path:
     """
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    lines = []
-    if digest:
-        lines.append(f"# config_digest={digest}")
+    lines = [f"# config_digest={digest}"]
     for i in range(len(data)):
         rel = f"images/sample_{i:05d}.ppm"
         (out_dir / rel).write_bytes(encode_color(data.images[i]))
@@ -420,15 +418,9 @@ def load_dataset(dataset_dir, task: str, count: int, size: int) -> Dataset:
             if len(values) != 1 or not 0 <= values[0] < count:
                 raise DataError(f"{where}: want one class id in [0,{count}), got {lab!r}")
             labels.append(values[0])
-        path = dataset_dir / rel
-        if not path.is_file():
-            raise DataError(f"{where}: image {rel} not found")
         try:
-            img = decode_image(path.read_bytes())
+            images[i] = read_color_image(dataset_dir / rel, size)
         except DataError as exc:
             raise DataError(f"{where}: {exc}") from None
-        if img.shape != (size, size, 3):
-            raise DataError(f"{where}: expected {size}x{size} color image {rel}, got {img.shape}")
-        images[i] = img
     dtype = np.int8 if task == "au" else np.int64
     return Dataset(images, np.array(labels, dtype=dtype), np.array(subjects, dtype=np.int64))

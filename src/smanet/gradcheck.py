@@ -25,10 +25,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import MultiChannelAttention, SmaConfig, combine, refine
-from .config import RunConfig, loss_config
+from .attention import MultiChannelAttention, combine, refine
+from .config import RunConfig, backbone_config, loss_config
 from .errors import NumericError, ShapeError
-from .losses import (LossConfig, bypass_logits, compute_pos_weights, cross_entropy,
+from .losses import (bypass_logits, compute_pos_weights, cross_entropy,
                      diversity_loss, multi_attention_loss, objective, weighted_bce_logits)
 from .nn import Linear
 from .tensor import Tensor, no_grad
@@ -167,20 +167,25 @@ def _bypass(rng):
     return _op(bypass_logits, 41, pooled=_rand(rng, 2, 3, 4), w=_rand(rng, 9, 4), b=_rand(rng, 9))
 
 
+def _sma(n_channels):
+    """The attention variant a default config builds, at `n_channels`."""
+    return backbone_config(RunConfig(n_channels=n_channels)).sma
+
+
 def _sma_block(rng):
-    block = MultiChannelAttention(SmaConfig(n_channels=3), 4, rng)
+    block = MultiChannelAttention(_sma(3), 4, rng)
     return _op(lambda x, *_: block(x)[0], 33,
                input=_rand(rng, 2, 4, 6, 6), **dict(block.named_parameters()))
 
 
 def _aaa(rng):
-    block = MultiChannelAttention(SmaConfig(n_channels=3), 4, rng)
+    block = MultiChannelAttention(_sma(3), 4, rng)
     fc = {n: p for n, p in block.named_parameters() if "fc" in n}
     return _op(lambda x, *_: block.channel_weights(x), 35, input=_rand(rng, 2, 4, 5, 5), **fc)
 
 
 def _combine(rng):
-    block = MultiChannelAttention(SmaConfig(n_channels=4), 3, rng)
+    block = MultiChannelAttention(_sma(4), 3, rng)
     return _op(lambda x: combine(block.f2a(x), block.channel_weights(x)), 37,
                input=_rand(rng, 2, 3, 5, 5))
 
@@ -190,9 +195,9 @@ def _refine(rng):
 
 
 def _multi_attention(rng):
-    block = MultiChannelAttention(SmaConfig(n_channels=2), 4, rng)
+    block = MultiChannelAttention(_sma(2), 4, rng)
     heads = Linear(4, 2 * 3, rng, 0.5)
-    lcfg = LossConfig()
+    lcfg = loss_config(RunConfig())
     labels = rng.integers(0, 3, size=2)
     return _op(lambda x, *_: multi_attention_loss(T.sigmoid(block.f2a(x)), x, labels, heads, lcfg),
                input=_rand(rng, 2, 4, 5, 5), **dict(heads.named_parameters()))
@@ -215,7 +220,7 @@ def _objective(seed, rng):
                **{f"p.{n}": p for n, p in state.named_parameters()})
 
 
-def build_suite(seed: int = 0) -> list[tuple[str, object]]:
+def build_suite(seed: int) -> list[tuple[str, object]]:
     """Named (check name, thunk -> max relative error) pairs covering every
     primitive, the attention block pieces, the losses, and the composed
     objective on the toy-profile model.  Nothing is built until a thunk

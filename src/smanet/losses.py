@@ -26,10 +26,13 @@ from .tensor import Tensor, apply_op, sigmoid_values
 
 @dataclass
 class LossConfig:
-    alpha: float = 0.1
-    lam: float = 0.1
-    delta: float = 0.5
-    pos_weights: np.ndarray | None = None
+    """The objective's settings; `config.loss_config` builds it.  au runs
+    carry one positive weight per label, fer runs none."""
+
+    alpha: float
+    lam: float
+    delta: float
+    pos_weights: np.ndarray | None
 
 
 def diversity_loss(masks: Tensor, delta: float) -> Tensor:
@@ -148,10 +151,7 @@ def task_loss(logits: Tensor, labels: np.ndarray, cfg: LossConfig) -> Tensor:
     """Weighted BCE for [B,L] 0/1 labels (au), cross-entropy for [B]
     class ids (fer): the two label kinds of `data.Dataset`."""
     if np.ndim(labels) == 2:
-        w = cfg.pos_weights
-        if w is None:
-            w = np.ones(logits.shape[-1])
-        return weighted_bce_logits(logits, labels, w)
+        return weighted_bce_logits(logits, labels, cfg.pos_weights)
     return cross_entropy(logits, labels)
 
 
@@ -241,8 +241,13 @@ def objective(logits: Tensor, inters, labels: np.ndarray, heads_by_block,
     return l_cla, l_div, l_ma, total_loss(l_cla, l_div, l_ma, cfg)
 
 
-def compute_pos_weights(labels: np.ndarray, clamp_lo: float = 1.0, clamp_hi: float = 10.0) -> np.ndarray:
-    """Per-label negative/positive count ratio, clamped to [1, 10].
+# The range `compute_pos_weights` clamps each label's weight to.
+POS_WEIGHT_MIN, POS_WEIGHT_MAX = 1.0, 10.0
+
+
+def compute_pos_weights(labels: np.ndarray) -> np.ndarray:
+    """Per-label negative/positive count ratio, clamped to
+    [`POS_WEIGHT_MIN`, `POS_WEIGHT_MAX`].
 
     The clamp keeps rare labels from blowing up the objective; labels with
     no positives at all land on the upper clamp.
@@ -251,5 +256,5 @@ def compute_pos_weights(labels: np.ndarray, clamp_lo: float = 1.0, clamp_hi: flo
     pos = labels.sum(axis=0)
     neg = labels.shape[0] - pos
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(pos > 0, neg / np.maximum(pos, 1e-12), clamp_hi)
-    return np.clip(ratio, clamp_lo, clamp_hi)
+        ratio = np.where(pos > 0, neg / np.maximum(pos, 1e-12), POS_WEIGHT_MAX)
+    return np.clip(ratio, POS_WEIGHT_MIN, POS_WEIGHT_MAX)

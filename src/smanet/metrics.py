@@ -19,9 +19,9 @@ class LabelCounts:
     tn: np.ndarray
 
 
-def binarize(logits: np.ndarray, threshold: float = 0.0) -> np.ndarray:
-    """Occurrence decision: strictly above threshold counts as positive."""
-    return np.asarray(logits) > threshold
+def binarize(logits: np.ndarray) -> np.ndarray:
+    """Occurrence decision: a logit strictly above 0 counts as positive."""
+    return np.asarray(logits) > 0.0
 
 
 def count_binary(preds: np.ndarray, truth: np.ndarray) -> LabelCounts:

@@ -59,17 +59,18 @@ class Module:
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy checkpoint records into parameters and buffers, in place
         (an optimizer may hold views of the parameter arrays); a missing
-        record or a shape mismatch is a DataError naming the record."""
-
-        def record(name, shape):
+        record, a record the model does not have, or a shape mismatch is a
+        DataError naming the record."""
+        own = dict(self.state_arrays())
+        unknown = [name for name in arrays if name not in own]
+        if unknown:
+            raise DataError(f"checkpoint record {unknown[0]} is not in the model")
+        for name, arr in own.items():
             if name not in arrays:
                 raise DataError(f"checkpoint record {name} is missing")
-            if arrays[name].shape != shape:
-                raise DataError(f"checkpoint record {name}: shape {arrays[name].shape} != {shape}")
-            return arrays[name]
-
-        for name, arr in self.state_arrays():
-            arr[...] = record(name, arr.shape)
+            if arrays[name].shape != arr.shape:
+                raise DataError(f"checkpoint record {name}: shape {arrays[name].shape} != {arr.shape}")
+            arr[...] = arrays[name]
 
     def cast(self, dtype) -> Module:
         """Cast every parameter and buffer to `dtype`, copying only those
@@ -99,11 +100,6 @@ class Module:
 
 
 class ModuleList(Module):
-    def __init__(self, mods=()):
-        super().__init__()
-        for m in mods:
-            self.append(m)
-
     def append(self, mod: Module) -> None:
         self._modules[str(len(self._modules))] = mod
 

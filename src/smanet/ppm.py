@@ -3,10 +3,14 @@
 The only image format the package reads or writes: byte-exact,
 dependency-free, maxval fixed at 255.  Color images are uint8 [H,W,3]
 arrays in and out, so encoding and decoding are exact inverses;
-`quantize` is the one rule that turns floats in [0,1] into uint8.
+`quantize` is the one rule that turns floats in [0,1] into uint8, and
+`read_color_image` the one reader of a color image file: the manifest
+reader and `export-attention` both call it.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
@@ -70,6 +74,25 @@ def decode_image(data: bytes) -> np.ndarray:
         raise DataError(f"truncated pixmap payload: {len(payload)} of {need} bytes")
     arr = np.frombuffer(payload, dtype=np.uint8)
     return arr.reshape((height, width, 3) if channels == 3 else (height, width))
+
+
+def read_color_image(path, size: int) -> np.ndarray:
+    """The P6 file at `path` as uint8 [size,size,3].  A file that is
+    missing or unreadable, is no valid pixmap, or has another shape
+    raises one DataError line naming `path`."""
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise DataError(f"image {path} not found") from None
+    except OSError as exc:
+        raise DataError(f"cannot read image {path}: {type(exc).__name__}") from None
+    try:
+        img = decode_image(data)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if img.shape != (size, size, 3):
+        raise DataError(f"{path}: expected {size}x{size} color image, got {img.shape}")
+    return img
 
 
 def _encode(kind: str, raw: np.ndarray, comment: str = "") -> bytes:

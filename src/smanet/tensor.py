@@ -207,11 +207,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in _FLOAT_DTYPES:
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -260,9 +258,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
 
     # -- backward ------------------------------------------------------------
 
@@ -924,6 +919,11 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     return apply_op(data, (x,), vjp)
 
 
+# `batch_norm2d`'s running-statistics momentum and variance epsilon.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 def batch_norm2d(
     x: Tensor,
     gamma: Tensor,
@@ -931,8 +931,6 @@ def batch_norm2d(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-channel batch normalization with affine transform.
 
@@ -959,18 +957,18 @@ def batch_norm2d(
         mu = np.add.reduce(x.data, axes) / m
         xhat = x.data - mu[:, None, None]
         var = (xhat * xhat).sum(axis=axes) / m
-        invstd = 1.0 / np.sqrt(var + eps)
+        invstd = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= invstd[:, None, None]
         data = xhat * gamma.data[:, None, None]
         data += beta.data[:, None, None]
         unbiased = var * (m / (m - 1)) if m > 1 else var
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * unbiased
     else:
         mu = running_mean.copy()  # the vjp must see the mean this forward used
-        invstd = 1.0 / np.sqrt(running_var + eps)
+        invstd = 1.0 / np.sqrt(running_var + BN_EPS)
         scale = gamma.data * invstd
         data = x.data * scale[:, None, None]
         data += (beta.data - mu * scale)[:, None, None]

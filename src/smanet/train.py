@@ -44,7 +44,6 @@ def synthetic_spec(cfg: RunConfig, subject_pool: tuple) -> SyntheticSpec:
         num_labels=cfg.num_labels,
         num_classes=cfg.num_classes,
         image_size=input_size(cfg),
-        n_subjects=cfg.n_subjects,
         subject_pool=subject_pool,
         rates=rates,
         pairs=pairs,
@@ -157,8 +156,8 @@ class TrainResult:
     best_epoch: int
     best_val: float
     digest: str
-    log_path: Path | None
-    checkpoint_path: Path | None
+    log_path: Path
+    checkpoint_path: Path
 
 
 LOG_HEADER = "epoch,lr,l_cla,l_div,l_ma,l_all,train_metric,val_metric"
@@ -174,14 +173,13 @@ def format_log(rows: list[dict], digest: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_training(cfg: RunConfig, splits: tuple[Dataset, Dataset],
-                 out_dir: Path | None = None, log=None) -> TrainResult:
-    """Full training run; writes train_log.csv and checkpoint.bin when
-    out_dir is given, keeping the best-validation-metric checkpoint.  Each
+def run_training(cfg: RunConfig, splits: tuple[Dataset, Dataset], log=None) -> TrainResult:
+    """Full training run; writes train_log.csv and checkpoint.bin under
+    `cfg.output_dir`, keeping the best-validation-metric checkpoint.  Each
     epoch rewrites the whole log through `checkpoint.replacing`, so a run
     that stops early leaves every finished epoch's row on disk.  The
     (train, val) splits are `build_splits(cfg)`, built by the caller
-    before out_dir is created.
+    before the output directory is created.
 
     An epoch walks `order`, the training indices after oversampling, in a
     seeded permutation; position i of `order` seeds its augmentation."""
@@ -204,11 +202,8 @@ def run_training(cfg: RunConfig, splits: tuple[Dataset, Dataset],
         trainable += [p for _, p in state.heads.named_parameters()]
     opt = SGD(trainable, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
-    ckpt_path = log_path = None
-    if out_dir is not None:
-        out_dir = make_out_dir(out_dir)
-        ckpt_path = out_dir / "checkpoint.bin"
-        log_path = out_dir / "train_log.csv"
+    out_dir = make_out_dir(cfg.output_dir)
+    ckpt_path, log_path = out_dir / "checkpoint.bin", out_dir / "train_log.csv"
 
     n = len(order)
     rows: list[dict] = []
@@ -269,10 +264,8 @@ def run_training(cfg: RunConfig, splits: tuple[Dataset, Dataset],
             )
         if val_metric > best_val:
             best_val, best_epoch = val_metric, epoch
-            if ckpt_path is not None:
-                save_checkpoint(ckpt_path, digest, state.state_arrays())
-        if log_path is not None:
-            with replacing(log_path) as f:
-                f.write(format_log(rows, digest).encode("ascii"))
+            save_checkpoint(ckpt_path, digest, state.state_arrays())
+        with replacing(log_path) as f:
+            f.write(format_log(rows, digest).encode("ascii"))
 
     return TrainResult(rows, best_epoch, best_val, digest, log_path, ckpt_path)

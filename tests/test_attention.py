@@ -4,15 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from plans import sma_config
 from smanet import tensor as T
-from smanet.attention import (ChannelGate, MultiChannelAttention, SmaConfig, SmaIntermediates,
+from smanet.attention import (ChannelGate, MultiChannelAttention, SmaIntermediates,
                               channel_masks, combine, param_count, refine)
 from smanet.errors import ConfigError, ShapeError
 from smanet.tensor import Tensor
 
 
 def make_block(n=3, c=4, seed=0, **kwargs):
-    return MultiChannelAttention(SmaConfig(n_channels=n, **kwargs), c,
+    return MultiChannelAttention(sma_config(n, **kwargs), c,
                                  np.random.default_rng(seed))
 
 
@@ -24,24 +25,24 @@ def zero_params(module):
 class TestConfig:
     def test_rejects_even_kernel(self):
         with pytest.raises(ConfigError):
-            SmaConfig(n_channels=2, attn_kernel=6)
+            sma_config(2, attn_kernel=6)
 
     def test_rejects_zero_channels(self):
         with pytest.raises(ConfigError):
-            SmaConfig(n_channels=0)
+            sma_config(0)
 
     def test_rejects_bad_combine(self):
         with pytest.raises(ConfigError):
-            SmaConfig(n_channels=2, combine_on="both")
+            sma_config(2, combine_on="both")
 
     @pytest.mark.parametrize("kernels", [dict(attn_kernel=-1), dict(mapping_kernel=-3)])
     def test_rejects_negative_kernel(self, kernels):
         with pytest.raises(ConfigError, match="positive odd"):
-            SmaConfig(n_channels=2, **kernels)
+            sma_config(2, **kernels)
 
     def test_rejects_unknown_mapping_mode(self):
         with pytest.raises(ConfigError):
-            SmaConfig(n_channels=2, mapping_mode="channel_max")
+            sma_config(2, mapping_mode="channel_max")
 
 
 class TestF2a:
@@ -102,7 +103,7 @@ class TestF2a:
 
     def test_channel_mean_block_keeps_float32(self):
         block = make_block(n=3, c=4, seed=5, mapping_mode="channel_mean").cast(np.float32)
-        x = Tensor(np.random.default_rng(6).normal(size=(2, 4, 5, 5)), dtype=np.float32)
+        x = Tensor(np.random.default_rng(6).normal(size=(2, 4, 5, 5)).astype(np.float32))
         out, inter = block(x)
         maps = (inter.logits, channel_masks(inter), inter.fused, out)
         assert [m.dtype for m in maps] == [np.float32] * len(maps)
@@ -145,7 +146,7 @@ class TestChannelWeights:
 
 class TestCombineRefine:
     def test_single_channel_degenerates(self):
-        cfg = SmaConfig(n_channels=1)
+        cfg = sma_config(1)
         block = MultiChannelAttention(cfg, 2, np.random.default_rng(12))
         x = Tensor(np.random.default_rng(13).normal(size=(2, 2, 5, 5)))
         logits = block.f2a(x)
@@ -213,7 +214,7 @@ class TestBlockForward:
         assert np.allclose(out.data, inter.fused.data * x.data, atol=0)
 
     def test_channel_permutation_leaves_fused_map_unchanged(self):
-        cfg = SmaConfig(n_channels=4)
+        cfg = sma_config(4)
         block = MultiChannelAttention(cfg, 3, np.random.default_rng(22))
         x = Tensor(np.random.default_rng(23).normal(size=(2, 3, 5, 5)))
         logits = block.f2a(x)
@@ -227,19 +228,19 @@ class TestBlockForward:
 class TestParamCount:
     def test_single_attention_conv_costs_fifty(self):
         # one 7x7 filter plus its bias
-        cfg = SmaConfig(n_channels=1)
+        cfg = sma_config(1)
         per_channel = cfg.n_channels * (cfg.attn_kernel ** 2 + 1)
         assert per_channel == 50
         assert param_count(cfg, 1) == 2 + 50 + 2 + 2  # mapping + conv + two 1-d fcs
 
     def test_mapping_params_example(self):
-        cfg = SmaConfig(n_channels=7)
+        cfg = sma_config(7)
         mapping = 64 * 7 * 1 + 7
         assert mapping == 455
         assert param_count(cfg, 64) == mapping + 7 * 50 + (64 * 7 + 7) + (7 * 7 + 7)
 
     def test_matches_registry_walk(self):
-        cfg = SmaConfig(n_channels=7)
+        cfg = sma_config(7)
         block = MultiChannelAttention(cfg, 64, np.random.default_rng(24))
         assert block.param_total() == param_count(cfg, 64)
 
@@ -248,7 +249,7 @@ class TestParamCount:
     @pytest.mark.parametrize("use_aaa", [True, False])
     @pytest.mark.parametrize("mapping_mode", ["conv", "channel_mean"])
     def test_closed_form_on_every_variant(self, mapping_mode, use_aaa, mapping_kernel, width):
-        cfg = SmaConfig(n_channels=3, mapping_kernel=mapping_kernel,
+        cfg = sma_config(3, mapping_kernel=mapping_kernel,
                         mapping_mode=mapping_mode, use_aaa=use_aaa)
         block = MultiChannelAttention(cfg, width, np.random.default_rng(27))
         assert param_count(cfg, width) == block.param_total()

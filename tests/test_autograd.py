@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
+from plans import sma_config
 from test_dependencies import op_functions
 from smanet import gradcheck as G
 from smanet import losses as L
 from smanet import tensor as T
-from smanet.attention import MultiChannelAttention, SmaConfig
+from smanet.attention import MultiChannelAttention
 from smanet.backbone import SGD
 from smanet.config import RunConfig, loss_config
 from smanet.errors import AutogradError, NumericError
@@ -130,7 +131,7 @@ def test_composed_attention_block_matches_manual_finite_differences():
     # Independent oracle: plain numpy central differences around the full
     # block, not the packaged grad_check_many checker.
     rng = np.random.default_rng(5)
-    block = MultiChannelAttention(SmaConfig(n_channels=2), 3, rng)
+    block = MultiChannelAttention(sma_config(2), 3, rng)
     x0 = rng.normal(size=(1, 3, 5, 5))
 
     def loss_np(arr):
@@ -279,9 +280,10 @@ def _tensors_in_closures(vjps) -> list[str]:
     return sorted(set(found))
 
 
-def test_no_vjp_of_a_training_step_holds_a_tensor(monkeypatch):
+def test_no_vjp_of_a_training_step_holds_a_tensor(monkeypatch, tmp_path):
     cfg = RunConfig(task="au", profile="toy", seed=3, epochs=1, batch_size=8, n_train=8,
-                    n_val=8, n_subjects=10, n_channels=2, num_labels=4).validate()
+                    n_val=8, n_subjects=10, n_channels=2, num_labels=4,
+                    output_dir=str(tmp_path)).validate()
     splits = build_splits(cfg)
     vjps = _record_vjps(monkeypatch)
     run_training(cfg, splits)
@@ -306,7 +308,8 @@ def _toy_step_memory() -> tuple[int, int, int]:
                     n_val=8, n_subjects=10, n_channels=7, dtype="float32").validate()
     train = build_split(cfg, "train")
     state = TrainState(cfg)
-    SGD([p for _, p in state.named_parameters()])  # binds each .grad, as a step does
+    # binds each .grad, as a step does
+    SGD([p for _, p in state.named_parameters()], cfg.momentum, cfg.weight_decay)
     lcfg = loss_config(cfg, L.compute_pos_weights(train.labels))
     x = batch_tensor(train.images[:2], np.float32)
     tracemalloc.start()
@@ -353,8 +356,8 @@ def test_relu_conv_chain_keeps_one_copy_of_the_activation():
     the size of it beside it.  With a relu mask and the conv's phase
     grid they kept about 1.46x the relu output at 32 px."""
     rng = np.random.default_rng(12)
-    x = Tensor(rng.normal(size=(2, 8, 32, 32)), requires_grad=True, dtype=np.float32)
-    w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True, dtype=np.float32)
+    x = Tensor(rng.normal(size=(2, 8, 32, 32)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 8, 3, 3)).astype(np.float32), requires_grad=True)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -375,7 +378,7 @@ def test_max_pool_vjp_keeps_no_output_gradient_rows_to_the_end():
     gathered gradient and one tap's temporaries: at most 2.2x its input,
     against 2.36x while the rows lived until the gather."""
     rng = np.random.default_rng(13)
-    x = Tensor(rng.normal(size=(2, 8, 64, 64)), requires_grad=True, dtype=np.float32)
+    x = Tensor(rng.normal(size=(2, 8, 64, 64)).astype(np.float32), requires_grad=True)
     out = T.max_pool2d(x, 3, 2, 1)
     g = rng.normal(size=out.shape).astype(np.float32)
     tracemalloc.start()

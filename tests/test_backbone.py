@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
+from plans import backbone_plan, sma_config
 from smanet import tensor as T
-from smanet.attention import ChannelGate, SmaConfig
-from smanet.backbone import (SGD, Backbone, BackboneConfig, BasicBlock,
+from smanet.attention import ChannelGate
+from smanet.backbone import (SGD, Backbone, BasicBlock,
                              attention_param_count, backbone_param_count, lr_schedule)
 from smanet.checkpoint import load_checkpoint, save_checkpoint
 from smanet.config import RunConfig, backbone_config
@@ -13,13 +16,9 @@ from smanet.gradcheck import grad_check_many
 from smanet.losses import cross_entropy
 from smanet.tensor import Tensor
 
-TOY = dict(stage_widths=(8, 16, 32, 64), stem="compact")
-
-
-def toy_config(n_channels=3, **kwargs):
-    base = dict(num_outputs=6, sma=SmaConfig(n_channels=n_channels), **TOY)
-    base.update(kwargs)
-    return BackboneConfig(**base)
+def toy_config(n_channels=3, num_outputs=6, **kwargs):
+    """The toy-profile backbone with SMA in every block."""
+    return backbone_plan(num_outputs=num_outputs, sma=sma_config(n_channels), **kwargs)
 
 
 class TestConfig:
@@ -124,8 +123,7 @@ class TestModelForward:
         assert np.array_equal(base.data[perm], swapped.data)
 
     def test_imagenet_stem_downsamples(self):
-        cfg = BackboneConfig(num_outputs=4, stage_widths=(8, 16, 32, 64),
-                             stem="imagenet", sma_placement="none")
+        cfg = backbone_plan(num_outputs=4, stem="imagenet", sma_placement="none")
         model = Backbone(cfg, np.random.default_rng(14)).eval()
         with T.no_grad():
             logits, _ = model(Tensor(np.random.default_rng(15).random((1, 3, 64, 64))))
@@ -146,7 +144,7 @@ class TestParamCounts:
         from smanet.attention import param_count as sma_count
 
         want = sum(
-            sma_count(SmaConfig(n_channels=3), c)
+            sma_count(sma_config(3), c)
             for _, _, _, c, _ in with_sma.block_positions()
         )
         assert diff == want
@@ -158,10 +156,8 @@ class TestParamCounts:
         assert attention_param_count(cfg, width) == gate.param_total()
 
     def test_paper_profile_overhead_under_five_percent(self):
-        full = BackboneConfig(num_outputs=12, sma_placement="all_blocks",
-                              stem="imagenet")
-        plain = BackboneConfig(num_outputs=12, sma_placement="none",
-                               stem="imagenet")
+        full = backbone_config(RunConfig(profile="paper"))
+        plain = dataclasses.replace(full, sma_placement="none")
         ratio = backbone_param_count(full) / backbone_param_count(plain)
         assert ratio <= 1.05
 
@@ -204,7 +200,7 @@ class TestSGD:
 
     def test_missing_grad_rejected(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = SGD([p])
+        opt = SGD([p], 0.0, 0.0)
         p.grad = None
         with pytest.raises(ConfigError):
             opt.step(0.1)
@@ -235,7 +231,7 @@ class TestSGD:
         params = [Tensor(np.zeros(2, np.float32), requires_grad=True),
                   Tensor(np.zeros(2, np.float64), requires_grad=True)]
         with pytest.raises(ConfigError):
-            SGD(params)
+            SGD(params, 0.0, 0.0)
 
     def test_loaded_state_is_what_the_next_step_reads(self):
         model = Backbone(toy_config(n_channels=2), np.random.default_rng(24))
@@ -260,7 +256,7 @@ class TestSGD:
         model, twin = (Backbone(toy_config(n_channels=2), np.random.default_rng(27)).cast(dtype)
                        for _ in range(2))
         params = list(model.parameters())
-        opt = SGD(params)
+        opt = SGD(params, 0.0, 0.0)
         for net in (model, twin):
             cross_entropy(net(Tensor(x))[0], labels).backward()
         for p in params:
@@ -276,15 +272,15 @@ class TestSGD:
 
 class TestSchedule:
     def test_au_steps(self):
-        assert lr_schedule(0, "au") == 0.01
-        assert lr_schedule(1, "au") == 0.01
-        assert lr_schedule(2, "au") == 0.001
-        assert lr_schedule(30, "au") == 0.001
+        assert lr_schedule(0, "au", 0.01) == 0.01
+        assert lr_schedule(1, "au", 0.01) == 0.01
+        assert lr_schedule(2, "au", 0.01) == 0.001
+        assert lr_schedule(30, "au", 0.01) == 0.001
 
     def test_fer_decay(self):
-        assert lr_schedule(25, "fer") == pytest.approx(0.009801, abs=1e-12)
-        assert lr_schedule(0, "fer") == 0.01
-        assert lr_schedule(99, "fer") == pytest.approx(0.01 * 0.99 ** 9, abs=1e-15)
+        assert lr_schedule(25, "fer", 0.01) == pytest.approx(0.009801, abs=1e-12)
+        assert lr_schedule(0, "fer", 0.01) == 0.01
+        assert lr_schedule(99, "fer", 0.01) == pytest.approx(0.01 * 0.99 ** 9, abs=1e-15)
 
     def test_rejects_bad_input(self):
         # lr_schedule reads epochs from range(cfg.epochs) and a validated task.

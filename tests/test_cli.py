@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import same_bits
+from plans import synth_spec
 from test_dependencies import op_functions
 from smanet import checkpoint, cli, losses
 from smanet import tensor as T
@@ -326,7 +327,7 @@ class TestHeapTop:
                         n_val=8, n_subjects=10, n_channels=7, dtype="float32").validate()
         train = build_split(cfg, "train")
         state = TrainState(cfg)
-        opt = SGD([p for _, p in state.named_parameters()])
+        opt = SGD([p for _, p in state.named_parameters()], cfg.momentum, cfg.weight_decay)
         lcfg = loss_config(cfg, losses.compute_pos_weights(train.labels))
         heads = list(state.heads)
         faults = []
@@ -414,7 +415,7 @@ def one_tiny_step(dtype) -> list[np.ndarray]:
     cfg = tiny_cfg(dtype=dtype)
     train, val = build_splits(cfg)
     state = TrainState(cfg)
-    opt = SGD([p for _, p in state.named_parameters()])
+    opt = SGD([p for _, p in state.named_parameters()], cfg.momentum, cfg.weight_decay)
     lcfg = loss_config(cfg, losses.compute_pos_weights(train.labels))
     logits, inters = state.model(batch_tensor(train.images[:2], np_dtype(cfg)))
     l_all = objective(logits, inters, train.labels[:2], list(state.heads), lcfg)[-1]
@@ -693,6 +694,18 @@ class TestTrainBytes:
                for name in self.TINY_TRAIN_SHA256}
         assert got == self.TINY_TRAIN_SHA256
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_blas_thread_count_changes_no_byte(self, tmp_path, threads):
+        # OpenBLAS reads its thread count when it loads: a fresh process each.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("SMANET_OUTPUT_DIR", None)
+        subprocess.run([sys.executable, "-m", "smanet.cli", "train", *TINY,
+                        "--output-dir", str(tmp_path)], env=env, capture_output=True, check=True)
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in self.TINY_TRAIN_SHA256}
+        assert got == self.TINY_TRAIN_SHA256
+
 
 class TestEval:
     def test_matches_training_validation_exactly(self, tmp_path, tiny_run):
@@ -755,15 +768,18 @@ class TestEval:
                    "--output-dir", str(tmp_path / "e")])
         assert rc == EXIT_CONFIG
 
-    @pytest.mark.parametrize("damage", ["drop", "reshape"])
+    @pytest.mark.parametrize("damage", ["drop", "reshape", "extra"])
     def test_damaged_checkpoint_record_refused(self, tmp_path, capsys, damage):
         cfg = tiny_cfg()
         arrays = dict(TrainState(cfg).state_arrays())
         name = next(k for k in arrays if "attention" in k)
         if damage == "drop":
             del arrays[name]
-        else:
+        elif damage == "reshape":
             arrays[name] = arrays[name].reshape(-1)[:-1]
+        else:  # a record the model does not have
+            name = "bogus.record"
+            arrays[name] = np.zeros(3)
         ckpt = tmp_path / "damaged.bin"
         save_checkpoint(ckpt, config_digest(cfg), arrays.items())
         rc = main(["eval", *TINY, "--checkpoint", str(ckpt), "--output-dir", str(tmp_path / "e")])
@@ -879,6 +895,11 @@ def tiny_step(cfg, state):
     return (*state.model(batch_tensor(train.images[:2], np.float32)), train.labels[:2])
 
 
+def au_loss(cfg, labels):
+    """The objective's settings of an au run on `labels`."""
+    return loss_config(cfg, losses.compute_pos_weights(labels))
+
+
 class TestMaskSigmoids:
     """The N channel masks feed only the losses (and the combine_on=masks
     fusion), so each is built once per block, and only where it is read."""
@@ -903,7 +924,7 @@ class TestMaskSigmoids:
         shapes = record_sigmoid_inputs(monkeypatch)
         seen = record_loss_masks(monkeypatch)
         logits, inters, labels = tiny_step(cfg, state)
-        l_all = objective(logits, inters, labels, list(state.heads), loss_config(cfg))[-1]
+        l_all = objective(logits, inters, labels, list(state.heads), au_loss(cfg, labels))[-1]
         assert len(inters) == 8
         assert sum(shape[1] == cfg.n_channels for shape in shapes) == 8
         assert len(shapes) == 2 * 8
@@ -919,7 +940,7 @@ class TestMaskSigmoids:
         state = TrainState(cfg)
         logits, inters, labels = tiny_step(cfg, state)
         seen = record_loss_masks(monkeypatch)
-        objective(logits, inters, labels, list(state.heads), loss_config(cfg))
+        objective(logits, inters, labels, list(state.heads), au_loss(cfg, labels))
         assert len(seen) == 2 * len(inters) == 2 * 8
         assert all(m is it.masks and m.requires_grad for m, it in zip(seen, inters + inters))
 
@@ -934,7 +955,7 @@ class TestMaskSigmoids:
             if read_first:
                 with T.no_grad():
                     assert not any(channel_masks(it).requires_grad for it in inters)
-            objective(logits, inters, labels, list(state.heads), loss_config(cfg))[-1].backward()
+            objective(logits, inters, labels, list(state.heads), au_loss(cfg, labels))[-1].backward()
             grads.append([p.grad.tobytes() for _, p in state.named_parameters()])
         assert len(grads[0]) > 0 and grads[0] == grads[1]
 
@@ -1106,7 +1127,7 @@ class TestExportAttention:
         from smanet.data import generate_synthetic
         from smanet.ppm import decode_image, encode_color
 
-        img = generate_synthetic(1, 1).images[0]
+        img = generate_synthetic(1, 1, synth_spec()).images[0]
         img_path = tmp_path / "probe.ppm"
         img_path.write_bytes(encode_color(img))
 
@@ -1133,7 +1154,7 @@ class TestExportAttention:
         from smanet.ppm import encode_color
 
         img_path = tmp_path / "p.ppm"
-        img_path.write_bytes(encode_color(generate_synthetic(2, 1).images[0]))
+        img_path.write_bytes(encode_color(generate_synthetic(2, 1, synth_spec()).images[0]))
         out_dir = tmp_path / "maps"
         main(["export-attention", *TINY, "--checkpoint", str(ckpt),
               "--output-dir", str(out_dir), str(img_path)])
@@ -1152,7 +1173,7 @@ class TestExportAttention:
         ckpt = tmp_path / "m.bin"
         save_checkpoint(ckpt, config_digest(cfg), state.state_arrays())
         img_path = tmp_path / "p.ppm"
-        img_path.write_bytes(encode_color(generate_synthetic(4, 1).images[0]))
+        img_path.write_bytes(encode_color(generate_synthetic(4, 1, synth_spec()).images[0]))
         exported = []
         encode = cli.encode_heatmap
         monkeypatch.setattr(cli, "encode_heatmap",
@@ -1206,6 +1227,19 @@ class TestExportAttention:
         assert rc == EXIT_CONFIG
         assert "'face'" in one_line_error(capsys)
         assert not out.exists()
+
+    def test_damaged_image_named(self, tmp_path, capsys):
+        cfg = tiny_cfg()
+        ckpt = tmp_path / "m.bin"
+        save_checkpoint(ckpt, config_digest(cfg), TrainState(cfg).state_arrays())
+        good, bad = tmp_path / "a.ppm", tmp_path / "b.ppm"
+        good.write_bytes(encode_color(np.zeros((64, 64, 3), np.uint8)))
+        bad.write_bytes(good.read_bytes()[:-64 * 64 * 3 + 2])  # 2 payload bytes left
+        rc = main(["export-attention", *TINY, "--checkpoint", str(ckpt),
+                   "--output-dir", str(tmp_path / "o"), str(good), str(bad)])
+        assert rc == EXIT_CONFIG
+        err = one_line_error(capsys)
+        assert str(bad) in err and "truncated pixmap payload" in err
 
     def test_wrong_size_image_rejected(self, tmp_path):
         cfg = tiny_cfg()

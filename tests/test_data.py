@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plans import synth_spec
+from smanet import data as D
 from smanet.data import (DEFAULT_LABEL_PAIRS, DEFAULT_LABEL_RATES,
-                         SyntheticSpec, apply_augment, augment,
+                         apply_augment, augment,
                          generate_synthetic, label_centers, load_dataset,
                          make_folds, sample_labels,
                          selective_oversample, write_dataset)
@@ -23,8 +25,8 @@ def sha256(arr) -> str:
 
 class TestGenerator:
     def test_same_seed_same_bytes(self):
-        a = generate_synthetic(7, 12)
-        b = generate_synthetic(7, 12)
+        a = generate_synthetic(7, 12, synth_spec())
+        b = generate_synthetic(7, 12, synth_spec())
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.subjects, b.subjects)
@@ -33,20 +35,20 @@ class TestGenerator:
     # were recorded when samples were still objects, the image pins when
     # images became uint8: the draws and their dtypes must never change.
     PINNED = [
-        ((7, 12, None), (
+        ((7, 12, synth_spec()), (
             "8d398732db877cd0f99e042cd2f0fbb73075406f64c5ed4838a1da037720b785",
             "84fd50ee25cf492089108d327ba19a3bed52ed619242f619d088f8cf30102deb",
             "f53a073eff3f800bc989378e46230ef28bb906209ce7a6787abece084aa94cf1")),
-        ((13, 6, SyntheticSpec(task="fer")), (
+        ((13, 6, synth_spec(task="fer")), (
             "6c0ae7a8e0539eb57346b2d5d50c5fa0c42a22bf5fb3f8bf741c983f8497232a",
             "8ed4b98f5251e93f36c486f9a21c6e3a2457d2336321d4518d9c3bfe852120b7",
             "8d64cd0f46205b21cc85b1e2ec7525015d9461bd41947c9d8a32e663a02a8add")),
         # Recorded before the renderer moved to planar buffers.
-        ((19, 2, SyntheticSpec(image_size=256)), (
+        ((19, 2, synth_spec(image_size=256)), (
             "fc76a2c4226cd3724820c6576be858a4156f22403ed6913ef3c850b8540bd820",
             "4c40d5573dd11ed41983ecfc8904aaaa7658f7aa8b92177fd874a6a1b8f05bf1",
             "493630ab4b4b7f42305ac0ec0a28cc67967dc24e9fba10b1c7b058f028a35b45")),
-        ((23, 6, SyntheticSpec(task="fer", image_size=32)), (
+        ((23, 6, synth_spec(task="fer", image_size=32)), (
             "08c42f896194b30dc7ea7daa4b786539225ea19535bed2c5d76bbe36c4ebf104",
             "5febe92231992a51a7c653c8f53a309679dab2a163981b9f55eb1e3263793620",
             "d360633c719945f10e6b57fb565b65aca6537c23676aa60e134100a353958fd7")),
@@ -62,19 +64,19 @@ class TestGenerator:
         assert (sha256(data.images), sha256(data.labels), sha256(data.subjects)) == digests
 
     def test_different_seed_differs(self):
-        a = generate_synthetic(1, 4)
-        b = generate_synthetic(2, 4)
+        a = generate_synthetic(1, 4, synth_spec())
+        b = generate_synthetic(2, 4, synth_spec())
         assert not all(np.array_equal(x, y) for x, y in zip(a.images, b.images))
 
     def test_marginals_within_tolerance(self):
-        spec = SyntheticSpec()
+        spec = synth_spec()
         rng = np.random.default_rng(0)
         labels = sample_labels(rng, 10_000, spec)
         freq = labels.mean(axis=0)
         assert np.all(np.abs(freq - np.array(DEFAULT_LABEL_RATES)) <= 0.02)
 
     def test_pair_cooccurrence(self):
-        spec = SyntheticSpec()
+        spec = synth_spec()
         labels = sample_labels(np.random.default_rng(1), 20_000, spec)
         for a, b, q in DEFAULT_LABEL_PAIRS:
             got = labels[labels[:, a] == 1, b].mean()
@@ -92,21 +94,24 @@ class TestGenerator:
                 cond = (spec.rates[b] - q * spec.rates[a]) / (1.0 - spec.rates[a])
                 assert 0.0 <= q <= 1.0 and 0.0 <= cond <= 1.0
 
-    def test_zero_rates_give_blob_free_backgrounds(self):
-        spec = SyntheticSpec(rates=(0.0,) * 12, pairs=(), distractors=0, noise=0.0)
-        data = generate_synthetic(3, 5, spec)
+    def test_zero_rates_give_blob_free_backgrounds(self, monkeypatch):
+        monkeypatch.setattr(D, "DISTRACTORS", 0)
+        monkeypatch.setattr(D, "NOISE", 0.0)
+        data = generate_synthetic(3, 5, synth_spec(rates=(0.0,) * 12, pairs=()))
         assert data.images.shape == (5, 64, 64, 3) and data.labels.shape == (5, 12)
         assert np.all(data.labels == 0)
         assert data.images.max() < 0.30 * 255  # base gray + subject tint only
 
-    def test_positive_label_renders_blob(self):
-        spec = SyntheticSpec(rates=(1.0,) + (0.0,) * 11, pairs=(), distractors=0, noise=0.0)
+    def test_positive_label_renders_blob(self, monkeypatch):
+        monkeypatch.setattr(D, "DISTRACTORS", 0)
+        monkeypatch.setattr(D, "NOISE", 0.0)
+        spec = synth_spec(rates=(1.0,) + (0.0,) * 11, pairs=())
         image = generate_synthetic(4, 1, spec).images[0]
         cy, cx = label_centers(12, 64)[0]
         assert image[int(round(cy)), int(round(cx))].max() > 0.6 * 255
 
     def test_multiclass_mode(self):
-        spec = SyntheticSpec(task="fer")
+        spec = synth_spec(task="fer")
         data = generate_synthetic(5, 40, spec)
         assert data.labels.shape == (40,)
         classes = set(data.labels.tolist())
@@ -118,7 +123,7 @@ class TestGenerator:
                 RunConfig(**{field: 0}).validate()
 
     def test_subject_pool_respected(self):
-        spec = SyntheticSpec(subject_pool=(4, 9))
+        spec = synth_spec(subject_pool=(4, 9))
         data = generate_synthetic(6, 30, spec)
         assert len(data) == 30
         assert set(data.subjects.tolist()) <= {4, 9}
@@ -129,20 +134,20 @@ class TestGenerator:
         def transient(n: int) -> int:
             tracemalloc.start()
             try:
-                data = generate_synthetic(5, n)
+                data = generate_synthetic(5, n, synth_spec())
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             return peak - data.images.nbytes - data.labels.nbytes - data.subjects.nbytes
 
-        generate_synthetic(5, 1)  # first-call allocations
+        generate_synthetic(5, 1, synth_spec())  # first-call allocations
         small, large = transient(8), transient(64)
         # one 64 px float image is 96 KiB; the per-sample label bookkeeping
         # of 56 more samples is a few KiB
         assert abs(large - small) < 32 * 1024, (small, large)
 
     def test_take_keeps_the_arrays_aligned(self):
-        data = generate_synthetic(17, 5)
+        data = generate_synthetic(17, 5, synth_spec())
         idx = np.array([3, 0, 3])
         part = data.take(idx)
         assert len(part) == 3
@@ -163,9 +168,10 @@ class TestAugment:
         twice = apply_augment(once, 0.0, True, 1.0, 1.0, 1.0)
         assert np.array_equal(twice, img)
 
-    def test_rotation_roundtrip_error_small(self):
-        spec = SyntheticSpec(noise=0.0, distractors=0,
-                             rates=(1.0, 1.0) + (0.0,) * 10, pairs=())
+    def test_rotation_roundtrip_error_small(self, monkeypatch):
+        monkeypatch.setattr(D, "DISTRACTORS", 0)
+        monkeypatch.setattr(D, "NOISE", 0.0)
+        spec = synth_spec(rates=(1.0, 1.0) + (0.0,) * 10, pairs=())
         img = generate_synthetic(8, 1, spec).images[0]
         fwd = apply_augment(img / 255.0, 30.0, False, 1.0, 1.0, 1.0)
         back = apply_augment(fwd, -30.0, False, 1.0, 1.0, 1.0)
@@ -173,7 +179,7 @@ class TestAugment:
         assert np.abs(back[inner] - img[inner] / 255.0).mean() < 0.02
 
     def test_range_preserved(self):
-        img = generate_synthetic(9, 1).images[0]
+        img = generate_synthetic(9, 1, synth_spec()).images[0]
         out = augment(img, 123, "au")
         assert out.shape == img.shape and out.dtype == np.uint8
 
@@ -192,14 +198,14 @@ class TestAugment:
 
     @pytest.mark.parametrize("task,seed,digest", PINNED, ids=["au", "fer"])
     def test_pinned_bytes(self, task, seed, digest):
-        images = generate_synthetic(seed, 8, SyntheticSpec(task=task)).images
+        images = generate_synthetic(seed, 8, synth_spec(task=task)).images
         outs = np.stack([augment(img, (seed, epoch, i), task)
                          for epoch in range(4) for i, img in enumerate(images)])
         assert outs.dtype == np.uint8 and outs.shape == (32, 64, 64, 3)
         assert sha256(outs) == digest
 
     def test_seeded_determinism(self):
-        img = generate_synthetic(10, 1).images[0]
+        img = generate_synthetic(10, 1, synth_spec()).images[0]
         a = augment(img, (1, 2), "fer")
         b = augment(img, (1, 2), "fer")
         assert np.array_equal(a, b)
@@ -288,7 +294,7 @@ class TestOversample:
             load_dataset(tmp_path, "au", 12, 64)
 
     def test_class_ids_rejected(self, tmp_path):
-        write_dataset(tmp_path, generate_synthetic(17, 4, SyntheticSpec(task="fer")))
+        write_dataset(tmp_path, generate_synthetic(17, 4, synth_spec(task="fer")), "abc123")
         with pytest.raises(DataError, match="want 12 comma-joined 0/1 labels"):
             load_dataset(tmp_path, "au", 12, 64)
 
@@ -370,12 +376,12 @@ class TestFolds:
 
     def test_too_few_subjects(self):
         with pytest.raises(ConfigError):
-            make_folds(self._by_subject(2), 3)
+            make_folds(self._by_subject(2), 3, seed=0)
 
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):
-        data = generate_synthetic(12, 6)
+        data = generate_synthetic(12, 6, synth_spec())
         write_dataset(tmp_path / "ds", data, digest="abc123")
         loaded = load_dataset(tmp_path / "ds", "au", 12, 64)
         assert len(loaded) == 6
@@ -385,8 +391,8 @@ class TestManifest:
         assert loaded.images.dtype == np.uint8 and np.array_equal(data.images, loaded.images)
 
     def test_multiclass_roundtrip(self, tmp_path):
-        data = generate_synthetic(13, 4, SyntheticSpec(task="fer"))
-        write_dataset(tmp_path / "ds", data)
+        data = generate_synthetic(13, 4, synth_spec(task="fer"))
+        write_dataset(tmp_path / "ds", data, "abc123")
         loaded = load_dataset(tmp_path / "ds", "fer", 6, 64)
         assert loaded.labels.dtype == np.int64
         assert loaded.labels.tolist() == data.labels.tolist()
@@ -403,9 +409,9 @@ class TestManifest:
             load_dataset(d, "au", 12, 64)
 
     def test_one_label_roundtrip(self, tmp_path):
-        spec = SyntheticSpec(num_labels=1, rates=(0.5,), pairs=())
+        spec = synth_spec(num_labels=1, rates=(0.5,), pairs=())
         data = generate_synthetic(14, 6, spec)
-        write_dataset(tmp_path / "ds", data)
+        write_dataset(tmp_path / "ds", data, "abc123")
         loaded = load_dataset(tmp_path / "ds", "au", 1, 64)
         assert loaded.labels.shape == (6, 1)
         assert np.array_equal(data.labels, loaded.labels)
@@ -422,15 +428,16 @@ class TestManifest:
         ("fer", 3, "-1\t7"),
     ], ids=lambda v: {"au": "multi_label", "fer": "multi_class"}.get(v) if isinstance(v, str) else None)
     def test_bad_record_names_its_line(self, tmp_path, task, count, record):
-        write_dataset(tmp_path, generate_synthetic(15, 1))
-        good = (tmp_path / "manifest.tsv").read_text().splitlines()[0]
+        write_dataset(tmp_path, generate_synthetic(15, 1, synth_spec()), "abc123")
+        good = (tmp_path / "manifest.tsv").read_text().splitlines()[1]
         rel = good.split("\t")[0]
         (tmp_path / "manifest.tsv").write_text(f"# header\n{rel}\t{record}\n")
         with pytest.raises(DataError, match=r"manifest\.tsv:2: "):
             load_dataset(tmp_path, task, count, 64)
 
     def test_missing_image_names_its_line(self, tmp_path):
-        write_dataset(tmp_path, generate_synthetic(16, 2, SyntheticSpec(task="fer")))
+        write_dataset(tmp_path, generate_synthetic(16, 2, synth_spec(task="fer")), "abc123")
         (tmp_path / "images" / "sample_00001.ppm").unlink()
-        with pytest.raises(DataError, match=r"manifest\.tsv:2: image .* not found"):
+        # line 1 is the digest comment, so sample 1 is on line 3
+        with pytest.raises(DataError, match=r"manifest\.tsv:3: image .* not found"):
             load_dataset(tmp_path, "fer", 6, 64)

@@ -8,6 +8,8 @@ import smanet
 from smanet import attention, backbone, losses, nn, tensor
 from smanet.attention import SmaConfig
 from smanet.backbone import BackboneConfig
+from smanet.data import SyntheticSpec
+from smanet.losses import LossConfig
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "smanet"}
 
@@ -283,4 +285,18 @@ def test_layers_take_shapes_not_settings():
     assert not with_dtype
     fields = {f.name for f in dataclasses.fields(BackboneConfig)}
     assert not fields & {"in_channels", "blocks_per_stage"}
-    assert BackboneConfig(num_outputs=2).blocks_per_stage == 2
+    assert BackboneConfig.blocks_per_stage == 2
+
+
+def test_build_plans_declare_no_defaults():
+    """A setting's default is written once, in `RunConfig`: the build plans
+    made from it (by `config.backbone_config`, `config.loss_config` and
+    `train.synthetic_spec`) declare no field defaults, so a changed
+    default reaches every plan the program builds, the gradient checks'
+    included."""
+    with_default = [f"{cls.__name__}.{f.name}"
+                    for cls in (SmaConfig, BackboneConfig, LossConfig, SyntheticSpec)
+                    for f in dataclasses.fields(cls)
+                    if f.default is not dataclasses.MISSING
+                    or f.default_factory is not dataclasses.MISSING]
+    assert not with_default

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from plans import loss_plan, sma_config, synth_spec
 from smanet import tensor as T
-from smanet.attention import MultiChannelAttention, SmaConfig
-from smanet.data import SyntheticSpec, generate_synthetic, load_dataset, write_dataset
+from smanet.attention import MultiChannelAttention
+from smanet.data import generate_synthetic, load_dataset, write_dataset
 from smanet.errors import DataError, ShapeError
-from smanet.losses import (LossConfig, bypass_logits, compute_pos_weights, cross_entropy,
+from smanet.losses import (bypass_logits, compute_pos_weights, cross_entropy,
                            diversity_loss, multi_attention_loss, task_loss,
                            total_loss, weighted_bce_logits)
 from smanet.nn import Linear
@@ -65,7 +66,7 @@ class TestDiversityLoss:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_forward_matches_loop_oracle_with_ties(self, dtype, n):
         m = tie_masks(n)
-        got = diversity_loss(Tensor(m, dtype=dtype), 0.5)
+        got = diversity_loss(Tensor(m.astype(dtype)), 0.5)
         want = oracles.diversity_loop(m.astype(dtype).astype(np.float64), 0.5)
         assert got.dtype == dtype
         assert got.item() == pytest.approx(want, rel=1e-12 if dtype == np.float64 else 1e-6)
@@ -73,7 +74,7 @@ class TestDiversityLoss:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_vjp_matches_loop_oracle(self, dtype):
         m = tie_masks(4)  # the three-way runner-up tie needs four channels
-        x = Tensor(m, requires_grad=True, dtype=dtype)
+        x = Tensor(m.astype(dtype), requires_grad=True)
         diversity_loss(x, 0.5).backward()
         want = oracles.diversity_vjp_loop(x.data.astype(np.float64), 0.5)
         assert x.grad.dtype == dtype
@@ -85,7 +86,7 @@ class TestDiversityLoss:
     def test_no_grad_value_matches_the_recording_value(self, dtype, n):
         # Under no_grad the top-two indices are not tracked; the value
         # never read them.
-        x = Tensor(tie_masks(n), requires_grad=True, dtype=dtype)
+        x = Tensor(tie_masks(n).astype(dtype), requires_grad=True)
         recorded = diversity_loss(x, 0.5)
         with T.no_grad():
             plain = diversity_loss(x, 0.5)
@@ -127,8 +128,8 @@ class TestWeightedBce:
     def test_checked_mode_rejects_nonbinary(self, tmp_path):
         # The loss takes its targets unchecked; a soft label is refused by
         # the manifest reader before any loss sees it.
-        write_dataset(tmp_path, generate_synthetic(18, 1))
-        rel, _, subject = (tmp_path / "manifest.tsv").read_text().splitlines()[0].split("\t")
+        write_dataset(tmp_path, generate_synthetic(18, 1, synth_spec()), "abc123")
+        rel, _, subject = (tmp_path / "manifest.tsv").read_text().splitlines()[1].split("\t")
         soft = ",".join(["0.5"] + ["0"] * 11)
         (tmp_path / "manifest.tsv").write_text(f"{rel}\t{soft}\t{subject}\n")
         with pytest.raises(DataError, match=r"manifest\.tsv:1: non-integer field"):
@@ -195,9 +196,9 @@ class TestCrossEntropy:
     def test_out_of_range_class(self, tmp_path):
         # The loss takes class ids unchecked; data written for more classes
         # than the run has is refused by the manifest reader.
-        data = generate_synthetic(19, 8, SyntheticSpec(task="fer"))
+        data = generate_synthetic(19, 8, synth_spec(task="fer"))
         assert data.labels.max() >= 3
-        write_dataset(tmp_path, data)
+        write_dataset(tmp_path, data, "abc123")
         with pytest.raises(DataError, match=r"want one class id in \[0,3\)"):
             load_dataset(tmp_path, "fer", 3, 64)
 
@@ -216,7 +217,7 @@ class TestMultiAttentionLoss:
         masks = T.sigmoid(Tensor(np.full((2, 1, 5, 5), 40.0)))
         head = Linear(4, 3, rng, 0.5)
         labels = np.array([0, 2])
-        cfg = LossConfig()
+        cfg = loss_plan()
         got = multi_attention_loss(masks, feature, labels, head, cfg).item()
         pooled = Tensor(feature.data.mean(axis=(2, 3)))
         want = cross_entropy(head(pooled), labels).item()
@@ -225,25 +226,25 @@ class TestMultiAttentionLoss:
     def test_zero_heads_give_log_k(self):
         rng = np.random.default_rng(6)
         feature = Tensor(rng.normal(size=(2, 4, 5, 5)))
-        block = MultiChannelAttention(SmaConfig(n_channels=2), 4, rng)
+        block = MultiChannelAttention(sma_config(2), 4, rng)
         masks = T.sigmoid(block.f2a(feature))
         heads = Linear(4, 2 * 5, rng, 0.5)
         heads.weight.data[...] = 0.0
         heads.bias.data[...] = 0.0
-        cfg = LossConfig()
+        cfg = loss_plan()
         got = multi_attention_loss(masks, feature, np.array([1, 4]), heads, cfg).item()
         assert abs(got - math.log(5)) < 1e-12
 
     def test_matches_hand_composed_pipeline(self):
         rng = np.random.default_rng(7)
         feature = Tensor(rng.normal(size=(2, 3, 4, 4)))
-        block = MultiChannelAttention(SmaConfig(n_channels=3), 3, rng)
+        block = MultiChannelAttention(sma_config(3), 3, rng)
         masks = T.sigmoid(block.f2a(feature))
         heads = Linear(3, 3 * 4, rng, 0.7)
         w = rng.uniform(1.0, 2.0, 4)
         au_labels = (rng.random((2, 4)) > 0.5).astype(float)
-        for cfg, labels in ((LossConfig(pos_weights=w), au_labels),
-                            (LossConfig(), rng.integers(0, 4, size=2))):
+        for cfg, labels in ((loss_plan(pos_weights=w), au_labels),
+                            (loss_plan(), rng.integers(0, 4, size=2))):
             got = multi_attention_loss(masks, feature, labels, heads, cfg).item()
             acc = 0.0
             for n in range(3):
@@ -286,18 +287,18 @@ class TestMultiAttentionLoss:
 
 class TestTotalLoss:
     def test_zero_factors(self):
-        cfg = LossConfig(alpha=0.0, lam=0.0)
+        cfg = loss_plan(alpha=0.0, lam=0.0)
         got = total_loss(Tensor(1.25), Tensor(9.0), Tensor(7.0), cfg)
         assert got.item() == 1.25
 
     def test_arithmetic(self):
-        cfg = LossConfig(alpha=0.1, lam=0.1)
+        cfg = loss_plan(alpha=0.1, lam=0.1)
         got = total_loss(Tensor(1.0), Tensor(2.0), Tensor(3.0), cfg)
         assert abs(got.item() - 1.5) < 1e-15
 
     def test_gradient_linearity(self):
         rng = np.random.default_rng(9)
-        cfg = LossConfig(alpha=0.3, lam=0.7)
+        cfg = loss_plan(alpha=0.3, lam=0.7)
         base = rng.normal(size=(3, 3))
 
         def parts(x):
@@ -330,6 +331,6 @@ class TestPosWeights:
         rng = np.random.default_rng(10)
         x = Tensor(rng.normal(size=(2, 3)))
         y_ml = (rng.random((2, 3)) > 0.5).astype(float)
-        cfg = LossConfig()
+        cfg = loss_plan(pos_weights=np.ones(3))
         assert abs(task_loss(x, y_ml, cfg).item()
                    - weighted_bce_logits(x, y_ml, np.ones(3)).item()) < 1e-15

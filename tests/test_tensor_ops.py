@@ -68,10 +68,10 @@ class TestConv2d:
         rng = rnd(20 * stride + k)
         x = rng.normal(size=(2, 3, *hw))
         w = rng.normal(size=(4, 3, k, k))
-        xt, wt = Tensor(x, requires_grad=True, dtype=dtype), Tensor(w, requires_grad=True, dtype=dtype)
+        xt, wt = Tensor(x.astype(dtype), requires_grad=True), Tensor(w.astype(dtype), requires_grad=True)
         out = T.conv2d(xt, wt, stride=stride, padding=padding)
         g = rng.normal(size=out.shape)
-        T.mul(out, Tensor(g, dtype=dtype)).sum().backward()
+        T.mul(out, Tensor(g.astype(dtype))).sum().backward()
         gx, gw = oracles.conv2d_vjp_loop(x, w, g, stride, padding)
         assert xt.grad.dtype == dtype and wt.grad.dtype == dtype
         assert np.allclose(xt.grad, gx, atol=atol)
@@ -90,7 +90,7 @@ class TestConv2d:
         # Bit for bit, not to a tolerance: the artifacts' bytes rest on it.
         rng = rnd(100 * k + 10 * stride + batch)
         x = rng.normal(size=(batch, 5, 11, 10)).astype(dtype)
-        w = Tensor(rng.normal(size=(6, 5, k, k)), requires_grad=True, dtype=dtype)
+        w = Tensor(rng.normal(size=(6, 5, k, k)).astype(dtype), requires_grad=True)
         out = T.conv2d(Tensor(x), w, stride=stride, padding=k // 2)
         g = rng.normal(size=out.shape).astype(dtype)
         T.mul(out, Tensor(g)).sum().backward()
@@ -181,11 +181,11 @@ class TestDepthwise:
                 if wd + 2 * padding < k:
                     continue
                 x, w, g, want = depthwise_oracle_case(k, padding, k + 3, wd)
-                xt = Tensor(x, requires_grad=True, dtype=dtype)
-                wt = Tensor(w, requires_grad=True, dtype=dtype)
-                bt = Tensor(np.zeros(w.shape[0]), dtype=dtype)
+                xt = Tensor(x.astype(dtype), requires_grad=True)
+                wt = Tensor(w.astype(dtype), requires_grad=True)
+                bt = Tensor(np.zeros(w.shape[0], dtype))
                 out = T.depthwise_conv2d(xt, wt, bt, padding=padding)
-                T.mul(out, Tensor(g, dtype=dtype)).sum().backward()
+                T.mul(out, Tensor(g.astype(dtype))).sum().backward()
                 for got in (out.data, xt.grad, wt.grad):
                     assert got.dtype == dtype
                 for got, ref in zip((out.data, xt.grad, wt.grad), want):
@@ -431,10 +431,10 @@ class TestReductionsAndShapes:
     def test_masked_avg_pool_keeps_float32(self):
         rng = rnd(11)
         f, m, g = (rng.normal(size=s) for s in ((2, 3, 5, 4), (2, 2, 5, 4), (2, 2, 3)))
-        ft = Tensor(f, requires_grad=True, dtype=np.float32)
-        mt = Tensor(m, requires_grad=True, dtype=np.float32)
+        ft = Tensor(f.astype(np.float32), requires_grad=True)
+        mt = Tensor(m.astype(np.float32), requires_grad=True)
         out = T.masked_avg_pool(ft, mt)
-        T.mul(out, Tensor(g, dtype=np.float32)).sum().backward()
+        T.mul(out, Tensor(g.astype(np.float32))).sum().backward()
         for got in (out.data, ft.grad, mt.grad):
             assert got.dtype == np.float32
         assert np.allclose(out.data, np.einsum("bchw,bnhw->bnc", f, m) / 20, atol=1e-5)
@@ -445,15 +445,15 @@ class TestReductionsAndShapes:
     def test_max_pool_vjp_routes_ties_to_lowest_index(self, dtype):
         # Every window of a constant input is one tie; the padded -inf
         # border never wins, and the 3x3 stride-2 windows overlap.
-        x = Tensor(np.zeros((1, 1, 4, 4)), requires_grad=True, dtype=dtype)
+        x = Tensor(np.zeros((1, 1, 4, 4), dtype), requires_grad=True)
         out = T.max_pool2d(x, 3, 2, 1)
         g = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        T.mul(out, Tensor(g, dtype=dtype)).sum().backward()
+        T.mul(out, Tensor(g.astype(dtype))).sum().backward()
         want = np.zeros((1, 1, 4, 4))
         want[0, 0, :2, :2] = g[0, 0]
         assert x.grad.dtype == dtype
         assert np.array_equal(x.grad, want)
-        x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True, dtype=dtype)
+        x = Tensor(np.ones((1, 1, 4, 4), dtype), requires_grad=True)
         T.max_pool2d(x, 2, 2).sum().backward()
         want = np.zeros((1, 1, 4, 4))
         want[0, 0, ::2, ::2] = 1.0
@@ -472,12 +472,12 @@ class TestReductionsAndShapes:
         # lowest offset.  Integer gradients make every sum exact.
         rng = rnd(40 + k + stride)
         x = np.round(rng.normal(size=(2, 3, 9, 8)))
-        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        xt = Tensor(x.astype(dtype), requires_grad=True)
         out = T.max_pool2d(xt, k, stride, padding)
         assert out.data.dtype == dtype and out.data.flags.c_contiguous
         assert np.array_equal(out.data, oracles.max_pool_loop(x, k, stride, padding))
         g = np.round(rng.normal(size=out.shape) * 4)
-        T.mul(out, Tensor(g, dtype=dtype)).sum().backward()
+        T.mul(out, Tensor(g.astype(dtype))).sum().backward()
         assert np.array_equal(xt.grad, oracles.max_pool_vjp_loop(x, g, k, stride, padding))
 
     def test_max_pool_padding_bound(self):
@@ -512,11 +512,11 @@ class TestReductionsAndShapes:
         shape = (2, 3, *hw)
         # Distinct values, exact in float32, so every window has one argmax.
         x = rng.permutation(np.prod(shape)).reshape(shape) / 8.0 - 20.0
-        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        xt = Tensor(x.astype(dtype), requires_grad=True)
         out = T.max_pool2d(xt, k, stride, padding)
         assert np.allclose(out.data, oracles.max_pool_loop(x, k, stride, padding), atol=atol)
         g = rng.normal(size=out.shape)
-        T.mul(out, Tensor(g, dtype=dtype)).sum().backward()
+        T.mul(out, Tensor(g.astype(dtype))).sum().backward()
         assert xt.grad.dtype == dtype
         assert np.allclose(xt.grad, oracles.max_pool_vjp_loop(x, g, k, stride, padding), atol=atol)
 
@@ -531,11 +531,12 @@ class TestBatchNorm:
         assert np.allclose(out.data.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
         assert not np.allclose(rm, 0.0)
 
-    def test_eval_uses_running_stats(self):
+    def test_eval_uses_running_stats(self, monkeypatch):
+        monkeypatch.setattr(T, "BN_EPS", 0.0)
         x = rnd(14).normal(size=(2, 3, 4, 4))
         rm, rv = np.full(3, 1.5), np.full(3, 4.0)
         out = T.batch_norm2d(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), rm, rv,
-                             training=False, eps=0.0)
+                             training=False)
         assert np.allclose(out.data, (x - 1.5) / 2.0, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -545,8 +546,7 @@ class TestBatchNorm:
         gamma, beta = rng.normal(size=6).astype(dtype), rng.normal(size=6).astype(dtype)
         rm0, rv0 = rng.normal(size=6).astype(dtype), rng.uniform(0.5, 2.0, 6).astype(dtype)
         rm, rv = rm0.copy(), rv0.copy()
-        out = T.batch_norm2d(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv, training=True,
-                             momentum=0.1, eps=1e-5)
+        out = T.batch_norm2d(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv, training=True)
         mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
         m = x.size // 6
         c = (slice(None), None, None)
@@ -622,8 +622,8 @@ LAYER_OPS = {
 
 class TestMixedDtypes:
     def test_float64_bias_does_not_promote_a_float32_depthwise(self):
-        x32 = Tensor(rnd(41).normal(size=(1, 2, 4, 4)), dtype=np.float32)
-        w32 = Tensor(rnd(42).normal(size=(2, 3, 3)), dtype=np.float32)
+        x32 = Tensor(rnd(41).normal(size=(1, 2, 4, 4)).astype(np.float32))
+        w32 = Tensor(rnd(42).normal(size=(2, 3, 3)).astype(np.float32))
         with pytest.raises(ShapeError, match="float64.*float32"):
             T.depthwise_conv2d(x32, w32, Tensor(np.zeros(2)), padding=1)
 
@@ -632,14 +632,14 @@ class TestMixedDtypes:
         fn, x_shape, shapes = LAYER_OPS[op]
         rng = rnd(43)
         for x_dtype, odd_dtype in ((np.float32, np.float64), (np.float64, np.float32)):
-            x = Tensor(rng.normal(size=x_shape), dtype=x_dtype)
+            x = Tensor(rng.normal(size=x_shape).astype(x_dtype))
             for odd in range(len(shapes)):
-                params = [Tensor(rng.normal(size=s), dtype=odd_dtype if i == odd else x_dtype)
+                params = [Tensor(rng.normal(size=s).astype(odd_dtype if i == odd else x_dtype))
                           for i, s in enumerate(shapes)]
                 name, x_name = np.dtype(odd_dtype).name, np.dtype(x_dtype).name
                 with pytest.raises(ShapeError, match=f"{op}: {name} .*{x_name}"):
                     fn(x, *params)
-            params = [Tensor(rng.normal(size=s), dtype=x_dtype) for s in shapes]
+            params = [Tensor(rng.normal(size=s).astype(x_dtype)) for s in shapes]
             assert fn(x, *params).dtype == x_dtype
 
     def test_tensor_keeps_native_floats_and_converts_the_rest(self):
