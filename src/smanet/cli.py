@@ -57,7 +57,7 @@ import numpy as np
 from . import tensor as T
 from .attention import channel_masks
 from .backbone import backbone_param_count
-from .checkpoint import load_checkpoint
+from .checkpoint import load_checkpoint, replacing
 from .config import (RunConfig, _cast, backbone_config, config_digest, config_keys,
                      input_size, load_config, np_dtype)
 from .data import make_folds, write_dataset
@@ -120,9 +120,10 @@ def _config_from_args(args) -> RunConfig:
     return load_config(args.config, overrides)
 
 
-def _load_state(cfg: RunConfig, checkpoint: str) -> TrainState:
+def _load_state(cfg: RunConfig, want: str, checkpoint: str) -> TrainState:
+    """The model of `checkpoint`, refused unless it was trained under the
+    config digest `want`."""
     digest, arrays = load_checkpoint(checkpoint)
-    want = config_digest(cfg)
     if digest != want:
         raise ConfigError(
             f"checkpoint digest {digest[:12]}... does not match config {want[:12]}..."
@@ -152,9 +153,11 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    digest = config_digest(cfg)
-    state = _load_state(cfg, args.checkpoint)
+    # A bad manifest is refused by its reader, naming its line, before the
+    # digest reads the files it lists.
     val = build_split(cfg, "val")
+    digest = config_digest(cfg)
+    state = _load_state(cfg, digest, args.checkpoint)
     fold_sets = make_folds(val.subjects, args.folds, seed=cfg.seed) if args.folds else None
     out = make_out_dir(cfg.output_dir)
     lines = [f"# config_digest={digest}"]
@@ -199,12 +202,16 @@ def cmd_sweep_n(cfg: RunConfig, args) -> int:
             for n in n_values]
     # The splits do not depend on n_channels: build them once for every run.
     splits = build_splits(cfg)
-    rows = ["n_channels,best_val_metric"]
+    out = make_out_dir(cfg.output_dir)
+    rows = [f"# config_digest={config_digest(cfg)}", "n_channels,best_val_metric"]
     for sub in subs:
         result = run_training(sub, splits)
         rows.append(f"{sub.n_channels},{result.best_val:.6f}")
         print(rows[-1])
-    (make_out_dir(cfg.output_dir) / "sweep.csv").write_text("\n".join(rows) + "\n")
+        # Rewritten whole after each run: a run that fails keeps the rows
+        # of the runs before it.
+        with replacing(out / "sweep.csv") as f:
+            f.write(("\n".join(rows) + "\n").encode("utf-8"))
     return EXIT_OK
 
 
@@ -256,7 +263,7 @@ def cmd_params(cfg: RunConfig, args) -> int:
 
 def cmd_export_attention(cfg: RunConfig, args) -> int:
     digest = config_digest(cfg)
-    state = _load_state(cfg, args.checkpoint)
+    state = _load_state(cfg, digest, args.checkpoint)
     state.model.eval()
     size = input_size(cfg)
     images = {}

@@ -20,6 +20,7 @@ import numpy as np
 
 from .attention import SmaConfig
 from .backbone import PLACEMENTS, BackboneConfig
+from .data import dataset_bytes
 from .errors import ConfigError
 from .losses import LossConfig
 
@@ -150,9 +151,19 @@ def to_text(cfg: RunConfig, skip: tuple = ()) -> str:
 
 
 def config_digest(cfg: RunConfig) -> str:
-    """Digest of the semantic configuration; output_dir is a pure artifact
+    """Digest of the semantic configuration.  output_dir is a pure artifact
     destination and deliberately excluded, so a checkpoint can be evaluated
-    from anywhere."""
+    from anywhere.  A data_dir enters as the sha256 of what it holds, the
+    `data.dataset_bytes` of its train/ and val/ splits, so two copies of
+    one dataset give one digest and a dataset edited in place gives
+    another.  A run without one (data_dir = "") hashes its config text
+    alone."""
+    if cfg.data_dir:
+        h = hashlib.sha256()
+        for split in ("train", "val"):
+            for chunk in dataset_bytes(Path(cfg.data_dir) / split):
+                h.update(chunk)
+        cfg = dataclasses.replace(cfg, data_dir=h.hexdigest())
     return hashlib.sha256(to_text(cfg, skip=("output_dir",)).encode("utf-8")).hexdigest()
 
 

@@ -376,6 +376,24 @@ def write_dataset(out_dir, data: Dataset, digest: str) -> Path:
     return manifest
 
 
+def _records(text: str) -> list[tuple[int, str]]:
+    """(line number, line) of each record of a manifest: every line that
+    is neither empty nor a `#` comment."""
+    return [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
+            if line and not line.startswith("#")]
+
+
+def dataset_bytes(dataset_dir):
+    """Yield the bytes of `dataset_dir`'s manifest, then those of each image
+    it lists, in manifest order: every file `load_dataset` reads there.  A
+    file that cannot be read raises OSError."""
+    manifest = Path(dataset_dir) / "manifest.tsv"
+    text = manifest.read_bytes()
+    yield text
+    for _, line in _records(text.decode("utf-8", "replace")):
+        yield (manifest.parent / line.split("\t")[0]).read_bytes()
+
+
 def load_dataset(dataset_dir, task: str, count: int, size: int) -> Dataset:
     """Read a manifest directory of size x size color images back as a
     `task` Dataset; the exact inverse of `write_dataset`.
@@ -393,8 +411,7 @@ def load_dataset(dataset_dir, task: str, count: int, size: int) -> Dataset:
         text = manifest.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{manifest}: cannot read as UTF-8 text ({type(exc).__name__})") from None
-    records = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
-               if line and not line.startswith("#")]
+    records = _records(text)
     if not records:
         raise DataError(f"empty manifest {manifest}")
     images = np.empty((len(records), size, size, 3), dtype=np.uint8)

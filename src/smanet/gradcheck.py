@@ -147,11 +147,6 @@ def _batch_norm(rng):
                x=_rand(rng, 3, 4, 5, 5), g=_rand(rng, 4), b=_rand(rng, 4))
 
 
-def _masked_pool(rng):
-    return _op(T.masked_avg_pool, 28,
-               f=_rand(rng, 2, 3, 4, 4), m=Tensor(rng.uniform(0.1, 0.9, (2, 2, 4, 4))))
-
-
 def _bce(rng):
     y = (rng.random((4, 5)) > 0.5).astype(float)
     w = rng.uniform(0.5, 3.0, 5)
@@ -164,7 +159,8 @@ def _cross_entropy(rng):
 
 
 def _bypass(rng):
-    return _op(bypass_logits, 41, pooled=_rand(rng, 2, 3, 4), w=_rand(rng, 9, 4), b=_rand(rng, 9))
+    return _op(bypass_logits, 41, f=_rand(rng, 2, 4, 4, 4),
+               m=Tensor(rng.uniform(0.1, 0.9, (2, 3, 4, 4))), w=_rand(rng, 9, 4), b=_rand(rng, 9))
 
 
 def _sma(n_channels):
@@ -256,7 +252,6 @@ def build_suite(seed: int) -> list[tuple[str, object]]:
         ("max_pool2d", check(lambda: _op(lambda x: T.max_pool2d(x, 3, 2, 1), x=Tensor(
             spaced_uniform(rng(25), (2, 2, 7, 7), lo=-1.0, hi=1.0))))),
         ("batch_norm2d", check(lambda: _batch_norm(rng(26)))),
-        ("masked_avg_pool", check(lambda: _masked_pool(rng(28)))),
         ("weighted_bce_logits", check(lambda: _bce(rng(30)))),
         ("cross_entropy", check(lambda: _cross_entropy(rng(31)))),
         ("diversity_loss", check(lambda: _op(lambda m: diversity_loss(m, 0.5),

@@ -3,8 +3,8 @@ classification, weighted binary cross-entropy, cross-entropy, and the
 combined objective.
 
 Each loss term is one graph op per attention block: L_div is the single
-op `diversity_loss`; L_ma is `masked_avg_pool`, then `bypass_logits`
-(every bypass head at once), then one task loss.  `diversity_loss`,
+op `diversity_loss`; L_ma is `bypass_logits` (every channel's masked
+pooling and bypass head at once), then one task loss.  `diversity_loss`,
 `bypass_logits`, `weighted_bce_logits` and `cross_entropy` record their
 own vjp through `tensor.apply_op`.
 """
@@ -55,7 +55,7 @@ def diversity_loss(masks: Tensor, delta: float) -> Tensor:
     hinge's mask value to the channel its max came from: the top channel,
     or the runner-up for the top channel.  It keeps the masks' data,
     which the graph keeps anyway (the sigmoid's vjp and
-    `tensor.masked_avg_pool` read it), m2 and the two indices.  It
+    `bypass_logits` read it), m2 and the two indices.  It
     rebuilds m1 as the channel max of the masks, and S - m1 and the
     hinges with the forward's expressions, all bit for bit.
     """
@@ -155,31 +155,45 @@ def task_loss(logits: Tensor, labels: np.ndarray, cfg: LossConfig) -> Tensor:
     return cross_entropy(logits, labels)
 
 
-def bypass_logits(pooled: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Every bypass head applied to its own channel's pooled feature.
+def bypass_logits(feature: Tensor, masks: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Every bypass head applied to its own channel's pooled masked feature.
 
-    pooled[B,N,C] holds the attended feature of channel n in row n.  The
-    N heads are one layer, weight [N*K,C] and bias [N*K]: row block n of
-    it is head n, an affine map C -> K.  Row b*N + n of the [B*N, K]
-    result is head n's logits for sample b.  Both passes read the weight
-    through an [N,K,C] view, so the vjp keeps the weight array itself,
-    and the op has three parents whatever N is.
+    The pooled feature of channel n for sample b is the spatial mean of
+    feature[b] [C,H,W] gated by masks[b, n] [H,W]; on the [B,N,HW] and
+    [B,C,HW] reshapes all of them are one batched GEMM.  The N heads are
+    one layer, weight [N*K,C] and bias [N*K]: row block n of it is head
+    n, an affine map C -> K.  Row b*N + n of the [B*N, K] result is head
+    n's logits for sample b.  Both passes read the weight through an
+    [N,K,C] view, so the vjp keeps the weight array itself, and the op
+    has four parents whatever N is.  The vjp keeps the pooled features
+    for the heads' gradient, and each of feature and masks only for the
+    other's gradient.
     """
-    b, n, c = pooled.shape if pooled.ndim == 3 else (0, 0, 0)
-    if not n or weight.shape[0] % n or weight.shape[1:] != (c,) or bias.shape != weight.shape[:1]:
-        raise ShapeError(f"bypass_logits: heads {weight.shape}, {bias.shape} for {pooled.shape}")
-    k = weight.shape[0] // n
+    f_shape, m_shape = feature.shape, masks.shape
+    if len(f_shape) != 4 or len(m_shape) != 4 or not m_shape[1] \
+            or m_shape[:1] + m_shape[2:] != f_shape[:1] + f_shape[2:] \
+            or weight.shape[0] % m_shape[1] or weight.shape[1:] != f_shape[1:2] \
+            or bias.shape != weight.shape[:1]:
+        raise ShapeError(f"bypass_logits: heads {weight.shape}, {bias.shape} for feature "
+                         f"{f_shape} and masks {m_shape}")
+    (b, c, h, wd), n = f_shape, m_shape[1]
+    k, area = weight.shape[0] // n, h * wd
+    f, m = feature.data.reshape(b, c, area), masks.data.reshape(b, n, area)
+    pooled = np.matmul(m, f.transpose(0, 2, 1)) / area
     w = weight.data.reshape(n, k, c)
-    data = np.einsum("bnc,nkc->bnk", pooled.data, w) + bias.data.reshape(n, k)
-    pd, pooled_grad = pooled.data, pooled.requires_grad  # the heads' gradient reads pd
+    data = np.einsum("bnc,nkc->bnk", pooled, w) + bias.data.reshape(n, k)
+    mk = m if feature.requires_grad else None
+    fk = f if masks.requires_grad else None
 
     def vjp(g):
         g3 = g.reshape(b, n, k)
-        gp = np.einsum("bnk,nkc->bnc", g3, w) if pooled_grad else None
-        gw = np.einsum("bnk,bnc->nkc", g3, pd).reshape(n * k, c)
-        return gp, gw, g3.sum(axis=0).reshape(n * k)
+        gp = np.einsum("bnk,nkc->bnc", g3, w)  # the pooled features' gradient
+        gf = None if mk is None else (np.matmul(gp.transpose(0, 2, 1), mk) / area).reshape(f_shape)
+        gm = None if fk is None else (np.matmul(gp, fk) / area).reshape(m_shape)
+        gw = np.einsum("bnk,bnc->nkc", g3, pooled).reshape(n * k, c)
+        return gf, gm, gw, g3.sum(axis=0).reshape(n * k)
 
-    return apply_op(data.reshape(b * n, k), (pooled, weight, bias), vjp)
+    return apply_op(data.reshape(b * n, k), (feature, masks, weight, bias), vjp)
 
 
 def multi_attention_loss(
@@ -198,8 +212,7 @@ def multi_attention_loss(
     With the labels repeated once per channel, one task loss over all
     B*N rows is the mean of the N per-head losses.
     """
-    pooled = T.masked_avg_pool(feature, masks)
-    logits = bypass_logits(pooled, heads.weight, heads.bias)
+    logits = bypass_logits(feature, masks, heads.weight, heads.bias)
     return task_loss(logits, labels.repeat(masks.shape[1], axis=0), cfg)
 
 

@@ -14,9 +14,10 @@ from it, and rebuilds what it derives in the backward: a transposed
 weight, a windowed op's padded phase grid, relu's mask, and L_div's top
 channel.  So the graph keeps each activation once: a relu output that
 feeds a conv is kept by both vjps, as one array.  ``mul``, ``linear``,
-``conv2d``, ``depthwise_conv2d``, eval-mode ``batch_norm2d``,
-``masked_avg_pool`` and `losses.bypass_logits` keep one input for
-another's gradient (`losses.bypass_logits` keeps its heads' weight
+``conv2d``, ``depthwise_conv2d``, eval-mode ``batch_norm2d`` and
+`losses.bypass_logits` keep one input for another's gradient
+(`losses.bypass_logits` keeps the feature for the masks', the masks for
+the feature's, its pooled features for its heads', and the heads' weight
 array itself, read through an [N,K,C] view), and the task losses their
 logits; ``relu``, ``sigmoid`` and ``softmax`` keep their outputs;
 ``add``, ``reshape``, ``sum`` and ``mean`` keep shapes.  ``backward`` on a scalar
@@ -52,9 +53,9 @@ tiles and run k banded GEMMs, with the tiles as one more batch axis
 (``_depthwise_correlate``); its weight gradient is one dot product per
 tap and image, on the tap's window, in one call.  ``max_pool2d`` keeps a
 running maximum over the windows of a -inf-filled grid.
-``masked_avg_pool`` is batched GEMMs on the flattened maps.  All math
-uses a fixed reduction order, so identical inputs give bit-identical
-outputs run to run.
+`losses.bypass_logits` pools with batched GEMMs on the flattened maps.
+All math uses a fixed reduction order, so identical inputs give
+bit-identical outputs run to run.
 
 The other kernels count numpy passes.  Two primitives are slow out of
 proportion on numpy 2.x.  On a [2,7,64,64] float32 array, ``np.where``
@@ -988,37 +989,3 @@ def batch_norm2d(
         return gx, sgx, sg
 
     return apply_op(data, (x, gamma, beta), vjp)
-
-
-def masked_avg_pool(feature: Tensor, masks: Tensor) -> Tensor:
-    """Spatial mean of feature[B,C,H,W] gated by each mask in masks[B,N,H,W].
-
-    Entry (b, n, c) is the mean over (h, w) of feature[b, c] * masks[b, n]:
-    the pooled attended feature of every mask channel, all at once.  On
-    the [B,N,HW] and [B,C,HW] reshapes the output and both gradients are
-    batched GEMMs.
-    """
-    if feature.ndim != 4 or masks.ndim != 4 or feature.shape[0] != masks.shape[0] \
-            or feature.shape[2:] != masks.shape[2:]:
-        raise ShapeError(
-            f"masked_avg_pool: feature {feature.shape} incompatible with masks {masks.shape}"
-        )
-    b, c, h, wd = feature.shape
-    area = h * wd
-    f = feature.data.reshape(b, c, area)
-    m = masks.data.reshape(b, -1, area)
-    data = np.matmul(m, f.transpose(0, 2, 1)) / area
-    # Each input's data is kept only for the other input's gradient.
-    f_shape, m_shape = feature.shape, masks.shape
-    mk = m if feature.requires_grad else None
-    fk = f if masks.requires_grad else None
-
-    def vjp(g):
-        gf = gm = None
-        if mk is not None:
-            gf = (np.matmul(g.transpose(0, 2, 1), mk) / area).reshape(f_shape)
-        if fk is not None:
-            gm = (np.matmul(g, fk) / area).reshape(m_shape)
-        return gf, gm
-
-    return apply_op(data, (feature, masks), vjp)

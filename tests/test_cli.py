@@ -5,6 +5,7 @@ import ctypes
 import hashlib
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from smanet.checkpoint import load_checkpoint, save_checkpoint
 from smanet.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_THRESHOLD, main
 from smanet.config import (ABLATIONS, RunConfig, config_digest, load_config, loss_config,
                            np_dtype, to_text)
-from smanet.errors import ConfigError, DataError
+from smanet.errors import ConfigError, DataError, NumericError
 from smanet.gradcheck import _objective as gradcheck_objective
 from smanet.ppm import encode_color, encode_heatmap
 from smanet.losses import objective
@@ -603,7 +604,8 @@ class TestTrain:
         assert read_tree(tmp_path) == first
 
     def test_synth_output_trains_like_the_generated_data(self, tmp_path):
-        # Only the digest line differs: data_dir is part of the config digest.
+        # Only the digest line differs: the data's bytes are part of the
+        # config digest.
         main(["synth", *TINY, "--output-dir", str(tmp_path / "data")])
         runs = tmp_path / "memory", tmp_path / "disk"
         assert main(["train", *TINY, "--output-dir", str(runs[0])]) == EXIT_OK
@@ -705,6 +707,53 @@ class TestTrainBytes:
         got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in self.TINY_TRAIN_SHA256}
         assert got == self.TINY_TRAIN_SHA256
+
+
+@pytest.fixture(scope="module")
+def synth_tiny_run(tmp_path_factory) -> Path:
+    """TINY data written by `synth` under data/, and one TINY run trained
+    on it under run/, shared: tests read them and write elsewhere."""
+    root = tmp_path_factory.mktemp("synth_tiny_run")
+    assert main(["synth", *TINY, "--output-dir", str(root / "data")]) == EXIT_OK
+    assert main(["train", *TINY, "--data-dir", str(root / "data"),
+                 "--output-dir", str(root / "run")]) == EXIT_OK
+    return root
+
+
+class TestDataDigest:
+    """A data_dir enters the config digest as what it holds: the bytes of
+    its manifests and of the images they list, not its path."""
+
+    def eval_copy(self, synth_tiny_run, tmp_path) -> tuple[Path, list]:
+        """A copy of the run's data, and the eval command line on it."""
+        copy = tmp_path / "copy"
+        shutil.copytree(synth_tiny_run / "data", copy)
+        return copy, ["eval", *TINY, "--data-dir", str(copy), "--checkpoint",
+                      str(synth_tiny_run / "run" / "checkpoint.bin"),
+                      "--output-dir", str(tmp_path / "eval")]
+
+    def test_a_copy_of_the_data_evaluates_the_checkpoint(self, synth_tiny_run, tmp_path):
+        copy, argv = self.eval_copy(synth_tiny_run, tmp_path)
+        digest = config_digest(tiny_cfg(data_dir=str(copy)))
+        assert digest == config_digest(tiny_cfg(data_dir=str(synth_tiny_run / "data")))
+        log = (synth_tiny_run / "run" / "train_log.csv").read_text()
+        assert log.splitlines()[0] == f"# config_digest={digest}"
+        assert main(argv) == EXIT_OK
+        assert (tmp_path / "eval" / "eval_report.csv").read_text().startswith(
+            f"# config_digest={digest}\n")
+
+    def test_a_label_rewritten_in_place_refuses_the_checkpoint(self, synth_tiny_run, tmp_path,
+                                                               capsys):
+        copy, argv = self.eval_copy(synth_tiny_run, tmp_path)
+        assert main(argv) == EXIT_OK
+        manifest = copy / "val" / "manifest.tsv"
+        lines = manifest.read_text().splitlines()
+        rel, lab, subject = lines[1].split("\t")
+        lines[1] = "\t".join((rel, ("1" if lab[0] == "0" else "0") + lab[1:], subject))
+        manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        assert "does not match config" in one_line_error(capsys)
 
 
 class TestEval:
@@ -883,9 +932,10 @@ def record_sigmoid_inputs(monkeypatch) -> list:
 
 def record_loss_masks(monkeypatch) -> list:
     """The masks read by every L_div and L_ma term from now on."""
-    seen, div, pool = [], losses.diversity_loss, T.masked_avg_pool
+    seen, div, bypass = [], losses.diversity_loss, losses.bypass_logits
     monkeypatch.setattr(losses, "diversity_loss", lambda m, d: seen.append(m) or div(m, d))
-    monkeypatch.setattr(T, "masked_avg_pool", lambda f, m: seen.append(m) or pool(f, m))
+    monkeypatch.setattr(losses, "bypass_logits",
+                        lambda f, m, w, b: seen.append(m) or bypass(f, m, w, b))
     return seen
 
 
@@ -966,8 +1016,27 @@ class TestSweep:
                    "--output-dir", str(tmp_path)])
         assert rc == EXIT_OK
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "n_channels,best_val_metric"
-        assert [l.split(",")[0] for l in lines[1:]] == ["1", "2"]
+        assert lines[0] == f"# config_digest={config_digest(tiny_cfg(epochs=1))}"
+        assert lines[1] == "n_channels,best_val_metric"
+        assert [l.split(",")[0] for l in lines[2:]] == ["1", "2"]
+
+    def test_a_failing_run_keeps_the_rows_before_it(self, tmp_path, capsys, monkeypatch):
+        runs, run_training = [], cli.run_training
+
+        def second_fails(cfg, splits):
+            runs.append(cfg.n_channels)
+            if len(runs) == 2:
+                raise NumericError("non-finite loss")
+            return run_training(cfg, splits)
+
+        monkeypatch.setattr(cli, "run_training", second_fails)
+        rc = main(["sweep-n", *TINY, "--epochs", "1", "--n-values", "1,2",
+                   "--output-dir", str(tmp_path)])
+        assert rc == EXIT_NUMERIC
+        one_line_error(capsys)
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[1:-1] == ["n_channels,best_val_metric"] and lines[-1].startswith("1,")
+        assert not (tmp_path / "sweep.csv.tmp").exists()
 
     def test_builds_the_splits_once(self, tmp_path, monkeypatch):
         from smanet import train

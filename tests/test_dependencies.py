@@ -88,6 +88,23 @@ def op_functions() -> dict:
             for f in _op_defs(ast.parse(Path(module.__file__).read_text()))}
 
 
+def test_every_op_has_a_caller_outside_the_gradient_checks():
+    """An op exists because the model, the losses or the CLI run it: each
+    function `op_functions` finds is referenced (called, or bound by name)
+    by some package module other than `gradcheck`, its defining module
+    included.  An op that only its own gradient check reaches is code the
+    system does not run."""
+    root = Path(smanet.__file__).parent
+    referenced = set()
+    for path in sorted(root.rglob("*.py")):
+        if path.name != "gradcheck.py":
+            referenced |= {getattr(node, "id", getattr(node, "attr", None))
+                           for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                           if isinstance(node, (ast.Name, ast.Attribute))}
+    uncalled = {fn for _, fn in op_functions().values()} - referenced
+    assert not uncalled
+
+
 def _op_scopes(path, tree):
     """The code that runs in an op: all of `tensor.py`, and each function
     of `losses.py` that calls `apply_op` (its vjp included)."""

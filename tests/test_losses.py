@@ -253,28 +253,61 @@ class TestMultiAttentionLoss:
                 acc += task_loss(T.linear(pooled, *head_slice(heads, n, 4)), labels, cfg).item()
             assert abs(got - acc / 3) < 1e-12
 
+    def test_bypass_logits_matches_primitive_composition(self):
+        # Row b*N + n is head n on the mean of feature[b] gated by mask n.
+        rng = np.random.default_rng(10)
+        f = Tensor(rng.normal(size=(2, 3, 4, 4)))
+        m = Tensor(rng.random((2, 2, 4, 4)))
+        heads = Linear(3, 2 * 5, rng, 0.5)
+        fused = bypass_logits(f, m, heads.weight, heads.bias).data.reshape(2, 2, 5)
+        for n in range(2):
+            pooled = Tensor((f.data * m.data[:, n : n + 1]).mean(axis=(2, 3)))
+            composed = T.linear(pooled, *head_slice(heads, n, 5))
+            assert np.allclose(fused[:, n], composed.data, atol=1e-12)
+
+    def test_bypass_logits_keeps_float32(self):
+        rng = np.random.default_rng(11)
+        f, m, w, b, g = (rng.normal(size=s) for s in
+                         ((2, 3, 5, 4), (2, 2, 5, 4), (2 * 4, 3), (2 * 4,), (2 * 2, 4)))
+        leaves = [Tensor(a.astype(np.float32), requires_grad=True) for a in (f, m, w, b)]
+        out = bypass_logits(*leaves)
+        T.mul(out, Tensor(g.astype(np.float32))).sum().backward()
+        for got in (out.data, *(t.grad for t in leaves)):
+            assert got.dtype == np.float32
+        # The oracle: mean-pooled masked features through the heads.
+        w3, g3 = w.reshape(2, 4, 3), g.reshape(2, 2, 4)
+        pooled = np.einsum("bchw,bnhw->bnc", f, m) / 20
+        gp = np.einsum("bnk,nkc->bnc", g3, w3)
+        want = ((np.einsum("bnc,nkc->bnk", pooled, w3) + b.reshape(2, 4)).reshape(4, 4),
+                np.einsum("bnc,bnhw->bchw", gp, m) / 20, np.einsum("bnc,bchw->bnhw", gp, f) / 20,
+                np.einsum("bnk,bnc->nkc", g3, pooled).reshape(8, 3), g3.sum(axis=0).reshape(8))
+        for got, expected in zip((out.data, *(t.grad for t in leaves)), want):
+            assert np.allclose(got, expected, atol=1e-5)
+
     @pytest.mark.parametrize("n", [1, 7])
     def test_bypass_vjp_keeps_the_weight_itself(self, n):
         # Both passes read the heads' weight through a view: the vjp keeps
-        # no copy of it, and the op has three parents whatever N is.
+        # no copy of it, and the op has four parents whatever N is.
         rng = np.random.default_rng(9)
         heads = Linear(256, n * 12, rng, 0.5)
-        pooled = Tensor(rng.normal(size=(2, n, 256)), requires_grad=True)
+        feature = Tensor(rng.normal(size=(2, 256, 2, 2)), requires_grad=True)
+        masks = Tensor(rng.random((2, n, 2, 2)), requires_grad=True)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = bypass_logits(pooled, heads.weight, heads.bias)
+            out = bypass_logits(feature, masks, heads.weight, heads.bias)
             kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
         finally:
             tracemalloc.stop()
         assert kept <= 0.25 * heads.weight.data.nbytes, kept / heads.weight.data.nbytes
-        assert out._node.parents == (pooled, heads.weight, heads.bias)
+        assert out._node.parents == (feature, masks, heads.weight, heads.bias)
         arrays = [c.cell_contents for c in out._node.vjp.__closure__
                   if isinstance(c.cell_contents, np.ndarray)]
         assert any(a.base is heads.weight.data for a in arrays)
         out.sum().backward()
-        want = heads.weight.data.reshape(n, 12, 256).sum(axis=1)
-        assert np.allclose(pooled.grad, np.broadcast_to(want, pooled.shape), atol=1e-12)
+        gp = np.broadcast_to(heads.weight.data.reshape(n, 12, 256).sum(axis=1), (2, n, 256))
+        want = np.einsum("bnc,bnhw->bchw", gp, masks.data) / 4
+        assert np.allclose(feature.grad, want, atol=1e-12)
 
     @pytest.mark.parametrize("din,dout", [(3, 3), (4, 2 * 3)])
     def test_head_shape_mismatch(self, din, dout):
@@ -282,7 +315,8 @@ class TestMultiAttentionLoss:
         rng = np.random.default_rng(8)
         heads = Linear(din, dout, rng, 0.5)
         with pytest.raises(ShapeError):
-            bypass_logits(Tensor(rng.normal(size=(1, 2, 3))), heads.weight, heads.bias)
+            bypass_logits(Tensor(rng.normal(size=(1, 3, 2, 2))), Tensor(rng.random((1, 2, 2, 2))),
+                          heads.weight, heads.bias)
 
 
 class TestTotalLoss:

@@ -419,28 +419,6 @@ class TestElementwise:
 
 
 class TestReductionsAndShapes:
-    def test_masked_avg_pool_matches_primitive_composition(self):
-        rng = rnd(10)
-        f = Tensor(rng.normal(size=(2, 3, 4, 4)))
-        m = Tensor(rng.random((2, 2, 4, 4)))
-        fused = T.masked_avg_pool(f, m)
-        for n in range(2):
-            composed = (f.data * m.data[:, n : n + 1]).mean(axis=(2, 3))
-            assert np.allclose(fused.data[:, n], composed, atol=1e-12)
-
-    def test_masked_avg_pool_keeps_float32(self):
-        rng = rnd(11)
-        f, m, g = (rng.normal(size=s) for s in ((2, 3, 5, 4), (2, 2, 5, 4), (2, 2, 3)))
-        ft = Tensor(f.astype(np.float32), requires_grad=True)
-        mt = Tensor(m.astype(np.float32), requires_grad=True)
-        out = T.masked_avg_pool(ft, mt)
-        T.mul(out, Tensor(g.astype(np.float32))).sum().backward()
-        for got in (out.data, ft.grad, mt.grad):
-            assert got.dtype == np.float32
-        assert np.allclose(out.data, np.einsum("bchw,bnhw->bnc", f, m) / 20, atol=1e-5)
-        assert np.allclose(ft.grad, np.einsum("bnc,bnhw->bchw", g, m) / 20, atol=1e-5)
-        assert np.allclose(mt.grad, np.einsum("bnc,bchw->bnhw", g, f) / 20, atol=1e-5)
-
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_max_pool_vjp_routes_ties_to_lowest_index(self, dtype):
         # Every window of a constant input is one tie; the padded -inf
