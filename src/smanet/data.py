@@ -222,20 +222,18 @@ def apply_augment(img: np.ndarray, theta_deg: float, flip: bool,
                   brightness: float, contrast: float, saturation: float) -> np.ndarray:
     """Deterministic augmentation core on a float [H,W,3] image in [0,1]:
     rotation, flip, then brightness, contrast and saturation, clipped to
-    [0,1].  The identity draw is exact (an unclipped copy).
+    [0,1].  The identity draw is exact, and a draw of 0 degrees is an
+    exact copy, mirrored if it flips.
 
     The work runs on one planar [3,H,W] buffer, made by the rotation
-    (which folds the flip in) or by a copy, then updated in place; the
-    result is an [H,W,3] view of it.  The contrast mean is summed in
-    [H,W,3] element order, the order of the image as stored.  Nothing is
-    drawn here or kept between calls: `augment` makes the draws."""
-    if (theta_deg, flip, brightness, contrast, saturation) == (0.0, False, 1.0, 1.0, 1.0):
-        return img.copy()
-    planes = img.transpose(2, 0, 1)
-    if theta_deg != 0.0:
-        out = _rotate(planes, theta_deg, flip)
-    else:
-        out = (planes[:, :, ::-1] if flip else planes).copy()
+    (which folds the flip in), then updated in place; the result is an
+    [H,W,3] view of it.  At 0 degrees every sample lands on its pixel
+    with weights 1 and 0, so the rotation copies a finite image bit for
+    bit, and each jitter step is skipped at its identity factor.  The
+    contrast mean is summed in [H,W,3] element order, the order of the
+    image as stored.  Nothing is drawn here or kept between calls:
+    `augment` makes the draws."""
+    out = _rotate(img.transpose(2, 0, 1), theta_deg, flip)
     if brightness != 1.0:
         out *= brightness
     if contrast != 1.0:

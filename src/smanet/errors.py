@@ -23,4 +23,5 @@ class NumericError(RuntimeError):
 
 
 class AutogradError(RuntimeError):
-    """Backward called on a non-scalar, or on an already-consumed graph."""
+    """Backward called on a non-scalar, on a tensor with no live graph,
+    or through an eval-mode batch norm."""

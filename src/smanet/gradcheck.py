@@ -2,10 +2,12 @@
 
 `grad_check_many` follows the classic recipe: two forward passes must
 agree bit-for-bit (otherwise the function is rejected as
-non-deterministic), analytic gradients come from one backward pass, and
-each probe compares a directional derivative with the central difference
-(f(x+eps*u) - f(x-eps*u)) / 2eps under the relative error
-|a - n| / max(1, |a|, |n|).
+non-deterministic), analytic gradients come from one backward pass,
+whose recorded forward must give those bits too (so an op that does more
+work when recording, such as `tensor.max_pool2d`, cannot change its
+value), and each probe compares a directional derivative with the
+central difference (f(x+eps*u) - f(x-eps*u)) / 2eps under the relative
+error |a - n| / max(1, |a|, |n|).
 
 `build_suite` names one check for every op, each function of `tensor`
 and `losses` that records its vjp through `apply_op`, plus the attention
@@ -60,6 +62,8 @@ def grad_check_many(forward, leaves: dict[str, Tensor],
     for leaf in leaves.values():
         leaf.grad = np.zeros_like(leaf.data)
     loss = forward()
+    if not np.array_equal(loss.data, y1.data):
+        raise NumericError("the recorded forward pass disagrees with the no-grad ones")
     if loss.requires_grad:
         loss.backward()
 

@@ -14,14 +14,14 @@ from it, and rebuilds what it derives in the backward: a transposed
 weight, a windowed op's padded phase grid, relu's mask, and L_div's top
 channel.  So the graph keeps each activation once: a relu output that
 feeds a conv is kept by both vjps, as one array.  ``mul``, ``linear``,
-``conv2d``, ``depthwise_conv2d``, eval-mode ``batch_norm2d`` and
-`losses.bypass_logits` keep one input for another's gradient
-(`losses.bypass_logits` keeps the feature for the masks', the masks for
-the feature's, its pooled features for its heads', and the heads' weight
-array itself, read through an [N,K,C] view), and the task losses their
-logits; ``relu``, ``sigmoid`` and ``softmax`` keep their outputs;
-``add``, ``reshape``, ``sum`` and ``mean`` keep shapes.  ``backward`` on a scalar
-replays the nodes in decreasing depth (a node's depth is 1 + its deepest
+``conv2d``, ``depthwise_conv2d`` and `losses.bypass_logits` keep one
+input for another's gradient (`losses.bypass_logits` keeps the feature
+for the masks', the masks for the feature's, its pooled features for
+its heads', and the heads' weight array itself, read through an [N,K,C]
+view), and the task losses their logits; ``relu``, ``sigmoid`` and
+``softmax`` keep their outputs; ``add``, ``reshape``, ``sum`` and
+``mean`` keep shapes.  ``backward`` on a recorded scalar replays the
+nodes in decreasing depth (a node's depth is 1 + its deepest
 parent node's), accumulating gradients additively across fan-out, and
 writes ``.grad`` only on leaves.  Every consumer is deeper than its
 parents, so that order is topological; and a side branch, such as an
@@ -117,11 +117,12 @@ is one Python call, 0.1 us.
 Work that only a vjp reads is done only when the op records a graph:
 ``recording(*parents)`` is true when grad mode is on and some parent
 requires a gradient, and it is the one place that reads grad mode
-(``apply_op`` asks it too).  One op asks it before its forward work:
-`losses.diversity_loss` tracks its top-two channel indices only when
-recording, and its output is bit-identical either way.  So a forward
-under ``no_grad`` (eval, logging, the gradient checks' probes) does
-not pay for them.
+(``apply_op`` asks it too).  Two ops ask it before their forward
+work: `losses.diversity_loss` tracks its top-two channel indices, and
+``max_pool2d`` its winning taps, only when recording, and each output is
+bit-identical either way (`gradcheck.grad_check_many` compares the two
+forwards of every check).  So a forward under ``no_grad`` (eval,
+logging, the gradient checks' probes) does not pay for them.
 
 The ops are the functions here and in `losses` that record a vjp
 through `apply_op`; the loss terms are single ops of their own.  The
@@ -265,32 +266,27 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` on every reachable requires-grad leaf.
 
-        Requires a scalar.  Walks the graph nodes, not tensors: it
-        collects the unconsumed nodes reachable from this one, then runs
-        their vjps in decreasing depth, one stable sort keeping ties in
-        discovery order.  Each consumer of a node is deeper than it, so a
-        node runs after all of them; which node of a fan-in adds first
-        is set by that order, so gradients are deterministic.  A node's
-        gradient sits in its slot until its vjp runs, and ``.grad`` is
-        written only on leaves (on this tensor only if it is itself a
-        leaf or an unrecorded result).  A leaf's gradient accumulates in
-        place into the array ``.grad`` holds, a zero array made on the
-        first arrival if it holds none; so a leaf bound to a view of an
-        optimizer's buffer fills that buffer.  Consumes the recorded
-        graph, so a second call (or building new ops on consumed
-        intermediates) raises.
+        Requires a scalar with a live graph: a leaf, an unrecorded
+        result and an already-backpropagated result all raise.  Walks the
+        graph nodes, not tensors: it collects the unconsumed nodes
+        reachable from this one, then runs their vjps in decreasing
+        depth, one stable sort keeping ties in discovery order.  Each
+        consumer of a node is deeper than it, so a node runs after all of
+        them; which node of a fan-in adds first is set by that order, so
+        gradients are deterministic.  A node's gradient sits in its slot
+        until its vjp runs, and ``.grad`` is written only on leaves.  A
+        leaf's gradient accumulates in place into the array ``.grad``
+        holds, a zero array made on the first arrival if it holds none;
+        so a leaf bound to a view of an optimizer's buffer fills that
+        buffer.  Consumes the recorded graph, so a second call (or
+        building new ops on consumed intermediates) raises.
         """
         if self.data.size != 1:
             raise AutogradError(f"backward requires a scalar, got shape {self.shape}")
         root = self._node
-        seed = np.empty_like(self.data)
-        seed.fill(1.0)
-        if root is None:
-            _accumulate_leaf(self, seed)
-            self._node = _Node(None, ())  # consumed like any graph
-            return
-        if root.vjp is None:
-            raise AutogradError("backward already ran on this graph; re-run the forward pass")
+        if root is None or root.vjp is None:
+            raise AutogradError("backward needs a live graph: this tensor has none, "
+                                "or backward already ran on it; re-run the forward pass")
 
         order = [root]
         seen = {root}
@@ -302,7 +298,8 @@ class Tensor:
         # Stable: nodes of equal depth keep their discovery order.
         order.sort(key=operator.attrgetter("depth"), reverse=True)
 
-        root.grad = seed
+        root.grad = np.empty_like(self.data)
+        root.grad.fill(1.0)
         for node in order:
             grads = node.vjp(node.grad)
             for entry, g in zip(node.parents, grads):
@@ -310,22 +307,18 @@ class Tensor:
                     continue
                 if type(entry) is _Node:
                     entry.grad = g if entry.grad is None else entry.grad + g
-                else:
-                    _accumulate_leaf(entry, g)
+                    continue
+                # A leaf adds in place, into a zero array on its first
+                # arrival, so it never aliases `g`, which a vjp may also
+                # have handed to a node.
+                if entry.grad is None:
+                    entry.grad = np.zeros(entry.data.shape, entry.data.dtype)
+                entry.grad += g
             # Every consumer of `node` ran before it, so its gradient is
             # final: consume it now, freeing its closure and gradient.
             node.vjp = None
             node.parents = ()
             node.grad = None
-
-
-def _accumulate_leaf(leaf: Tensor, g: np.ndarray) -> None:
-    """Add `g` in place into the array `leaf.grad` holds, made zero on
-    the first arrival if it holds none; never aliases `g`, which a vjp
-    may also have handed to a node."""
-    if leaf.grad is None:
-        leaf.grad = np.zeros(leaf.data.shape, leaf.data.dtype)
-    leaf.grad += g
 
 
 def _lift(value, dtype) -> Tensor:
@@ -888,11 +881,13 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     x is written once into its phase grids, filled with -inf
     (``_phase_grid``), and tap t = i*kernel + j reads the same flat window
     as in ``conv2d``.  One pass over the taps keeps the running
-    ``np.maximum`` and the winning tap, updated branch-free with a strict
-    ``>``, so ties go to the lowest offset, as ``argmax`` would put them.
-    The vjp slice-adds the output gradient where tap t won onto tap t's
-    window of a zeroed grid, and gathers that back into x's shape.  It
-    keeps only the winning taps, one byte per pixel of the [Ho, Wq] grid.
+    ``np.maximum`` and, when recording (``recording``), the winning tap,
+    updated branch-free with a strict ``>``, so ties go to the lowest
+    offset, as ``argmax`` would put them.  The value needs no tap, so it
+    is bit-identical either way.  The vjp slice-adds the output gradient
+    where tap t won onto tap t's window of a zeroed grid, and gathers that
+    back into x's shape.  It keeps only the winning taps, one byte per
+    pixel of the [Ho, Wq] grid.
     """
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d: need 4-d input, got {x.shape}")
@@ -902,10 +897,13 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     grid_shape = flat.shape  # the vjp keeps this, not the -inf grid
     x_shape, dtype = x.shape, x.dtype
     best = flat[windows[0]].copy()
-    arg = np.zeros(best.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
+    track = recording(x)
+    if track:
+        arg = np.zeros(best.shape, dtype=np.min_scalar_type(kernel * kernel - 1))
     for t in range(1, kernel * kernel):
         window = flat[windows[t]]
-        arg += (window > best) * (t - arg)
+        if track:
+            arg += (window > best) * (t - arg)
         np.maximum(best, window, out=best)
     data = np.ascontiguousarray(best.reshape(b, c, ho, wq)[..., :wo])
 
@@ -937,7 +935,9 @@ def batch_norm2d(
 
     Training mode normalizes with batch statistics (biased variance) and
     updates the running buffers in place (unbiased variance, torch
-    convention); eval mode normalizes with the running buffers.
+    convention); eval mode normalizes with the running buffers, leaves
+    them as they are, and has no gradient: every eval runs under
+    ``no_grad``, and a backward through an eval-mode op raises.
 
     The training forward takes one mean, each channel's sum divided by m
     as in ``tensor_mean``, and one centred copy x - mean.  That copy
@@ -968,19 +968,18 @@ def batch_norm2d(
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * unbiased
     else:
-        mu = running_mean.copy()  # the vjp must see the mean this forward used
         invstd = 1.0 / np.sqrt(running_var + BN_EPS)
         scale = gamma.data * invstd
         data = x.data * scale[:, None, None]
-        data += (beta.data - mu * scale)[:, None, None]
+        data += (beta.data - running_mean * scale)[:, None, None]
     gd = gamma.data
-    xd = None if training else x.data  # the eval gamma gradient reads x
 
     def vjp(g):
+        if not training:
+            raise AutogradError("batch_norm2d: no gradient in eval mode; "
+                                "evaluate under no_grad")
         k = (gd * invstd)[:, None, None]
         sg = g.sum(axis=axes)
-        if not training:
-            return g * k, (g * (xd - mu[:, None, None])).sum(axis=axes) * invstd, sg
         sgx = (g * xhat).sum(axis=axes)
         gx = xhat * (-sgx / m)[:, None, None]
         gx += g

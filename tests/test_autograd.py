@@ -94,6 +94,23 @@ def test_second_backward_rejected():
         loss.backward()
 
 
+@pytest.mark.parametrize("requires_grad", [True, False])
+def test_backward_on_a_leaf_rejected(requires_grad):
+    x = Tensor(np.ones(()), requires_grad=requires_grad)
+    with pytest.raises(AutogradError):
+        x.backward()
+    assert x.grad is None
+
+
+def test_backward_on_an_unrecorded_result_rejected():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with T.no_grad():
+        loss = x.sum()
+    with pytest.raises(AutogradError):
+        loss.backward()
+    assert x.grad is None and loss.grad is None
+
+
 def test_consumed_intermediate_cannot_be_reused():
     x = Tensor(np.ones(3), requires_grad=True)
     y = x + x
@@ -156,6 +173,19 @@ def test_grad_check_rejects_nondeterminism():
 
     with pytest.raises(NumericError):
         grad_check_many(f, {"x": x})
+
+
+def test_grad_check_rejects_a_recorded_forward_that_differs():
+    # A scratch op whose value, not only its extra work, depends on
+    # whether it records: the two no-grad forwards agree, the recorded
+    # one does not.
+    def scratch(x):
+        bump = 1e-12 if T.recording(x) else 0.0
+        return T.apply_op(x.data + bump, (x,), lambda g: (g,))
+
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(NumericError, match="recorded"):
+        grad_check_many(lambda: scratch(x).sum(), {"x": x})
 
 
 def test_grad_check_many_covers_multiple_leaves():

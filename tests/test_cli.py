@@ -709,6 +709,26 @@ class TestTrainBytes:
         assert got == self.TINY_TRAIN_SHA256
 
 
+class TestPaperProfileBytes:
+    """One paper-profile step (256 px, full widths): the only tier-1 run
+    of the 7x7 stride-2 stem and of `max_pool2d` inside a model."""
+
+    # sha256 of train_log.csv and checkpoint.bin, recorded before
+    # `max_pool2d` tracked its winning taps only when recording.
+    PAPER_TRAIN_SHA256 = {
+        "train_log.csv": "59c61755b041cd605b967bed8993561cd3dd0d9287ae8359be049891a5aac92f",
+        "checkpoint.bin": "86faee6564c2a09da95a583ef533c27151181887b98503412697327daa4f3720",
+    }
+
+    def test_artifacts_match_the_recorded_bytes(self, tmp_path):
+        assert main(["train", "--profile", "paper", "--n-train", "2", "--n-val", "2",
+                     "--epochs", "1", "--batch-size", "2", "--resample-p", "0",
+                     "--output-dir", str(tmp_path)]) == EXIT_OK
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in self.PAPER_TRAIN_SHA256}
+        assert got == self.PAPER_TRAIN_SHA256
+
+
 @pytest.fixture(scope="module")
 def synth_tiny_run(tmp_path_factory) -> Path:
     """TINY data written by `synth` under data/, and one TINY run trained

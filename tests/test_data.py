@@ -162,6 +162,11 @@ class TestAugment:
         out = apply_augment(img, 0.0, False, 1.0, 1.0, 1.0)
         assert np.array_equal(out, img)
 
+    def test_flip_alone_mirrors_exactly(self):
+        img = np.random.default_rng(4).random((8, 10, 3))
+        out = apply_augment(img, 0.0, True, 1.0, 1.0, 1.0)
+        assert out.tobytes() == img[:, ::-1].tobytes()
+
     def test_double_flip_restores(self):
         img = np.random.default_rng(3).random((8, 8, 3))
         once = apply_augment(img, 0.0, True, 1.0, 1.0, 1.0)

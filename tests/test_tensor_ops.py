@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from smanet import tensor as T
-from smanet.errors import NumericError, ShapeError
+from smanet.errors import AutogradError, NumericError, ShapeError
 from smanet.gradcheck import grad_check_many
 from smanet.tensor import Tensor
 
@@ -533,21 +533,28 @@ class TestBatchNorm:
         assert oracles.same_bits(rm, rm0 * (1.0 - 0.1) + 0.1 * mean)
         assert oracles.same_bits(rv, rv0 * (1.0 - 0.1) + 0.1 * (var * (m / (m - 1))))
 
-    def test_eval_mode_gradients(self):
+    @staticmethod
+    def eval_inputs():
         rng = rnd(18)
         rm, rv = rng.normal(size=4), rng.uniform(0.5, 2.0, 4)
-        leaves = {"x": Tensor(rng.normal(size=(3, 4, 5, 5)), requires_grad=True),
-                  "gamma": Tensor(rng.normal(size=4), requires_grad=True),
-                  "beta": Tensor(rng.normal(size=4), requires_grad=True)}
-        proj = Tensor(rng.normal(size=(3, 4, 5, 5)))
+        x, gamma, beta = (Tensor(rng.normal(size=s), requires_grad=True)
+                          for s in ((3, 4, 5, 5), (4,), (4,)))
+        return x, gamma, beta, rm, rv
 
-        def forward():
-            out = T.batch_norm2d(*leaves.values(), rm, rv, training=False)
-            return T.mul(out, proj).sum()
+    def test_eval_mode_gradient_refused(self):
+        # Every eval runs under no_grad; a backward through eval mode is
+        # a misuse, named by the op.
+        out = T.batch_norm2d(*self.eval_inputs(), training=False)
+        with pytest.raises(AutogradError, match="batch_norm2d"):
+            out.sum().backward()
 
-        before = rm.copy(), rv.copy()
-        assert grad_check_many(forward, leaves) < 1e-7
-        assert np.array_equal(rm, before[0]) and np.array_equal(rv, before[1])
+    def test_eval_forward_leaves_running_stats(self):
+        x, gamma, beta, rm, rv = self.eval_inputs()
+        before = rm.tobytes(), rv.tobytes()
+        T.batch_norm2d(x, gamma, beta, rm, rv, training=False)
+        with T.no_grad():
+            T.batch_norm2d(x, gamma, beta, rm, rv, training=False)
+        assert (rm.tobytes(), rv.tobytes()) == before
 
 
 class TestRelu:
@@ -576,6 +583,18 @@ class TestNoGradForwards:
         recorded = T.relu(x)
         with T.no_grad():
             plain = T.relu(x)
+        assert recorded.requires_grad and not plain.requires_grad
+        assert plain.dtype == recorded.dtype == dtype
+        assert plain.data.tobytes() == recorded.data.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_max_pool2d_output_matches_the_recording_forward(self, dtype):
+        # The winning taps are tracked only when recording; ties included.
+        data = np.round(rnd(41).normal(size=(2, 3, 9, 8)), 1).astype(dtype)
+        x = Tensor(data, requires_grad=True)
+        recorded = T.max_pool2d(x, 3, 2, 1)
+        with T.no_grad():
+            plain = T.max_pool2d(x, 3, 2, 1)
         assert recorded.requires_grad and not plain.requires_grad
         assert plain.dtype == recorded.dtype == dtype
         assert plain.data.tobytes() == recorded.data.tobytes()
